@@ -41,16 +41,16 @@ pub struct ProcessorConfig {
     pub dsp_mode: DspMode,
     /// Active-thread count at or above which a run with
     /// [`RunOptions::parallel`](crate::RunOptions) fans a data
-    /// instruction's lanes out through rayon instead of the serial lane
-    /// loop (host-simulation tuning only — results are bit-identical
-    /// either way). `0` engages the parallel path for every data
-    /// instruction; `usize::MAX` never engages it.
+    /// instruction's column kernel out over thread sub-ranges through
+    /// rayon instead of running it over the whole active set
+    /// (host-simulation tuning only — results are bit-identical either
+    /// way). `0` engages the parallel path for every data instruction;
+    /// `usize::MAX` never engages it.
     ///
     /// The default is `usize::MAX`: the `tables --sim` sweep (recorded
     /// in `BENCH_sim.json`) shows the fan-out path never wins under the
-    /// workspace's vendored **sequential** rayon shim — it only adds
-    /// gather overhead to the predecoded loop. Set a finite threshold
-    /// when linking a real rayon thread pool.
+    /// workspace's vendored **sequential** rayon shim. Set a finite
+    /// threshold when linking a real rayon thread pool.
     pub parallel_threshold: usize,
 }
 

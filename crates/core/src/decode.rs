@@ -53,11 +53,13 @@ pub(crate) struct Uop {
     pub pred_bit: u8,
     /// Destination register index (0 for control flow).
     pub rd: u16,
-    /// First source register index.
+    /// First source register index (0 where the opcode reads none —
+    /// dead source fields stay clear, so every index names a real
+    /// register column).
     pub ra: u16,
-    /// Second source register index.
+    /// Second source register index (0 where dead).
     pub rb: u16,
-    /// Third source register index.
+    /// Third source register index (0 where dead).
     pub rc: u16,
     /// Widened immediate: `imm32` for Imm32 forms, zero-extended
     /// `imm16` for Imm16 forms, the trip count for `loop`.
@@ -112,6 +114,10 @@ impl Uop {
                 (imm, 0, instr.rd.index() as u16)
             }
         };
+        // Only the source fields validation checked are kept (`selp`'s
+        // rc is a predicate index, already folded into `pred_bit`).
+        let reads = instr.opcode.reg_reads();
+        let src = |n: usize, r: simt_isa::Reg| if reads >= n { r.index() as u16 } else { 0 };
         let active = InstructionTiming::scaled_threads(config.threads, instr.scale);
         let class = instr.opcode.cycle_class();
         let (lanes, depth) = InstructionTiming::block_shape(active);
@@ -122,9 +128,9 @@ impl Uop {
             guard_xor,
             pred_bit,
             rd,
-            ra: instr.ra.index() as u16,
-            rb: instr.rb.index() as u16,
-            rc: instr.rc.index() as u16,
+            ra: src(1, instr.ra),
+            rb: src(2, instr.rb),
+            rc: src(3, instr.rc),
             imm,
             target,
             active: active as u32,
@@ -312,6 +318,21 @@ mod tests {
         assert_eq!(l.imm, 5); // trip count
         assert_eq!(l.target, 0x30); // end address
         assert_eq!(l.rd, 0); // dead GPR field stays clear
+    }
+
+    #[test]
+    fn dead_source_fields_stay_clear() {
+        let full = |op| Instruction::new(op).rd(1).ra(9).rb(10).rc(11);
+        let srcs = |op| {
+            let u = Uop::decode(&full(op), &cfg());
+            (u.ra, u.rb, u.rc)
+        };
+        assert_eq!(srcs(Opcode::Movi), (0, 0, 0));
+        assert_eq!(srcs(Opcode::Addi), (9, 0, 0));
+        assert_eq!(srcs(Opcode::Add), (9, 10, 0));
+        assert_eq!(srcs(Opcode::Selp), (9, 10, 0)); // rc is a predicate index
+        assert_eq!(srcs(Opcode::MadLo), (9, 10, 11));
+        assert_eq!(srcs(Opcode::Sts), (9, 10, 0));
     }
 
     #[test]

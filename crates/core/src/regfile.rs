@@ -5,6 +5,11 @@
 //! two read-port replicas (Table 1's 4 M20K per SP for the reference
 //! configuration). Register address = `thread-slot × regs_per_thread +
 //! reg`, computed in the decode delay chain.
+//!
+//! The *host* storage is register-major (`[reg][thread]`): the machine
+//! issues one instruction across every thread, so the simulator's inner
+//! loops walk one register of all threads — a contiguous column here
+//! (see `docs/SIMULATOR.md`, "Register-file layout").
 
 use crate::config::ProcessorConfig;
 use simt_isa::SP_COUNT;
@@ -14,7 +19,8 @@ use simt_isa::SP_COUNT;
 pub struct RegisterFile {
     regs_per_thread: usize,
     threads: usize,
-    /// Flat storage, `[thread][reg]` row-major.
+    /// Flat storage, `[reg][thread]` register-major: register `r` is
+    /// the contiguous column `data[r * threads..][..threads]`.
     data: Vec<u32>,
     /// Per-thread predicate registers p0..p3, one nibble per thread.
     preds: Vec<u8>,
@@ -49,7 +55,24 @@ impl RegisterFile {
             "r{reg} beyond regs/thread {}",
             self.regs_per_thread
         );
-        thread * self.regs_per_thread + reg as usize
+        reg as usize * self.threads + thread
+    }
+
+    /// One register across all threads.
+    fn column(&self, reg: u8) -> &[u32] {
+        &self.data[self.index(0, reg)..][..self.threads]
+    }
+
+    fn column_mut(&mut self, reg: u8) -> &mut [u32] {
+        let base = self.index(0, reg);
+        &mut self.data[base..][..self.threads]
+    }
+
+    /// Zero every register and predicate in place (power-on state, no
+    /// reallocation).
+    pub(crate) fn clear(&mut self) {
+        self.data.fill(0);
+        self.preds.fill(0);
     }
 
     /// Read a register.
@@ -85,9 +108,7 @@ impl RegisterFile {
     /// Bulk-load a register across all threads (host-side data upload,
     /// the way kernels receive their inputs).
     pub fn broadcast(&mut self, reg: u8, value: u32) {
-        for t in 0..self.threads {
-            self.write(t, reg, value);
-        }
+        self.column_mut(reg).fill(value);
     }
 
     /// Host-side scatter: write `values[t]` to `reg` of thread `t`.
@@ -96,14 +117,12 @@ impl RegisterFile {
     /// If `values.len() != threads`.
     pub fn scatter(&mut self, reg: u8, values: &[u32]) {
         assert_eq!(values.len(), self.threads, "scatter length mismatch");
-        for (t, &v) in values.iter().enumerate() {
-            self.write(t, reg, v);
-        }
+        self.column_mut(reg).copy_from_slice(values);
     }
 
     /// Host-side gather of one register across all threads.
     pub fn gather(&self, reg: u8) -> Vec<u32> {
-        (0..self.threads).map(|t| self.read(t, reg)).collect()
+        self.column(reg).to_vec()
     }
 
     /// The SP servicing a thread (round-robin by low bits, the physical
@@ -112,17 +131,12 @@ impl RegisterFile {
         thread % SP_COUNT
     }
 
-    /// Raw view of a thread's registers (diagnostics).
-    pub fn thread_regs(&self, thread: usize) -> &[u32] {
-        let base = thread * self.regs_per_thread;
-        &self.data[base..base + self.regs_per_thread]
-    }
-
-    /// Split borrow of the raw register and predicate arrays for the
-    /// simulator's lane-parallel execution (`data` is `[thread][reg]`
-    /// row-major; `preds` one nibble-in-a-byte per thread).
+    /// Split borrow of the raw register and predicate arrays plus the
+    /// column stride, for the simulator's column kernels (`data` is
+    /// `[reg][thread]` register-major, one column of `threads` words
+    /// per register; `preds` one nibble-in-a-byte per thread).
     pub(crate) fn split_mut(&mut self) -> (&mut [u32], &mut [u8], usize) {
-        (&mut self.data, &mut self.preds, self.regs_per_thread)
+        (&mut self.data, &mut self.preds, self.threads)
     }
 
     /// A thread's raw predicate nibble (the four predicate registers
@@ -132,12 +146,14 @@ impl RegisterFile {
         self.preds[thread]
     }
 
-    /// Immutable view of the raw arrays (snapshots).
+    /// Immutable view of the raw arrays — registers register-major —
+    /// for snapshots.
     pub(crate) fn raw(&self) -> (&[u32], &[u8]) {
         (&self.data, &self.preds)
     }
 
-    /// Restore the raw arrays (snapshot restore; lengths must match).
+    /// Restore the raw arrays (snapshot restore; register-major like
+    /// [`RegisterFile::raw`], lengths must match).
     pub(crate) fn restore_raw(&mut self, data: &[u32], preds: &[u8]) {
         assert_eq!(data.len(), self.data.len());
         assert_eq!(preds.len(), self.preds.len());

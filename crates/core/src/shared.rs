@@ -77,33 +77,38 @@ impl SharedMemory {
         self.stats = SharedMemStats::default();
     }
 
-    /// Host-side bulk write starting at word `offset`.
-    pub fn load_words(&mut self, offset: usize, words: &[u32]) -> Result<(), ExecError> {
-        let end = offset + words.len();
-        if end > self.data.len() {
-            return Err(ExecError::SharedOutOfBounds {
+    /// Zero contents and statistics in place (power-on state, no
+    /// reallocation).
+    pub(crate) fn clear(&mut self) {
+        self.data.fill(0);
+        self.reset_stats();
+    }
+
+    /// The in-bounds word range `offset..offset + len`, or the trap a
+    /// host access outside the array reports (`addr` is the last word
+    /// asked for, saturated when `offset + len` overflows).
+    fn host_range(&self, offset: usize, len: usize) -> Result<std::ops::Range<usize>, ExecError> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.data.len() => Ok(offset..end),
+            end => Err(ExecError::SharedOutOfBounds {
                 pc: 0,
                 thread: 0,
-                addr: end - 1,
+                addr: end.unwrap_or(usize::MAX).saturating_sub(1),
                 size: self.data.len(),
-            });
+            }),
         }
-        self.data[offset..end].copy_from_slice(words);
+    }
+
+    /// Host-side bulk write starting at word `offset`.
+    pub fn load_words(&mut self, offset: usize, words: &[u32]) -> Result<(), ExecError> {
+        let range = self.host_range(offset, words.len())?;
+        self.data[range].copy_from_slice(words);
         Ok(())
     }
 
     /// Host-side bulk read.
     pub fn read_words(&self, offset: usize, len: usize) -> Result<Vec<u32>, ExecError> {
-        let end = offset + len;
-        if end > self.data.len() {
-            return Err(ExecError::SharedOutOfBounds {
-                pc: 0,
-                thread: 0,
-                addr: end.saturating_sub(1),
-                size: self.data.len(),
-            });
-        }
-        Ok(self.data[offset..end].to_vec())
+        Ok(self.data[self.host_range(offset, len)?].to_vec())
     }
 
     /// Single-word read through one read port (bounds-checked trap).
@@ -186,15 +191,28 @@ impl SharedMemory {
     }
 
     /// Direct slice view (diagnostics, host verification, and the
-    /// simulator's lane-parallel load path).
+    /// simulator's `lds` column kernel).
     pub fn as_slice(&self) -> &[u32] {
         &self.data
     }
 
+    /// Mutable slice view for the simulator's `sts` column kernel, which
+    /// counts its writes itself (see [`SharedMemory::bump_writes`]).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u32] {
+        &mut self.data
+    }
+
     /// Account `n` word reads performed through [`SharedMemory::as_slice`]
-    /// (the simulator's parallel load path bypasses [`SharedMemory::read`]).
+    /// (the simulator's `lds` column kernel bypasses
+    /// [`SharedMemory::read`]).
     pub(crate) fn bump_reads(&mut self, n: u64) {
         self.stats.reads += n;
+    }
+
+    /// Account `n` word writes performed through
+    /// [`SharedMemory::as_mut_slice`].
+    pub(crate) fn bump_writes(&mut self, n: u64) {
+        self.stats.writes += n;
     }
 }
 
@@ -242,6 +260,25 @@ mod tests {
         assert_eq!(m.read_words(0, 8).unwrap(), vec![0, 0, 10, 20, 30, 0, 0, 0]);
         assert!(m.load_words(6, &[1, 2, 3]).is_err());
         assert!(m.read_words(7, 2).is_err());
+    }
+
+    #[test]
+    fn bulk_io_offset_overflow_is_a_typed_error() {
+        // `offset + len` used to wrap past the bound test and panic in
+        // the slice index.
+        let mut m = SharedMemory::new(8);
+        let oob = |addr| ExecError::SharedOutOfBounds {
+            pc: 0,
+            thread: 0,
+            addr,
+            size: 8,
+        };
+        assert_eq!(m.load_words(usize::MAX, &[1]), Err(oob(usize::MAX - 1)));
+        assert_eq!(m.read_words(usize::MAX, 2), Err(oob(usize::MAX - 1)));
+        assert_eq!(m.read_words(usize::MAX - 1, 1), Err(oob(usize::MAX - 1)));
+        assert_eq!(m.read_words(9, 0), Err(oob(8)));
+        assert_eq!(m.load_words(8, &[]), Ok(()));
+        assert_eq!(m.as_slice(), &[0; 8]);
     }
 
     #[test]

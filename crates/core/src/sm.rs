@@ -1,10 +1,11 @@
 //! The streaming multiprocessor: one SM of 16 SPs executing in lockstep
 //! (§2–§3). Two execution modes share one semantic core:
 //!
-//! * **Functional** — computes results per thread row and accounts clocks
-//!   with the closed-form counter arithmetic of
+//! * **Functional** — computes results one register column at a time and
+//!   accounts clocks with the closed-form counter arithmetic of
 //!   [`InstructionTiming`];
-//!   optionally lane-parallel via rayon for large thread counts.
+//!   optionally fanned out over thread sub-ranges via rayon for large
+//!   thread counts.
 //! * **CycleAccurate** — additionally steps the
 //!   [`PipelineControl`] counter
 //!   hardware clock by clock for every instruction and cross-checks it
@@ -16,7 +17,7 @@
 //! `docs/SIMULATOR.md`):
 //!
 //! * the **predecoded** fast path ([`Processor::run`]) executes the
-//!   cached [`DecodedProgram`] µops with per-opcode lane loops,
+//!   cached [`DecodedProgram`] µops with per-opcode column kernels,
 //!   monomorphized over (trace on/off × mode) so the hot loop carries
 //!   no trace or cross-check branches;
 //! * the **reference** path ([`Processor::run_reference`]) interprets
@@ -58,10 +59,10 @@ pub struct RunOptions {
     pub max_cycles: u64,
     /// Execution mode.
     pub mode: ExecMode,
-    /// Execute thread lanes in parallel with rayon when the active
-    /// thread count reaches
+    /// Fan each column kernel out over thread sub-ranges with rayon
+    /// when the active thread count reaches
     /// [`ProcessorConfig::parallel_threshold`] (results are
-    /// bit-identical; stores stay in thread order).
+    /// bit-identical; commits and stores stay in thread order).
     pub parallel: bool,
 }
 
@@ -119,7 +120,8 @@ pub struct TraceEntry {
 pub struct Snapshot {
     /// Configuration the snapshot was taken under.
     pub config: ProcessorConfig,
-    /// Register file contents, `[thread][reg]` row-major.
+    /// Register file contents, `[reg][thread]` register-major (each
+    /// register one contiguous run of `config.threads` words).
     pub regs: Vec<u32>,
     /// Predicate nibbles, one per thread.
     pub preds: Vec<u8>,
@@ -145,9 +147,9 @@ pub struct Processor {
     datapath: Datapath,
     /// The loaded program, predecoded (kept across [`Processor::reset`]).
     decoded: Option<Arc<DecodedProgram>>,
-    /// Reusable `sts` gather buffer: `(addr, value)` per passing lane,
-    /// in thread order — no per-store heap allocation in the run loop.
-    sts_scratch: Vec<Option<(usize, u32)>>,
+    /// The column kernels' reusable result column (one word per
+    /// thread): a data µop evaluates into it, then commits to `rd`.
+    scratch: Vec<u32>,
 }
 
 impl Processor {
@@ -159,7 +161,7 @@ impl Processor {
             shared: SharedMemory::new(config.shared_words),
             datapath: Datapath::new(),
             decoded: None,
-            sts_scratch: Vec::new(),
+            scratch: vec![0; config.threads],
             config,
         })
     }
@@ -227,11 +229,12 @@ impl Processor {
         Ok(())
     }
 
-    /// Reset architectural state (registers, predicates, shared memory),
-    /// keeping the loaded program and its decode.
+    /// Reset architectural state (registers, predicates, shared memory
+    /// and its statistics) to power-on zeros, keeping the loaded program
+    /// and its decode. Zeroes in place — no reallocation.
     pub fn reset(&mut self) {
-        self.regfile = RegisterFile::new(&self.config);
-        self.shared = SharedMemory::new(self.config.shared_words);
+        self.regfile.clear();
+        self.shared.clear();
     }
 
     /// Snapshot the full architectural state (registers, predicates,
@@ -571,10 +574,10 @@ impl Processor {
     }
 
     /// Execute one data µop (operation / load / store) across the active
-    /// thread set: one dense dispatch per *instruction*, then a
-    /// specialized lane loop per opcode with the guard test and operand
-    /// indices pre-resolved — no per-lane field extraction or opcode
-    /// dispatch.
+    /// thread set: one dense dispatch per *instruction*, then a column
+    /// kernel per opcode over the operand registers' contiguous
+    /// columns, with the guard test and operand indices pre-resolved —
+    /// no per-lane field extraction or opcode dispatch.
     fn exec_uop(
         &mut self,
         u: &Uop,
@@ -587,299 +590,120 @@ impl Processor {
             regfile,
             shared,
             datapath: dp,
-            sts_scratch,
+            scratch,
             ..
         } = self;
         let ntid = config.threads as u32;
-        let (regs, preds, rpt) = regfile.split_mut();
-        let preds: &mut [u8] = preds;
-        let (rd, ra, rb, rc) = (u.rd as usize, u.ra as usize, u.rb as usize, u.rc as usize);
+        let (regs, preds, threads) = regfile.split_mut();
         let imm = u.imm;
+        let k = ColumnKernel {
+            regs,
+            preds,
+            scratch,
+            threads,
+            active,
+            parallel,
+            u: *u,
+        };
 
         match u.opcode {
             // ---- shared memory --------------------------------------
-            Opcode::Lds => {
-                shared.account_read_rows(u.lanes as usize, u.depth as usize);
-                let shared_size = shared.words();
-                let data = shared.as_slice();
-                let active_regs = &mut regs[..active * rpt];
-                let active_preds = &preds[..active];
-                let mut reads = 0u64;
-                let body = |tid: usize, w: &mut [u32]| -> Result<(), ExecError> {
-                    let addr = w[ra].wrapping_add(imm) as usize;
-                    match data.get(addr) {
-                        Some(&v) => {
-                            w[rd] = v;
-                            Ok(())
-                        }
-                        None => Err(ExecError::SharedOutOfBounds {
-                            pc,
-                            thread: tid,
-                            addr,
-                            size: shared_size,
-                        }),
-                    }
-                };
-                if parallel {
-                    reads += active_regs
-                        .par_chunks_mut(rpt)
-                        .zip(active_preds.par_iter())
-                        .enumerate()
-                        .map(|(tid, (w, p))| {
-                            if u.guard_passes(*p) {
-                                body(tid, w).map(|()| 1)
-                            } else {
-                                Ok(0)
-                            }
-                        })
-                        .try_reduce(|| 0, |x, y| Ok(x + y))?;
-                } else if u.guard_and == 0 {
-                    // Unguarded: every active lane reads exactly once.
-                    for (tid, w) in active_regs.chunks_exact_mut(rpt).enumerate() {
-                        body(tid, w)?;
-                    }
-                    reads += active as u64;
-                } else {
-                    for (tid, (w, p)) in active_regs
-                        .chunks_exact_mut(rpt)
-                        .zip(active_preds.iter())
-                        .enumerate()
-                    {
-                        if u.guard_passes(*p) {
-                            body(tid, w)?;
-                            reads += 1;
-                        }
-                    }
-                }
-                shared.bump_reads(reads);
-                Ok(())
-            }
-            Opcode::Sts => {
-                shared.account_write_rows(u.lanes as usize, u.depth as usize);
-                // Stores stream through the single write port in thread
-                // order; on address conflicts the highest thread id wins.
-                // Gather (addr, value) pairs into the processor's
-                // reusable scratch buffer (parallel-safe), then apply in
-                // order.
-                let active_regs = &regs[..active * rpt];
-                let active_preds = &preds[..active];
-                let gather = |(w, p): (&[u32], &u8)| -> Option<(usize, u32)> {
-                    if !u.guard_passes(*p) {
-                        return None;
-                    }
-                    Some((w[ra].wrapping_add(imm) as usize, w[rb]))
-                };
-                if parallel {
-                    active_regs
-                        .par_chunks(rpt)
-                        .zip(active_preds.par_iter())
-                        .map(gather)
-                        .collect_into_vec(sts_scratch);
-                } else {
-                    sts_scratch.clear();
-                    sts_scratch.extend(
-                        active_regs
-                            .chunks_exact(rpt)
-                            .zip(active_preds.iter())
-                            .map(gather),
-                    );
-                }
-                for (tid, pair) in sts_scratch.drain(..).enumerate() {
-                    if let Some((addr, value)) = pair {
-                        shared.write(pc, tid, addr, value)?;
-                    }
-                }
-                Ok(())
-            }
+            Opcode::Lds => return k.lds(shared, pc),
+            Opcode::Sts => return k.sts(shared, pc),
 
-            // ---- compares (predicate writers) -----------------------
-            Opcode::SetpEq => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
-                dp.eval_setp(Opcode::SetpEq, a, b)
-            }),
-            Opcode::SetpNe => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
-                dp.eval_setp(Opcode::SetpNe, a, b)
-            }),
-            Opcode::SetpLt => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
-                dp.eval_setp(Opcode::SetpLt, a, b)
-            }),
-            Opcode::SetpLe => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
-                dp.eval_setp(Opcode::SetpLe, a, b)
-            }),
-            Opcode::SetpGt => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
-                dp.eval_setp(Opcode::SetpGt, a, b)
-            }),
-            Opcode::SetpGe => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
-                dp.eval_setp(Opcode::SetpGe, a, b)
-            }),
-            Opcode::SetpLtu => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
-                dp.eval_setp(Opcode::SetpLtu, a, b)
-            }),
-            Opcode::SetpGeu => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
-                dp.eval_setp(Opcode::SetpGeu, a, b)
-            }),
+            // ---- compares (predicate writers; the opcode is a constant
+            // per arm so the compare folds out of the lane loop) -------
+            Opcode::SetpEq => k.setp(|a, b| dp.eval_setp(Opcode::SetpEq, a, b)),
+            Opcode::SetpNe => k.setp(|a, b| dp.eval_setp(Opcode::SetpNe, a, b)),
+            Opcode::SetpLt => k.setp(|a, b| dp.eval_setp(Opcode::SetpLt, a, b)),
+            Opcode::SetpLe => k.setp(|a, b| dp.eval_setp(Opcode::SetpLe, a, b)),
+            Opcode::SetpGt => k.setp(|a, b| dp.eval_setp(Opcode::SetpGt, a, b)),
+            Opcode::SetpGe => k.setp(|a, b| dp.eval_setp(Opcode::SetpGe, a, b)),
+            Opcode::SetpLtu => k.setp(|a, b| dp.eval_setp(Opcode::SetpLtu, a, b)),
+            Opcode::SetpGeu => k.setp(|a, b| dp.eval_setp(Opcode::SetpGeu, a, b)),
 
             // ---- integer arithmetic (adder datapath) ----------------
-            Opcode::Add => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.add(w[ra], w[rb])
-            }),
-            Opcode::Sub => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.sub(w[ra], w[rb])
-            }),
-            Opcode::Min => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.min_s(w[ra], w[rb])
-            }),
-            Opcode::Max => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.max_s(w[ra], w[rb])
-            }),
-            Opcode::Abs => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.abs(w[ra])
-            }),
-            Opcode::Neg => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.neg(w[ra])
-            }),
-            Opcode::Sad => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.sad(w[ra], w[rb], w[rc])
-            }),
-            Opcode::Addi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.add(w[ra], imm)
-            }),
-            Opcode::Subi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.sub(w[ra], imm)
-            }),
+            Opcode::Add => k.lanes(|_, a, b, _| dp.adder.add(a, b)),
+            Opcode::Sub => k.lanes(|_, a, b, _| dp.adder.sub(a, b)),
+            Opcode::Min => k.lanes(|_, a, b, _| dp.adder.min_s(a, b)),
+            Opcode::Max => k.lanes(|_, a, b, _| dp.adder.max_s(a, b)),
+            Opcode::Abs => k.lanes(|_, a, _, _| dp.adder.abs(a)),
+            Opcode::Neg => k.lanes(|_, a, _, _| dp.adder.neg(a)),
+            Opcode::Sad => k.lanes(|_, a, b, c| dp.adder.sad(a, b, c)),
+            Opcode::Addi => k.lanes(|_, a, _, _| dp.adder.add(a, imm)),
+            Opcode::Subi => k.lanes(|_, a, _, _| dp.adder.sub(a, imm)),
 
             // ---- multiplier datapath --------------------------------
-            Opcode::MulLo => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.mult.mul_lo(w[ra], w[rb], Signedness::Signed)
-            }),
-            Opcode::MulHi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.mult.mul_hi(w[ra], w[rb], Signedness::Signed)
-            }),
-            Opcode::MuluHi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.mult.mul_hi(w[ra], w[rb], Signedness::Unsigned)
-            }),
-            Opcode::MadLo => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp
-                    .adder
-                    .add(dp.mult.mul_lo(w[ra], w[rb], Signedness::Signed), w[rc])
-            }),
-            Opcode::MadHi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp
-                    .adder
-                    .add(dp.mult.mul_hi(w[ra], w[rb], Signedness::Signed), w[rc])
-            }),
-            Opcode::Muli => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.mult.mul_lo(w[ra], imm, Signedness::Signed)
-            }),
+            Opcode::MulLo => k.lanes(|_, a, b, _| dp.mult.mul_lo(a, b, Signedness::Signed)),
+            Opcode::MulHi => k.lanes(|_, a, b, _| dp.mult.mul_hi(a, b, Signedness::Signed)),
+            Opcode::MuluHi => k.lanes(|_, a, b, _| dp.mult.mul_hi(a, b, Signedness::Unsigned)),
+            Opcode::MadLo => {
+                k.lanes(|_, a, b, c| dp.adder.add(dp.mult.mul_lo(a, b, Signedness::Signed), c))
+            }
+            Opcode::MadHi => {
+                k.lanes(|_, a, b, c| dp.adder.add(dp.mult.mul_hi(a, b, Signedness::Signed), c))
+            }
+            Opcode::Muli => k.lanes(|_, a, _, _| dp.mult.mul_lo(a, imm, Signedness::Signed)),
 
             // ---- bitwise logic (soft-logic ALU) ---------------------
-            Opcode::And => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::And, w[ra], w[rb])
-            }),
-            Opcode::Or => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::Or, w[ra], w[rb])
-            }),
-            Opcode::Xor => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::Xor, w[ra], w[rb])
-            }),
-            Opcode::Not => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::Not, w[ra], 0)
-            }),
-            Opcode::Cnot => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::Cnot, w[ra], 0)
-            }),
-            Opcode::Andi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::And, w[ra], imm)
-            }),
-            Opcode::Ori => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::Or, w[ra], imm)
-            }),
-            Opcode::Xori => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::Xor, w[ra], imm)
-            }),
-            Opcode::Popc => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::Popc, w[ra], 0)
-            }),
-            Opcode::Clz => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::Clz, w[ra], 0)
-            }),
-            Opcode::Brev => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.logic.eval(LogicOp::Brev, w[ra], 0)
-            }),
+            Opcode::And => k.lanes(|_, a, b, _| dp.logic.eval(LogicOp::And, a, b)),
+            Opcode::Or => k.lanes(|_, a, b, _| dp.logic.eval(LogicOp::Or, a, b)),
+            Opcode::Xor => k.lanes(|_, a, b, _| dp.logic.eval(LogicOp::Xor, a, b)),
+            Opcode::Not => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Not, a, 0)),
+            Opcode::Cnot => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Cnot, a, 0)),
+            Opcode::Andi => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::And, a, imm)),
+            Opcode::Ori => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Or, a, imm)),
+            Opcode::Xori => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Xor, a, imm)),
+            Opcode::Popc => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Popc, a, 0)),
+            Opcode::Clz => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Clz, a, 0)),
+            Opcode::Brev => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Brev, a, 0)),
 
             // ---- shifts (multiplicative shifter) --------------------
-            Opcode::Shl => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.shifter.shift(ShiftKind::Lsl, w[ra], w[rb])
-            }),
-            Opcode::Lsr => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.shifter.shift(ShiftKind::Lsr, w[ra], w[rb])
-            }),
-            Opcode::Asr => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.shifter.shift(ShiftKind::Asr, w[ra], w[rb])
-            }),
-            Opcode::Shli => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.shifter.shift(ShiftKind::Lsl, w[ra], imm)
-            }),
-            Opcode::Lsri => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.shifter.shift(ShiftKind::Lsr, w[ra], imm)
-            }),
-            Opcode::Asri => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.shifter.shift(ShiftKind::Asr, w[ra], imm)
-            }),
+            Opcode::Shl => k.lanes(|_, a, b, _| dp.shifter.shift(ShiftKind::Lsl, a, b)),
+            Opcode::Lsr => k.lanes(|_, a, b, _| dp.shifter.shift(ShiftKind::Lsr, a, b)),
+            Opcode::Asr => k.lanes(|_, a, b, _| dp.shifter.shift(ShiftKind::Asr, a, b)),
+            Opcode::Shli => k.lanes(|_, a, _, _| dp.shifter.shift(ShiftKind::Lsl, a, imm)),
+            Opcode::Lsri => k.lanes(|_, a, _, _| dp.shifter.shift(ShiftKind::Lsr, a, imm)),
+            Opcode::Asri => k.lanes(|_, a, _, _| dp.shifter.shift(ShiftKind::Asr, a, imm)),
 
             // ---- fixed-point / address helpers ----------------------
-            Opcode::SatAdd => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.sat_add(w[ra], w[rb])
-            }),
-            Opcode::SatSub => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.adder.sat_sub(w[ra], w[rb])
-            }),
+            Opcode::SatAdd => k.lanes(|_, a, b, _| dp.adder.sat_add(a, b)),
+            Opcode::SatSub => k.lanes(|_, a, b, _| dp.adder.sat_sub(a, b)),
             Opcode::MulShr => {
                 // Fixed-point scaling: full 64-bit signed product,
                 // arithmetic shift right by imm (0..=63), low 32 bits.
                 let sh = imm & 63;
-                lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                    let full = dp.mult.mul_full(w[ra], w[rb], Signedness::Signed) as i64;
-                    w[rd] = (full >> sh) as u32;
+                k.lanes(|_, a, b, _| {
+                    let full = dp.mult.mul_full(a, b, Signedness::Signed) as i64;
+                    (full >> sh) as u32
                 })
             }
             Opcode::ShAdd => {
                 // Address generation: (a << imm) + b.
                 let sh = imm & 31;
-                lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                    w[rd] = dp
-                        .adder
-                        .add(dp.shifter.shift(ShiftKind::Lsl, w[ra], sh), w[rb])
-                })
+                k.lanes(|_, a, b, _| dp.adder.add(dp.shifter.shift(ShiftKind::Lsl, a, sh), b))
             }
             Opcode::Bfe => {
                 let pos = imm & 0x1F;
                 let len = (imm >> 5) & 0x3F;
-                lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                    let shifted = dp.shifter.shift(ShiftKind::Lsr, w[ra], pos);
-                    w[rd] = if len >= 32 {
-                        shifted
-                    } else {
-                        shifted & ((1u32 << len) - 1)
-                    };
-                })
+                let mask = if len >= 32 {
+                    u32::MAX
+                } else {
+                    (1u32 << len) - 1
+                };
+                k.lanes(|_, a, _, _| dp.shifter.shift(ShiftKind::Lsr, a, pos) & mask)
             }
-            Opcode::Rotri => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
-                w[rd] = dp.shifter.rotate_right(w[ra], imm)
-            }),
+            Opcode::Rotri => k.lanes(|_, a, _, _| dp.shifter.rotate_right(a, imm)),
 
             // ---- predicated select and data movement ----------------
             Opcode::Selp => {
                 let bit = u.pred_bit;
-                lanes_pred_src(regs, preds, rpt, active, parallel, u, |w, p| {
-                    w[rd] = if p & bit != 0 { w[ra] } else { w[rb] }
-                })
+                k.lanes_pred_src(|_, a, b, _, p| if p & bit != 0 { a } else { b })
             }
-            Opcode::Mov => lanes(regs, preds, rpt, active, parallel, u, |_, w| w[rd] = w[ra]),
-            Opcode::Movi => lanes(regs, preds, rpt, active, parallel, u, |_, w| w[rd] = imm),
-            Opcode::Stid => lanes(regs, preds, rpt, active, parallel, u, |tid, w| {
-                w[rd] = tid as u32
-            }),
-            Opcode::Sntid => lanes(regs, preds, rpt, active, parallel, u, |_, w| w[rd] = ntid),
+            Opcode::Mov => k.lanes(|_, a, _, _| a),
+            Opcode::Movi => k.lanes(|_, _, _, _| imm),
+            Opcode::Stid => k.lanes(|tid, _, _, _| tid),
+            Opcode::Sntid => k.lanes(|_, _, _, _| ntid),
 
             // Control flow is handled by the run loop.
             Opcode::Bra
@@ -893,6 +717,7 @@ impl Processor {
                 unreachable!("{:?} is not a data opcode", u.opcode)
             }
         }
+        Ok(())
     }
 
     fn run_reference_inner(
@@ -1022,7 +847,7 @@ impl Processor {
                 }
                 Opcode::Nop | Opcode::Bar => {}
                 _ => {
-                    self.exec_data_instruction(&instr, pc, active, &opts)?;
+                    self.exec_data_instruction(&instr, pc, active)?;
                 }
             }
 
@@ -1081,26 +906,25 @@ impl Processor {
 
     /// Execute a data instruction (operation / load / store) across the
     /// active thread set — the reference interpreter's generic per-lane
-    /// dispatch through [`Datapath::eval`].
+    /// dispatch through [`Datapath::eval`]. Layout-agnostic: it only
+    /// sees the register file through `read`/`write`/`pred_nibble`, one
+    /// lane at a time, in thread order.
     fn exec_data_instruction(
         &mut self,
         instr: &Instruction,
         pc: usize,
         active: usize,
-        opts: &RunOptions,
     ) -> Result<(), ExecError> {
         let Processor {
             config,
-            regfile,
+            regfile: rf,
             shared,
             datapath,
-            sts_scratch,
             ..
         } = self;
         let ntid = config.threads as u32;
-        let parallel = opts.parallel && active >= config.parallel_threshold;
-        let (regs, preds, rpt) = regfile.split_mut();
-        let preds: &mut [u8] = preds;
+        let (rd, ra, rb, rc) = (instr.rd.0, instr.ra.0, instr.rb.0, instr.rc.0);
+        let passing = |rf: &RegisterFile, tid: usize| guard_pass(rf.pred_nibble(tid), instr.guard);
 
         match instr.opcode {
             Opcode::Lds => {
@@ -1108,47 +932,14 @@ impl Processor {
                 for _ in 0..depth {
                     shared.account_read_row(lanes);
                 }
-                let shared_size = shared.words();
-                let data = shared.as_slice();
-                let mut reads = 0u64;
-                let body = |tid: usize, window: &mut [u32], pred: &u8| -> Result<u64, ExecError> {
-                    if !guard_pass(*pred, instr.guard) {
-                        return Ok(0);
+                for tid in 0..active {
+                    if !passing(rf, tid) {
+                        continue;
                     }
-                    let addr = window[instr.ra.index()].wrapping_add(instr.imm16()) as usize;
-                    match data.get(addr) {
-                        Some(&v) => {
-                            window[instr.rd.index()] = v;
-                            Ok(1)
-                        }
-                        None => Err(ExecError::SharedOutOfBounds {
-                            pc,
-                            thread: tid,
-                            addr,
-                            size: shared_size,
-                        }),
-                    }
-                };
-                if parallel {
-                    reads += regs
-                        .par_chunks_mut(rpt)
-                        .zip(preds.par_iter())
-                        .take(active)
-                        .enumerate()
-                        .map(|(tid, (window, pred))| body(tid, window, pred))
-                        .try_reduce(|| 0, |x, y| Ok(x + y))?;
-                } else {
-                    for (tid, (window, pred)) in regs
-                        .chunks_mut(rpt)
-                        .zip(preds.iter())
-                        .take(active)
-                        .enumerate()
-                    {
-                        reads += body(tid, window, pred)?;
-                    }
+                    let addr = rf.read(tid, ra).wrapping_add(instr.imm16()) as usize;
+                    let v = shared.read(pc, tid, addr)?;
+                    rf.write(tid, rd, v);
                 }
-                shared.bump_reads(reads);
-                Ok(())
             }
             Opcode::Sts => {
                 let (lanes, depth) = InstructionTiming::block_shape(active);
@@ -1157,31 +948,13 @@ impl Processor {
                 }
                 // Stores stream through the single write port in thread
                 // order; on address conflicts the highest thread id wins.
-                // Compute (addr, value) pairs first (parallel-safe, into
-                // the reusable scratch buffer), then apply in order.
-                let gather = |(window, pred): (&[u32], &u8)| -> Option<(usize, u32)> {
-                    if !guard_pass(*pred, instr.guard) {
-                        return None;
+                for tid in 0..active {
+                    if !passing(rf, tid) {
+                        continue;
                     }
-                    let addr = window[instr.ra.index()].wrapping_add(instr.imm16()) as usize;
-                    Some((addr, window[instr.rb.index()]))
-                };
-                if parallel {
-                    regs.par_chunks(rpt)
-                        .zip(preds.par_iter())
-                        .take(active)
-                        .map(gather)
-                        .collect_into_vec(sts_scratch);
-                } else {
-                    sts_scratch.clear();
-                    sts_scratch.extend(regs.chunks(rpt).zip(preds.iter()).take(active).map(gather));
+                    let addr = rf.read(tid, ra).wrapping_add(instr.imm16()) as usize;
+                    shared.write(pc, tid, addr, rf.read(tid, rb))?;
                 }
-                for (tid, pair) in sts_scratch.drain(..).enumerate() {
-                    if let Some((addr, value)) = pair {
-                        shared.write(pc, tid, addr, value)?;
-                    }
-                }
-                Ok(())
             }
             Opcode::SetpEq
             | Opcode::SetpNe
@@ -1192,206 +965,300 @@ impl Processor {
             | Opcode::SetpLtu
             | Opcode::SetpGeu => {
                 let dst = instr.dst_pred().index();
-                let body = |window: &[u32], pred: &mut u8| {
-                    if !guard_pass(*pred, instr.guard) {
-                        return;
+                for tid in 0..active {
+                    if !passing(rf, tid) {
+                        continue;
                     }
-                    let a = window[instr.ra.index()];
-                    let b = window[instr.rb.index()];
-                    let v = datapath.eval_setp(instr.opcode, a, b);
-                    let bit = 1u8 << dst;
-                    if v {
-                        *pred |= bit;
-                    } else {
-                        *pred &= !bit;
-                    }
-                };
-                if parallel {
-                    regs.par_chunks(rpt)
-                        .zip(preds.par_iter_mut())
-                        .take(active)
-                        .for_each(|(w, p)| body(w, p));
-                } else {
-                    for (w, p) in regs.chunks(rpt).zip(preds.iter_mut()).take(active) {
-                        body(w, p);
-                    }
+                    let v = datapath.eval_setp(instr.opcode, rf.read(tid, ra), rf.read(tid, rb));
+                    rf.write_pred(tid, dst, v);
                 }
-                Ok(())
             }
             _ => {
                 // Generic ALU-value instruction writing rd.
                 let reads = instr.opcode.reg_reads();
-                let has_rb = reads >= 2 && instr.opcode.imm_form() != simt_isa::ImmForm::Imm32;
-                let body = |tid: usize, window: &mut [u32], pred: &u8| {
-                    if !guard_pass(*pred, instr.guard) {
-                        return;
+                for tid in 0..active {
+                    if !passing(rf, tid) {
+                        continue;
                     }
                     let ops = Operands {
-                        a: if reads >= 1 {
-                            window[instr.ra.index()]
-                        } else {
-                            0
-                        },
-                        b: if has_rb { window[instr.rb.index()] } else { 0 },
+                        a: if reads >= 1 { rf.read(tid, ra) } else { 0 },
+                        b: if reads >= 2 { rf.read(tid, rb) } else { 0 },
                         c: if instr.opcode.reads_rc() {
-                            window[instr.rc.index()]
+                            rf.read(tid, rc)
                         } else {
                             0
                         },
                         tid: tid as u32,
                         ntid,
-                        sel_pred: if instr.opcode == Opcode::Selp {
-                            *pred >> instr.sel_pred().index() & 1 != 0
-                        } else {
-                            false
-                        },
+                        sel_pred: instr.opcode == Opcode::Selp
+                            && rf.read_pred(tid, instr.sel_pred().index()),
                     };
                     let v = datapath.eval(instr, ops);
                     if instr.opcode.writes_rd() {
-                        window[instr.rd.index()] = v;
-                    }
-                };
-                if parallel {
-                    regs.par_chunks_mut(rpt)
-                        .zip(preds.par_iter())
-                        .take(active)
-                        .enumerate()
-                        .for_each(|(tid, (w, p))| body(tid, w, p));
-                } else {
-                    for (tid, (w, p)) in regs
-                        .chunks_mut(rpt)
-                        .zip(preds.iter())
-                        .take(active)
-                        .enumerate()
-                    {
-                        body(tid, w, p);
+                        rf.write(tid, rd, v);
                     }
                 }
-                Ok(())
             }
         }
+        Ok(())
     }
 }
 
-/// Drive a register-writing lane body over the active thread set with
-/// the µop's precomputed guard test; `f(tid, window)` runs only where
-/// the guard passes. The active window is sliced up front (no per-lane
-/// `take` bookkeeping) and the unguarded common case skips the guard
-/// test entirely.
-#[inline(always)]
-fn lanes<F>(
-    regs: &mut [u32],
-    preds: &[u8],
-    rpt: usize,
+/// Threads per sub-range when [`RunOptions::parallel`] fans a column
+/// kernel out (16 full rows of the 16-SP block).
+const PAR_SUBRANGE: usize = 256;
+
+/// One data µop's view of the register file: the raw register-major
+/// columns, the predicate nibbles and the processor's scratch column.
+///
+/// Every register-writing kernel follows the same *scratch-and-commit*
+/// rule: read the `ra`/`rb`/`rc` column prefixes `[..active]`, evaluate
+/// lane by lane into the scratch column, then [`commit`] it to the `rd`
+/// column. Sources are only ever borrowed shared and `rd` only after
+/// they are released, so `rd` aliasing a source needs no special case,
+/// and the loops are plain zips over contiguous slices the compiler can
+/// vectorize. With `parallel` set the *evaluate* phase runs the same
+/// kernel over [`PAR_SUBRANGE`]-thread sub-ranges through rayon.
+struct ColumnKernel<'a> {
+    regs: &'a mut [u32],
+    preds: &'a mut [u8],
+    scratch: &'a mut [u32],
+    /// Column stride (the configured thread count).
+    threads: usize,
     active: usize,
     parallel: bool,
-    u: &Uop,
-    f: F,
-) -> Result<(), ExecError>
-where
-    F: Fn(usize, &mut [u32]),
-{
-    let regs = &mut regs[..active * rpt];
-    let preds = &preds[..active];
-    if parallel {
-        regs.par_chunks_mut(rpt)
-            .zip(preds.par_iter())
-            .enumerate()
-            .for_each(|(tid, (w, p))| {
-                if u.guard_passes(*p) {
-                    f(tid, w);
-                }
-            });
-    } else if u.guard_and == 0 {
-        // Unguarded common case: no per-lane branch, so the lane body
-        // can vectorize across the register file.
-        for (tid, w) in regs.chunks_exact_mut(rpt).enumerate() {
-            f(tid, w);
-        }
-    } else {
-        for (tid, (w, p)) in regs.chunks_exact_mut(rpt).zip(preds.iter()).enumerate() {
-            if u.guard_passes(*p) {
-                f(tid, w);
-            }
-        }
-    }
-    Ok(())
+    /// By value: a local copy the lane loops can keep in registers.
+    u: Uop,
 }
 
-/// [`lanes`] variant whose body also reads the lane's predicate nibble
-/// (`selp`).
+/// The active prefix of one register's column.
 #[inline(always)]
-fn lanes_pred_src<F>(
-    regs: &mut [u32],
-    preds: &[u8],
-    rpt: usize,
-    active: usize,
-    parallel: bool,
-    u: &Uop,
-    f: F,
-) -> Result<(), ExecError>
-where
-    F: Fn(&mut [u32], u8),
-{
-    let regs = &mut regs[..active * rpt];
-    let preds = &preds[..active];
-    if parallel {
-        regs.par_chunks_mut(rpt)
-            .zip(preds.par_iter())
-            .for_each(|(w, p)| {
-                if u.guard_passes(*p) {
-                    f(w, *p);
-                }
-            });
-    } else {
-        for (w, p) in regs.chunks_exact_mut(rpt).zip(preds.iter()) {
-            if u.guard_passes(*p) {
-                f(w, *p);
-            }
-        }
-    }
-    Ok(())
+fn col(regs: &[u32], threads: usize, active: usize, reg: u16) -> &[u32] {
+    &regs[reg as usize * threads..][..active]
 }
 
-/// Drive a predicate-writing compare over the active thread set: the
-/// µop's pre-shifted destination bit is set or cleared per lane from
-/// `f(a, b)`.
-#[inline(always)]
-fn setp_lanes<F>(
-    regs: &[u32],
-    preds: &mut [u8],
-    rpt: usize,
-    active: usize,
-    parallel: bool,
-    u: &Uop,
-    f: F,
-) -> Result<(), ExecError>
-where
-    F: Fn(u32, u32) -> bool,
-{
-    let (ra, rb, bit) = (u.ra as usize, u.rb as usize, u.pred_bit);
-    let regs = &regs[..active * rpt];
-    let preds = &mut preds[..active];
-    let body = |(w, p): (&[u32], &mut u8)| {
-        if !u.guard_passes(*p) {
-            return;
-        }
-        if f(w[ra], w[rb]) {
-            *p |= bit;
+impl ColumnKernel<'_> {
+    /// Register-writing value op: `rd = f(tid, ra, rb, rc)` per lane.
+    #[inline(always)]
+    fn lanes<F>(self, f: F)
+    where
+        F: Fn(u32, u32, u32, u32) -> u32,
+    {
+        self.lanes_pred_src(|tid, a, b, c, _| f(tid, a, b, c))
+    }
+
+    /// [`ColumnKernel::lanes`] variant whose body also reads the lane's
+    /// predicate nibble (`selp`). Every active lane is evaluated — the
+    /// datapath models are total — and the guard is applied at commit.
+    #[inline(always)]
+    fn lanes_pred_src<F>(self, f: F)
+    where
+        F: Fn(u32, u32, u32, u32, u8) -> u32,
+    {
+        let ColumnKernel {
+            regs,
+            preds,
+            scratch,
+            threads,
+            active,
+            parallel,
+            u,
+        } = self;
+        let src = |reg| col(regs, threads, active, reg);
+        let (a, b, c, p) = (src(u.ra), src(u.rb), src(u.rc), &preds[..active]);
+        let out = &mut scratch[..active];
+        let kernel = |base: usize, out: &mut [u32], a: &[u32], b: &[u32], c: &[u32], p: &[u8]| {
+            let lanes = out.iter_mut().zip(a).zip(b).zip(c).zip(p);
+            for (i, ((((o, &a), &b), &c), &p)) in lanes.enumerate() {
+                *o = f((base + i) as u32, a, b, c, p);
+            }
+        };
+        if parallel {
+            out.par_chunks_mut(PAR_SUBRANGE)
+                .zip(a.par_chunks(PAR_SUBRANGE))
+                .zip(b.par_chunks(PAR_SUBRANGE))
+                .zip(c.par_chunks(PAR_SUBRANGE))
+                .zip(p.par_chunks(PAR_SUBRANGE))
+                .enumerate()
+                .for_each(|(n, ((((o, a), b), c), p))| kernel(n * PAR_SUBRANGE, o, a, b, c, p));
         } else {
-            *p &= !bit;
+            kernel(0, out, a, b, c, p);
         }
-    };
-    if parallel {
-        regs.par_chunks(rpt)
-            .zip(preds.par_iter_mut())
-            .for_each(body);
-    } else {
-        for x in regs.chunks_exact(rpt).zip(preds.iter_mut()) {
-            body(x);
+        let rd = &mut regs[u.rd as usize * threads..][..active];
+        commit(rd, out, p, &u);
+    }
+
+    /// Predicate-writing compare: the µop's pre-shifted destination bit
+    /// is set or cleared per guard-passing lane from `f(ra, rb)`.
+    /// Predicates live beside the register columns, so the kernel
+    /// updates them in place.
+    #[inline(always)]
+    fn setp<F>(self, f: F)
+    where
+        F: Fn(u32, u32) -> bool,
+    {
+        let ColumnKernel {
+            regs,
+            preds,
+            threads,
+            active,
+            parallel,
+            u,
+            ..
+        } = self;
+        let (a, b) = (
+            col(regs, threads, active, u.ra),
+            col(regs, threads, active, u.rb),
+        );
+        let bit = u.pred_bit;
+        let kernel = |p: &mut [u8], a: &[u32], b: &[u32]| {
+            for ((p, &a), &b) in p.iter_mut().zip(a).zip(b) {
+                let set = if f(a, b) { *p | bit } else { *p & !bit };
+                *p = if u.guard_passes(*p) { set } else { *p };
+            }
+        };
+        let p = &mut preds[..active];
+        if parallel {
+            p.par_chunks_mut(PAR_SUBRANGE)
+                .zip(a.par_chunks(PAR_SUBRANGE))
+                .zip(b.par_chunks(PAR_SUBRANGE))
+                .for_each(|((p, a), b)| kernel(p, a, b));
+        } else {
+            kernel(p, a, b);
         }
     }
-    Ok(())
+
+    /// `lds`: `rd = shared[ra + imm]` on guard-passing lanes. An
+    /// out-of-bounds lane traps with the lanes below it already loaded
+    /// (and counted), as in-order per-lane execution leaves them.
+    ///
+    /// Out of line, like `sts`: inlined into the dispatch function the
+    /// gather loop's code quality swung with unrelated edits there
+    /// (0.48 ↔ 0.68 ns per lane measured); a call per µop is free.
+    #[inline(never)]
+    fn lds(self, shared: &mut SharedMemory, pc: usize) -> Result<(), ExecError> {
+        let ColumnKernel {
+            regs,
+            preds,
+            scratch,
+            threads,
+            active,
+            parallel,
+            u,
+        } = self;
+        shared.account_read_rows(u.lanes as usize, u.depth as usize);
+        let data = shared.as_slice();
+        let (a, p) = (col(regs, threads, active, u.ra), &preds[..active]);
+        let out = &mut scratch[..active];
+        // Per sub-range: the first trapping (thread, addr), if any. The
+        // unguarded common case carries no per-lane guard test.
+        let kernel = |base: usize, out: &mut [u32], a: &[u32], p: &[u8]| {
+            let load = |i: usize, o: &mut u32, a: u32| -> Result<(), (usize, usize)> {
+                let addr = a.wrapping_add(u.imm) as usize;
+                *o = *data.get(addr).ok_or((base + i, addr))?;
+                Ok(())
+            };
+            if u.guard_and == 0 {
+                for (i, (o, &a)) in out.iter_mut().zip(a).enumerate() {
+                    load(i, o, a)?;
+                }
+            } else {
+                for (i, ((o, &a), &p)) in out.iter_mut().zip(a).zip(p).enumerate() {
+                    if u.guard_passes(p) {
+                        load(i, o, a)?;
+                    }
+                }
+            }
+            Ok(())
+        };
+        let trap = if parallel {
+            out.par_chunks_mut(PAR_SUBRANGE)
+                .zip(a.par_chunks(PAR_SUBRANGE))
+                .zip(p.par_chunks(PAR_SUBRANGE))
+                .enumerate()
+                .map(|(n, ((o, a), p))| kernel(n * PAR_SUBRANGE, o, a, p))
+                .try_reduce(|| (), |(), ()| Ok(()))
+        } else {
+            kernel(0, out, a, p)
+        }
+        .err();
+        let loaded = trap.map_or(active, |(thread, _)| thread);
+        let p = &p[..loaded];
+        let rd = &mut regs[u.rd as usize * threads..][..loaded];
+        commit(rd, &out[..loaded], p, &u);
+        shared.bump_reads(if u.guard_and == 0 {
+            loaded as u64
+        } else {
+            p.iter().filter(|&&p| u.guard_passes(p)).count() as u64
+        });
+        match trap {
+            None => Ok(()),
+            Some((thread, addr)) => Err(ExecError::SharedOutOfBounds {
+                pc,
+                thread,
+                addr,
+                size: shared.words(),
+            }),
+        }
+    }
+
+    /// `sts`: `shared[ra + imm] = rb` on guard-passing lanes. Stores
+    /// stream through the single write port in thread order — on
+    /// address conflicts the highest thread id wins — and the address
+    /// base and value are already two contiguous columns, so there is
+    /// nothing to gather and nothing to fan out.
+    #[inline(never)]
+    fn sts(self, shared: &mut SharedMemory, pc: usize) -> Result<(), ExecError> {
+        let ColumnKernel {
+            regs,
+            preds,
+            threads,
+            active,
+            u,
+            ..
+        } = self;
+        shared.account_write_rows(u.lanes as usize, u.depth as usize);
+        let src = |reg| col(regs, threads, active, reg);
+        let lanes = src(u.ra).iter().zip(src(u.rb)).zip(&preds[..active]);
+        let (size, data) = (shared.words(), shared.as_mut_slice());
+        let mut trap = None;
+        let mut writes = 0u64;
+        for (thread, ((&a, &value), &p)) in lanes.enumerate() {
+            if u.guard_passes(p) {
+                let addr = a.wrapping_add(u.imm) as usize;
+                match data.get_mut(addr) {
+                    Some(slot) => *slot = value,
+                    None => {
+                        trap = Some(ExecError::SharedOutOfBounds {
+                            pc,
+                            thread,
+                            addr,
+                            size,
+                        });
+                        break;
+                    }
+                }
+                writes += 1;
+            }
+        }
+        shared.bump_writes(writes);
+        trap.map_or(Ok(()), Err)
+    }
+}
+
+/// Commit a scratch column to the `rd` column: a plain copy when the
+/// µop is unguarded, a per-lane select on the guard otherwise (a mask
+/// blend, not a conditional store, so it vectorizes).
+#[inline(always)]
+fn commit(rd: &mut [u32], out: &[u32], preds: &[u8], u: &Uop) {
+    if u.guard_and == 0 {
+        rd.copy_from_slice(out);
+    } else {
+        for ((d, &o), &p) in rd.iter_mut().zip(out).zip(preds) {
+            let mask = (u.guard_passes(p) as u32).wrapping_neg();
+            *d = (o & mask) | (*d & !mask);
+        }
+    }
 }
 
 /// Evaluate a predicate guard against a thread's predicate nibble.

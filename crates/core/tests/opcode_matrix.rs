@@ -8,8 +8,8 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use simt_core::{Processor, ProcessorConfig, RunOptions};
-use simt_isa::{assemble, Opcode};
+use simt_core::{ExecError, Processor, ProcessorConfig, RunOptions};
+use simt_isa::{assemble, Instruction, Opcode, Program};
 
 const N: usize = 48; // covers full and partial thread rows
 
@@ -279,6 +279,145 @@ fn control_group() {
     assert!(cpu.shared().as_slice()[..N].iter().all(|&v| v == 41));
     assert_eq!(stats.branches_taken, 4); // bra, call, ret, brp
     assert_eq!(stats.loop_backedges, 3);
+}
+
+/// A processor over `N` threads with r1..r3 seeded from `inp` (masked to
+/// small in-bounds addresses when `small`), p1 from `inp.p`, and shared
+/// memory holding a recognisable pattern.
+fn seeded(inp: &Inputs, small: bool) -> Processor {
+    let mut cpu = Processor::new(
+        ProcessorConfig::small()
+            .with_threads(N)
+            .with_predicates(true),
+    )
+    .unwrap();
+    let mask = if small { 0xFF } else { u32::MAX };
+    for (reg, vals) in [(1, &inp.a), (2, &inp.b), (3, &inp.c)] {
+        let vals: Vec<u32> = vals.iter().map(|v| v & mask).collect();
+        cpu.regfile_mut().scatter(reg, &vals);
+    }
+    for (t, &p) in inp.p.iter().enumerate() {
+        cpu.regfile_mut().write_pred(t, 1, p);
+    }
+    let pattern: Vec<u32> = (0..1024u32).map(|i| i.wrapping_mul(2654435761)).collect();
+    cpu.shared_mut().load_words(0, &pattern).unwrap();
+    cpu
+}
+
+/// Every register (r0..r7) across all threads, plus the predicate nibbles.
+fn machine_state(cpu: &Processor) -> (Vec<Vec<u32>>, Vec<[bool; 4]>) {
+    (
+        (0..8).map(|r| cpu.regfile().gather(r)).collect(),
+        (0..N)
+            .map(|t| [0, 1, 2, 3].map(|p| cpu.regfile().read_pred(t, p)))
+            .collect(),
+    )
+}
+
+#[test]
+fn aliasing_matrix() {
+    // The column kernels evaluate into a scratch column and commit it to
+    // rd afterwards; rd aliasing any source, a guard, and a `.tk`-scaled
+    // partial active set must all leave exactly what per-lane in-order
+    // execution (the reference interpreter) leaves.
+    let inp = inputs(0xA11A5);
+    let writers = Opcode::ALL
+        .iter()
+        .filter(|op| op.writes_rd() && op.cycle_class() != simt_isa::CycleClass::SingleCycle);
+    let mut cases = 0;
+    for &op in writers {
+        // (rd, ra, rb, rc): rd == ra, rd == rb, rd == rc, all equal.
+        for (rd, ra, rb, rc) in [(1, 1, 2, 3), (2, 1, 2, 3), (3, 1, 2, 3), (1, 1, 1, 1)] {
+            for guard in [None, Some(false), Some(true)] {
+                for scale in [None, Some(1)] {
+                    // selp's rc field is its steering predicate (p1).
+                    let rc = if op == Opcode::Selp { 1 } else { rc };
+                    let mut i = Instruction::new(op).rd(rd).ra(ra).rb(rb).rc(rc).imm(5);
+                    if let Some(negate) = guard {
+                        i = i.guarded(1, negate);
+                    }
+                    if let Some(k) = scale {
+                        i = i.scaled(k);
+                    }
+                    let program =
+                        Program::from_instructions(vec![i, Instruction::new(Opcode::Exit)]);
+                    let what =
+                        format!("{op:?} rd=r{rd} ra=r{ra} rb=r{rb} rc={rc} {guard:?} {scale:?}");
+
+                    let before = seeded(&inp, op == Opcode::Lds);
+                    let mut fast = before.clone();
+                    fast.load_program(&program).unwrap();
+                    let (_, trace) = fast.run_traced(RunOptions::default()).unwrap();
+                    let mut oracle = before.clone();
+                    oracle.load_program(&program).unwrap();
+                    oracle.run_reference(RunOptions::default()).unwrap();
+                    assert_eq!(machine_state(&fast), machine_state(&oracle), "{what}");
+
+                    // Lanes outside `active` and guard-failed lanes keep
+                    // their old value.
+                    let active = trace[0].active;
+                    assert_eq!(active, if scale.is_some() { N / 2 } else { N }, "{what}");
+                    let (old, new) = (before.regfile().gather(rd), fast.regfile().gather(rd));
+                    for t in 0..N {
+                        let executes = t < active && guard.is_none_or(|negate| inp.p[t] != negate);
+                        if !executes {
+                            assert_eq!(new[t], old[t], "{what}: thread {t} must keep r{rd}");
+                        }
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 44 * 4 * 3 * 2); // 43 value ops + lds
+}
+
+#[test]
+fn lds_trap_on_lane_k_is_identical_on_both_interpreters() {
+    // Lane K's address is out of bounds: both interpreters must report
+    // the same trap and leave the same registers behind — lanes below K
+    // loaded, K and above untouched — also when rd aliases ra.
+    const K: usize = 21;
+    let inp = inputs(0x7EA9);
+    for (line, rd) in [("lds r7, [r1+3]", 7u8), ("lds r1, [r1+3]", 1)] {
+        for guard in ["", "@p1 ", "@!p1 "] {
+            let program = assemble(&format!("  {guard}{line}\n  exit")).unwrap();
+            let mut before = seeded(&inp, true);
+            before.regfile_mut().write(K, 1, 0x4000_0000);
+            before
+                .regfile_mut()
+                .write_pred(K, 1, !guard.starts_with("@!"));
+            let run = |reference: bool| {
+                let mut cpu = before.clone();
+                cpu.load_program(&program).unwrap();
+                let err = if reference {
+                    cpu.run_reference(RunOptions::default())
+                } else {
+                    cpu.run(RunOptions::default())
+                }
+                .unwrap_err();
+                (err, machine_state(&cpu), cpu.shared().stats())
+            };
+            let (fast, oracle) = (run(false), run(true));
+            assert_eq!(fast, oracle, "`{guard}{line}`");
+            assert_eq!(
+                fast.0,
+                ExecError::SharedOutOfBounds {
+                    pc: 0,
+                    thread: K,
+                    addr: 0x4000_0003,
+                    size: before.shared().words(),
+                }
+            );
+            let (old, new) = (before.regfile().gather(rd), &fast.1 .0[rd as usize]);
+            assert_eq!(
+                new[K..],
+                old[K..],
+                "`{guard}{line}`: lanes from K up untouched"
+            );
+            assert_ne!(new[..K], old[..K], "`{guard}{line}`: lanes below K loaded");
+        }
+    }
 }
 
 #[test]

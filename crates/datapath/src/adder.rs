@@ -37,6 +37,12 @@ pub struct SegmentTrace {
 pub struct SegmentAdder66;
 
 const MASK66: u128 = (1u128 << 66) - 1;
+const M16: u32 = 0xFFFF;
+const M18: u32 = (1 << 18) - 1;
+
+/// A 66-bit value split at the adder's segment boundaries: bits
+/// `[15:0]`, `[31:16]`, `[47:32]` (16 bits each) and `[65:48]` (18 bits).
+pub type Segments = [u32; 4];
 
 impl SegmentAdder66 {
     /// New adder.
@@ -52,79 +58,68 @@ impl SegmentAdder66 {
         self.add_traced(x, y).0
     }
 
-    /// [`SegmentAdder66::add`] in split form — operands and sum as
-    /// `(low 64 bits, high 2 bits)` pairs. The multiplier's hot path
-    /// composes its vectors natively in this form; the segment
-    /// structure is identical to [`SegmentAdder66::add_traced`].
-    #[inline(always)]
-    pub fn add_split(&self, xl: u64, xh: u64, yl: u64, yh: u64) -> (u64, u64) {
-        let (sum, _) = self.add_traced(
-            ((xh as u128) << 64) | xl as u128,
-            ((yh as u128) << 64) | yl as u128,
-        );
-        (sum as u64, (sum >> 64) as u64)
-    }
-
-    /// Add with the internal carry-network trace.
-    ///
-    /// The segment arithmetic runs on native 64-bit halves (each
-    /// segment is at most 18 bits wide, and only segment 4 straddles
-    /// the 64-bit boundary) — the host-side simulator hits this on
-    /// every multiply lane, and 128-bit arithmetic costs double-width
-    /// register pairs for values the structure never produces. The
-    /// segment decomposition, the independent stage-1 adds and the
-    /// registered single-bit {g, p} carry insertion are unchanged.
+    /// Add with the internal carry-network trace: split at the segment
+    /// boundaries, run [`SegmentAdder66::add_segments`], rejoin.
     #[inline(always)]
     pub fn add_traced(&self, x: u128, y: u128) -> (u128, SegmentTrace) {
         debug_assert_eq!(x & !MASK66, 0, "x exceeds 66 bits");
         debug_assert_eq!(y & !MASK66, 0, "y exceeds 66 bits");
-        const M16: u64 = 0xFFFF;
-        const M18: u64 = (1 << 18) - 1;
-        let (xl, xh) = (x as u64, (x >> 64) as u64);
-        let (yl, yh) = (y as u64, (y >> 64) as u64);
+        let split = |v: u128| -> Segments {
+            [
+                v as u32 & M16,
+                (v >> 16) as u32 & M16,
+                (v >> 32) as u32 & M16,
+                (v >> 48) as u32,
+            ]
+        };
+        let (s, trace) = self.add_segments(split(x), split(y));
+        let sum = (s[3] as u128) << 48 | (s[2] as u128) << 32 | (s[1] as u128) << 16 | s[0] as u128;
+        (sum, trace)
+    }
+
+    /// The carry network itself, on operands already split at the
+    /// segment boundaries (see [`Segments`]) — the form the multiplier
+    /// composes its vectors in.
+    ///
+    /// Every segment is at most 18 bits wide, so the whole add runs on
+    /// 32-bit words: the host-side simulator evaluates this on every
+    /// multiply lane, and 32-bit lanes are what its column loops
+    /// vectorize over. The independent stage-1 adds and the registered
+    /// single-bit {g, p} carry insertion are exactly the hardware's.
+    #[inline(always)]
+    pub fn add_segments(&self, x: Segments, y: Segments) -> (Segments, SegmentTrace) {
+        debug_assert!(x[..3].iter().chain(&y[..3]).all(|&s| s <= M16));
+        debug_assert!(x[3] <= M18 && y[3] <= M18);
         // Segment 1, bits [15:0]: V2 is zero there by construction in the
-        // multiplier; in the general case the segment still adds without a
-        // carry-out into segment 2 being needed *only* when y[15:0]==0.
-        // The hardware relies on that property; we assert it in debug and
-        // fall back to a correct two-operand add for general use.
-        let s1 = (xl & M16) + (yl & M16);
-        let c1 = s1 >> 16 != 0;
-        let s1 = s1 & M16;
+        // multiplier, so the hardware passes C's 16 LSBs through; the
+        // general case still adds correctly, rippling into segment 2.
+        let raw1 = x[0] + y[0];
+        let c1 = raw1 >> 16;
 
         // Segment 2, bits [31:16]: no carry-in in the hardware (c1 is zero
         // when y[15:0]==0); carry-out feeds the {g,p} network.
-        let x2 = (xl >> 16) & M16;
-        let y2 = (yl >> 16) & M16;
-        let raw2 = x2 + y2 + (c1 as u64);
+        let raw2 = x[1] + y[1] + c1;
         let carry_from_seg2 = raw2 >> 16 != 0;
-        let s2 = raw2 & M16;
 
         // Segment 3, bits [47:32]: added independently in stage 1; the
         // carry-in arrives in stage 2.
-        let x3 = (xl >> 32) & M16;
-        let y3 = (yl >> 32) & M16;
-        let raw3 = x3 + y3;
+        let raw3 = x[2] + y[2];
         let g3 = raw3 >> 16 != 0;
         // p3 = AND over bit positions of (x3 | y3): a carry entering the
         // segment would ripple all the way through.
-        let p3 = (x3 | y3) == M16;
+        let p3 = (x[2] | y[2]) == M16;
 
-        // Segment 4, bits [65:48]: same independent add (bits 64..65
-        // live in the high word).
-        let x4 = ((xl >> 48) | (xh << 16)) & M18;
-        let y4 = ((yl >> 48) | (yh << 16)) & M18;
-        let raw4 = x4 + y4;
+        // Segment 4, bits [65:48]: same independent add.
+        let raw4 = x[3] + y[3];
 
         // ---- second pipeline stage: single-gate carry insertion ----
         let carry_into_seg3 = carry_from_seg2;
-        let s3 = (raw3 + carry_into_seg3 as u64) & M16;
+        let s3 = (raw3 + carry_into_seg3 as u32) & M16;
         let carry_into_seg4 = g3 | (p3 & carry_into_seg3);
-        let s4 = (raw4 + carry_into_seg4 as u64) & M18;
+        let s4 = (raw4 + carry_into_seg4 as u32) & M18;
 
-        let sum_lo = (s4 << 48) | (s3 << 32) | (s2 << 16) | s1;
-        let sum_hi = s4 >> 16; // bits [65:64]
         (
-            ((sum_hi as u128) << 64) | sum_lo as u128,
+            [raw1 & M16, raw2 & M16, s3, s4],
             SegmentTrace {
                 carry_from_seg2,
                 g3,

@@ -100,30 +100,52 @@ impl Int32Multiplier {
     /// Full 64-bit product via the structural datapath: DSP vectors, then
     /// the segmented 66-bit addition.
     ///
-    /// The composition runs in the adder's split `(low 64, high 2)`
-    /// form — the same V1/V2 vectors as [`Int32Multiplier::vectors`]
-    /// without round-tripping through 128-bit values on the host's
-    /// hottest path (the simulator evaluates this per multiply lane).
+    /// The same A/B/C and V1/V2 vectors as [`Int32Multiplier::vectors`],
+    /// held in 32-bit words and composed directly in the adder's
+    /// [`Segments`](crate::adder::Segments) form: this is the host's
+    /// hottest path (the simulator evaluates it per multiply lane, in
+    /// loops that vectorize over 32-bit lanes), and no signal of the
+    /// structure is wider than the 18-bit top segment except the
+    /// products themselves. Each product's low 32 bits are exact; its
+    /// few bits above them are its sign in signed mode and zero in
+    /// unsigned mode (`ext`), because every 17×17-bit partial product
+    /// fits 32 bits in its own numerics.
     #[inline(always)]
     pub fn mul_full(&self, a: u32, b: u32, mode: Signedness) -> u64 {
-        let al = (a & 0xFFFF) as i64; // zero-extended in both modes
-        let bl = (b & 0xFFFF) as i64;
+        const M16: u32 = 0xFFFF;
+        let (al, bl) = (a & M16, b & M16); // zero-extended in both modes
         let (ah, bh) = match mode {
-            Signedness::Unsigned => ((a >> 16) as i64, (b >> 16) as i64),
-            Signedness::Signed => (((a as i32) >> 16) as i64, ((b as i32) >> 16) as i64),
+            Signedness::Unsigned => (a >> 16, b >> 16),
+            Signedness::Signed => (((a as i32) >> 16) as u32, ((b as i32) >> 16) as u32),
         };
-        let vector_a = ah * bh;
-        let vector_b = ah * bl + al * bh;
-        let vector_c = (al * bl) as u64;
+        let ext = |product: u32| match mode {
+            Signedness::Unsigned => 0,
+            Signedness::Signed => ((product as i32) >> 31) as u32,
+        };
+        let vector_a = ah.wrapping_mul(bh);
+        let (ah_bl, al_bh) = (ah.wrapping_mul(bl), al.wrapping_mul(bh));
+        let vector_b = ah_bl.wrapping_add(al_bh);
+        let vector_b_hi = ext(ah_bl)
+            .wrapping_add(ext(al_bh))
+            .wrapping_add((vector_b < ah_bl) as u32); // bits [36:32], sign-extended
+        let vector_c = al * bl;
         // V1 = lower 34 bits of A, appended to the left of C's 32 bits.
-        let a34 = (vector_a as u64) & ((1 << 34) - 1);
-        let v1_lo = (a34 << 32) | (vector_c & 0xFFFF_FFFF);
-        let v1_hi = a34 >> 32; // bits [65:64]
-                               // V2 = B sign-extended to 66 bits with 16 zeros appended right.
-        let v2_lo = (vector_b as u64) << 16;
-        let v2_hi = ((vector_b >> 48) as u64) & 0x3;
-        let (sum_lo, _) = self.adder.add_split(v1_lo, v1_hi, v2_lo, v2_hi);
-        sum_lo // low 64 bits of the 66-bit sum
+        let v1 = [
+            vector_c & M16,
+            vector_c >> 16,
+            vector_a & M16,
+            (vector_a >> 16) | (ext(vector_a) & 0x3) << 16,
+        ];
+        // V2 = B sign-extended to 66 bits with 16 zeros appended right.
+        let v2 = [
+            0,
+            vector_b & M16,
+            vector_b >> 16,
+            vector_b_hi & ((1 << 18) - 1),
+        ];
+        let (sum, _) = self.adder.add_segments(v1, v2);
+        // Low 64 bits of the 66-bit sum.
+        ((sum[3] << 16 | sum[2]) as u64) << 32 | (sum[1] << 16 | sum[0]) as u64
     }
 
     /// Low 32 bits of the product ("for address generation").

@@ -325,3 +325,42 @@ fn fault_free_pools_pay_nothing_into_the_fault_counters() {
     }
     assert!(rt.quarantine_postmortems().is_empty());
 }
+
+#[test]
+fn wrapping_inline_input_offset_is_an_exec_error_not_a_hang() {
+    // `LaunchSpec::inputs` is public: an offset near `usize::MAX` used to
+    // wrap `offset + len` past `SharedMemory::load_words`' bound test and
+    // panic in the slice index, killing the worker with the stream still
+    // busy — `synchronize()` then never returned. It must be a typed,
+    // terminal error that poisons the stream like any other.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let rt = Runtime::new(RuntimeConfig::default());
+        let s = rt.stream();
+        let mut spec = LaunchSpec::sum(&int_vector(64, 1));
+        spec.inputs.push((usize::MAX, vec![1]));
+        let h = s.launch(spec);
+        let after = s.copy_out(0, 4);
+        match h.wait() {
+            Err(RuntimeError::Exec { detail, .. }) => {
+                assert!(detail.contains("beyond size 4096"), "{detail}")
+            }
+            other => panic!("expected an exec error, got {other:?}"),
+        }
+        assert!(matches!(
+            after.wait(),
+            Err(RuntimeError::StreamPoisoned { stream: 0 })
+        ));
+        assert!(matches!(rt.synchronize(), Err(RuntimeError::Exec { .. })));
+        // The pool survives: a reset stream runs the well-formed kernel.
+        s.reset();
+        let good = LaunchSpec::sum(&int_vector(64, 1));
+        let (off, expected) = (good.out_off, good.expected.clone());
+        s.launch(good);
+        assert_eq!(s.copy_out(off, expected.len()).wait().unwrap(), expected);
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the launch must resolve and synchronize() must return");
+}
