@@ -15,6 +15,12 @@
 //! instead of returning the wrong program, and the map lock is never
 //! held across a compile (per-key pending tracking serializes only
 //! same-key callers).
+//!
+//! What an IR lookup needs from the kernel — the validation verdict,
+//! the canonical bytes and the hash state after them — is memoized in
+//! the kernel itself and shared by its clones (`Kernel::cache_identity`),
+//! so a warm lookup hashes the ~30 configuration bytes, compares
+//! material by pointer and allocates nothing.
 
 use crate::error::CompileError;
 use crate::ir::{hash_config, Fnv, Kernel};
@@ -30,17 +36,41 @@ use std::sync::{Arc, Condvar, Mutex};
 /// What a cache entry was compiled from. Kept alongside the program so
 /// a 64-bit key collision is *detected* (the material is compared on
 /// every hit) instead of silently handing back the wrong kernel. IR
-/// material is the same canonical form the hash covers
-/// ([`Kernel::canonical_bytes`]: dense-renumbered, reachable-only,
-/// config included), so content-identical kernels that differ in name
-/// or arena garbage still hit.
-#[derive(Debug, PartialEq)]
+/// material is the configuration-independent canonical form the hash
+/// covers (dense-renumbered, reachable-only — the walk behind
+/// [`Kernel::canonical_bytes`]), so content-identical kernels that
+/// differ in name or arena garbage still hit; the configuration half
+/// of the identity is the entry's `config`.
+#[derive(Debug)]
 enum SourceMaterial {
-    /// Canonical IR + config bytes, plus the opt level.
-    Ir { canon: Vec<u8>, opt_full: bool },
+    /// Canonical IR bytes — the `Arc` the kernel's identity memo holds,
+    /// so a launch of any clone matches by pointer — plus the opt level.
+    Ir { canon: Arc<[u8]>, opt_full: bool },
     /// Assembly source text.
     Asm(String),
 }
+
+impl PartialEq for SourceMaterial {
+    fn eq(&self, other: &Self) -> bool {
+        use SourceMaterial::{Asm, Ir};
+        match (self, other) {
+            (
+                Ir { canon, opt_full },
+                Ir {
+                    canon: other,
+                    opt_full: other_full,
+                },
+            ) => opt_full == other_full && (Arc::ptr_eq(canon, other) || canon == other),
+            (Asm(a), Asm(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// First key byte of IR and of assembly entries, so the two frontends
+/// cannot share a key by accident.
+pub(crate) const IR_NAMESPACE: u8 = 0x1A;
+const ASM_NAMESPACE: u8 = 0x2B;
 
 #[derive(Debug)]
 struct Entry {
@@ -141,11 +171,12 @@ impl CompileCache {
         self
     }
 
-    /// Record `event` when a tracer is attached (the disabled path is a
-    /// branch on `None`).
-    fn emit(&self, event: TraceEvent) {
+    /// Record an event when a tracer is attached. The event is built
+    /// only then, so a tracer-less cache allocates no label under its
+    /// lock.
+    fn emit(&self, event: impl FnOnce() -> TraceEvent) {
         if let Some(t) = &self.tracer {
-            t.record(event);
+            t.record(event());
         }
     }
 
@@ -185,7 +216,7 @@ impl CompileCache {
                 if e.material == *material && e.config.artifact_compatible(config) {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.emit(TraceEvent::CompileCacheHit {
+                    self.emit(|| TraceEvent::CompileCacheHit {
                         kernel: label.to_string(),
                         decoded: want_decoded,
                     });
@@ -194,7 +225,7 @@ impl CompileCache {
                         Some(match &e.decoded {
                             Some(d) => {
                                 self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                                self.emit(TraceEvent::DecodeCacheHit {
+                                self.emit(|| TraceEvent::DecodeCacheHit {
                                     kernel: label.to_string(),
                                 });
                                 self.note_cache(label, CacheTier::Decode, true);
@@ -202,7 +233,7 @@ impl CompileCache {
                             }
                             None => {
                                 self.decode_misses.fetch_add(1, Ordering::Relaxed);
-                                self.emit(TraceEvent::DecodeCacheMiss {
+                                self.emit(|| TraceEvent::DecodeCacheMiss {
                                     kernel: label.to_string(),
                                 });
                                 self.note_cache(label, CacheTier::Decode, false);
@@ -220,7 +251,7 @@ impl CompileCache {
                     return Claim::Hit(Arc::clone(&e.program), decoded);
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.emit(TraceEvent::CompileCacheMiss {
+                self.emit(|| TraceEvent::CompileCacheMiss {
                     kernel: label.to_string(),
                 });
                 self.note_cache(label, CacheTier::Compile, false);
@@ -228,7 +259,7 @@ impl CompileCache {
             }
             if inner.pending.insert(key) {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.emit(TraceEvent::CompileCacheMiss {
+                self.emit(|| TraceEvent::CompileCacheMiss {
                     kernel: label.to_string(),
                 });
                 self.note_cache(label, CacheTier::Compile, false);
@@ -300,19 +331,18 @@ impl CompileCache {
         opt: OptLevel,
         want_decoded: bool,
     ) -> Lookup<CompileError> {
-        // Validate before hashing: the canonical serialization assumes
-        // well-formed regions, and a malformed kernel must surface the
-        // same typed error here as on the direct compile() path.
-        kernel.validate()?;
-        let canon = kernel.canonical_bytes(config);
-        let mut h = Fnv::new();
-        h.write_u8(0x1A); // IR namespace
-        h.write_u8(matches!(opt, OptLevel::Full) as u8);
-        h.write_bytes(&canon);
+        // The kernel's identity memo carries everything derived from
+        // the IR alone (validation verdict, canonical bytes, hash state
+        // after them); a warm lookup hashes only the configuration on
+        // top. A malformed kernel surfaces the same typed error here as
+        // on the direct compile() path.
+        let opt_full = matches!(opt, OptLevel::Full);
+        let (canon, mut h) = kernel.cache_identity(opt_full)?;
+        hash_config(&mut h, config);
         let key = h.finish();
         let material = SourceMaterial::Ir {
-            canon,
-            opt_full: matches!(opt, OptLevel::Full),
+            canon: Arc::clone(canon),
+            opt_full,
         };
         match self.claim(key, &material, config, want_decoded, &kernel.name) {
             Claim::Hit(p, d) => Ok((p, d, true)),
@@ -325,16 +355,14 @@ impl CompileCache {
             }
             Claim::Owned => match compile(kernel, config, opt) {
                 Ok(compiled) => {
-                    if self.tracer.is_some() {
-                        for ps in &compiled.report.passes {
-                            self.emit(TraceEvent::PassRun {
-                                kernel: kernel.name.clone(),
-                                pass: ps.pass.to_string(),
-                                insts_before: ps.insts_before,
-                                insts_after: ps.insts_after,
-                                changed: ps.changed,
-                            });
-                        }
+                    for ps in &compiled.report.passes {
+                        self.emit(|| TraceEvent::PassRun {
+                            kernel: kernel.name.clone(),
+                            pass: ps.pass.to_string(),
+                            insts_before: ps.insts_before,
+                            insts_after: ps.insts_after,
+                            changed: ps.changed,
+                        });
                     }
                     let p = Arc::new(compiled.program);
                     let d = self.one_off_decode(&p, config, want_decoded, &kernel.name);
@@ -388,7 +416,7 @@ impl CompileCache {
         want_decoded: bool,
     ) -> Lookup<IsaError> {
         let mut h = Fnv::new();
-        h.write_u8(0x2B); // asm namespace
+        h.write_u8(ASM_NAMESPACE);
         h.write_bytes(asm.as_bytes());
         hash_config(&mut h, config);
         let key = h.finish();
@@ -444,7 +472,7 @@ impl CompileCache {
             return None;
         }
         self.decode_misses.fetch_add(1, Ordering::Relaxed);
-        self.emit(TraceEvent::DecodeCacheMiss {
+        self.emit(|| TraceEvent::DecodeCacheMiss {
             kernel: label.to_string(),
         });
         self.note_cache(label, CacheTier::Decode, false);
@@ -510,7 +538,7 @@ impl CompileCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::IrBuilder;
+    use crate::ir::{IrBuilder, Op, ValueId};
 
     fn kernel(mul: i32) -> Kernel {
         let mut b = IrBuilder::new("k");
@@ -821,6 +849,243 @@ mod tests {
             &r.event,
             FlightEvent::CacheQuery { kernel, .. } if kernel == "k"
         )));
+    }
+
+    /// A looped, carried kernel every optimizing pass has something to
+    /// do on: foldable constants, a shift-reducible multiply, a repeated
+    /// subexpression, a store forwarded to a load, a mul feeding an add,
+    /// loop-invariant work, a dead value and an elidable store.
+    fn pass_fodder() -> Kernel {
+        let mut b = IrBuilder::new("fodder");
+        let tid = b.tid();
+        let two = b.iconst(2);
+        let three = b.iconst(3);
+        let six = b.mul(two, three);
+        let eight = b.iconst(8);
+        let zero = b.iconst(0);
+        let p = b.begin_loop_carried(4, &[zero]);
+        let inv = b.add(tid, six);
+        let again = b.add(tid, six);
+        let x = b.load(tid, 0);
+        let x8 = b.mul(x, eight);
+        let prod = b.mul(x8, inv);
+        let acc = b.add(prod, p[0]);
+        let sum = b.add(acc, again);
+        let _dead = b.sub(x, tid);
+        let r = b.end_loop_carried(&[sum]);
+        b.store(tid, 64, r[0]);
+        let back = b.load(tid, 64);
+        b.store(tid, 128, back);
+        b.finish()
+    }
+
+    #[test]
+    fn mutating_a_clone_through_any_pass_leaves_the_shared_memo_behind() {
+        use crate::passes;
+        type Pass = (&'static str, fn(&mut Kernel));
+        let passes: [Pass; 10] = [
+            ("optimize", |k| {
+                passes::optimize(k);
+            }),
+            ("const_fold", |k| {
+                passes::const_fold(k);
+            }),
+            ("strength_reduce", |k| {
+                passes::strength_reduce(k);
+            }),
+            ("cse", |k| {
+                passes::cse(k);
+            }),
+            ("forward_stores", |k| {
+                passes::forward_stores(k);
+            }),
+            ("mad_fuse", |k| {
+                passes::mad_fuse(k);
+            }),
+            ("elide_stores", |k| {
+                passes::elide_stores(k, &[(128, 192)], 16);
+            }),
+            ("dce", |k| {
+                passes::dce(k);
+            }),
+            ("licm", |k| {
+                passes::licm(k);
+            }),
+            ("schedule_mem", |k| {
+                passes::schedule_mem(k);
+            }),
+        ];
+        let cfg = ProcessorConfig::small();
+        // O0 artifacts, so what a pass did to the IR shows in the program.
+        let opt = OptLevel::None;
+        for (name, pass) in passes {
+            let cache = CompileCache::new();
+            let original = pass_fodder();
+            let mut clone = original.clone();
+            // Fills the cell the two share.
+            let (before, _) = cache.get_or_compile(&clone, &cfg, opt).unwrap();
+            pass(&mut clone);
+            assert!(
+                clone.canonical_bytes(&cfg) != original.canonical_bytes(&cfg),
+                "{name} found nothing to rewrite in the fixture"
+            );
+            let (after, hit) = cache.get_or_compile(&clone, &cfg, opt).unwrap();
+            assert!(!hit, "{name}: the rewritten clone hit its old entry");
+            assert_eq!(
+                *after,
+                compile(&clone, &cfg, opt).unwrap().program,
+                "{name}"
+            );
+            let (again, hit) = cache.get_or_compile(&original, &cfg, opt).unwrap();
+            assert!(hit, "{name}: the untouched original lost its entry");
+            assert!(Arc::ptr_eq(&again, &before), "{name}");
+        }
+    }
+
+    #[test]
+    fn raw_mutators_and_stitching_start_from_a_fresh_memo() {
+        let cache = CompileCache::new();
+        let cfg = ProcessorConfig::small();
+        let k = kernel(3);
+        cache.get_or_compile(&k, &cfg, OptLevel::Full).unwrap();
+        let tid = k.body()[0];
+        type Edit = fn(&mut Kernel, ValueId);
+        let edits: [Edit; 3] = [
+            |k, tid| {
+                k.raw_push(crate::ir::Inst {
+                    op: Op::Store(200),
+                    args: vec![tid, tid],
+                    scale: None,
+                    guard: None,
+                    body: None,
+                    carried: None,
+                });
+            },
+            |k, _| {
+                let last = *k.body().last().unwrap();
+                k.raw_inst_mut(last).op = Op::Store(65);
+            },
+            |k, _| {
+                k.raw_body_mut().pop();
+            },
+        ];
+        for edit in edits {
+            let mut m = k.clone();
+            edit(&mut m, tid);
+            let (p, hit) = cache.get_or_compile(&m, &cfg, OptLevel::Full).unwrap();
+            assert!(!hit);
+            assert_eq!(*p, compile(&m, &cfg, OptLevel::Full).unwrap().program);
+        }
+        // A stitched kernel is built from its parts' arenas, not their
+        // memos.
+        let fused = crate::stitch::concat_kernels("kk", &[&k, &k]);
+        let (p, hit) = cache.get_or_compile(&fused, &cfg, OptLevel::Full).unwrap();
+        assert!(!hit);
+        assert_eq!(*p, compile(&fused, &cfg, OptLevel::Full).unwrap().program);
+        let (_, hit) = cache.get_or_compile(&k, &cfg, OptLevel::Full).unwrap();
+        assert!(hit, "the parts keep their own entry");
+    }
+
+    #[test]
+    fn clones_of_a_never_looked_up_kernel_share_one_memo() {
+        use crate::ir::IDENTITY_FILLS;
+        let fills = || IDENTITY_FILLS.with(|n| n.get());
+        let cache = CompileCache::new();
+        let small = ProcessorConfig::small();
+        let wide = small.clone().with_threads(32);
+        let spec = kernel(3); // never looked up itself
+        let base = fills();
+        let (first, second) = (spec.clone(), spec.clone());
+        cache
+            .get_or_compile(&first, &small, OptLevel::Full)
+            .unwrap();
+        assert_eq!(fills() - base, 1);
+        let (_, hit) = cache
+            .get_or_compile(&second, &small, OptLevel::Full)
+            .unwrap();
+        assert!(hit);
+        // The memo is IR-only: another configuration, another opt level
+        // and the spec itself all reuse it.
+        cache
+            .get_or_compile(&second, &wide, OptLevel::Full)
+            .unwrap();
+        cache
+            .get_or_compile(&second, &small, OptLevel::None)
+            .unwrap();
+        let (_, hit) = cache.get_or_compile(&spec, &wide, OptLevel::Full).unwrap();
+        assert!(hit);
+        assert_eq!(fills() - base, 1, "one validate + canonicalize in all");
+        assert_eq!((cache.hits(), cache.misses()), (2, 3));
+        // An equal kernel built separately has its own memo, and still
+        // hits by content.
+        let (_, hit) = cache
+            .get_or_compile(&kernel(3), &small, OptLevel::Full)
+            .unwrap();
+        assert!(hit);
+        assert_eq!(fills() - base, 2);
+    }
+
+    #[test]
+    fn a_forged_key_collision_is_served_a_one_off_compile() {
+        let cache = CompileCache::new();
+        let cfg = ProcessorConfig::small();
+        let (resident, victim) = (kernel(3), kernel(4));
+        let (resident_program, _) = cache
+            .get_or_compile(&resident, &cfg, OptLevel::Full)
+            .unwrap();
+        // Re-file the resident entry under the key the victim hashes to.
+        let (_, mut h) = victim.cache_identity(true).unwrap();
+        hash_config(&mut h, &cfg);
+        {
+            let mut inner = cache.inner.lock().unwrap();
+            let (_, entry) = inner.map.drain().next().unwrap();
+            inner.map.insert(h.finish(), entry);
+        }
+        for _ in 0..2 {
+            let (d, hit) = cache
+                .get_or_compile_decoded(&victim, &cfg, OptLevel::Full)
+                .unwrap();
+            assert!(!hit);
+            assert_eq!(
+                **d.program(),
+                compile(&victim, &cfg, OptLevel::Full).unwrap().program
+            );
+            assert_ne!(**d.program(), *resident_program);
+        }
+        assert_eq!(cache.len(), 1, "the resident entry is left alone");
+    }
+
+    #[test]
+    fn malformed_kernels_give_the_same_error_on_every_lookup() {
+        let mut bad = kernel(3);
+        let last = *bad.body().last().unwrap();
+        bad.raw_inst_mut(last).args.pop();
+        let want = bad.validate().unwrap_err();
+        let cache = CompileCache::new();
+        let cfg = ProcessorConfig::small();
+        let clone = bad.clone();
+        for k in [&bad, &bad, &clone] {
+            assert_eq!(
+                cache.get_or_compile(k, &cfg, OptLevel::Full).unwrap_err(),
+                want
+            );
+            assert_eq!(
+                cache
+                    .get_or_compile_decoded(k, &cfg, OptLevel::None)
+                    .unwrap_err(),
+                want
+            );
+        }
+        assert!(cache.is_empty());
+        // Repairing the kernel repairs the verdict.
+        bad.raw_inst_mut(last).args.push(last);
+        assert!(matches!(
+            bad.validate(),
+            Err(CompileError::Malformed { .. })
+        ));
+        let tid = bad.body()[0];
+        bad.raw_inst_mut(last).args[1] = tid;
+        assert!(cache.get_or_compile(&bad, &cfg, OptLevel::Full).is_ok());
     }
 
     #[test]

@@ -49,6 +49,7 @@ use crate::error::CompileError;
 use simt_core::{DspMode, ProcessorConfig};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// An SSA value: the result of one instruction in the kernel arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -323,28 +324,104 @@ impl Inst {
     }
 }
 
+/// What a [`Kernel`] remembers about its own IR so a warm
+/// [`crate::CompileCache`] lookup does not re-derive it: the
+/// [`Kernel::validate`] outcome, the configuration-independent canonical
+/// bytes, and the cache-key hash state after them. Write-once and
+/// IR-only — the processor configuration is appended per lookup, so one
+/// kernel launched under two configurations shares one cell.
+#[derive(Default)]
+struct Identity {
+    /// `validate()`'s verdict and, for a well-formed kernel, its
+    /// canonical IR bytes. Behind an `Arc` so a cache entry and every
+    /// clone of the kernel compare material by pointer.
+    canon: OnceLock<Result<Arc<[u8]>, CompileError>>,
+    /// FNV-1a state after the cache's IR-namespace byte, the opt-level
+    /// byte and `canon`, indexed by `opt_full`. Filled per level on
+    /// first use: FNV state does not transfer between prefixes, and a
+    /// miss should pay one pass, not two.
+    keyed: [OnceLock<u64>; 2],
+}
+
 /// An SSA kernel: the instruction arena plus the root region.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Clones share a private identity memo (see `docs/COMPILER.md`, "The
+/// compile cache"); it is not part of equality, and every `&mut` path
+/// to the arena or a region detaches from it.
+#[derive(Clone)]
 pub struct Kernel {
     /// Kernel name (not part of the content hash).
     pub name: String,
-    pub(crate) insts: Vec<Inst>,
-    pub(crate) body: Vec<ValueId>,
+    insts: Vec<Inst>,
+    body: Vec<ValueId>,
+    identity: Arc<Identity>,
+}
+
+impl PartialEq for Kernel {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.insts == other.insts && self.body == other.body
+    }
+}
+
+impl fmt::Debug for Kernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Kernel")
+            .field("name", &self.name)
+            .field("insts", &self.insts)
+            .field("body", &self.body)
+            .finish()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Identity cells filled on this thread (each fill is one
+    /// `validate()` + one canonical serialization).
+    pub(crate) static IDENTITY_FILLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl Kernel {
+    /// Assemble a kernel from an arena and a root region.
+    pub(crate) fn from_parts(name: String, insts: Vec<Inst>, body: Vec<ValueId>) -> Self {
+        Kernel {
+            name,
+            insts,
+            body,
+            identity: Arc::default(),
+        }
+    }
+
+    /// The IR is about to change: leave the identity memo to whoever
+    /// still shares it. A cell nobody else holds and nothing has filled
+    /// is kept, so a pass pipeline pays for one detach, not one per
+    /// rewrite.
+    fn detach_identity(&mut self) {
+        match Arc::get_mut(&mut self.identity) {
+            Some(cell) if cell.canon.get().is_none() => {}
+            Some(cell) => *cell = Identity::default(),
+            None => self.identity = Arc::default(),
+        }
+    }
+
     /// The instruction behind a value.
     pub fn inst(&self, v: ValueId) -> &Inst {
         &self.insts[v.index()]
     }
 
+    /// The whole arena, unreachable entries included.
+    pub(crate) fn insts(&self) -> &[Inst] {
+        &self.insts
+    }
+
     pub(crate) fn inst_mut(&mut self, v: ValueId) -> &mut Inst {
+        self.detach_identity();
         &mut self.insts[v.index()]
     }
 
     /// Append a fresh instruction to the arena (the caller places it
     /// into a region).
     pub(crate) fn append_inst(&mut self, op: Op, args: Vec<ValueId>) -> ValueId {
+        self.detach_identity();
         let v = ValueId(self.insts.len() as u32);
         self.insts.push(Inst::new(op, args));
         v
@@ -367,6 +444,7 @@ impl Kernel {
     /// near-miss mode uses to construct deliberately broken kernels and
     /// assert they are rejected with typed errors rather than panics.
     pub fn raw_push(&mut self, inst: Inst) -> ValueId {
+        self.detach_identity();
         let v = ValueId(self.insts.len() as u32);
         self.insts.push(inst);
         self.body.push(v);
@@ -376,12 +454,13 @@ impl Kernel {
     /// Mutable access to an instruction, bypassing builder invariants
     /// (see [`Kernel::raw_push`]). Panics if `v` is out of the arena.
     pub fn raw_inst_mut(&mut self, v: ValueId) -> &mut Inst {
-        &mut self.insts[v.index()]
+        self.inst_mut(v)
     }
 
     /// Mutable access to the root region, bypassing builder invariants
     /// (see [`Kernel::raw_push`]).
     pub fn raw_body_mut(&mut self) -> &mut Vec<ValueId> {
+        self.detach_identity();
         &mut self.body
     }
 
@@ -666,9 +745,25 @@ impl Kernel {
     /// [`crate::CompileCache`] compares them on every hit so a 64-bit
     /// key collision can never return the wrong program.
     pub fn canonical_bytes(&self, config: &ProcessorConfig) -> Vec<u8> {
-        fn put(out: &mut Vec<u8>, v: u32) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        let mut out = self.canonical_ir();
+        put(&mut out, config.threads as u32);
+        put(&mut out, config.regs_per_thread as u32);
+        put(&mut out, config.shared_words as u32);
+        out.push(config.predicates as u8);
+        put(&mut out, config.call_stack_depth as u32);
+        put(&mut out, config.loop_stack_depth as u32);
+        put(&mut out, config.imem_capacity as u32);
+        out.push(match config.dsp_mode {
+            DspMode::Integer => 0,
+            DspMode::FloatingPoint => 1,
+        });
+        out
+    }
+
+    /// The configuration-independent prefix of
+    /// [`Kernel::canonical_bytes`]: the region walk alone. Assumes
+    /// well-formed regions (an operand that is defined nowhere panics).
+    fn canonical_ir(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let mut dense: HashMap<ValueId, u32> = HashMap::new();
         fn walk(
@@ -719,18 +814,38 @@ impl Kernel {
             put(out, 0xBE61_FFFF); // region close
         }
         walk(self, &self.body, &mut dense, &mut out);
-        put(&mut out, config.threads as u32);
-        put(&mut out, config.regs_per_thread as u32);
-        put(&mut out, config.shared_words as u32);
-        out.push(config.predicates as u8);
-        put(&mut out, config.call_stack_depth as u32);
-        put(&mut out, config.loop_stack_depth as u32);
-        put(&mut out, config.imem_capacity as u32);
-        out.push(match config.dsp_mode {
-            DspMode::Integer => 0,
-            DspMode::FloatingPoint => 1,
-        });
         out
+    }
+
+    /// What the compile cache needs to key and check this kernel:
+    /// its canonical IR bytes and the FNV-1a state after the cache's IR
+    /// namespace byte, the opt-level byte and those bytes — the caller
+    /// finishes the key with [`hash_config`]. A malformed kernel yields
+    /// the typed error [`Kernel::validate`] gives. Computed once per
+    /// identity cell: every later call, on this kernel or any clone of
+    /// it, is two loads.
+    pub(crate) fn cache_identity(&self, opt_full: bool) -> Result<(&Arc<[u8]>, Fnv), CompileError> {
+        let canon = self
+            .identity
+            .canon
+            .get_or_init(|| {
+                #[cfg(test)]
+                IDENTITY_FILLS.with(|n| n.set(n.get() + 1));
+                // Validate before serializing: the canonical walk
+                // assumes well-formed regions.
+                self.validate()?;
+                Ok(self.canonical_ir().into())
+            })
+            .as_ref()
+            .map_err(Clone::clone)?;
+        let state = *self.identity.keyed[opt_full as usize].get_or_init(|| {
+            let mut h = Fnv::new();
+            h.write_u8(crate::cache::IR_NAMESPACE);
+            h.write_u8(opt_full as u8);
+            h.write_bytes(canon);
+            h.finish()
+        });
+        Ok((canon, Fnv(state)))
     }
 
     /// Content hash of the kernel + configuration — the
@@ -1020,12 +1135,13 @@ impl IrBuilder {
             "{} loop(s) left open",
             self.open_loops.len()
         );
-        Kernel {
-            name: self.name,
-            insts: self.insts,
-            body: self.regions.pop().expect("root region"),
-        }
+        let body = self.regions.pop().expect("root region");
+        Kernel::from_parts(self.name, self.insts, body)
     }
+}
+
+fn put(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// FNV-1a, 64-bit: a tiny deterministic hasher so cache keys are stable

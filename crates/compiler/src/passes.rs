@@ -326,7 +326,7 @@ pub fn strength_reduce(k: &mut Kernel) -> bool {
     // Materialized shift-amount constants dominate everything from the
     // top of the root region.
     for (i, (_, v)) in new_consts.iter().enumerate() {
-        k.body.insert(i, *v);
+        k.raw_body_mut().insert(i, *v);
     }
     changed
 }
@@ -668,7 +668,7 @@ pub fn elide_stores(k: &mut Kernel, dead: &[(usize, usize)], threads: usize) -> 
         }
     }
     let removed = remove.len();
-    k.body.retain(|v| !remove.contains(v));
+    k.raw_body_mut().retain(|v| !remove.contains(v));
     removed
 }
 
@@ -775,8 +775,9 @@ pub fn dce(k: &mut Kernel) -> bool {
     }
 
     let before = k.live_insts();
-    let root = std::mem::take(&mut k.body);
-    k.body = sweep(k, root, &marked);
+    let root = std::mem::take(k.raw_body_mut());
+    let root = sweep(k, root, &marked);
+    *k.raw_body_mut() = root;
     k.live_insts() != before
 }
 
@@ -795,8 +796,9 @@ pub fn dce(k: &mut Kernel) -> bool {
 /// the pipeline's fixpoint iteration finishes the job.
 pub fn licm(k: &mut Kernel) -> bool {
     let mut changed = false;
-    let root = std::mem::take(&mut k.body);
-    k.body = licm_region(k, root, &mut changed);
+    let root = std::mem::take(k.raw_body_mut());
+    let root = licm_region(k, root, &mut changed);
+    *k.raw_body_mut() = root;
     changed
 }
 
@@ -940,8 +942,9 @@ fn hoistable(
 /// kernels that previously compiled.
 pub fn schedule_mem(k: &mut Kernel) -> bool {
     let mut changed = false;
-    let root = std::mem::take(&mut k.body);
-    k.body = schedule_region(k, root, &mut changed);
+    let root = std::mem::take(k.raw_body_mut());
+    let root = schedule_region(k, root, &mut changed);
+    *k.raw_body_mut() = root;
     changed
 }
 

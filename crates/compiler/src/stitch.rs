@@ -45,15 +45,12 @@ pub struct FuseReport {
 /// here; the result is the mechanical "run stage 1, then stage 2, …"
 /// program.
 pub fn concat_kernels(name: impl Into<String>, parts: &[&Kernel]) -> Kernel {
-    let mut out = Kernel {
-        name: name.into(),
-        insts: Vec::new(),
-        body: Vec::new(),
-    };
+    let mut insts = Vec::new();
+    let mut body = Vec::new();
     for part in parts {
-        let base = out.insts.len() as u32;
+        let base = insts.len() as u32;
         let shift = |v: ValueId| ValueId(v.0 + base);
-        for inst in &part.insts {
+        for inst in part.insts() {
             let mut inst = inst.clone();
             for a in inst.args.iter_mut() {
                 *a = shift(*a);
@@ -71,11 +68,11 @@ pub fn concat_kernels(name: impl Into<String>, parts: &[&Kernel]) -> Kernel {
                     *v = shift(*v);
                 }
             }
-            out.insts.push(inst);
+            insts.push(inst);
         }
-        out.body.extend(part.body.iter().map(|&v| shift(v)));
+        body.extend(part.body().iter().map(|&v| shift(v)));
     }
-    out
+    Kernel::from_parts(name.into(), insts, body)
 }
 
 fn count_loads(k: &Kernel) -> usize {

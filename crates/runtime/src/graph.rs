@@ -228,7 +228,7 @@ impl Runtime {
                     }
                     let cycles = outcome.stats.cycles;
                     if let Some(m) = &self.shared.metrics {
-                        m.record_kernel_cycles(&spec.name, cycles);
+                        device.kernel_cycles(&m.registry, &spec.name).record(cycles);
                     }
                     (
                         CommandKind::Launch,

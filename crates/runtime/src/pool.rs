@@ -19,7 +19,7 @@ use simt_compiler::{CompileCache, OptLevel};
 use simt_core::{ExecStats, PcProfile, Processor, ProcessorConfig, RunOptions};
 use simt_isa::Program;
 use simt_kernels::{KernelSource, LaunchSpec};
-use simt_metrics::HealthConfig;
+use simt_metrics::{names as metric, HealthConfig, Histogram, Registry};
 use simt_profile::ProfileConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -211,6 +211,9 @@ pub(crate) struct Device {
     /// Pool-wide per-PC profile sink (`Some` only when the runtime was
     /// built with [`ProfileConfig::per_pc`]).
     pc_sink: Option<Arc<PcSink>>,
+    /// Launch-cycle histograms this device has retired launches into,
+    /// by kernel name (see [`Device::kernel_cycles`]).
+    kernel_cycles: HashMap<String, Arc<Histogram>>,
 }
 
 impl Device {
@@ -228,7 +231,22 @@ impl Device {
             cache: Vec::new(),
             compile_cache,
             pc_sink,
+            kernel_cycles: HashMap::new(),
         }
+    }
+
+    /// The pool's launch-cycle histogram for `kernel`. The registry is
+    /// asked once per kernel name and device; afterwards this is a
+    /// borrowed-key map hit — no label allocation, no registry lock —
+    /// so a retired launch records through a handle.
+    pub(crate) fn kernel_cycles(&mut self, registry: &Registry, kernel: &str) -> Arc<Histogram> {
+        if let Some(h) = self.kernel_cycles.get(kernel) {
+            return Arc::clone(h);
+        }
+        let h = registry.histogram(metric::LAUNCH_CYCLES, kernel);
+        self.kernel_cycles
+            .insert(kernel.to_string(), Arc::clone(&h));
+        h
     }
 
     /// Modeled clocks for moving `words` over the host link.

@@ -26,6 +26,57 @@
 //! edges, plus cross-stream edges through captured events) instead of
 //! executing, and graph replay places its nodes through the same
 //! least-loaded rule via [`Shared::place_graph_command`].
+//!
+//! ## Wake protocol
+//!
+//! All scheduler state sits behind one mutex. Each worker sleeps on a
+//! condvar of its own, `synchronize` on `idle`. A wake is a futex call
+//! whether or not anyone is listening, and a shared condvar may hand
+//! one `notify_one` to two threads (one asleep, one on its way to
+//! sleep), so every wake names the worker it is for and is sent only
+//! where it can be used.
+//!
+//! `parked` lists the workers asleep with no wake on its way to them.
+//!
+//! **Invariant.** While the pool is not paused, *claimable work and a
+//! worker in `parked` imply a wake in flight, or an awake worker that
+//! will scan before it parks.* A stream is claimable when it is not
+//! busy and its head command can execute or resolve inline.
+//!
+//! Workers keep it from their side: a worker parks only under the lock,
+//! directly after a scan that found nothing, and enters `parked` as it
+//! does; a worker that finishes a batch publishes it and scans for the
+//! next in the *same* critical section. So whatever a publish makes
+//! claimable (the freed stream's backlog, an event a poisoned drain
+//! signalled) is seen by the publisher itself.
+//!
+//! Every other transition to "claimable" happens under the lock and
+//! takes one worker off `parked` to wake:
+//!
+//! * `enqueue` onto an idle stream's *empty* queue. A busy stream is
+//!   rescanned by the worker running its batch; behind an older command
+//!   the head, hence claimability, is unchanged.
+//! * a claim that leaves another stream claimable (the scan stops at the
+//!   first batch, and inline event resolution may have released a
+//!   waiter): the claimer is about to go busy, so it passes the wake on.
+//! * `enqueue` of an event record onto a poisoned stream, which signals
+//!   the event on the spot.
+//! * `resume` and shutdown wake everyone.
+//!
+//! **Notify after unlock.** The sleeper is chosen, and leaves `parked`,
+//! under the lock; its condvar is notified after the unlock, so it does
+//! not wake straight into a held mutex. Nothing is lost in the gap: a
+//! worker listed in `parked` entered its wait under the lock
+//! (`Condvar::wait` releases the mutex and enqueues atomically), so the
+//! notify finds it there — or it has returned spuriously, and then it
+//! scans under the lock, after the change. Because a chosen sleeper is
+//! off the list, two changes in a row wake two workers, never one
+//! twice. A wake that arrives to nothing left (an awake worker got
+//! there first) is counted in [`DeviceStats::idle_wakeups`].
+//!
+//! `idle` is signalled in one place (`Shared::complete`), on the
+//! transition of `outstanding` to zero — the only thing its waiters
+//! test.
 
 use crate::pool::{Device, RuntimeConfig};
 use crate::stats::{CommandKind, CompletionRecord, DeviceStats, RuntimeStats, StreamStats};
@@ -162,13 +213,6 @@ impl PoolMetrics {
         self.device_busy[device].add(cycles);
     }
 
-    /// Record modeled cycles of one launch under its kernel label.
-    pub(crate) fn record_kernel_cycles(&self, kernel: &str, cycles: u64) {
-        self.registry
-            .histogram(metric::LAUNCH_CYCLES, kernel)
-            .record(cycles);
-    }
-
     /// Record the modeled critical-path span of one graph replay.
     pub(crate) fn record_graph_span(&self, span_cycles: u64) {
         self.graph_span.record(span_cycles);
@@ -225,6 +269,10 @@ pub(crate) struct SchedState {
     /// Workers hold off claiming while set (deterministic-schedule
     /// testing: build a full backlog, then release it at once).
     paused: bool,
+    /// Workers asleep on their condvar with no wake on its way to
+    /// them, most recently parked last. See "Wake protocol" in the
+    /// module doc.
+    parked: Vec<usize>,
     /// Per-device health, driven by the fault tracker below against
     /// the recovery config's fault budget. Quarantined devices are
     /// excluded from stream placement and graph replay.
@@ -248,14 +296,42 @@ impl SchedState {
             self.completions_dropped += 1;
         }
     }
+
+    /// The worker to wake for work that just became claimable: the
+    /// most recently parked one, taken off the list — or `None` when
+    /// nobody sleeps, claiming is held off (`resume` wakes everyone),
+    /// or `work` (asked only then) says there is nothing to claim.
+    fn sleeper_if(&mut self, work: impl FnOnce(&SchedState) -> bool) -> Option<usize> {
+        if self.paused || self.parked.is_empty() || !work(self) {
+            return None;
+        }
+        self.parked.pop()
+    }
+
+    fn any_claimable(&self) -> bool {
+        (0..self.streams.len()).any(|sid| self.claimable(sid))
+    }
+
+    /// Can a worker claim something from `sid` right now: the stream is
+    /// idle and its head command is executable, or an event command
+    /// that resolves inline?
+    fn claimable(&self, sid: usize) -> bool {
+        let st = &self.streams[sid];
+        !st.busy
+            && match st.queue.front().map(|p| &p.cmd) {
+                None => false,
+                Some(Command::WaitEvent(e)) => e.is_signaled() || !e.is_recorded(),
+                Some(_) => true,
+            }
+    }
 }
 
 /// Shared scheduler handle.
 pub(crate) struct Shared {
     pub(crate) cfg: RuntimeConfig,
     state: Mutex<SchedState>,
-    /// Workers wait here for runnable commands.
-    work: Condvar,
+    /// Worker `d` waits on `work[d]` for runnable commands.
+    work: Vec<Condvar>,
     /// `synchronize` waits here for quiescence.
     idle: Condvar,
     pub(crate) shutdown: AtomicBool,
@@ -303,9 +379,12 @@ enum Done {
         cache_hit: bool,
         compile_hit: bool,
         wall: Duration,
-        /// Kernel name for trace events and kernel-labeled latency
-        /// histograms (cloned only when tracing or metrics will read it).
+        /// Kernel name for trace events (cloned only when tracing).
         kernel: String,
+        /// The kernel-labelled launch-cycle histogram (`Some` iff
+        /// metrics are on), resolved by the worker before it took the
+        /// lock.
+        kernel_cycles: Option<Arc<Histogram>>,
         sink: Arc<crate::stream::Slot<Result<ExecStats, RuntimeError>>>,
         /// This success is a recovery from an earlier fault.
         faulted: bool,
@@ -341,6 +420,16 @@ enum Done {
     },
 }
 
+/// An executed batch on its way back to [`Shared::publish`].
+struct Finished {
+    sid: usize,
+    done: Vec<Done>,
+    /// The unexecuted tail of a batch cut short by a fault.
+    requeue: Vec<Pending>,
+    /// The stream's device buffer, returned with the batch.
+    buffer: Vec<u32>,
+}
+
 impl Shared {
     pub(crate) fn new(cfg: RuntimeConfig) -> Self {
         let d = cfg.devices;
@@ -368,12 +457,13 @@ impl Shared {
                 capture: None,
                 capture_generation: 0,
                 paused: false,
+                parked: Vec::new(),
                 device_health: vec![DeviceHealth::Healthy; d],
                 device_faults: vec![0; d],
                 sticky_disabled: false,
                 pending_quarantines: Vec::new(),
             }),
-            work: Condvar::new(),
+            work: (0..d).map(|_| Condvar::new()).collect(),
             idle: Condvar::new(),
             shutdown: AtomicBool::new(false),
             tracer,
@@ -405,11 +495,33 @@ impl Shared {
         }
     }
 
-    /// Wake every sleeping worker and waiter (shutdown path).
+    /// Wake every sleeping worker so it observes the shutdown flag.
+    /// Taking the lock first orders this after any worker that read the
+    /// flag clear and is about to park. (`synchronize` waiters are woken
+    /// by whoever retires the last outstanding command —
+    /// [`Shared::complete`].)
     pub(crate) fn wake_all(&self) {
         let _guard = self.state.lock().unwrap();
-        self.work.notify_all();
-        self.idle.notify_all();
+        for worker in &self.work {
+            worker.notify_one();
+        }
+    }
+
+    /// Deliver the wake a critical section decided on
+    /// ([`SchedState::sleeper_if`]); call after dropping the guard.
+    fn wake(&self, sleeper: Option<usize>) {
+        if let Some(w) = sleeper {
+            self.work[w].notify_one();
+        }
+    }
+
+    /// `n` commands stopped being outstanding. The one place
+    /// `synchronize` waiters are signalled: on the transition to zero.
+    fn complete(&self, state: &mut SchedState, n: usize) {
+        state.outstanding -= n;
+        if n > 0 && state.outstanding == 0 {
+            self.idle.notify_all();
+        }
     }
 
     /// Register a stream (not device-affine: every command is placed at
@@ -454,8 +566,11 @@ impl Shared {
         let mut state = self.state.lock().unwrap();
         state.paused = false;
         self.note(FlightEvent::Resume);
+        let sleepers = std::mem::take(&mut state.parked);
         drop(state);
-        self.work.notify_all();
+        for w in sleepers {
+            self.work[w].notify_one();
+        }
     }
 
     /// Begin capturing `stream`: its commands record into the active
@@ -616,7 +731,14 @@ impl Shared {
                 start: vdone,
                 end: vdone,
             });
-            self.idle.notify_all();
+            // A record failed here still signals its event, which may
+            // be what another stream's head was waiting on.
+            let sleeper = match cmd {
+                Command::RecordEvent(_) => state.sleeper_if(SchedState::any_claimable),
+                _ => None,
+            };
+            drop(state);
+            self.wake(sleeper);
             return;
         }
         let kind = cmd.kind();
@@ -642,7 +764,16 @@ impl Shared {
             });
             self.gauge_samples(stream, state.streams[stream].vdone, depth, outstanding);
         }
-        self.work.notify_all();
+        // Wake a worker only for a command that made its stream
+        // claimable: a busy stream is rescanned by the worker running
+        // its batch when it publishes, and behind an older command the
+        // stream's claimability has not changed.
+        let sleeper = state.sleeper_if(|s| {
+            let st = &s.streams[stream];
+            !st.busy && st.queue.len() == 1
+        });
+        drop(state);
+        self.wake(sleeper);
     }
 
     /// Emit queue-depth / outstanding counter samples onto the trace
@@ -781,10 +912,9 @@ impl Shared {
                     start: vdone,
                     end: vdone,
                 });
-                state.outstanding -= 1;
+                self.complete(&mut state, 1);
             }
         }
-        self.idle.notify_all();
     }
 
     /// Clear a stream's sticky error so it accepts new work again
@@ -964,7 +1094,7 @@ impl Shared {
                         }),
                         _ => {}
                     }
-                    state.outstanding -= 1;
+                    self.complete(state, 1);
                     progress = true;
                 }
                 // Batch consecutive executable commands, stopping after a
@@ -1025,43 +1155,34 @@ impl Shared {
                         device: d,
                         commands: batch.len() as u64,
                     });
-                    if progress {
-                        self.work.notify_all();
-                        self.idle.notify_all();
-                    }
                     return Some((sid, batch));
                 }
             }
             if !progress {
                 return None;
             }
-            // Inline event resolution may have unblocked streams on other
-            // devices; let their workers rescan, then rescan ours.
-            self.work.notify_all();
-            self.idle.notify_all();
+            // Inline event resolution may have unblocked a stream this
+            // pass already went by: rescan.
         }
     }
 
-    /// Publish a finished batch: *place* each command on the
-    /// least-loaded device's virtual engine (breaking stream-device
-    /// affinity), advance the timeline in completion order, merge
-    /// stats, resolve sinks, drain the stream if it was poisoned.
+    /// Publish a finished batch, under the caller's lock (the worker
+    /// claims its next batch in the same critical section): *place*
+    /// each command on the least-loaded device's virtual engine
+    /// (breaking stream-device affinity), advance the timeline in
+    /// completion order, merge stats, resolve sinks, drain the stream
+    /// if it was poisoned.
     /// `d` is the physical worker that executed the batch; it only
     /// accounts for `batches`. `requeue` is the unexecuted tail of a
     /// batch cut short by a fault — it returns to the queue front, in
     /// order, behind the retried command itself.
-    fn publish(
-        &self,
-        sid: usize,
-        d: usize,
-        done: Vec<Done>,
-        requeue: Vec<Pending>,
-        buffer: Vec<u32>,
-    ) {
-        let mut state = self.state.lock().unwrap();
-        // Reborrow through the guard once so disjoint field borrows
-        // (engine clocks vs health mask) work below.
-        let state = &mut *state;
+    fn publish(&self, state: &mut SchedState, d: usize, finished: Finished) {
+        let Finished {
+            sid,
+            done,
+            requeue,
+            buffer,
+        } = finished;
         // Commands whose handle resolved (retried commands stay
         // outstanding).
         let mut resolved = 0usize;
@@ -1140,6 +1261,7 @@ impl Shared {
                     compile_hit,
                     wall,
                     kernel,
+                    kernel_cycles,
                     sink,
                     faulted,
                     avoid,
@@ -1188,7 +1310,9 @@ impl Shared {
                     });
                     if let Some(m) = &self.metrics {
                         m.record_launch(p, &stats);
-                        m.record_kernel_cycles(&kernel, cycles);
+                        if let Some(h) = &kernel_cycles {
+                            h.record(cycles);
+                        }
                         if faulted {
                             m.recovered.inc();
                         }
@@ -1381,7 +1505,7 @@ impl Shared {
                 }
             }
         }
-        state.outstanding -= resolved;
+        self.complete(state, resolved);
         state.device_stats[d].batches += 1;
         // A fault cut the batch short: the unexecuted tail returns to
         // the queue front in order, behind the retried command itself.
@@ -1412,7 +1536,7 @@ impl Shared {
                     start: vdone,
                     end: vdone,
                 });
-                state.outstanding -= 1;
+                self.complete(state, 1);
             }
         }
         if let Some(m) = &self.metrics {
@@ -1436,8 +1560,6 @@ impl Shared {
         }
         state.streams[sid].buffer = Some(buffer);
         state.streams[sid].busy = false;
-        self.work.notify_all();
-        self.idle.notify_all();
     }
 }
 
@@ -1488,26 +1610,46 @@ fn place(
 /// Body of one device worker thread.
 pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
     let d = device.id;
+    let mut finished: Option<Finished> = None;
     loop {
-        // Claim a batch (or sleep until there is one).
-        let (sid, batch, mut buffer) = {
+        // One critical section per batch: publish the batch just run,
+        // then claim the next (or sleep until there is one).
+        let (sid, batch, mut buffer, pass_wake) = {
             let mut state = shared.state.lock().unwrap();
-            loop {
+            if let Some(f) = finished.take() {
+                shared.publish(&mut state, d, f);
+            }
+            let mut woken = false;
+            let (sid, batch) = loop {
                 if shared.shutdown.load(Ordering::Relaxed) {
                     return;
                 }
                 if !state.paused {
-                    if let Some((sid, batch)) = shared.claim(&mut state, d) {
-                        let buffer = state.streams[sid]
-                            .buffer
-                            .take()
-                            .expect("idle stream owns its buffer");
-                        break (sid, batch, buffer);
+                    if let Some(claimed) = shared.claim(&mut state, d) {
+                        break claimed;
                     }
                 }
-                state = shared.work.wait(state).unwrap();
-            }
+                if woken {
+                    state.device_stats[d].idle_wakeups += 1;
+                }
+                state.parked.push(d);
+                state = shared.work[d].wait(state).unwrap();
+                // Whoever woke this worker took it off the list; a
+                // spurious return finds it still there.
+                state.parked.retain(|&w| w != d);
+                state.device_stats[d].wakeups += 1;
+                woken = true;
+            };
+            let buffer = state.streams[sid]
+                .buffer
+                .take()
+                .expect("idle stream owns its buffer");
+            // This worker is now busy; if it leaves claimable work
+            // behind, the wake that brought it here must travel on.
+            let pass_wake = state.sleeper_if(SchedState::any_claimable);
+            (sid, batch, buffer, pass_wake)
         };
+        shared.wake(pass_wake);
 
         // Execute outside the lock. A fault (injected or a real
         // watchdog timeout) stops the batch: the faulted command goes
@@ -1650,11 +1792,15 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                         compile_hit: outcome.compile_hit,
                         wall: t0.elapsed(),
                         // Name only travels when someone will read it.
-                        kernel: if shared.tracer.is_some() || shared.metrics.is_some() {
+                        kernel: if shared.tracer.is_some() {
                             spec.name.clone()
                         } else {
                             String::new()
                         },
+                        kernel_cycles: shared
+                            .metrics
+                            .as_ref()
+                            .map(|m| device.kernel_cycles(&m.registry, &spec.name)),
                         sink,
                         faulted,
                         avoid,
@@ -1698,7 +1844,12 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
             }
         }
 
-        shared.publish(sid, d, done, requeue, buffer);
+        finished = Some(Finished {
+            sid,
+            done,
+            requeue,
+            buffer,
+        });
     }
 }
 

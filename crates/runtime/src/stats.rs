@@ -103,6 +103,11 @@ pub struct DeviceStats {
     pub compute: ExecStats,
     /// Host wall-clock the device worker spent executing.
     pub busy_wall: Duration,
+    /// Times this device's worker was woken from its wait for work.
+    pub wakeups: u64,
+    /// Wake-ups that found nothing to claim and went back to sleep —
+    /// `1 - idle_wakeups / wakeups` is the wake layer's useful share.
+    pub idle_wakeups: u64,
 }
 
 /// A snapshot of the runtime's accounting.

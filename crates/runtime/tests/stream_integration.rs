@@ -6,7 +6,11 @@
 
 use simt_kernels::workload::{int_vector, lowpass_taps, q15_matrix, q15_signal};
 use simt_kernels::{iir, sobel, LaunchSpec};
-use simt_runtime::{CommandKind, Runtime, RuntimeConfig};
+use simt_runtime::{
+    CommandKind, CopyHandle, Event, LaunchHandle, Runtime, RuntimeConfig, RuntimeError, Stream,
+};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::time::Duration;
 
 /// A mixed bag of ≥ 32 kernels across every family, deterministic.
 fn mixed_jobs() -> Vec<LaunchSpec> {
@@ -202,4 +206,260 @@ fn four_streams_on_two_devices_beat_serial_by_1p5x() {
     // Overlap also shows up as pool occupancy: the serial run leaves one
     // device idle, the overlapped run keeps both busy.
     assert!(overlapped.modeled_occupancy() > serial.modeled_occupancy());
+}
+
+/// Everything one traffic generator enqueued, for the checks after the
+/// run: per-kind command counts and every handle with its oracle.
+#[derive(Default)]
+struct Enqueued {
+    copies: u64,
+    launches: u64,
+    events: u64,
+    jobs: Vec<(String, Vec<u32>, LaunchHandle, CopyHandle)>,
+}
+
+/// xorshift64: the traffic mix is a pure function of the seed.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// One generator thread's traffic over its own streams: copies,
+/// launches (IR and hand-written), event records, waits on events some
+/// stream of *either* generator has already recorded (so every wait
+/// points back in enqueue time and the mix cannot deadlock itself),
+/// stream fences, and — first generator only — pause/resume around a
+/// burst of enqueues. At step `trip.0` it meets the main thread at the
+/// barrier and holds there while the pool is shut down.
+fn generate(
+    rt: &Runtime,
+    streams: &[Stream],
+    seed: u64,
+    steps: usize,
+    may_pause: bool,
+    events: &Mutex<Vec<Event>>,
+    trip: Option<(usize, &Barrier)>,
+) -> Enqueued {
+    let mut rng = seed | 1;
+    let mut out = Enqueued::default();
+    let mut paused_for = 0usize;
+    for step in 0..steps {
+        if let Some((at, shutdown)) = trip {
+            if step == at {
+                shutdown.wait(); // the main thread shuts the pool down...
+                shutdown.wait(); // ...and has done so
+            }
+        }
+        let r = next(&mut rng);
+        let s = &streams[(r >> 8) as usize % streams.len()];
+        match r % 16 {
+            0..=8 => {
+                let n = [16usize, 64, 128][(r >> 16) as usize % 3];
+                let x = int_vector(n, r >> 20);
+                let y = int_vector(n, r >> 24);
+                let spec = match (r >> 32) % 4 {
+                    0 => LaunchSpec::saxpy_ir(3 + (r >> 40) as i32 % 5, &x, &y),
+                    1 => LaunchSpec::sum_ir(&x),
+                    2 => LaunchSpec::dot_ir(&x, &y),
+                    _ => LaunchSpec::sat_add(&x, &y),
+                };
+                let (spec, inputs) = spec.detach_inputs();
+                for (off, words) in &inputs {
+                    s.copy_in(*off, words);
+                }
+                let (name, expected) = (spec.name.clone(), spec.expected.clone());
+                let (off, len) = (spec.out_off, spec.out_len);
+                let h = s.launch(spec);
+                let c = s.copy_out(off, len);
+                out.copies += inputs.len() as u64 + 1;
+                out.launches += 1;
+                out.jobs.push((name, expected, h, c));
+            }
+            9 | 10 => {
+                let e = rt.event();
+                s.record_event(&e);
+                events.lock().unwrap().push(e);
+                out.events += 1;
+            }
+            11 | 12 => {
+                let e = {
+                    let pool = events.lock().unwrap();
+                    (!pool.is_empty()).then(|| pool[(r >> 16) as usize % pool.len()].clone())
+                };
+                if let Some(e) = e {
+                    s.wait_event(&e);
+                    out.events += 1;
+                }
+            }
+            13 => {
+                // A fence: one event record, and the host blocks on it
+                // — unless this generator holds the pool paused.
+                if paused_for == 0 {
+                    s.synchronize();
+                    out.events += 1;
+                }
+            }
+            _ => {
+                if may_pause && paused_for == 0 {
+                    rt.pause();
+                    paused_for = 1 + (r >> 16) as usize % 6;
+                    continue;
+                }
+            }
+        }
+        if paused_for > 0 {
+            paused_for -= 1;
+            if paused_for == 0 {
+                rt.resume();
+            }
+        }
+    }
+    if paused_for > 0 {
+        rt.resume();
+    }
+    out
+}
+
+/// Run `scenario` on a thread of its own and fail if it has not
+/// finished within a minute: a lost wake shows as a hang, and a hang
+/// must fail the suite rather than stall it.
+fn under_watchdog(what: String, scenario: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    let t = std::thread::spawn(move || {
+        scenario();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => t.join().unwrap(),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(t.join().unwrap_err())
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what}: still running after 60 s"),
+    }
+}
+
+/// 8 streams fed by two generator threads, on `devices` workers; with
+/// `shutdown_mid_flight` the pool is shut down while both generators
+/// are still enqueueing.
+fn mixed_traffic(devices: usize, seed: u64, shutdown_mid_flight: bool) {
+    const STEPS: usize = 400;
+    let rt = Arc::new(Runtime::new(RuntimeConfig::with_devices(devices)));
+    let streams: Vec<Stream> = (0..8).map(|_| rt.stream()).collect();
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let shutdown = Arc::new(Barrier::new(2));
+    let generators: Vec<_> = (0..2usize)
+        .map(|g| {
+            let rt = Arc::clone(&rt);
+            let events = Arc::clone(&events);
+            let mine = streams[4 * g..4 * g + 4].to_vec();
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || {
+                let trip = (shutdown_mid_flight && g == 1).then_some((STEPS / 2, &*shutdown));
+                generate(
+                    &rt,
+                    &mine,
+                    seed.wrapping_mul(2).wrapping_add(g as u64 + 1),
+                    STEPS,
+                    g == 0 && !shutdown_mid_flight,
+                    &events,
+                    trip,
+                )
+            })
+        })
+        .collect();
+    if shutdown_mid_flight {
+        shutdown.wait();
+        rt.shutdown();
+        shutdown.wait();
+    }
+    let enqueued: Vec<Enqueued> = generators.into_iter().map(|g| g.join().unwrap()).collect();
+    let sync = rt.synchronize();
+
+    let (mut ok, mut refused) = (0u64, 0u64);
+    for (name, expected, h, c) in enqueued.iter().flat_map(|e| &e.jobs) {
+        // Every handle resolves (a lost completion would hang here).
+        match (h.wait(), c.wait()) {
+            (Ok(_), Ok(words)) => {
+                assert_eq!(&words, expected, "{name}: output differs");
+                ok += 1;
+            }
+            (launch, copy) => {
+                assert!(shutdown_mid_flight, "{name}: {launch:?} / {copy:?}");
+                for e in [launch.err(), copy.err()].into_iter().flatten() {
+                    assert_eq!(e, RuntimeError::Shutdown, "{name}");
+                }
+                refused += 1;
+            }
+        }
+    }
+    let stats = rt.stats();
+    let sum = |f: fn(&Enqueued) -> u64| enqueued.iter().map(f).sum::<u64>();
+    let (copies, launches, events) = (sum(|e| e.copies), sum(|e| e.launches), sum(|e| e.events));
+    // Exactly what was enqueued was accounted for, whichever way it
+    // ended; what executed was counted as executed.
+    assert_eq!(stats.commands(), copies + launches + events);
+    if shutdown_mid_flight {
+        // (No ordering claim here: the shutdown drain fails a stream's
+        // backlog while its last batch may still be in flight.)
+        assert!(refused > 0, "shutdown came after the last enqueue");
+        assert!(stats.launches() >= ok && stats.launches() <= launches);
+    } else {
+        sync.unwrap();
+        assert!(stats.per_stream_ordering_holds());
+        assert_eq!(refused, 0);
+        assert_eq!(stats.launches(), launches);
+        assert_eq!(stats.streams.iter().map(|s| s.copies).sum::<u64>(), copies);
+        let device_side =
+            |f: fn(&simt_runtime::DeviceStats) -> u64| -> u64 { stats.devices.iter().map(f).sum() };
+        assert_eq!(device_side(|d| d.launches), launches);
+        assert_eq!(device_side(|d| d.batched_commands), copies + launches);
+        assert!(device_side(|d| d.idle_wakeups) <= device_side(|d| d.wakeups));
+    }
+}
+
+#[test]
+fn every_handle_resolves_under_mixed_traffic() {
+    for devices in [1, 2, 4] {
+        for seed in [1u64, 2] {
+            under_watchdog(format!("{devices} devices, seed {seed}"), move || {
+                mixed_traffic(devices, seed, false)
+            });
+        }
+    }
+}
+
+#[test]
+fn every_handle_resolves_when_shut_down_mid_flight() {
+    for devices in [1, 2, 4] {
+        under_watchdog(format!("{devices} devices, shutdown"), move || {
+            mixed_traffic(devices, 3, true)
+        });
+    }
+}
+
+/// The wake layer's budget: a serial `launch → wait` ping-pong on one
+/// stream of a 4-device pool costs at most one worker wake-up per
+/// command (it used to wake all four per enqueue, and again per
+/// publish).
+#[test]
+fn serial_round_trips_wake_one_worker_per_command() {
+    const ROUNDS: u64 = 200;
+    under_watchdog("serial round trips".into(), || {
+        let rt = Runtime::new(RuntimeConfig::with_devices(4));
+        let s = rt.stream();
+        let x = int_vector(64, 5);
+        let y = int_vector(64, 6);
+        for _ in 0..ROUNDS {
+            s.launch(LaunchSpec::saxpy_ir(3, &x, &y)).wait().unwrap();
+        }
+        let stats = rt.stats();
+        assert_eq!(stats.commands(), ROUNDS);
+        let wakeups: u64 = stats.devices.iter().map(|d| d.wakeups).sum();
+        assert!(
+            (1..=ROUNDS + 4).contains(&wakeups),
+            "{wakeups} wake-ups for {ROUNDS} commands on 4 devices"
+        );
+    });
 }
