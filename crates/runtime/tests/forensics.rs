@@ -11,11 +11,12 @@ use simt_runtime::{
     RuntimeConfig,
 };
 
+mod common;
+
 /// One deterministic run: a single device and a backlog built under
 /// pause, so the drain order — and with it the flight window — is a
-/// pure function of the submitted work. Returns the serialized flight
-/// dump and postmortem bundle.
-fn forensic_run(launches: usize, scale: i32) -> (String, String) {
+/// pure function of the submitted work. Returns the drained runtime.
+fn forensic_runtime(launches: usize, scale: i32) -> Runtime {
     let cfg = RuntimeConfig {
         devices: 1,
         ..Default::default()
@@ -31,6 +32,13 @@ fn forensic_run(launches: usize, scale: i32) -> (String, String) {
     }
     rt.resume();
     rt.synchronize().unwrap();
+    rt
+}
+
+/// The serialized flight dump and postmortem bundle of one
+/// [`forensic_runtime`].
+fn forensic_run(launches: usize, scale: i32) -> (String, String) {
+    let rt = forensic_runtime(launches, scale);
     let flight = rt.flight().expect("flight recorder is on by default");
     let dump = serde_json::to_string(&flight.dump()).unwrap();
     let report = rt
@@ -55,6 +63,18 @@ proptest! {
         prop_assert_eq!(f1, f2);
         prop_assert_eq!(p1, p2);
     }
+}
+
+#[test]
+fn metrics_exports_of_the_deterministic_run_match_the_golden_files() {
+    let snap = forensic_runtime(3, 2)
+        .metrics_snapshot()
+        .expect("metrics are on by default");
+    common::assert_golden(
+        "metrics_snapshot.json",
+        &serde_json::to_string_pretty(&snap).unwrap(),
+    );
+    common::assert_golden("metrics.prom", &simt_metrics::prometheus::render(&snap));
 }
 
 #[test]

@@ -13,6 +13,8 @@ use simt_kernels::{iir, KernelSource, LaunchSpec};
 use simt_profile::{chrome, summary::summarize, ProfileConfig, TraceEvent};
 use simt_runtime::{CommandKind, GraphBuilder, NodeId, Runtime, RuntimeConfig};
 
+mod common;
+
 /// Build a pipeline as a graph: copy-ins → launch chain → copy-out.
 fn pipeline_graph(p: &Pipeline) -> (simt_runtime::ExecGraph, NodeId) {
     let mut b = GraphBuilder::new();
@@ -238,12 +240,22 @@ fn event_streams_are_deterministic_across_identical_runs() {
         let out = s.copy_out(spec.out_off, spec.out_len);
         assert_eq!(out.wait().unwrap(), spec.expected);
         rt.synchronize().unwrap();
-        rt.tracer().unwrap().events()
+        let tracer = rt.tracer().unwrap();
+        (tracer.events(), tracer.dropped())
     };
-    let first = run();
-    let second = run();
+    let (first, dropped) = run();
+    let (second, _) = run();
     assert!(!first.is_empty());
     assert_eq!(first, second, "same work, same seed ⇒ same events");
+    // Both exporters are pure functions of that stream.
+    common::assert_golden(
+        "trace_chrome.json",
+        &chrome::chrome_trace(&first, dropped),
+    );
+    common::assert_golden(
+        "trace_summary.json",
+        &serde_json::to_string_pretty(&summarize(&first, dropped)).unwrap(),
+    );
 }
 
 #[test]
