@@ -1,5 +1,7 @@
 //! Shared helpers for the benchmark harness and the `tables` binary.
 
+#![forbid(unsafe_code)]
+
 pub mod check;
 
 use fpga_fabric::Device;

@@ -30,6 +30,7 @@
 //! per-device fault accounting and quarantine timing are as
 //! deterministic as the injections themselves.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The injected fault families.

@@ -26,9 +26,8 @@ use crate::error::CompileError;
 use crate::ir::{hash_config, Fnv, Kernel};
 use crate::lower::{compile, OptLevel};
 use simt_core::{DecodedProgram, ProcessorConfig};
-use simt_forensics::{CacheTier, FlightEvent, FlightRecorder};
 use simt_isa::{IsaError, Program};
-use simt_profile::{TraceEvent, Tracer};
+use simt_profile::{CacheTier, Event, EventRing};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -74,6 +73,9 @@ const ASM_NAMESPACE: u8 = 0x2B;
 
 #[derive(Debug)]
 struct Entry {
+    /// Name the artifact was compiled under — what lookups of this
+    /// entry are recorded as, shared so a hit allocates nothing.
+    label: Arc<str>,
     material: SourceMaterial,
     config: ProcessorConfig,
     program: Arc<Program>,
@@ -113,11 +115,8 @@ pub struct CompileCache {
     evictions: AtomicU64,
     decode_hits: AtomicU64,
     decode_misses: AtomicU64,
-    /// Optional structured-event sink (see [`CompileCache::with_tracer`]).
-    tracer: Option<Arc<Tracer>>,
-    /// Optional always-on flight recorder (see
-    /// [`CompileCache::with_flight`]).
-    flight: Option<Arc<FlightRecorder>>,
+    /// Optional event sink (see [`CompileCache::with_events`]).
+    events: Option<Arc<EventRing>>,
 }
 
 /// Internal lookup result: the program, its decode when requested, and
@@ -154,40 +153,25 @@ impl CompileCache {
         cache
     }
 
-    /// Attach a [`Tracer`]: every lookup then emits
-    /// [`TraceEvent::CompileCacheHit`] / [`TraceEvent::CompileCacheMiss`]
-    /// (plus the decode-cache pair), and every fresh IR compile emits one
-    /// [`TraceEvent::PassRun`] per pipeline pass invocation.
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
-        self.tracer = Some(tracer);
+    /// Attach an event ring: every compile- and decode-cache lookup
+    /// then records one [`Event::CacheLookup`], and on a
+    /// [detailed](EventRing::detailed) ring every fresh IR compile also
+    /// records one [`Event::PassRun`] per pipeline pass invocation.
+    pub fn with_events(mut self, events: Arc<EventRing>) -> Self {
+        self.events = Some(events);
         self
     }
 
-    /// Attach a flight recorder: every compile- and decode-cache lookup
-    /// then records a compact [`FlightEvent::CacheQuery`], independent
-    /// of the opt-in tracer.
-    pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// Record an event when a tracer is attached. The event is built
-    /// only then, so a tracer-less cache allocates no label under its
-    /// lock.
-    fn emit(&self, event: impl FnOnce() -> TraceEvent) {
-        if let Some(t) = &self.tracer {
-            t.record(event());
-        }
-    }
-
-    /// Record a cache outcome on the flight recorder when one is
-    /// attached (same branch-on-`None` disabled path as `emit`).
-    fn note_cache(&self, kernel: &str, cache: CacheTier, hit: bool) {
-        if let Some(f) = &self.flight {
-            f.record(FlightEvent::CacheQuery {
-                kernel: kernel.to_string(),
-                cache,
+    /// Record a lookup outcome when a ring is attached (one branch on
+    /// `None` otherwise). `kernel` is an entry's shared label, so this
+    /// allocates nothing — it may run under the map lock.
+    fn note(&self, kernel: &Arc<str>, tier: CacheTier, hit: bool, decoded: bool) {
+        if let Some(ring) = &self.events {
+            ring.record(Event::CacheLookup {
+                kernel: Arc::clone(kernel),
+                tier,
                 hit,
+                decoded,
             });
         }
     }
@@ -196,14 +180,15 @@ impl CompileCache {
     /// the compile (waiting out any other thread already compiling it).
     /// With `want_decoded`, a hit also returns the entry's predecoded
     /// form, deriving and caching it on first request (decoding is a
-    /// cheap linear pass, so holding the lock is acceptable).
+    /// cheap linear pass, so holding the lock is acceptable). Hits are
+    /// recorded here, under the lock, so a hit's compile and decode
+    /// outcomes stay adjacent; misses by the caller once it has a label.
     fn claim(
         &self,
         key: u64,
         material: &SourceMaterial,
         config: &ProcessorConfig,
         want_decoded: bool,
-        label: &str,
     ) -> Claim {
         let mut inner = self.inner.lock().unwrap();
         loop {
@@ -216,27 +201,16 @@ impl CompileCache {
                 if e.material == *material && e.config.artifact_compatible(config) {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.emit(|| TraceEvent::CompileCacheHit {
-                        kernel: label.to_string(),
-                        decoded: want_decoded,
-                    });
-                    self.note_cache(label, CacheTier::Compile, true);
+                    self.note(&e.label, CacheTier::Compile, true, want_decoded);
                     let decoded = if want_decoded {
+                        self.note(&e.label, CacheTier::Decode, e.decoded.is_some(), true);
                         Some(match &e.decoded {
                             Some(d) => {
                                 self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                                self.emit(|| TraceEvent::DecodeCacheHit {
-                                    kernel: label.to_string(),
-                                });
-                                self.note_cache(label, CacheTier::Decode, true);
                                 Arc::clone(d)
                             }
                             None => {
                                 self.decode_misses.fetch_add(1, Ordering::Relaxed);
-                                self.emit(|| TraceEvent::DecodeCacheMiss {
-                                    kernel: label.to_string(),
-                                });
-                                self.note_cache(label, CacheTier::Decode, false);
                                 let d = Arc::new(DecodedProgram::decode(
                                     Arc::clone(&e.program),
                                     &e.config,
@@ -250,19 +224,9 @@ impl CompileCache {
                     };
                     return Claim::Hit(Arc::clone(&e.program), decoded);
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.emit(|| TraceEvent::CompileCacheMiss {
-                    kernel: label.to_string(),
-                });
-                self.note_cache(label, CacheTier::Compile, false);
                 return Claim::Collision;
             }
             if inner.pending.insert(key) {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.emit(|| TraceEvent::CompileCacheMiss {
-                    kernel: label.to_string(),
-                });
-                self.note_cache(label, CacheTier::Compile, false);
                 return Claim::Owned;
             }
             inner = self.ready.wait(inner).unwrap();
@@ -339,24 +303,21 @@ impl CompileCache {
         let opt_full = matches!(opt, OptLevel::Full);
         let (canon, mut h) = kernel.cache_identity(opt_full)?;
         hash_config(&mut h, config);
-        let key = h.finish();
         let material = SourceMaterial::Ir {
             canon: Arc::clone(canon),
             opt_full,
         };
-        match self.claim(key, &material, config, want_decoded, &kernel.name) {
-            Claim::Hit(p, d) => Ok((p, d, true)),
-            Claim::Collision => {
-                // Keyspace collision: serve a correct one-off compile,
-                // leave the resident entry alone.
-                let p = Arc::new(compile(kernel, config, opt)?.program);
-                let d = self.one_off_decode(&p, config, want_decoded, &kernel.name);
-                Ok((p, d, false))
-            }
-            Claim::Owned => match compile(kernel, config, opt) {
-                Ok(compiled) => {
+        self.lookup(
+            h.finish(),
+            material,
+            config,
+            want_decoded,
+            || kernel.name.as_str().into(),
+            || {
+                let compiled = compile(kernel, config, opt)?;
+                if let Some(ring) = &self.events {
                     for ps in &compiled.report.passes {
-                        self.emit(|| TraceEvent::PassRun {
+                        ring.detail(|| Event::PassRun {
                             kernel: kernel.name.clone(),
                             pass: ps.pass.to_string(),
                             insts_before: ps.insts_before,
@@ -364,26 +325,10 @@ impl CompileCache {
                             changed: ps.changed,
                         });
                     }
-                    let p = Arc::new(compiled.program);
-                    let d = self.one_off_decode(&p, config, want_decoded, &kernel.name);
-                    self.settle(
-                        key,
-                        Some(Entry {
-                            material,
-                            config: config.clone(),
-                            program: Arc::clone(&p),
-                            decoded: d.clone(),
-                            last_used: 0,
-                        }),
-                    );
-                    Ok((p, d, false))
                 }
-                Err(e) => {
-                    self.settle(key, None);
-                    Err(e)
-                }
+                Ok(compiled.program)
             },
-        }
+        )
     }
 
     /// Assemble a text kernel (or return the cached artifact, flagged
@@ -420,66 +365,65 @@ impl CompileCache {
         h.write_bytes(asm.as_bytes());
         hash_config(&mut h, config);
         let key = h.finish();
-        let material = SourceMaterial::Asm(asm.to_string());
-        // Assembly sources carry no kernel name; label by content hash
-        // (only materialized when a tracer is listening).
-        let label = if self.tracer.is_some() {
-            format!("asm#{key:016x}")
-        } else {
-            String::new()
-        };
-        match self.claim(key, &material, config, want_decoded, &label) {
-            Claim::Hit(p, d) => Ok((p, d, true)),
-            Claim::Collision => {
-                let p = Arc::new(simt_isa::assemble(asm)?);
-                let d = self.one_off_decode(&p, config, want_decoded, &label);
-                Ok((p, d, false))
-            }
-            Claim::Owned => match simt_isa::assemble(asm) {
-                Ok(program) => {
-                    let p = Arc::new(program);
-                    let d = self.one_off_decode(&p, config, want_decoded, &label);
-                    self.settle(
-                        key,
-                        Some(Entry {
-                            material,
-                            config: config.clone(),
-                            program: Arc::clone(&p),
-                            decoded: d.clone(),
-                            last_used: 0,
-                        }),
-                    );
-                    Ok((p, d, false))
-                }
-                Err(e) => {
-                    self.settle(key, None);
-                    Err(e)
-                }
-            },
-        }
+        self.lookup(
+            key,
+            SourceMaterial::Asm(asm.to_string()),
+            config,
+            want_decoded,
+            // Assembly sources carry no kernel name; label by content
+            // hash.
+            || format!("asm#{key:016x}").into(),
+            || simt_isa::assemble(asm),
+        )
     }
 
-    /// Decode a freshly-built program when the caller asked for the
-    /// decoded form (counted as a decode miss).
-    fn one_off_decode(
+    /// Resolve `key`: the resident artifact, or `build` it — cached
+    /// when this thread owns the key, as a correct one-off (the
+    /// resident entry left alone) on a keyspace collision. A miss is
+    /// recorded here, outside the map lock: `label` allocates.
+    fn lookup<E>(
         &self,
-        program: &Arc<Program>,
+        key: u64,
+        material: SourceMaterial,
         config: &ProcessorConfig,
         want_decoded: bool,
-        label: &str,
-    ) -> Option<Arc<DecodedProgram>> {
-        if !want_decoded {
-            return None;
-        }
-        self.decode_misses.fetch_add(1, Ordering::Relaxed);
-        self.emit(|| TraceEvent::DecodeCacheMiss {
-            kernel: label.to_string(),
+        label: impl FnOnce() -> Arc<str>,
+        build: impl FnOnce() -> Result<Program, E>,
+    ) -> Lookup<E> {
+        let owned = match self.claim(key, &material, config, want_decoded) {
+            Claim::Hit(p, d) => return Ok((p, d, true)),
+            Claim::Owned => true,
+            Claim::Collision => false,
+        };
+        let label = label();
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.note(&label, CacheTier::Compile, false, want_decoded);
+        let program = match build() {
+            Ok(p) => Arc::new(p),
+            Err(e) => {
+                if owned {
+                    self.settle(key, None);
+                }
+                return Err(e);
+            }
+        };
+        let decoded = want_decoded.then(|| {
+            self.decode_misses.fetch_add(1, Ordering::Relaxed);
+            self.note(&label, CacheTier::Decode, false, true);
+            Arc::new(DecodedProgram::decode(Arc::clone(&program), config))
         });
-        self.note_cache(label, CacheTier::Decode, false);
-        Some(Arc::new(DecodedProgram::decode(
-            Arc::clone(program),
-            config,
-        )))
+        if owned {
+            let entry = Entry {
+                label,
+                material,
+                config: config.clone(),
+                program: Arc::clone(&program),
+                decoded: decoded.clone(),
+                last_used: 0,
+            };
+            self.settle(key, Some(entry));
+        }
+        Ok((program, decoded, false))
     }
 
     /// Cache hits so far.
@@ -772,83 +716,62 @@ mod tests {
     }
 
     #[test]
-    fn tracer_sees_hits_misses_decodes_and_passes() {
-        let tracer = Arc::new(Tracer::new(256));
-        let cache = CompileCache::new().with_tracer(Arc::clone(&tracer));
-        let cfg = ProcessorConfig::small();
-        let k = kernel(3);
-        // Fresh decoded compile: miss + one-off decode miss + passes.
-        cache
-            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-            .unwrap();
-        // Repeat: hit + decode hit.
-        cache
-            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-            .unwrap();
-        // Assembly miss, labelled by content hash.
-        cache.get_or_assemble("  stid r1\n  exit", &cfg).unwrap();
-        let ev = tracer.events();
-        let count = |f: &dyn Fn(&TraceEvent) -> bool| ev.iter().filter(|e| f(e)).count();
-        assert_eq!(
-            count(&|e| matches!(e, TraceEvent::CompileCacheMiss { .. })),
-            2
-        );
-        assert_eq!(
-            count(&|e| matches!(e, TraceEvent::CompileCacheHit { decoded: true, .. })),
-            1
-        );
-        assert_eq!(
-            count(&|e| matches!(e, TraceEvent::DecodeCacheMiss { .. })),
-            1
-        );
-        assert_eq!(
-            count(&|e| matches!(e, TraceEvent::DecodeCacheHit { .. })),
-            1
-        );
-        assert!(
-            count(&|e| matches!(e, TraceEvent::PassRun { .. })) > 0,
-            "full-opt compiles report their passes"
-        );
-        // IR events carry the kernel name; asm events a hash label.
-        assert!(ev
-            .iter()
-            .any(|e| matches!(e, TraceEvent::CompileCacheMiss { kernel } if kernel == "k")));
-        assert!(ev.iter().any(
-            |e| matches!(e, TraceEvent::CompileCacheMiss { kernel } if kernel.starts_with("asm#"))
-        ));
-    }
-
-    #[test]
-    fn flight_recorder_sees_cache_outcomes() {
-        let flight = Arc::new(FlightRecorder::new(64));
-        let cache = CompileCache::new().with_flight(Arc::clone(&flight));
-        let cfg = ProcessorConfig::small();
-        let k = kernel(5);
-        // Fresh decoded compile: compile miss + decode miss.
-        cache
-            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-            .unwrap();
-        // Repeat: compile hit + decode hit.
-        cache
-            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-            .unwrap();
-        let ev = flight.snapshot();
-        let count = |cache: CacheTier, hit: bool| {
-            ev.iter()
-                .filter(|r| {
-                    matches!(&r.event, FlightEvent::CacheQuery { cache: c, hit: h, .. }
-                        if *c == cache && *h == hit)
+    fn event_ring_sees_hits_misses_decodes_and_passes() {
+        let lookups = |ring: &EventRing, tier: CacheTier, hit: bool| {
+            ring.events()
+                .iter()
+                .filter(|e| {
+                    matches!(e, Event::CacheLookup { tier: t, hit: h, .. }
+                        if *t == tier && *h == hit)
                 })
                 .count()
         };
-        assert_eq!(count(CacheTier::Compile, false), 1);
-        assert_eq!(count(CacheTier::Compile, true), 1);
-        assert_eq!(count(CacheTier::Decode, false), 1);
-        assert_eq!(count(CacheTier::Decode, true), 1);
-        assert!(ev.iter().all(|r| matches!(
-            &r.event,
-            FlightEvent::CacheQuery { kernel, .. } if kernel == "k"
-        )));
+        let passes = |ring: &EventRing| {
+            ring.events()
+                .iter()
+                .filter(|e| matches!(e, Event::PassRun { .. }))
+                .count()
+        };
+        let cfg = ProcessorConfig::small();
+        for detailed in [false, true] {
+            let ring = Arc::new(EventRing::new(256, detailed));
+            let cache = CompileCache::new().with_events(Arc::clone(&ring));
+            let k = kernel(3);
+            // Fresh decoded compile: miss + passes + decode miss.
+            cache
+                .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+                .unwrap();
+            // Repeat: hit + decode hit.
+            cache
+                .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+                .unwrap();
+            // Assembly miss, labelled by content hash.
+            cache.get_or_assemble("  stid r1\n  exit", &cfg).unwrap();
+            assert_eq!(lookups(&ring, CacheTier::Compile, false), 2);
+            assert_eq!(lookups(&ring, CacheTier::Compile, true), 1);
+            assert_eq!(lookups(&ring, CacheTier::Decode, false), 1);
+            assert_eq!(lookups(&ring, CacheTier::Decode, true), 1);
+            // Pass runs cost allocations: detailed rings only.
+            assert_eq!(passes(&ring) > 0, detailed);
+            // IR lookups carry the kernel name; asm ones a hash label;
+            // the decoded flag says what the lookup asked for.
+            let labels: Vec<(String, bool)> = ring
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::CacheLookup {
+                        kernel,
+                        tier: CacheTier::Compile,
+                        decoded,
+                        ..
+                    } => Some((kernel.to_string(), *decoded)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(labels[0], ("k".to_string(), true));
+            assert_eq!(labels[1], ("k".to_string(), true));
+            assert!(labels[2].0.starts_with("asm#") && !labels[2].1);
+        }
     }
 
     /// A looped, carried kernel every optimizing pass has something to

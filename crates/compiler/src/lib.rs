@@ -62,6 +62,7 @@
 //! with worked examples (saxpy stage by stage, the loop-carried
 //! matmul).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -41,6 +41,8 @@
 //! assert!(stats.cycles > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alu;
 pub mod config;
 pub mod decode;

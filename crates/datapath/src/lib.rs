@@ -32,6 +32,8 @@
 //! depth-matched to the DSP datapath ([`ALU_LATENCY`]) exactly as the
 //! paper requires, so results from different units retire in lockstep.
 
+#![forbid(unsafe_code)]
+
 pub mod adder;
 pub mod barrel;
 pub mod logic;

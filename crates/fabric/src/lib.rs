@@ -21,6 +21,8 @@
 //! * [`timing`] — the element-delay constants the STA in `fpga-fitter`
 //!   composes into path delays, including hyper-register retiming (§5).
 
+#![forbid(unsafe_code)]
+
 pub mod alm;
 pub mod device;
 pub mod dsp;

@@ -36,6 +36,8 @@
 //! assert!(report.fmax_restricted() > 950.0); // the paper's headline
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod calib;
 pub mod compile;

@@ -1,27 +1,28 @@
-//! Forensics for the SIMT runtime: an always-on flight recorder,
-//! deterministic postmortem bundles, and the machine-readable
-//! regression-attribution report emitted by `tables --check`.
+//! Forensics for the SIMT runtime: deterministic postmortem bundles and
+//! the machine-readable regression-attribution report emitted by
+//! `tables --check`.
 //!
-//! The flight recorder is the black box of the scheduler: a bounded,
-//! fixed-cost ring that is *always* recording the pool's decisions —
-//! enqueues, batch formation, device placements, pause/resume,
-//! compile/decode-cache outcomes, launch failures, health transitions —
-//! independent of the opt-in profiler. When something goes wrong (a
+//! The black box of the scheduler is the runtime's always-on
+//! [`EventRing`]: the pool's decisions — enqueues, batch formation,
+//! device placements, pause/resume, compile/decode-cache outcomes,
+//! launch failures, health transitions — are recorded whether or not
+//! the opt-in profiler is. When something goes wrong (a
 //! [`HealthFinding`](simt_metrics::HealthFinding) fires, a launch
-//! errors, or the caller asks), the runtime folds the recorder's last-N
-//! window together with a full metrics snapshot into a
+//! errors, or the caller asks), the runtime folds the ring's newest-N
+//! window ([`FlightDump`]) together with a full metrics snapshot into a
 //! [`PostmortemReport`] that explains *where* and *why*, not just
 //! *that*.
 //!
 //! Everything in this crate is modeled-cycle / sequence-number based —
 //! no wall-clock values appear in any serialized artifact, so reports
-//! for the same program and seed are byte-identical across runs.
+//! of a single-worker run over a pre-built backlog are byte-identical
+//! across runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use simt_profile::{EventRing, Record};
 
 pub mod postmortem;
 pub mod report;
@@ -35,279 +36,27 @@ pub use report::{
     CHECK_REPORT_SCHEMA_VERSION,
 };
 
-/// What kind of stream command a flight event refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FlightKind {
-    /// Host-to-device copy.
-    CopyIn,
-    /// Device-to-host copy.
-    CopyOut,
-    /// Kernel launch.
-    Launch,
-    /// Event record (stream timeline marker).
-    EventRecord,
-    /// Cross-stream event wait.
-    EventWait,
-}
-
-/// Which kernel cache a [`FlightEvent::CacheQuery`] hit or missed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CacheTier {
-    /// The source-keyed compile cache (IR/asm → program).
-    Compile,
-    /// The per-device predecode cache (program → µop stream).
-    Decode,
-}
-
-/// One compact flight-recorder event. Variants mirror the scheduler's
-/// decision points; every payload is a modeled quantity (cycles,
-/// counts, ids) so dumps serialize deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FlightEvent {
-    /// A command entered a stream queue. `depth`/`outstanding` are the
-    /// post-enqueue gauge values, so a dump doubles as a gauge timeline.
-    Enqueue {
-        /// Stream id.
-        stream: usize,
-        /// Command kind.
-        kind: FlightKind,
-        /// Queue depth of the stream after the push.
-        depth: u64,
-        /// Pool-wide outstanding commands after the push.
-        outstanding: u64,
-    },
-    /// A worker claimed a batch of consecutive commands from a stream.
-    Batch {
-        /// Stream id the batch came from.
-        stream: usize,
-        /// Device that claimed it.
-        device: usize,
-        /// Commands in the batch.
-        commands: u64,
-    },
-    /// A completed command was placed on a device's virtual timeline.
-    Place {
-        /// Stream id.
-        stream: usize,
-        /// Command kind.
-        kind: FlightKind,
-        /// Device chosen by least-loaded placement.
-        device: usize,
-        /// Modeled start cycle on the device engine.
-        start: u64,
-        /// Modeled end cycle.
-        end: u64,
-    },
-    /// A graph-replay command was placed (no stream queue involved).
-    GraphPlace {
-        /// Command kind.
-        kind: FlightKind,
-        /// Device chosen.
-        device: usize,
-        /// Modeled start cycle.
-        start: u64,
-        /// Modeled end cycle.
-        end: u64,
-    },
-    /// A worker finished publishing a batch's results. Gauges are the
-    /// post-publish values.
-    Publish {
-        /// Stream id.
-        stream: usize,
-        /// Device that executed the batch.
-        device: usize,
-        /// Commands published.
-        commands: u64,
-        /// Queue depth of the stream after the publish.
-        depth: u64,
-        /// Pool-wide outstanding commands after the publish.
-        outstanding: u64,
-    },
-    /// The pool was paused (workers park; queues accumulate).
-    Pause,
-    /// The pool was resumed.
-    Resume,
-    /// A compile- or decode-cache lookup resolved.
-    CacheQuery {
-        /// Kernel name.
-        kernel: String,
-        /// Which cache tier.
-        cache: CacheTier,
-        /// True on hit.
-        hit: bool,
-    },
-    /// A command failed; the stream is now poisoned.
-    Failed {
-        /// Stream id.
-        stream: usize,
-        /// Command kind.
-        kind: FlightKind,
-        /// Rendered runtime error.
-        error: String,
-    },
-    /// A fault hit a command (injected by the chaos plan, or a real
-    /// watchdog timeout).
-    Fault {
-        /// Stream id.
-        stream: usize,
-        /// Device the fault was blamed on.
-        device: usize,
-        /// Attempt number that faulted (1 = first execution).
-        attempt: u32,
-        /// Fault family label (see `simt_chaos::FaultKind::label`).
-        family: String,
-        /// False for a real watchdog timeout.
-        injected: bool,
-    },
-    /// A faulted command was requeued for another attempt.
-    Retry {
-        /// Stream id.
-        stream: usize,
-        /// Device the faulted attempt was blamed on (the retry is
-        /// steered elsewhere when the pool has an alternative).
-        device: usize,
-        /// Attempt number that faulted; the retry is `attempt + 1`.
-        attempt: u32,
-        /// Modeled backoff charged to the stream's virtual timeline.
-        backoff_cycles: u64,
-    },
-    /// A device crossed its fault budget and left the placement pool.
-    Quarantine {
-        /// Device id.
-        device: usize,
-        /// Faults blamed on it at the transition.
-        faults: u64,
-    },
-    /// A device was readmitted by `Runtime::reset_device`.
-    DeviceReset {
-        /// Device id.
-        device: usize,
-    },
-    /// A health finding fired during a postmortem walk.
-    Health {
-        /// Compact finding label (see `HealthFinding::label`).
-        finding: String,
-    },
-}
-
-/// One recorded event with its global sequence number.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlightRecord {
-    /// Global sequence number (total order of `record` calls).
-    pub seq: u64,
-    /// The event.
-    pub event: FlightEvent,
-}
-
-/// Serializable snapshot of a [`FlightRecorder`]: the surviving last-N
-/// window plus how much was recorded overall.
+/// Serializable black-box window of an [`EventRing`]: its newest
+/// records plus how much was recorded overall.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightDump {
     /// Total events ever recorded (≥ `events.len()`).
     pub recorded: u64,
-    /// Ring capacity.
+    /// Window size in records.
     pub capacity: u64,
     /// Surviving events, ascending by `seq`.
-    pub events: Vec<FlightRecord>,
+    pub events: Vec<Record>,
 }
 
-/// A bounded, always-on, wrap-around event ring.
-///
-/// Sequence numbers are reserved lock-free with a single
-/// `fetch_add` — the same slot-reservation move as
-/// `simt_profile::Tracer` — but unlike the tracer (which *drops* past
-/// capacity and can therefore publish through a write-once
-/// `UnsafeCell`), a flight recorder must keep the *newest* N events,
-/// so slots are re-used. Publication into the reused slot goes through
-/// a tiny per-slot mutex: uncontended in the common case (two writers
-/// only meet on the same slot when one laps the other by a full ring),
-/// and never held across anything but a `clone`-free store.
-pub struct FlightRecorder {
-    head: AtomicU64,
-    slots: Box<[FlightSlot]>,
-}
-
-/// One reusable ring slot: the event and the sequence number that
-/// claimed it (`None` until first written).
-type FlightSlot = Mutex<Option<(u64, FlightEvent)>>;
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.recorded())
-            .finish()
-    }
-}
-
-impl FlightRecorder {
-    /// A recorder keeping the newest `capacity` events.
-    ///
-    /// # Panics
-    /// If `capacity` is zero — a disabled recorder is represented as
-    /// `None` at the call site (a branch, not an empty ring), exactly
-    /// like the opt-in tracer.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "flight recorder capacity must be non-zero");
-        FlightRecorder {
-            head: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-
-    /// Record one event; returns its global sequence number.
-    pub fn record(&self, event: FlightEvent) -> u64 {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = (seq % self.slots.len() as u64) as usize;
-        *self.slots[slot].lock().unwrap() = Some((seq, event));
-        seq
-    }
-
-    /// Total events ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The surviving window, ascending by sequence number.
-    ///
-    /// Taken concurrently with writers this is a best-effort snapshot
-    /// (a slot mid-overwrite shows its newest value); taken at quiesce
-    /// it is exactly the last `min(recorded, capacity)` events.
-    pub fn snapshot(&self) -> Vec<FlightRecord> {
-        let mut out: Vec<FlightRecord> = self
-            .slots
-            .iter()
-            .filter_map(|s| {
-                s.lock().unwrap().as_ref().map(|(seq, event)| FlightRecord {
-                    seq: *seq,
-                    event: event.clone(),
-                })
-            })
-            .collect();
-        out.sort_by_key(|r| r.seq);
-        out
-    }
-
-    /// The newest `n` surviving events, ascending by sequence number.
-    pub fn last(&self, n: usize) -> Vec<FlightRecord> {
-        let mut all = self.snapshot();
-        if all.len() > n {
-            all.drain(..all.len() - n);
-        }
-        all
-    }
-
-    /// Serializable dump of the surviving window.
-    pub fn dump(&self) -> FlightDump {
+impl FlightDump {
+    /// The newest `capacity` records of `ring`. A runtime without a
+    /// black box (`None`, or a window of zero) dumps empty.
+    pub fn capture(ring: Option<&EventRing>, capacity: usize) -> Self {
+        let ring = ring.filter(|_| capacity > 0);
         FlightDump {
-            recorded: self.recorded(),
-            capacity: self.slots.len() as u64,
-            events: self.snapshot(),
+            recorded: ring.map_or(0, EventRing::recorded),
+            capacity: capacity as u64,
+            events: ring.map_or_else(Vec::new, |r| r.last(capacity)),
         }
     }
 }
@@ -315,85 +64,32 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn enq(stream: usize, depth: u64) -> FlightEvent {
-        FlightEvent::Enqueue {
-            stream,
-            kind: FlightKind::Launch,
-            depth,
-            outstanding: depth,
-        }
-    }
+    use simt_profile::Event;
 
     #[test]
-    fn ring_keeps_the_newest_window() {
-        let r = FlightRecorder::new(4);
-        for i in 0..10u64 {
-            r.record(enq(0, i));
+    fn capture_is_the_newest_window_and_round_trips() {
+        let ring = EventRing::new(8, false);
+        for device in 0..6 {
+            ring.record(Event::DeviceReset { device });
         }
-        assert_eq!(r.recorded(), 10);
-        let snap = r.snapshot();
-        assert_eq!(snap.len(), 4);
-        let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-        assert_eq!(snap.last().unwrap().event, enq(0, 9));
-    }
-
-    #[test]
-    fn last_n_truncates_from_the_front() {
-        let r = FlightRecorder::new(8);
-        for i in 0..5u64 {
-            r.record(enq(0, i));
-        }
-        let last2 = r.last(2);
-        assert_eq!(last2.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3, 4]);
-        assert_eq!(r.last(100).len(), 5);
-    }
-
-    #[test]
-    fn concurrent_recorders_never_lose_sequence_numbers() {
-        use std::sync::Arc;
-        let r = Arc::new(FlightRecorder::new(64));
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    for i in 0..100 {
-                        r.record(enq(t, i));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(r.recorded(), 400);
-        let snap = r.snapshot();
-        assert_eq!(snap.len(), 64);
-        // The window is a contiguous suffix of the sequence space.
-        for w in snap.windows(2) {
-            assert_eq!(w[1].seq, w[0].seq + 1);
-        }
-        assert_eq!(snap.last().unwrap().seq, 399);
-    }
-
-    #[test]
-    fn dump_round_trips_through_serde() {
-        let r = FlightRecorder::new(4);
-        r.record(FlightEvent::Pause);
-        r.record(FlightEvent::CacheQuery {
-            kernel: "saxpy".into(),
-            cache: CacheTier::Compile,
-            hit: false,
-        });
-        r.record(FlightEvent::Failed {
-            stream: 1,
-            kind: FlightKind::CopyIn,
-            error: "copy out of bounds".into(),
-        });
-        r.record(FlightEvent::Resume);
-        let dump = r.dump();
+        let dump = FlightDump::capture(Some(&ring), 4);
+        assert_eq!((dump.recorded, dump.capacity), (6, 4));
+        let seqs: Vec<u64> = dump.events.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![2, 3, 4, 5]);
         let back = FlightDump::from_value(&dump.to_value()).expect("round trip");
         assert_eq!(back, dump);
+    }
+
+    #[test]
+    fn no_ring_or_no_window_dumps_empty() {
+        let ring = EventRing::new(8, false);
+        ring.record(Event::Pause);
+        for dump in [
+            FlightDump::capture(None, 4),
+            FlightDump::capture(Some(&ring), 0),
+        ] {
+            assert_eq!(dump.recorded, 0);
+            assert!(dump.events.is_empty());
+        }
     }
 }

@@ -6,21 +6,22 @@
 //! pure plain data — modeled cycles and sequence numbers only — so the
 //! same program and seed produce byte-identical reports.
 
-use crate::{FlightDump, FlightEvent};
+use crate::FlightDump;
 use serde::{Deserialize, Serialize};
 use simt_metrics::{names, HealthReport, MetricsSnapshot};
+use simt_profile::{labels, Event};
 
-/// One point of a gauge timeline, keyed by flight-recorder sequence
+/// One point of a gauge timeline, keyed by event-ring sequence
 /// number (the deterministic substitute for wall-clock time).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GaugePoint {
-    /// Flight-recorder sequence number of the sample.
+    /// Event-ring sequence number of the sample.
     pub seq: u64,
     /// Gauge value at that point.
     pub value: u64,
 }
 
-/// The evolution of one gauge over the flight-recorder window.
+/// The evolution of one gauge over the black-box window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GaugeTimeline {
     /// Metric name (`stream_queue_depth` or `outstanding_commands`).
@@ -45,24 +46,19 @@ pub fn gauge_timelines(dump: &FlightDump) -> Vec<GaugeTimeline> {
     };
     for rec in &dump.events {
         match &rec.event {
-            FlightEvent::Enqueue {
+            Event::Enqueue {
                 stream,
                 depth,
                 outstanding,
                 ..
             }
-            | FlightEvent::Publish {
+            | Event::Publish {
                 stream,
                 depth,
                 outstanding,
                 ..
             } => {
-                push(
-                    names::QUEUE_DEPTH,
-                    format!("stream{stream}"),
-                    rec.seq,
-                    *depth,
-                );
+                push(names::QUEUE_DEPTH, labels::stream(*stream), rec.seq, *depth);
                 push(names::OUTSTANDING, String::new(), rec.seq, *outstanding);
             }
             _ => {}
@@ -121,17 +117,17 @@ pub struct PostmortemReport {
     pub health: HealthReport,
     /// Full metrics snapshot at assembly time.
     pub metrics: MetricsSnapshot,
-    /// The flight recorder's surviving window.
+    /// The black box: the event ring's newest records.
     pub flight: FlightDump,
     /// Queue-depth / outstanding timelines derived from `flight`.
     pub timelines: Vec<GaugeTimeline>,
     /// Per-PC hotspots for profiled kernels (empty when profiling was
-    /// off — the flight recorder alone never pays for per-PC data).
+    /// off — the black box alone never pays for per-PC data).
     pub hotspots: Vec<KernelHotspots>,
 }
 
 /// Current postmortem schema version.
-pub const POSTMORTEM_SCHEMA_VERSION: u32 = 1;
+pub const POSTMORTEM_SCHEMA_VERSION: u32 = 2;
 
 impl PostmortemReport {
     /// Human-readable rendering: what an operator reads before opening
@@ -205,35 +201,38 @@ impl PostmortemReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlightKind, FlightRecorder};
+    use simt_profile::{CommandKind, EventRing};
 
     fn dump_with_gauges() -> FlightDump {
-        let r = FlightRecorder::new(16);
-        r.record(FlightEvent::Enqueue {
+        let r = EventRing::new(16, false);
+        r.record(Event::Enqueue {
             stream: 0,
-            kind: FlightKind::Launch,
+            kind: CommandKind::Launch,
             depth: 1,
             outstanding: 1,
+            at: 0,
         });
-        r.record(FlightEvent::Enqueue {
+        r.record(Event::Enqueue {
             stream: 1,
-            kind: FlightKind::CopyIn,
+            kind: CommandKind::CopyIn,
             depth: 1,
             outstanding: 2,
+            at: 0,
         });
-        r.record(FlightEvent::Batch {
+        r.record(Event::Batch {
             stream: 0,
             device: 0,
             commands: 1,
         });
-        r.record(FlightEvent::Publish {
+        r.record(Event::Publish {
             stream: 0,
             device: 0,
             commands: 1,
             depth: 0,
             outstanding: 1,
+            at: 113,
         });
-        r.dump()
+        FlightDump::capture(Some(&r), 16)
     }
 
     #[test]

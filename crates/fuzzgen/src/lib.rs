@@ -26,6 +26,7 @@
 //! [`gen::program_for_seed`] + [`differ::check`] for the pieces, and
 //! the `tables --fuzz <n>` bench driver for bulk runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod differ;

@@ -44,6 +44,7 @@
 //! assert_eq!(graph.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fuse;

@@ -32,6 +32,8 @@
 //! predicate register. Per-thread divergence is expressed with predicate
 //! guards (write masking), the GPU IF/THEN/ELSE of §2.
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod builder;
 pub mod disasm;

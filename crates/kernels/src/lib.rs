@@ -33,6 +33,8 @@
 //! Every kernel has a host-side reference implementation; tests assert
 //! bit-exact agreement.
 
+#![forbid(unsafe_code)]
+
 pub mod fir;
 pub mod harness;
 pub mod iir;

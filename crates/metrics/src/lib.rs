@@ -30,6 +30,7 @@
 //!
 //! Nothing in this crate reads a wall clock.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod health;

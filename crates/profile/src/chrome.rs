@@ -1,6 +1,6 @@
 //! Chrome trace-event JSON exporter.
 //!
-//! Renders a [`TraceEvent`] stream as the Trace Event Format's JSON
+//! Renders an [`Event`] stream as the Trace Event Format's JSON
 //! array flavor, loadable in `chrome://tracing` and Perfetto. The
 //! track model:
 //!
@@ -22,7 +22,8 @@
 //! (`name, cat, ph, ts, dur, pid, tid, args`), which keeps structural
 //! validation trivial.
 
-use crate::{labels, CommandClass, TraceEvent};
+use crate::summary::summarize;
+use crate::{labels, CacheTier, CommandKind, Event};
 use serde::Value;
 use std::collections::BTreeMap;
 
@@ -39,6 +40,11 @@ pub const TID_COMPUTE: u64 = 0;
 pub const TID_DMA: u64 = 1;
 /// Sync thread id within a device process.
 pub const TID_SYNC: u64 = 2;
+
+/// Compiler thread id within the host process.
+const TID_COMPILER: u64 = 0;
+/// Graph-replay thread id within the host process.
+const TID_GRAPH: u64 = 1;
 
 fn entry(k: &str, v: Value) -> (String, Value) {
     (k.to_string(), v)
@@ -81,355 +87,276 @@ fn obj(
     Value::Map(fields)
 }
 
-fn span(name: &str, cat: &str, ts: u64, end: u64, pid: u64, tid: u64) -> Value {
-    obj(
-        name,
-        cat,
-        "X",
-        ts,
-        end.saturating_sub(ts),
-        pid,
-        tid,
-        Vec::new(),
-    )
+/// A complete (`"ph":"X"`) event over `[ts, end)`.
+fn span(
+    name: &str,
+    cat: &str,
+    ts: u64,
+    end: u64,
+    (pid, tid): (u64, u64),
+    args: Vec<(String, Value)>,
+) -> Value {
+    obj(name, cat, "X", ts, end.saturating_sub(ts), pid, tid, args)
 }
 
-fn named(kernel: &str, fallback: &str) -> String {
-    if kernel.is_empty() {
-        fallback.to_string()
-    } else {
-        kernel.to_string()
+/// `kernel`, or `fallback` when the event carries no (or an empty) name.
+fn named<'a>(kernel: Option<&'a str>, fallback: &'a str) -> &'a str {
+    kernel.filter(|k| !k.is_empty()).unwrap_or(fallback)
+}
+
+/// Track registries: pid → process name, (pid, tid) → thread name.
+#[derive(Default)]
+struct Tracks {
+    processes: BTreeMap<u64, String>,
+    threads: BTreeMap<(u64, u64), String>,
+}
+
+impl Tracks {
+    fn thread(&mut self, pid: u64, process: impl FnOnce() -> String, tid: u64, thread: &str) {
+        self.processes.entry(pid).or_insert_with(process);
+        self.threads
+            .entry((pid, tid))
+            .or_insert_with(|| thread.to_string());
     }
-}
 
-/// Render the event stream as a Chrome trace [`Value`] tree (a JSON
-/// array of trace objects). `dropped` is the tracer's dropped-event
-/// count ([`crate::Tracer::dropped`]); it is surfaced in a
-/// `trace_metadata` record so a truncated export is visibly partial.
-/// Useful when the caller wants to post-process before serializing;
-/// most callers want [`chrome_trace`].
-pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
-    let mut out: Vec<Value> = Vec::new();
-    // Track registries: pid -> process name, (pid, tid) -> thread name.
-    let mut processes: BTreeMap<u64, String> = BTreeMap::new();
-    let mut threads: BTreeMap<(u64, u64), String> = BTreeMap::new();
-    let mut body: Vec<Value> = Vec::new();
-    // Host-side events have no modeled timeline; sequence them by
-    // record order so the track is stable and deterministic.
-    let mut host_seq: u64 = 0;
-
-    fn device_thread(
-        d: usize,
-        tid: u64,
-        processes: &mut BTreeMap<u64, String>,
-        threads: &mut BTreeMap<(u64, u64), String>,
-    ) -> u64 {
+    /// Engine `tid` of device `d`.
+    fn device(&mut self, d: usize, tid: u64) -> (u64, u64) {
         let pid = DEVICE_PID0 + d as u64;
-        processes.entry(pid).or_insert_with(|| labels::device(d));
         let name = match tid {
             TID_COMPUTE => "compute",
             TID_DMA => "dma",
             _ => "sync",
         };
-        threads
-            .entry((pid, tid))
-            .or_insert_with(|| name.to_string());
-        pid
+        self.thread(pid, || labels::device(d), tid, name);
+        (pid, tid)
     }
+
+    /// The stream-ordered row of `stream`.
+    fn stream(&mut self, stream: usize) -> (u64, u64) {
+        let tid = stream as u64;
+        self.thread(
+            STREAMS_PID,
+            || "streams".into(),
+            tid,
+            &labels::stream(stream),
+        );
+        (STREAMS_PID, tid)
+    }
+
+    /// Thread `tid` of the host process.
+    fn host(&mut self, tid: u64, name: &str) -> (u64, u64) {
+        self.thread(HOST_PID, || "host".into(), tid, name);
+        (HOST_PID, tid)
+    }
+}
+
+/// Render the event stream as a Chrome trace [`Value`] tree (a JSON
+/// array of trace objects). `dropped` is the ring's overwritten-event
+/// count ([`crate::EventRing::dropped`]); it is surfaced in a
+/// `trace_metadata` record so a truncated export is visibly partial.
+/// Events with no place on a timeline (batch claims, pause/resume, the
+/// fault lifecycle) are skipped. Useful when the caller wants to
+/// post-process before serializing; most callers want
+/// [`chrome_trace`].
+pub fn chrome_trace_value(events: &[Event], dropped: u64) -> Value {
+    let mut tracks = Tracks::default();
+    let mut body: Vec<Value> = Vec::new();
+    // Host-side events have no modeled timeline; sequence them by
+    // record order so the track is stable and deterministic.
+    let mut host_seq: u64 = 0;
 
     for e in events {
         match e {
-            TraceEvent::KernelLaunch {
+            Event::Enqueue {
                 stream,
-                seq,
-                device,
-                kernel,
-                start,
-            } => {
-                let pid = STREAMS_PID;
-                processes.entry(pid).or_insert_with(|| "streams".into());
-                threads
-                    .entry((pid, *stream as u64))
-                    .or_insert_with(|| labels::stream(*stream));
-                body.push(obj(
-                    &format!("launch {}", named(kernel, "kernel")),
-                    "kernel",
-                    "i",
-                    *start,
-                    0,
-                    pid,
-                    *stream as u64,
-                    vec![entry("seq", u(*seq)), entry("device", u(*device as u64))],
-                ));
+                depth,
+                outstanding,
+                at,
+                ..
             }
-            TraceEvent::KernelRetire {
+            | Event::Publish {
                 stream,
+                depth,
+                outstanding,
+                at,
+                ..
+            } => {
+                // Counter tracks ("ph":"C"): Perfetto renders one
+                // stepped timeline per (pid, name). Per-stream queue
+                // depth lives on the streams process; the pool-wide
+                // outstanding count on the host process.
+                tracks
+                    .processes
+                    .entry(STREAMS_PID)
+                    .or_insert_with(|| "streams".into());
+                tracks
+                    .processes
+                    .entry(HOST_PID)
+                    .or_insert_with(|| "host".into());
+                let depth_track = format!("stream_queue_depth {}", labels::stream(*stream));
+                for (track, pid, value) in [
+                    (depth_track.as_str(), STREAMS_PID, depth),
+                    ("outstanding_commands", HOST_PID, outstanding),
+                ] {
+                    let args = vec![entry("value", u(*value))];
+                    body.push(obj(track, "gauge", "C", *at, 0, pid, 0, args));
+                }
+            }
+            Event::Placed {
+                stream: Some(stream),
                 seq,
+                kind,
                 device,
-                kernel,
                 start,
                 end,
-                instructions,
-            } => {
-                let name = named(kernel, "kernel");
-                let pid = device_thread(*device, TID_COMPUTE, &mut processes, &mut threads);
-                let mut ev = span(&name, "kernel", *start, *end, pid, TID_COMPUTE);
-                if let Value::Map(fields) = &mut ev {
-                    fields.pop();
-                    fields.push(entry(
-                        "args",
-                        Value::Map(vec![
-                            entry("stream", u(*stream as u64)),
-                            entry("seq", u(*seq)),
-                            entry("instructions", u(*instructions)),
-                        ]),
-                    ));
-                }
-                body.push(ev);
-                // Stream-ordered view of the same span.
-                let spid = STREAMS_PID;
-                processes.entry(spid).or_insert_with(|| "streams".into());
-                threads
-                    .entry((spid, *stream as u64))
-                    .or_insert_with(|| labels::stream(*stream));
-                body.push(span(&name, "kernel", *start, *end, spid, *stream as u64));
-            }
-            TraceEvent::Copy {
-                stream,
-                seq,
-                device,
-                to_device,
                 words,
-                start,
-                end,
+                instructions,
+                kernel,
             } => {
-                let name = if *to_device { "copy-in" } else { "copy-out" };
-                let pid = device_thread(*device, TID_DMA, &mut processes, &mut threads);
-                let mut ev = span(name, "copy", *start, *end, pid, TID_DMA);
-                if let Value::Map(fields) = &mut ev {
-                    fields.pop();
-                    fields.push(entry(
-                        "args",
-                        Value::Map(vec![
-                            entry("stream", u(*stream as u64)),
-                            entry("seq", u(*seq)),
-                            entry("words", u(*words)),
-                        ]),
+                let ids = [entry("stream", u(*stream as u64)), entry("seq", u(*seq))];
+                let (cat, name, tid, detail) = match kind {
+                    CommandKind::Launch => (
+                        "kernel",
+                        named(kernel.as_deref(), "kernel"),
+                        TID_COMPUTE,
+                        entry("instructions", u(*instructions)),
+                    ),
+                    CommandKind::CopyIn => ("copy", "copy-in", TID_DMA, entry("words", u(*words))),
+                    CommandKind::CopyOut => {
+                        ("copy", "copy-out", TID_DMA, entry("words", u(*words)))
+                    }
+                    CommandKind::EventRecord | CommandKind::EventWait => {
+                        let name = match kind {
+                            CommandKind::EventRecord => "record",
+                            _ => "wait",
+                        };
+                        let (pid, tid) = tracks.device(*device, TID_SYNC);
+                        body.push(obj(name, "sync", "i", *start, 0, pid, tid, ids.into()));
+                        continue;
+                    }
+                };
+                let row = tracks.stream(*stream);
+                if *kind == CommandKind::Launch {
+                    // Dispatch instant on the stream row.
+                    body.push(obj(
+                        &format!("launch {name}"),
+                        cat,
+                        "i",
+                        *start,
+                        0,
+                        row.0,
+                        row.1,
+                        vec![entry("seq", u(*seq)), entry("device", u(*device as u64))],
                     ));
                 }
-                body.push(ev);
-                let spid = STREAMS_PID;
-                processes.entry(spid).or_insert_with(|| "streams".into());
-                threads
-                    .entry((spid, *stream as u64))
-                    .or_insert_with(|| labels::stream(*stream));
-                body.push(span(name, "copy", *start, *end, spid, *stream as u64));
+                let engine = tracks.device(*device, tid);
+                let [stream_id, seq_id] = ids;
+                let args = vec![stream_id, seq_id, detail];
+                body.push(span(name, cat, *start, *end, engine, args));
+                // Stream-ordered view of the same span.
+                body.push(span(name, cat, *start, *end, row, Vec::new()));
             }
-            TraceEvent::EventRecord {
-                stream,
-                seq,
-                device,
-                at,
-            }
-            | TraceEvent::EventWait {
-                stream,
-                seq,
-                device,
-                at,
-            } => {
-                let name = match e {
-                    TraceEvent::EventRecord { .. } => "record",
-                    _ => "wait",
-                };
-                let pid = device_thread(*device, TID_SYNC, &mut processes, &mut threads);
-                body.push(obj(
-                    name,
-                    "sync",
-                    "i",
-                    *at,
-                    0,
-                    pid,
-                    TID_SYNC,
-                    vec![entry("stream", u(*stream as u64)), entry("seq", u(*seq))],
-                ));
-            }
-            TraceEvent::GraphNodePlace {
-                node,
-                class,
+            Event::Placed {
+                stream: None,
+                seq: node,
+                kind,
                 device,
                 start,
                 end,
                 kernel,
+                ..
             } => {
-                let (tid, name) = match class {
-                    CommandClass::Launch => (TID_COMPUTE, named(kernel, &format!("node{node}"))),
-                    CommandClass::CopyIn => (TID_DMA, format!("node{node} copy-in")),
-                    CommandClass::CopyOut => (TID_DMA, format!("node{node} copy-out")),
+                let (tid, name) = match kind {
+                    CommandKind::Launch => (
+                        TID_COMPUTE,
+                        named(kernel.as_deref(), &format!("node{node}")).to_string(),
+                    ),
+                    CommandKind::CopyIn => (TID_DMA, format!("node{node} copy-in")),
+                    _ => (TID_DMA, format!("node{node} copy-out")),
                 };
-                let pid = device_thread(*device, tid, &mut processes, &mut threads);
-                let mut ev = span(&name, "graph", *start, *end, pid, tid);
-                if let Value::Map(fields) = &mut ev {
-                    fields.pop();
-                    fields.push(entry(
-                        "args",
-                        Value::Map(vec![entry("node", u(*node as u64))]),
-                    ));
-                }
-                body.push(ev);
+                let engine = tracks.device(*device, tid);
+                let args = vec![entry("node", u(*node))];
+                body.push(span(&name, "graph", *start, *end, engine, args));
             }
-            TraceEvent::GraphReplayDone { nodes, span_cycles } => {
-                processes.entry(HOST_PID).or_insert_with(|| "host".into());
-                threads
-                    .entry((HOST_PID, 1))
-                    .or_insert_with(|| "graph".into());
-                body.push(obj(
-                    "replay",
-                    "graph",
-                    "X",
-                    0,
-                    *span_cycles,
-                    HOST_PID,
-                    1,
-                    vec![entry("nodes", u(*nodes as u64))],
-                ));
+            Event::GraphReplayDone { nodes, span_cycles } => {
+                let track = tracks.host(TID_GRAPH, "graph");
+                let args = vec![entry("nodes", u(*nodes as u64))];
+                body.push(span("replay", "graph", 0, *span_cycles, track, args));
             }
-            TraceEvent::CompileCacheHit { kernel, decoded } => {
-                processes.entry(HOST_PID).or_insert_with(|| "host".into());
-                threads
-                    .entry((HOST_PID, 0))
-                    .or_insert_with(|| "compiler".into());
-                body.push(obj(
-                    &format!("hit {}", named(kernel, "?")),
-                    "cache",
-                    "X",
-                    host_seq,
-                    1,
-                    HOST_PID,
-                    0,
-                    vec![entry("decoded", Value::Bool(*decoded))],
-                ));
+            Event::CacheLookup {
+                kernel,
+                tier,
+                hit,
+                decoded,
+            } => {
+                let (outcome, args) = match (tier, hit) {
+                    (CacheTier::Compile, true) => {
+                        ("hit", vec![entry("decoded", Value::Bool(*decoded))])
+                    }
+                    (CacheTier::Compile, false) => ("miss", Vec::new()),
+                    (CacheTier::Decode, true) => ("decode-hit", Vec::new()),
+                    (CacheTier::Decode, false) => ("decode-miss", Vec::new()),
+                };
+                let track = tracks.host(TID_COMPILER, "compiler");
+                let name = format!("{outcome} {}", named(Some(kernel), "?"));
+                body.push(span(&name, "cache", host_seq, host_seq + 1, track, args));
                 host_seq += 1;
             }
-            TraceEvent::CompileCacheMiss { kernel }
-            | TraceEvent::DecodeCacheHit { kernel }
-            | TraceEvent::DecodeCacheMiss { kernel } => {
-                let name = match e {
-                    TraceEvent::CompileCacheMiss { .. } => "miss",
-                    TraceEvent::DecodeCacheHit { .. } => "decode-hit",
-                    _ => "decode-miss",
-                };
-                processes.entry(HOST_PID).or_insert_with(|| "host".into());
-                threads
-                    .entry((HOST_PID, 0))
-                    .or_insert_with(|| "compiler".into());
-                body.push(obj(
-                    &format!("{name} {}", named(kernel, "?")),
-                    "cache",
-                    "X",
-                    host_seq,
-                    1,
-                    HOST_PID,
-                    0,
-                    Vec::new(),
-                ));
-                host_seq += 1;
-            }
-            TraceEvent::PassRun {
+            Event::PassRun {
                 kernel,
                 pass,
                 insts_before,
                 insts_after,
                 changed,
             } => {
-                processes.entry(HOST_PID).or_insert_with(|| "host".into());
-                threads
-                    .entry((HOST_PID, 0))
-                    .or_insert_with(|| "compiler".into());
-                body.push(obj(
-                    &format!("{pass} {}", named(kernel, "?")),
-                    "compiler",
-                    "X",
-                    host_seq,
-                    1,
-                    HOST_PID,
-                    0,
-                    vec![
-                        entry("insts_before", u(*insts_before as u64)),
-                        entry("insts_after", u(*insts_after as u64)),
-                        entry("changed", Value::Bool(*changed)),
-                    ],
-                ));
+                let track = tracks.host(TID_COMPILER, "compiler");
+                let name = format!("{pass} {}", named(Some(kernel), "?"));
+                let args = vec![
+                    entry("insts_before", u(*insts_before as u64)),
+                    entry("insts_after", u(*insts_after as u64)),
+                    entry("changed", Value::Bool(*changed)),
+                ];
+                body.push(span(&name, "compiler", host_seq, host_seq + 1, track, args));
                 host_seq += 1;
             }
-            TraceEvent::GaugeSample {
-                name,
-                label,
-                value,
-                at,
-            } => {
-                // Counter tracks ("ph":"C"): Perfetto renders one
-                // stepped timeline per (pid, name). Per-stream queue
-                // depth lives on the streams process; pool-wide gauges
-                // (outstanding commands) on the host process.
-                let (pid, tid, track) = if label.is_empty() {
-                    processes.entry(HOST_PID).or_insert_with(|| "host".into());
-                    (HOST_PID, 0, name.clone())
-                } else {
-                    processes
-                        .entry(STREAMS_PID)
-                        .or_insert_with(|| "streams".into());
-                    (STREAMS_PID, 0, format!("{name} {label}"))
-                };
-                body.push(obj(
-                    &track,
-                    "gauge",
-                    "C",
-                    *at,
-                    0,
-                    pid,
-                    tid,
-                    vec![entry("value", u(*value))],
-                ));
-            }
+            Event::Batch { .. }
+            | Event::Pause
+            | Event::Resume
+            | Event::Failed { .. }
+            | Event::Fault { .. }
+            | Event::Retry { .. }
+            | Event::Quarantine { .. }
+            | Event::DeviceReset { .. }
+            | Event::Health { .. } => {}
         }
     }
 
     // Metadata first (Perfetto reads it anywhere, humans read it here).
-    // The trace-level record carries completeness: how many events made
-    // it into the ring and how many were dropped at capacity — a trace
-    // with drops is partial and must say so.
-    out.push(obj(
+    // The trace-level record carries completeness: how many timeline
+    // marks the export draws and how many events the ring overwrote —
+    // a trace with drops is partial and must say so.
+    let metadata =
+        |name: &str, pid: u64, tid: u64, args| obj(name, "__metadata", "M", 0, 0, pid, tid, args);
+    let mut out = vec![metadata(
         "trace_metadata",
-        "__metadata",
-        "M",
-        0,
-        0,
         HOST_PID,
         0,
         vec![
-            entry("events", u(events.len() as u64)),
+            entry("events", u(summarize(events, dropped).events)),
             entry("dropped_events", u(dropped)),
         ],
-    ));
-    for (pid, name) in &processes {
-        out.push(obj(
+    )];
+    for (pid, name) in &tracks.processes {
+        out.push(metadata(
             "process_name",
-            "__metadata",
-            "M",
-            0,
-            0,
             *pid,
             0,
             vec![entry("name", s(name))],
         ));
     }
-    for ((pid, tid), name) in &threads {
-        out.push(obj(
+    for ((pid, tid), name) in &tracks.threads {
+        out.push(metadata(
             "thread_name",
-            "__metadata",
-            "M",
-            0,
-            0,
             *pid,
             *tid,
             vec![entry("name", s(name))],
@@ -440,9 +367,9 @@ pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
 }
 
 /// Render the event stream as a Chrome trace-event JSON string.
-/// `dropped` is the tracer's dropped-event count, surfaced in the
+/// `dropped` is the ring's overwritten-event count, surfaced in the
 /// export's `trace_metadata` record.
-pub fn chrome_trace(events: &[TraceEvent], dropped: u64) -> String {
+pub fn chrome_trace(events: &[Event], dropped: u64) -> String {
     serde_json::to_string(&chrome_trace_value(events, dropped)).expect("trace value serializes")
 }
 
@@ -450,40 +377,30 @@ pub fn chrome_trace(events: &[TraceEvent], dropped: u64) -> String {
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<TraceEvent> {
+    fn placed(stream: Option<usize>, seq: u64, kind: CommandKind, device: usize) -> Event {
+        Event::Placed {
+            stream,
+            seq,
+            kind,
+            device,
+            start: 13,
+            end: 113,
+            words: 4,
+            instructions: 42,
+            kernel: (kind == CommandKind::Launch).then(|| "saxpy".into()),
+        }
+    }
+
+    fn sample() -> Vec<Event> {
         vec![
-            TraceEvent::KernelLaunch {
+            placed(Some(0), 1, CommandKind::Launch, 0),
+            placed(Some(0), 0, CommandKind::CopyIn, 1),
+            placed(None, 2, CommandKind::Launch, 1),
+            // Black-box-only: no place on a timeline.
+            Event::Batch {
                 stream: 0,
-                seq: 1,
                 device: 0,
-                kernel: "saxpy".into(),
-                start: 13,
-            },
-            TraceEvent::KernelRetire {
-                stream: 0,
-                seq: 1,
-                device: 0,
-                kernel: "saxpy".into(),
-                start: 13,
-                end: 113,
-                instructions: 42,
-            },
-            TraceEvent::Copy {
-                stream: 0,
-                seq: 0,
-                device: 1,
-                to_device: true,
-                words: 4,
-                start: 0,
-                end: 13,
-            },
-            TraceEvent::GraphNodePlace {
-                node: 2,
-                class: CommandClass::Launch,
-                device: 1,
-                start: 20,
-                end: 50,
-                kernel: "fused".into(),
+                commands: 2,
             },
         ]
     }
@@ -517,6 +434,7 @@ mod tests {
                     && field(i, "pid") == &Value::U64(DEVICE_PID0)
             })
             .expect("kernel span on device 0");
+        assert_eq!(field(kernel, "name"), &Value::Str("saxpy".into()));
         assert_eq!(field(kernel, "ts"), &Value::U64(13));
         assert_eq!(field(kernel, "dur"), &Value::U64(100));
         assert_eq!(field(kernel, "tid"), &Value::U64(TID_COMPUTE));
@@ -529,14 +447,31 @@ mod tests {
             })
             .expect("copy span on device 1");
         assert_eq!(field(copy, "tid"), &Value::U64(TID_DMA));
-        // The same work also shows on the stream track.
-        assert!(items
+        // The graph node lands on device1/compute, named by its kernel.
+        let node = items
             .iter()
-            .any(|i| field(i, "pid") == &Value::U64(STREAMS_PID)));
+            .find(|i| field(i, "cat") == &Value::Str("graph".into()))
+            .expect("graph node span");
+        assert_eq!(field(node, "pid"), &Value::U64(DEVICE_PID0 + 1));
+        assert_eq!(
+            field(node, "args").get_field("node").unwrap(),
+            &Value::U64(2)
+        );
+        // The same work also shows on the stream track, dispatch
+        // instant first.
+        let row: Vec<&Value> = items
+            .iter()
+            .filter(|i| {
+                field(i, "pid") == &Value::U64(STREAMS_PID)
+                    && field(i, "ph") != &Value::Str("M".into())
+            })
+            .collect();
+        assert_eq!(field(row[0], "name"), &Value::Str("launch saxpy".into()));
+        assert_eq!(row.len(), 3, "launch instant + kernel span + copy span");
     }
 
     #[test]
-    fn dropped_count_is_surfaced_in_trace_metadata() {
+    fn metadata_counts_timeline_marks_and_surfaces_drops() {
         let v = chrome_trace_value(&sample(), 7);
         let Value::Seq(items) = &v else {
             panic!("trace is a JSON array")
@@ -547,10 +482,9 @@ mod tests {
             .expect("trace_metadata record");
         let args = field(meta, "args");
         assert_eq!(args.get_field("dropped_events").unwrap(), &Value::U64(7));
-        assert_eq!(
-            args.get_field("events").unwrap(),
-            &Value::U64(sample().len() as u64)
-        );
+        // Launch dispatch + retire, one copy, one graph node; the batch
+        // claim draws nothing.
+        assert_eq!(args.get_field("events").unwrap(), &Value::U64(4));
     }
 
     #[test]
@@ -569,21 +503,14 @@ mod tests {
     }
 
     #[test]
-    fn gauge_samples_render_as_counter_tracks() {
-        let ev = vec![
-            TraceEvent::GaugeSample {
-                name: "stream_queue_depth".into(),
-                label: "stream1".into(),
-                value: 3,
-                at: 40,
-            },
-            TraceEvent::GaugeSample {
-                name: "outstanding_commands".into(),
-                label: String::new(),
-                value: 5,
-                at: 41,
-            },
-        ];
+    fn queue_gauges_render_as_counter_tracks() {
+        let ev = vec![Event::Enqueue {
+            stream: 1,
+            kind: CommandKind::Launch,
+            depth: 3,
+            outstanding: 5,
+            at: 40,
+        }];
         let v = chrome_trace_value(&ev, 0);
         let Value::Seq(items) = &v else {
             panic!("trace is a JSON array")
@@ -615,12 +542,19 @@ mod tests {
             field(outstanding, "name"),
             &Value::Str("outstanding_commands".into())
         );
+        assert_eq!(
+            field(outstanding, "args").get_field("value").unwrap(),
+            &Value::U64(5)
+        );
     }
 
     #[test]
     fn escaping_survives_hostile_names() {
-        let ev = vec![TraceEvent::CompileCacheMiss {
+        let ev = vec![Event::CacheLookup {
             kernel: "a\"b\\c\nd".into(),
+            tier: CacheTier::Compile,
+            hit: false,
+            decoded: false,
         }];
         let json = chrome_trace(&ev, 0);
         let _: Value = ::serde_json::from_str(&json).expect("escaped JSON parses");

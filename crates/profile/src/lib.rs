@@ -1,32 +1,34 @@
-//! Unified tracing and profiling substrate for the simt stack.
+//! The event spine of the simt stack: one typed event, one bounded
+//! ring, and the exporters that read it.
 //!
-//! Every layer of the simulator — the µop interpreter in `simt-core`,
-//! the SSA pipeline and compile cache in `simt-compiler`, the stream
-//! scheduler and graph replayer in `simt-runtime` — produces its own
-//! counters. This crate gives them one correlated event timeline:
+//! Every layer that changes state — the stream scheduler and graph
+//! replayer in `simt-runtime`, the compile cache and pass pipeline in
+//! `simt-compiler` — writes each transition down once, as an
+//! [`Event`], into one [`EventRing`] shared behind an `Arc`. Everything
+//! else is a view of that ring:
 //!
-//! * [`TraceEvent`] — a typed, self-describing record of one thing that
-//!   happened (kernel launch/retire, copy, event record/wait, graph
-//!   node placement, compile/decode cache hit/miss, optimization pass
-//!   run). Events carry **modeled cycles only**, never host wall-clock,
-//!   so identical inputs produce byte-identical traces.
-//! * [`Tracer`] — a bounded, lock-free-append recorder the producing
-//!   layers share behind an `Arc`. Recording is a single atomic
-//!   reservation plus a slot write; when the ring is full, further
-//!   events are counted as dropped rather than blocking the hot path.
-//! * [`ProfileConfig`] — the opt-in switch. Profiling is off by
-//!   default; the disabled fast path in every instrumented layer is a
-//!   branch on a `None`.
-//! * Exporters — [`chrome::chrome_trace`] renders a Chrome
-//!   trace-event JSON string (loadable in `chrome://tracing` and
-//!   Perfetto; one track per device engine, one per stream) and
-//!   [`summary::summarize`] folds the stream into a flat serializable
-//!   [`summary::TraceSummary`] for harness tables.
+//! * the **trace** of a profiled runtime is all of it —
+//!   [`chrome::chrome_trace`] renders a Chrome trace-event JSON string
+//!   (loadable in `chrome://tracing` and Perfetto; one track per device
+//!   engine, one per stream) and [`summary::summarize`] folds it into a
+//!   flat serializable [`summary::TraceSummary`];
+//! * the **black box** of every runtime is its newest records — the
+//!   window `simt-forensics` bundles into a postmortem.
+//!
+//! Events carry **modeled cycles and sequence numbers only**, never
+//! host wall-clock, so what was recorded is a function of the work and
+//! the order it completed in.
+//!
+//! [`ProfileConfig`] is the opt-in switch for the expensive half:
+//! allocation-carrying detail (pass runs, per-launch kernel names) is
+//! recorded only by a ring built [`detailed`](EventRing::detailed), and
+//! per-PC histograms only with [`ProfileConfig::per_pc`].
 //!
 //! The crate is deliberately leaf-level: it depends only on the
-//! vendored `serde`, so `simt-core`, `simt-compiler` and `simt-runtime`
-//! can all report through it without dependency cycles.
+//! vendored `serde`, so `simt-compiler`, `simt-forensics` and
+//! `simt-runtime` can all report through it without dependency cycles.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;
@@ -51,8 +53,8 @@ pub mod labels {
 }
 
 use serde::{Deserialize, Serialize};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Opt-in profiling configuration.
 ///
@@ -61,8 +63,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 /// state; the instrumented hot paths test exactly that.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileConfig {
-    /// Capacity of the event ring in events. Recording past the
-    /// capacity drops events (counted) instead of reallocating.
+    /// How many events the trace keeps. Recording past it overwrites
+    /// the oldest events (counted) instead of reallocating.
     pub events: usize,
     /// Also collect per-PC cycle/issue histograms inside the µop
     /// interpreter (costs one counter update per retired µop).
@@ -88,107 +90,109 @@ impl ProfileConfig {
     }
 }
 
-/// Command class of a graph node placement (mirrors the runtime's
-/// command kinds without depending on the runtime crate).
+/// What kind of command an event, a completion record or a graph
+/// placement refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CommandClass {
+pub enum CommandKind {
     /// Host→device copy.
     CopyIn,
     /// Device→host copy.
     CopyOut,
     /// Kernel launch.
     Launch,
+    /// Event record (stream timeline marker).
+    EventRecord,
+    /// Cross-stream event wait.
+    EventWait,
 }
 
-/// One structured trace record. Timestamps (`start`, `end`, `at`) are
-/// modeled device cycles on the scheduler's virtual timeline — never
-/// host wall-clock — so traces are deterministic.
+/// Which kernel cache an [`Event::CacheLookup`] hit or missed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CacheTier {
+    /// The source-keyed compile cache (IR/asm → program).
+    Compile,
+    /// The predecode riding a compile-cache entry (program → µop
+    /// stream).
+    Decode,
+}
+
+/// One state transition. Timestamps (`start`, `end`, `at`) are modeled
+/// device cycles on the scheduler's virtual timeline; every other
+/// payload is an id or a count.
+///
+/// The exporters draw `Enqueue`/`Publish` (as gauge samples), `Placed`,
+/// `GraphReplayDone`, `CacheLookup` and `PassRun`; the remaining
+/// variants are the scheduler's own story and show up in the black box
+/// only.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum TraceEvent {
-    /// A kernel launch was dispatched and placed on a device compute
-    /// engine at virtual cycle `start`.
-    KernelLaunch {
-        /// Stream the launch was submitted on.
+pub enum Event {
+    /// A command entered a stream queue. `depth`/`outstanding` are the
+    /// post-enqueue gauge values, so the ring doubles as a gauge
+    /// timeline.
+    Enqueue {
+        /// Stream id.
         stream: usize,
-        /// Sequence number within the stream.
-        seq: u64,
-        /// Device the scheduler placed it on.
-        device: usize,
-        /// Kernel name (empty when the source carries none).
-        kernel: String,
-        /// Virtual start cycle on the compute engine.
-        start: u64,
+        /// Command kind.
+        kind: CommandKind,
+        /// Queue depth of the stream after the push.
+        depth: u64,
+        /// Pool-wide outstanding commands after the push.
+        outstanding: u64,
+        /// The stream's completion front (modeled cycles) at the push.
+        at: u64,
     },
-    /// A kernel launch ran to `exit`.
-    KernelRetire {
-        /// Stream the launch was submitted on.
+    /// A worker claimed a batch of consecutive commands from a stream.
+    Batch {
+        /// Stream id the batch came from.
         stream: usize,
-        /// Sequence number within the stream.
-        seq: u64,
-        /// Device it ran on.
+        /// Device that claimed it.
         device: usize,
-        /// Kernel name (empty when the source carries none).
-        kernel: String,
-        /// Virtual start cycle.
+        /// Commands in the batch.
+        commands: u64,
+    },
+    /// A command completed and took its place on a device's virtual
+    /// timeline: a launch on the compute engine, a copy on the DMA
+    /// engine, an event record/wait as an instant (`start == end`).
+    Placed {
+        /// Stream the command was submitted on; `None` for a node of a
+        /// graph replay (no stream queue involved).
+        stream: Option<usize>,
+        /// Sequence number within the stream, or node index within the
+        /// graph.
+        seq: u64,
+        /// Command kind.
+        kind: CommandKind,
+        /// Device chosen by least-loaded placement (for event commands,
+        /// the worker that resolved them).
+        device: usize,
+        /// Modeled start cycle on the device engine.
         start: u64,
-        /// Virtual end cycle (`start` + modeled kernel cycles).
+        /// Modeled end cycle.
         end: u64,
-        /// Instructions the run issued.
-        instructions: u64,
-    },
-    /// A host↔device copy executed on a device DMA engine.
-    Copy {
-        /// Stream the copy was submitted on.
-        stream: usize,
-        /// Sequence number within the stream.
-        seq: u64,
-        /// Device whose DMA engine moved the words.
-        device: usize,
-        /// `true` for host→device (copy-in), `false` for copy-out.
-        to_device: bool,
-        /// Words moved.
+        /// Words moved (copies; 0 otherwise).
         words: u64,
-        /// Virtual start cycle on the DMA engine.
-        start: u64,
-        /// Virtual end cycle.
-        end: u64,
+        /// Instructions issued (launches; 0 otherwise).
+        instructions: u64,
+        /// Kernel name of a launch, on a [detailed](EventRing::detailed)
+        /// ring.
+        kernel: Option<Arc<str>>,
     },
-    /// An event was recorded (signalled) on a stream timeline.
-    EventRecord {
-        /// Stream that recorded the event.
+    /// A worker finished publishing a batch's results. Gauges are the
+    /// post-publish values.
+    Publish {
+        /// Stream id.
         stream: usize,
-        /// Sequence number within the stream.
-        seq: u64,
-        /// Device whose timeline carried the stream at that point.
+        /// Device that executed the batch.
         device: usize,
-        /// Virtual cycle the event signalled at.
+        /// Commands published.
+        commands: u64,
+        /// Queue depth of the stream after the publish.
+        depth: u64,
+        /// Pool-wide outstanding commands after the publish.
+        outstanding: u64,
+        /// The stream's completion front (modeled cycles) after the
+        /// publish.
         at: u64,
-    },
-    /// A stream waited on an event.
-    EventWait {
-        /// Stream that waited.
-        stream: usize,
-        /// Sequence number within the stream.
-        seq: u64,
-        /// Device whose timeline carried the stream at that point.
-        device: usize,
-        /// Virtual cycle the wait resolved at.
-        at: u64,
-    },
-    /// A graph node was placed on an engine during replay.
-    GraphNodePlace {
-        /// Node index within the graph.
-        node: usize,
-        /// What the node does.
-        class: CommandClass,
-        /// Device the placement chose (least-loaded engine).
-        device: usize,
-        /// Virtual start cycle.
-        start: u64,
-        /// Virtual end cycle.
-        end: u64,
-        /// Kernel name for launch nodes (empty otherwise).
-        kernel: String,
     },
     /// A whole graph replay completed.
     GraphReplayDone {
@@ -197,29 +201,22 @@ pub enum TraceEvent {
         /// Modeled makespan of the replay.
         span_cycles: u64,
     },
-    /// A compile-cache lookup found a cached artifact.
-    CompileCacheHit {
-        /// Kernel name, or a content-hash label for assembly sources.
-        kernel: String,
-        /// Whether the predecoded µop form rode along with the hit.
+    /// A compile- or decode-cache lookup resolved.
+    CacheLookup {
+        /// Name the artifact was compiled under, or an `asm#<hash>`
+        /// label for assembly sources. Shared with the cache entry, so
+        /// a hit allocates nothing.
+        kernel: Arc<str>,
+        /// Which cache tier.
+        tier: CacheTier,
+        /// True on hit.
+        hit: bool,
+        /// Whether the lookup asked for the predecoded form (always
+        /// true on the decode tier).
         decoded: bool,
     },
-    /// A compile-cache lookup had to compile/assemble.
-    CompileCacheMiss {
-        /// Kernel name, or a content-hash label for assembly sources.
-        kernel: String,
-    },
-    /// A decode-cache lookup reused a cached µop decode.
-    DecodeCacheHit {
-        /// Kernel name, or a content-hash label for assembly sources.
-        kernel: String,
-    },
-    /// A decode-cache lookup had to re-derive the µop decode.
-    DecodeCacheMiss {
-        /// Kernel name, or a content-hash label for assembly sources.
-        kernel: String,
-    },
-    /// One optimization pass ran over a kernel.
+    /// One optimization pass ran over a kernel
+    /// ([detailed](EventRing::detailed) rings only).
     PassRun {
         /// Kernel name.
         kernel: String,
@@ -232,281 +229,282 @@ pub enum TraceEvent {
         /// Whether the pass changed the kernel.
         changed: bool,
     },
-    /// A gauge crossed a sampling point (queue depth after an enqueue,
-    /// outstanding commands after a publish). Exported as a Chrome
-    /// counter track (`"ph":"C"`) so Perfetto renders a timeline.
-    GaugeSample {
-        /// Metric name (see `simt_metrics::names`).
-        name: String,
-        /// Metric label (`stream{N}`, or `""` for pool-wide).
-        label: String,
-        /// Gauge value at the sample.
-        value: u64,
-        /// Virtual timestamp (modeled cycles) of the sample.
-        at: u64,
+    /// The pool was paused (workers park; queues accumulate).
+    Pause,
+    /// The pool was resumed.
+    Resume,
+    /// A command failed; the stream is now poisoned.
+    Failed {
+        /// Stream id.
+        stream: usize,
+        /// Command kind.
+        kind: CommandKind,
+        /// Rendered runtime error.
+        error: String,
+    },
+    /// A fault hit a command (injected by the chaos plan, or a real
+    /// watchdog timeout).
+    Fault {
+        /// Stream id.
+        stream: usize,
+        /// Device the fault was blamed on.
+        device: usize,
+        /// Attempt number that faulted (1 = first execution).
+        attempt: u32,
+        /// Fault family label (see `simt_chaos::FaultKind::label`).
+        family: String,
+        /// False for a real watchdog timeout.
+        injected: bool,
+    },
+    /// A faulted command was requeued for another attempt.
+    Retry {
+        /// Stream id.
+        stream: usize,
+        /// Device the faulted attempt was blamed on (the retry is
+        /// steered elsewhere when the pool has an alternative).
+        device: usize,
+        /// Attempt number that faulted; the retry is `attempt + 1`.
+        attempt: u32,
+        /// Modeled backoff charged to the stream's virtual timeline.
+        backoff_cycles: u64,
+    },
+    /// A device crossed its fault budget and left the placement pool.
+    Quarantine {
+        /// Device id.
+        device: usize,
+        /// Faults blamed on it at the transition.
+        faults: u64,
+    },
+    /// A device was readmitted by `Runtime::reset_device`.
+    DeviceReset {
+        /// Device id.
+        device: usize,
+    },
+    /// A health finding fired during a postmortem walk.
+    Health {
+        /// Compact finding label (see `HealthFinding::label`).
+        finding: String,
     },
 }
 
-impl TraceEvent {
-    /// Coarse category label, used by exporters and the summary:
-    /// `kernel`, `copy`, `sync`, `graph`, `cache`, `compiler` or
-    /// `gauge`.
-    pub fn category(&self) -> &'static str {
-        match self {
-            TraceEvent::KernelLaunch { .. } | TraceEvent::KernelRetire { .. } => "kernel",
-            TraceEvent::Copy { .. } => "copy",
-            TraceEvent::EventRecord { .. } | TraceEvent::EventWait { .. } => "sync",
-            TraceEvent::GraphNodePlace { .. } | TraceEvent::GraphReplayDone { .. } => "graph",
-            TraceEvent::CompileCacheHit { .. }
-            | TraceEvent::CompileCacheMiss { .. }
-            | TraceEvent::DecodeCacheHit { .. }
-            | TraceEvent::DecodeCacheMiss { .. } => "cache",
-            TraceEvent::PassRun { .. } => "compiler",
-            TraceEvent::GaugeSample { .. } => "gauge",
-        }
-    }
+/// One recorded event with its global sequence number.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Record {
+    /// Global sequence number (total order of `record` calls).
+    pub seq: u64,
+    /// The event.
+    pub event: Event,
 }
 
-/// One ring slot: a reservation-owned cell plus its publish flag.
-struct Slot {
-    committed: AtomicBool,
-    event: UnsafeCell<Option<TraceEvent>>,
-}
-
-/// A bounded, lock-free-append event recorder.
+/// A bounded wrap-around event ring: it keeps the newest
+/// [`capacity`](EventRing::capacity) records and counts the rest.
 ///
-/// Producers call [`Tracer::record`] concurrently from any thread: a
-/// single `fetch_add` reserves a slot index, the event is written into
-/// the exclusively-owned slot, and a release store publishes it.
-/// There is no locking, no allocation and no blocking on the record
-/// path; once the ring is full, events are dropped and counted.
-///
-/// [`Tracer::events`] snapshots the committed prefix in slot order —
-/// the order reservations were handed out, i.e. global record order.
-pub struct Tracer {
-    slots: Box<[Slot]>,
-    head: AtomicUsize,
-    dropped: AtomicU64,
+/// Producers call [`EventRing::record`] concurrently from any thread:
+/// one `fetch_add` reserves a sequence number, and the record goes into
+/// slot `seq % capacity` through that slot's mutex — uncontended unless
+/// one writer laps another by a full ring, and never held across
+/// anything but the store. Nothing on the record path allocates.
+pub struct EventRing {
+    head: AtomicU64,
+    slots: Box<[Mutex<Option<Record>>]>,
+    detailed: bool,
 }
 
-// SAFETY: each `Slot.event` cell is written by exactly one thread — the
-// one whose `fetch_add` returned that index — and only read by others
-// after the `committed` release/acquire handshake.
-unsafe impl Sync for Tracer {}
-unsafe impl Send for Tracer {}
+impl std::fmt::Debug for EventRing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EventRing")
+            .field("capacity", &self.capacity())
+            .field("recorded", &self.recorded())
+            .field("detailed", &self.detailed)
+            .finish()
+    }
+}
 
-impl Tracer {
-    /// A tracer with room for `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                committed: AtomicBool::new(false),
-                event: UnsafeCell::new(None),
-            })
-            .collect();
-        Tracer {
-            slots,
-            head: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
+impl EventRing {
+    /// A ring keeping the newest `capacity` records. `detailed` says
+    /// whether producers should also record what costs an allocation
+    /// to say (see [`EventRing::detail`]).
+    ///
+    /// # Panics
+    /// If `capacity` is zero — a disabled ring is a `None` at the call
+    /// site (a branch, not an empty ring).
+    pub fn new(capacity: usize, detailed: bool) -> Self {
+        assert!(capacity > 0, "event ring capacity must be non-zero");
+        EventRing {
+            head: AtomicU64::new(0),
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            detailed,
         }
     }
 
-    /// A tracer sized by a [`ProfileConfig`].
-    pub fn from_config(cfg: &ProfileConfig) -> Self {
-        Tracer::new(cfg.events)
+    /// Record one event; returns its global sequence number.
+    pub fn record(&self, event: Event) -> u64 {
+        // Relaxed: the counter publishes nothing by itself; the record
+        // travels through the slot mutex.
+        let seq = self.head.fetch_add(1, Ordering::Relaxed);
+        let mut slot = self.slot(seq);
+        // A writer lapped by a full ring must not bury the newer record.
+        if slot.as_ref().is_none_or(|old| old.seq < seq) {
+            *slot = Some(Record { seq, event });
+        }
+        seq
     }
 
-    /// Append one event. Lock-free; drops (and counts) once full.
-    pub fn record(&self, event: TraceEvent) {
-        let i = self.head.fetch_add(1, Ordering::Relaxed);
-        match self.slots.get(i) {
-            Some(slot) => {
-                // SAFETY: the fetch_add handed index `i` to this thread
-                // alone; nobody reads the cell before `committed` flips.
-                unsafe { *slot.event.get() = Some(event) };
-                slot.committed.store(true, Ordering::Release);
-            }
-            None => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Whether this ring wants allocation-carrying detail: pass runs
+    /// and per-launch kernel names (true iff profiling is on).
+    pub fn detailed(&self) -> bool {
+        self.detailed
+    }
+
+    /// Record `build()` on a [detailed](EventRing::detailed) ring; one
+    /// branch, and `build` never runs, otherwise.
+    pub fn detail(&self, build: impl FnOnce() -> Event) {
+        if self.detailed {
+            self.record(build());
         }
     }
 
-    /// Events recorded so far (committed reservations, capped at
-    /// capacity).
-    pub fn len(&self) -> usize {
-        self.head.load(Ordering::Acquire).min(self.slots.len())
+    /// Total events ever recorded (including overwritten ones).
+    pub fn recorded(&self) -> u64 {
+        self.head.load(Ordering::Relaxed)
     }
 
-    /// Whether no event has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Ring capacity in events.
+    /// Ring capacity in records.
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
-    /// Events dropped because the ring was full.
+    /// Records lost to overwriting: everything recorded beyond the
+    /// newest `capacity`.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.recorded().saturating_sub(self.slots.len() as u64)
     }
 
-    /// Snapshot the committed events in record order. In-flight
-    /// (reserved but not yet committed) slots are skipped.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let n = self.len();
-        self.slots[..n]
-            .iter()
-            .filter_map(|s| {
-                if s.committed.load(Ordering::Acquire) {
-                    // SAFETY: committed implies the writer's release
-                    // store happened-before this acquire load.
-                    unsafe { (*s.event.get()).clone() }
-                } else {
-                    None
-                }
-            })
+    /// The newest `n` surviving records, ascending by sequence number.
+    ///
+    /// Taken concurrently with writers this is a best-effort snapshot
+    /// (a reserved but not yet stored record is skipped); taken at
+    /// quiesce it is exactly the last `min(n, recorded, capacity)`.
+    pub fn last(&self, n: usize) -> Vec<Record> {
+        let head = self.recorded();
+        let window = n.min(self.slots.len()) as u64;
+        (head.saturating_sub(window)..head)
+            .filter_map(|seq| self.slot(seq).as_ref().filter(|r| r.seq == seq).cloned())
             .collect()
     }
-}
 
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity())
-            .field("dropped", &self.dropped())
-            .finish()
+    /// Every surviving record, ascending by sequence number.
+    pub fn records(&self) -> Vec<Record> {
+        self.last(self.slots.len())
+    }
+
+    /// Every surviving event, in record order.
+    pub fn events(&self) -> Vec<Event> {
+        self.records().into_iter().map(|r| r.event).collect()
+    }
+
+    fn slot(&self, seq: u64) -> std::sync::MutexGuard<'_, Option<Record>> {
+        self.slots[(seq % self.slots.len() as u64) as usize]
+            .lock()
+            .expect("no code path panics while holding a slot")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::Barrier;
 
-    fn kernel_retire(seq: u64) -> TraceEvent {
-        TraceEvent::KernelRetire {
-            stream: 0,
+    fn placed(seq: u64) -> Event {
+        Event::Placed {
+            stream: Some(0),
             seq,
+            kind: CommandKind::Launch,
             device: 0,
-            kernel: "k".into(),
             start: 10 * seq,
             end: 10 * seq + 5,
+            words: 0,
             instructions: 3,
+            kernel: Some("k".into()),
         }
     }
 
     #[test]
     fn record_order_is_reservation_order() {
-        let t = Tracer::new(8);
+        let ring = EventRing::new(8, false);
         for seq in 0..5 {
-            t.record(kernel_retire(seq));
+            assert_eq!(ring.record(placed(seq)), seq);
         }
-        let ev = t.events();
-        assert_eq!(ev.len(), 5);
-        for (i, e) in ev.iter().enumerate() {
-            assert_eq!(e, &kernel_retire(i as u64));
-        }
-        assert_eq!(t.dropped(), 0);
+        assert_eq!(ring.events(), (0..5).map(placed).collect::<Vec<_>>());
+        assert_eq!(ring.dropped(), 0);
+        let last2: Vec<u64> = ring.last(2).iter().map(|r| r.seq).collect();
+        assert_eq!(last2, vec![3, 4]);
+        assert_eq!(ring.last(100).len(), 5);
     }
 
     #[test]
-    fn full_ring_drops_and_counts() {
-        let t = Tracer::new(2);
-        for seq in 0..5 {
-            t.record(kernel_retire(seq));
-        }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 3);
-    }
-
-    #[test]
-    fn concurrent_records_all_land() {
-        let t = Arc::new(Tracer::new(4096));
-        let threads: Vec<_> = (0..4)
-            .map(|id| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    for seq in 0..512 {
-                        t.record(kernel_retire((id * 1000 + seq) as u64));
+    fn concurrent_writers_lapping_the_ring_leave_the_newest_window() {
+        const WRITERS: u64 = 4;
+        const EACH: u64 = 500;
+        let ring = EventRing::new(64, false);
+        let start = Barrier::new(WRITERS as usize);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (ring, start) = (&ring, &start);
+                scope.spawn(move || {
+                    // All writers released together, so they contend
+                    // for the same few slots lap after lap.
+                    start.wait();
+                    for i in 0..EACH {
+                        ring.record(placed(w * EACH + i));
                     }
-                })
-            })
-            .collect();
-        for th in threads {
-            th.join().unwrap();
-        }
-        assert_eq!(t.events().len(), 4 * 512);
-        assert_eq!(t.dropped(), 0);
+                });
+            }
+        });
+        let total = WRITERS * EACH;
+        assert_eq!(ring.recorded(), total);
+        assert_eq!(ring.dropped(), total - 64);
+        // The survivors are exactly the newest 64 sequence numbers.
+        let seqs: Vec<u64> = ring.records().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (total - 64..total).collect::<Vec<_>>());
     }
 
     #[test]
-    fn categories_cover_every_variant() {
-        let cases: Vec<(TraceEvent, &str)> = vec![
-            (kernel_retire(0), "kernel"),
-            (
-                TraceEvent::Copy {
-                    stream: 0,
-                    seq: 0,
-                    device: 0,
-                    to_device: true,
-                    words: 4,
-                    start: 0,
-                    end: 13,
-                },
-                "copy",
-            ),
-            (
-                TraceEvent::EventWait {
-                    stream: 0,
-                    seq: 1,
-                    device: 0,
-                    at: 13,
-                },
-                "sync",
-            ),
-            (
-                TraceEvent::GraphReplayDone {
-                    nodes: 3,
-                    span_cycles: 99,
-                },
-                "graph",
-            ),
-            (TraceEvent::DecodeCacheMiss { kernel: "k".into() }, "cache"),
-            (
-                TraceEvent::PassRun {
-                    kernel: "k".into(),
-                    pass: "dce".into(),
-                    insts_before: 10,
-                    insts_after: 8,
-                    changed: true,
-                },
-                "compiler",
-            ),
-            (
-                TraceEvent::GaugeSample {
-                    name: "stream_queue_depth".into(),
-                    label: "stream0".into(),
-                    value: 3,
-                    at: 640,
-                },
-                "gauge",
-            ),
-        ];
-        for (e, cat) in cases {
-            assert_eq!(e.category(), cat);
-        }
+    fn detail_is_recorded_only_on_a_detailed_ring() {
+        let pass = || Event::PassRun {
+            kernel: "k".into(),
+            pass: "dce".into(),
+            insts_before: 10,
+            insts_after: 8,
+            changed: true,
+        };
+        let plain = EventRing::new(4, false);
+        plain.detail(|| unreachable!("never built on a plain ring"));
+        assert_eq!(plain.recorded(), 0);
+        let detailed = EventRing::new(4, true);
+        detailed.detail(pass);
+        assert_eq!(detailed.events(), vec![pass()]);
     }
 
     #[test]
-    fn events_roundtrip_through_serde() {
-        let e = kernel_retire(7);
-        let json = serde_json::to_string(&e).unwrap();
-        let back: TraceEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
+    fn records_roundtrip_through_serde() {
+        let ring = EventRing::new(8, true);
+        ring.record(Event::Pause);
+        ring.record(placed(7));
+        ring.record(Event::CacheLookup {
+            kernel: "saxpy".into(),
+            tier: CacheTier::Compile,
+            hit: false,
+            decoded: true,
+        });
+        ring.record(Event::Failed {
+            stream: 1,
+            kind: CommandKind::CopyIn,
+            error: "copy out of bounds".into(),
+        });
+        let records = ring.records();
+        let json = serde_json::to_string(&records).unwrap();
+        let back: Vec<Record> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, records);
     }
 }

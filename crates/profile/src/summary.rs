@@ -1,25 +1,32 @@
 //! Flat trace summary: the event stream folded into serializable
 //! counters, consumed by the bench harness's `tables --profile` output
 //! and handy for quick assertions in tests.
+//!
+//! The summary counts *timeline marks* — what a trace draws — not ring
+//! records: a placed launch is two (its dispatch and its retire), an
+//! enqueue or publish is two gauge samples, and events with no place on
+//! a timeline (batch claims, pause/resume, the fault lifecycle) count
+//! for nothing.
 
-use crate::TraceEvent;
+use crate::{CacheTier, CommandKind, Event};
 use serde::{Deserialize, Serialize};
 
-/// Event count for one category label.
+/// Mark count for one category label.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CategoryCount {
-    /// Category label (see [`TraceEvent::category`]).
+    /// Category label: `kernel`, `copy`, `sync`, `graph`, `cache`,
+    /// `compiler` or `gauge`.
     pub category: String,
-    /// Events recorded in the category.
+    /// Marks recorded in the category.
     pub events: u64,
 }
 
 /// A flat roll-up of one trace.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceSummary {
-    /// Total events summarized.
+    /// Total timeline marks summarized (the sum of `by_category`).
     pub events: u64,
-    /// Events dropped by the recorder (ring full).
+    /// Events the ring overwrote before the snapshot.
     pub dropped: u64,
     /// Kernel launches dispatched.
     pub kernel_launches: u64,
@@ -55,67 +62,76 @@ pub struct TraceSummary {
     pub passes_changed: u64,
     /// Gauge samples recorded (queue depth / outstanding counters).
     pub gauge_samples: u64,
-    /// Per-category event counts, sorted by category label.
+    /// Per-category mark counts, sorted by category label.
     pub by_category: Vec<CategoryCount>,
 }
 
-/// Fold an event stream (plus the recorder's drop count) into a
-/// [`TraceSummary`].
-pub fn summarize(events: &[TraceEvent], dropped: u64) -> TraceSummary {
+/// Fold an event stream (plus the ring's overwritten-event count) into
+/// a [`TraceSummary`].
+pub fn summarize(events: &[Event], dropped: u64) -> TraceSummary {
     let mut s = TraceSummary {
-        events: events.len() as u64,
         dropped,
         ..Default::default()
     };
-    let mut cats: Vec<(String, u64)> = Vec::new();
     for e in events {
-        let cat = e.category();
-        match cats.iter_mut().find(|(c, _)| c == cat) {
-            Some((_, n)) => *n += 1,
-            None => cats.push((cat.to_string(), 1)),
-        }
         match e {
-            TraceEvent::KernelLaunch { .. } => s.kernel_launches += 1,
-            TraceEvent::KernelRetire {
+            Event::Placed { stream: None, .. } => s.graph_nodes += 1,
+            Event::Placed {
+                kind,
                 start,
                 end,
+                words,
                 instructions,
                 ..
-            } => {
-                s.kernel_retires += 1;
-                s.kernel_cycles += end.saturating_sub(*start);
-                s.instructions += instructions;
-            }
-            TraceEvent::Copy {
-                words, start, end, ..
-            } => {
-                s.copies += 1;
-                s.copy_words += words;
-                s.copy_cycles += end.saturating_sub(*start);
-            }
-            TraceEvent::EventRecord { .. } | TraceEvent::EventWait { .. } => {
-                s.sync_commands += 1;
-            }
-            TraceEvent::GraphNodePlace { .. } => s.graph_nodes += 1,
-            TraceEvent::GraphReplayDone { .. } => s.graph_replays += 1,
-            TraceEvent::CompileCacheHit { .. } => s.compile_hits += 1,
-            TraceEvent::CompileCacheMiss { .. } => s.compile_misses += 1,
-            TraceEvent::DecodeCacheHit { .. } => s.decode_hits += 1,
-            TraceEvent::DecodeCacheMiss { .. } => s.decode_misses += 1,
-            TraceEvent::PassRun { changed, .. } => {
-                s.pass_runs += 1;
-                if *changed {
-                    s.passes_changed += 1;
+            } => match kind {
+                CommandKind::Launch => {
+                    s.kernel_launches += 1;
+                    s.kernel_retires += 1;
+                    s.kernel_cycles += end.saturating_sub(*start);
+                    s.instructions += instructions;
                 }
+                CommandKind::CopyIn | CommandKind::CopyOut => {
+                    s.copies += 1;
+                    s.copy_words += words;
+                    s.copy_cycles += end.saturating_sub(*start);
+                }
+                CommandKind::EventRecord | CommandKind::EventWait => s.sync_commands += 1,
+            },
+            Event::GraphReplayDone { .. } => s.graph_replays += 1,
+            Event::CacheLookup { tier, hit, .. } => {
+                *match (tier, hit) {
+                    (CacheTier::Compile, true) => &mut s.compile_hits,
+                    (CacheTier::Compile, false) => &mut s.compile_misses,
+                    (CacheTier::Decode, true) => &mut s.decode_hits,
+                    (CacheTier::Decode, false) => &mut s.decode_misses,
+                } += 1;
             }
-            TraceEvent::GaugeSample { .. } => s.gauge_samples += 1,
+            Event::PassRun { changed, .. } => {
+                s.pass_runs += 1;
+                s.passes_changed += u64::from(*changed);
+            }
+            Event::Enqueue { .. } | Event::Publish { .. } => s.gauge_samples += 2,
+            _ => {}
         }
     }
-    cats.sort();
-    s.by_category = cats
-        .into_iter()
-        .map(|(category, events)| CategoryCount { category, events })
-        .collect();
+    let cache = s.compile_hits + s.compile_misses + s.decode_hits + s.decode_misses;
+    s.by_category = [
+        ("cache", cache),
+        ("compiler", s.pass_runs),
+        ("copy", s.copies),
+        ("gauge", s.gauge_samples),
+        ("graph", s.graph_nodes + s.graph_replays),
+        ("kernel", s.kernel_launches + s.kernel_retires),
+        ("sync", s.sync_commands),
+    ]
+    .into_iter()
+    .filter(|&(_, events)| events > 0)
+    .map(|(category, events)| CategoryCount {
+        category: category.to_string(),
+        events,
+    })
+    .collect();
+    s.events = s.by_category.iter().map(|c| c.events).sum();
     s
 }
 
@@ -125,51 +141,56 @@ mod tests {
 
     #[test]
     fn summary_counts_by_kind_and_category() {
+        let placed = |stream, kind, end, words, instructions| Event::Placed {
+            stream,
+            seq: 0,
+            kind,
+            device: 0,
+            start: 0,
+            end,
+            words,
+            instructions,
+            kernel: None,
+        };
         let events = vec![
-            TraceEvent::KernelLaunch {
-                stream: 0,
-                seq: 1,
-                device: 0,
+            placed(Some(0), CommandKind::Launch, 50, 0, 9),
+            placed(Some(0), CommandKind::CopyIn, 16, 16, 0),
+            placed(Some(0), CommandKind::EventWait, 0, 0, 0),
+            placed(None, CommandKind::Launch, 30, 0, 5),
+            Event::CacheLookup {
                 kernel: "k".into(),
-                start: 0,
+                tier: CacheTier::Compile,
+                hit: false,
+                decoded: true,
             },
-            TraceEvent::KernelRetire {
-                stream: 0,
-                seq: 1,
-                device: 0,
-                kernel: "k".into(),
-                start: 0,
-                end: 50,
-                instructions: 9,
-            },
-            TraceEvent::Copy {
-                stream: 0,
-                seq: 0,
-                device: 0,
-                to_device: true,
-                words: 16,
-                start: 0,
-                end: 16,
-            },
-            TraceEvent::CompileCacheMiss { kernel: "k".into() },
-            TraceEvent::PassRun {
+            Event::PassRun {
                 kernel: "k".into(),
                 pass: "dce".into(),
                 insts_before: 12,
                 insts_after: 9,
                 changed: true,
             },
+            Event::Publish {
+                stream: 0,
+                device: 0,
+                commands: 2,
+                depth: 0,
+                outstanding: 0,
+                at: 50,
+            },
+            // No place on a timeline: counts for nothing.
+            Event::Pause,
         ];
         let s = summarize(&events, 2);
-        assert_eq!(s.events, 5);
         assert_eq!(s.dropped, 2);
-        assert_eq!(s.kernel_launches, 1);
-        assert_eq!(s.kernel_retires, 1);
+        assert_eq!((s.kernel_launches, s.kernel_retires), (1, 1));
         assert_eq!(s.kernel_cycles, 50);
         assert_eq!(s.instructions, 9);
         assert_eq!((s.copies, s.copy_words, s.copy_cycles), (1, 16, 16));
+        assert_eq!((s.sync_commands, s.graph_nodes), (1, 1));
         assert_eq!(s.compile_misses, 1);
         assert_eq!((s.pass_runs, s.passes_changed), (1, 1));
+        assert_eq!(s.gauge_samples, 2);
         let cats: Vec<(&str, u64)> = s
             .by_category
             .iter()
@@ -177,8 +198,17 @@ mod tests {
             .collect();
         assert_eq!(
             cats,
-            vec![("cache", 1), ("compiler", 1), ("copy", 1), ("kernel", 2)]
+            vec![
+                ("cache", 1),
+                ("compiler", 1),
+                ("copy", 1),
+                ("gauge", 2),
+                ("graph", 1),
+                ("kernel", 2),
+                ("sync", 1)
+            ]
         );
+        assert_eq!(s.events, 9);
         // Round-trips through JSON for the harness.
         let json = serde_json::to_string(&s).unwrap();
         let back: TraceSummary = serde_json::from_str(&json).unwrap();

@@ -19,12 +19,13 @@
 //! Replays are parameterizable: [`GraphExec::set_copy_in`] swaps a
 //! copy-in node's payload between replays — new data, zero recompiles.
 
+use crate::scheduler::{Origin, Retired};
 use crate::stats::CommandKind;
 use crate::{Runtime, RuntimeError};
 use simt_compiler::OptLevel;
 use simt_core::ExecStats;
 use simt_graph::{ExecGraph, GraphOp, KernelSource, NodeId};
-use simt_profile::{CommandClass, TraceEvent};
+use simt_profile::Event;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -193,32 +194,17 @@ impl Runtime {
             let node = exec.graph.node(id);
             let ready = node.deps.iter().map(|d| ends[d]).max().unwrap_or(0);
             let t0 = Instant::now();
-            let (kind, cycles, words, stats, cache_hit, compile_hit) = match &node.op {
+            let (kind, cycles, words, launch) = match &node.op {
                 GraphOp::CopyIn { dst, data } => {
                     check_window(*dst, data.len(), buffer.len())?;
                     buffer[*dst..dst + data.len()].copy_from_slice(data);
                     let cycles = device.copy_cycles(data.len());
-                    (
-                        CommandKind::CopyIn,
-                        cycles,
-                        data.len() as u64,
-                        None,
-                        false,
-                        false,
-                    )
+                    (CommandKind::CopyIn, cycles, data.len(), None)
                 }
                 GraphOp::CopyOut { src, len } => {
                     check_window(*src, *len, buffer.len())?;
                     replay.outputs.push((id, buffer[*src..src + len].to_vec()));
-                    let cycles = device.copy_cycles(*len);
-                    (
-                        CommandKind::CopyOut,
-                        cycles,
-                        *len as u64,
-                        None,
-                        false,
-                        false,
-                    )
+                    (CommandKind::CopyOut, device.copy_cycles(*len), *len, None)
                 }
                 GraphOp::Launch(spec) => {
                     let outcome = device.run_launch(spec, &mut buffer)?;
@@ -226,51 +212,22 @@ impl Runtime {
                     if outcome.compile_hit {
                         replay.compile_hits += 1;
                     }
-                    let cycles = outcome.stats.cycles;
-                    if let Some(m) = &self.shared.metrics {
-                        device.kernel_cycles(&m.registry, &spec.name).record(cycles);
-                    }
-                    (
-                        CommandKind::Launch,
-                        cycles,
-                        0,
-                        Some(outcome.stats),
-                        outcome.cache_hit,
-                        outcome.compile_hit,
-                    )
+                    let launch = self.shared.launched(&mut device, &spec.name, outcome);
+                    let cycles = launch.outcome.stats.cycles;
+                    (CommandKind::Launch, cycles, 0, Some(launch))
                 }
             };
-            let (placed, start, end) = self.shared.place_graph_command(
+            let (placed, start, end) = self.shared.retire_graph_node(&Retired {
+                origin: Origin::Graph { ready },
+                seq: id.index() as u64,
                 kind,
-                ready,
                 cycles,
-                words,
-                stats.as_ref(),
-                cache_hit,
-                compile_hit,
-                t0.elapsed(),
-            );
+                words: words as u64,
+                wall: t0.elapsed(),
+                launch,
+            });
             ends.insert(id, end);
             span = (span.0.min(start), span.1.max(end));
-            if self.shared.tracer.is_some() {
-                let class = match kind {
-                    CommandKind::Launch => CommandClass::Launch,
-                    CommandKind::CopyIn => CommandClass::CopyIn,
-                    _ => CommandClass::CopyOut,
-                };
-                let kernel = match &node.op {
-                    GraphOp::Launch(spec) => spec.name.clone(),
-                    _ => String::new(),
-                };
-                self.shared.emit(TraceEvent::GraphNodePlace {
-                    node: id.index(),
-                    class,
-                    device: placed,
-                    start,
-                    end,
-                    kernel,
-                });
-            }
             replay.placements.push(NodePlacement {
                 node: id,
                 kind,
@@ -283,7 +240,7 @@ impl Runtime {
         if let Some(m) = &self.shared.metrics {
             m.record_graph_span(replay.span_cycles);
         }
-        self.shared.emit(TraceEvent::GraphReplayDone {
+        self.shared.record(Event::GraphReplayDone {
             nodes: replay.placements.len(),
             span_cycles: replay.span_cycles,
         });

@@ -54,6 +54,8 @@
 //! assert_eq!(out.wait().unwrap(), LaunchSpec::saxpy(3, &x, &y).expected);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod graph;
 pub mod pool;
@@ -78,17 +80,17 @@ pub use stream::{CopyHandle, LaunchHandle, Stream};
 // The graph vocabulary, so runtime users need no extra import to
 // capture, fuse and replay.
 pub use simt_graph::{fuse, ExecGraph, FusionReport, GraphBuilder, GraphError, NodeId};
-// The profiling vocabulary likewise: configure with ProfileConfig,
-// read the timeline back as TraceEvents through Runtime::tracer.
-pub use simt_profile::{ProfileConfig, TraceEvent, Tracer};
+// The event vocabulary likewise: configure with ProfileConfig, read
+// the trace back as `simt_profile::Event`s through Runtime::tracer.
+pub use simt_profile::{CacheTier, EventRing, ProfileConfig, Record};
 // And the metrics vocabulary: snapshot with Runtime::metrics_snapshot,
 // watch with Runtime::health, export via simt_metrics::prometheus.
 pub use simt_metrics::{HealthConfig, HealthFinding, HealthMonitor, HealthReport, MetricsSnapshot};
-// And the forensics vocabulary: the always-on flight recorder behind
+// And the forensics vocabulary: the black-box window behind
 // Runtime::flight, postmortem bundles from Runtime::postmortem.
 pub use simt_forensics::{
-    gauge_timelines, FlightDump, FlightEvent, FlightKind, FlightRecord, FlightRecorder,
-    GaugeTimeline, KernelHotspots, PcHotspot, PostmortemReport, POSTMORTEM_SCHEMA_VERSION,
+    gauge_timelines, FlightDump, GaugeTimeline, KernelHotspots, PcHotspot, PostmortemReport,
+    POSTMORTEM_SCHEMA_VERSION,
 };
 // And the chaos vocabulary: configure with RuntimeConfig::with_chaos /
 // with_recovery, observe through Runtime::device_health and the typed
@@ -280,15 +282,10 @@ impl Runtime {
             Some(cap) => CompileCache::with_capacity(cap),
             None => CompileCache::new(),
         };
-        // The profiler's tracer lives on the scheduler; the compile
-        // cache reports its hits/misses/passes into the same timeline.
-        if let Some(t) = &shared.tracer {
-            compile_cache = compile_cache.with_tracer(Arc::clone(t));
-        }
-        // The flight recorder likewise: cache outcomes land in the
-        // always-on forensics window.
-        if let Some(f) = &shared.flight {
-            compile_cache = compile_cache.with_flight(Arc::clone(f));
+        // The event ring lives on the scheduler; the compile cache
+        // reports its lookups and pass runs into the same one.
+        if let Some(ring) = &shared.events {
+            compile_cache = compile_cache.with_events(Arc::clone(ring));
         }
         let compile_cache = Arc::new(compile_cache);
         let pc_sink = cfg
@@ -436,13 +433,15 @@ impl Runtime {
         stats
     }
 
-    /// The structured-event tracer, when the runtime was built with a
-    /// [`ProfileConfig`] (`None` otherwise). Snapshot its timeline with
-    /// [`Tracer::events`] and export it with
+    /// The trace, when the runtime was built with a [`ProfileConfig`]
+    /// (`None` otherwise): the pool's event ring, holding at least the
+    /// newest [`ProfileConfig::events`] transitions in full detail.
+    /// Snapshot it with [`EventRing::events`] and export it with
     /// [`simt_profile::chrome::chrome_trace`] or
     /// [`simt_profile::summary::summarize`].
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.shared.tracer.as_ref()
+    pub fn tracer(&self) -> Option<&Arc<EventRing>> {
+        let profiled = self.config().profile.is_some();
+        self.shared.events.as_ref().filter(|_| profiled)
     }
 
     /// Snapshot the always-on pool metrics (`None` iff the runtime was
@@ -506,44 +505,38 @@ impl Runtime {
         self.metrics_snapshot().map(|snap| monitor.check(&snap))
     }
 
-    /// The always-on flight recorder (`None` iff the runtime was built
-    /// with [`RuntimeConfig::with_flight_capacity`]`(0)`). Dump its
-    /// surviving window with [`FlightRecorder::dump`]; postmortems
-    /// bundle it automatically.
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.shared.flight.as_ref()
+    /// The always-on black box (`None` iff the runtime was built with
+    /// [`RuntimeConfig::with_flight_capacity`]`(0)`): the newest
+    /// `flight_capacity` records of the pool's event ring — on a
+    /// profiled pool, the tail of the trace. Postmortems bundle it
+    /// automatically.
+    pub fn flight(&self) -> Option<FlightDump> {
+        let capacity = self.config().flight_capacity;
+        (capacity > 0).then(|| FlightDump::capture(self.shared.events.as_deref(), capacity))
     }
 
-    /// Assemble a deterministic [`PostmortemReport`]: the health walk,
-    /// the full metrics snapshot, the flight recorder's surviving
-    /// window, gauge timelines derived from it, and — when the runtime
+    /// Assemble a [`PostmortemReport`]: the health walk, the full
+    /// metrics snapshot, the black-box window of the event ring, gauge
+    /// timelines derived from it, and — when the runtime
     /// was built with [`ProfileConfig::per_pc`] — per-PC hotspots with
     /// disassembly and IR source-map attribution for every profiled
     /// kernel.
     ///
     /// Health findings observed during assembly are also recorded into
-    /// the flight window (as [`FlightEvent::Health`]) so the dump shows
-    /// *when* the watchdog spoke relative to scheduler activity.
+    /// the event ring (as [`simt_profile::Event::Health`]) so the dump
+    /// shows *when* the watchdog spoke relative to scheduler activity.
     /// Returns `None` iff metrics are off (a postmortem without a
     /// snapshot names nothing).
     pub fn postmortem(&self, reason: &str) -> Option<PostmortemReport> {
         let metrics = self.metrics_snapshot()?;
         let health = HealthMonitor::new(self.config().health.clone()).check(&metrics);
-        if let Some(f) = &self.shared.flight {
-            for finding in &health.findings {
-                f.record(FlightEvent::Health {
-                    finding: finding.label(),
-                });
-            }
+        for finding in &health.findings {
+            self.shared.record(simt_profile::Event::Health {
+                finding: finding.label(),
+            });
         }
-        let flight = match &self.shared.flight {
-            Some(f) => f.dump(),
-            None => FlightDump {
-                recorded: 0,
-                capacity: 0,
-                events: Vec::new(),
-            },
-        };
+        let flight =
+            FlightDump::capture(self.shared.events.as_deref(), self.config().flight_capacity);
         let timelines = gauge_timelines(&flight);
         let hotspots = self.hotspots();
         Some(PostmortemReport {

@@ -82,21 +82,23 @@ pub struct RuntimeConfig {
     /// programs must not grow the cache without limit; evictions are
     /// counted in [`crate::RuntimeStats::compile_evictions`].
     pub compile_cache_capacity: Option<usize>,
-    /// Opt-in tracing/profiling (`None` = disabled, the default; the
-    /// instrumented hot paths then cost one branch on a `None`). See
-    /// [`simt_profile::ProfileConfig`].
+    /// Opt-in tracing/profiling (`None` = disabled, the default: the
+    /// event ring then keeps only the black-box window and records no
+    /// allocation-carrying detail). See [`simt_profile::ProfileConfig`].
     pub profile: Option<ProfileConfig>,
     /// Always-on pool metrics (counters, watermark gauges, modeled-cycle
     /// latency histograms — `simt-metrics`). On by default: the record
     /// path is a few relaxed atomics per *retired command*, not per
     /// instruction. The off switch exists so the disabled-path cost can
-    /// be measured (`BENCH_sim.json:metrics_overhead`).
+    /// be measured (`bench-e2e --trace 1`:
+    /// `metrics.overhead_ns_per_launch`).
     pub metrics: bool,
-    /// Flight-recorder window: the newest this-many scheduler events
-    /// are always retained for postmortems (`simt-forensics`). `0`
-    /// disables the recorder entirely — like `metrics`, the off switch
-    /// exists to measure the disabled path
-    /// (`BENCH_sim.json:forensics_overhead`).
+    /// Black-box window: the newest this-many events of the pool's
+    /// event ring are always retained for postmortems
+    /// (`simt-forensics`). `0` disables it — and, with no `profile`
+    /// either, the ring itself. Like `metrics`, the off switch exists
+    /// to measure the disabled path (`bench-e2e --trace 1`:
+    /// `forensics.overhead_ns_per_launch`).
     pub flight_capacity: usize,
     /// Health-watchdog thresholds used by [`crate::Runtime::health`]
     /// and postmortems. Defaults preserve the watchdog's stock
@@ -155,8 +157,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the flight-recorder window (`0` disables it; only for
-    /// measuring the disabled-path cost).
+    /// Set the black-box window (`0` disables it; only for measuring
+    /// the disabled-path cost).
     pub fn with_flight_capacity(mut self, flight_capacity: usize) -> Self {
         self.flight_capacity = flight_capacity;
         self

@@ -1,11 +1,11 @@
 //! The multi-device scheduler.
 //!
-//! One worker thread per pool device drains ready commands from any
-//! stream with work (spawned on the vendored rayon shim's `std::thread`
-//! substrate). A wake-up claims a *batch*: consecutive ready commands
-//! of one stream, up to `max_batch`, stopping after a launch so
-//! co-resident streams interleave — that is what lets one stream's
-//! copies overlap another stream's compute.
+//! One worker thread per pool device (a plain `std::thread` spawn)
+//! drains ready commands from any stream with work. A wake-up claims a
+//! *batch*: consecutive ready commands of one stream, up to
+//! `max_batch`, stopping after a launch so co-resident streams
+//! interleave — that is what lets one stream's copies overlap another
+//! stream's compute.
 //!
 //! Besides real host execution, the scheduler maintains a
 //! discrete-event **virtual timeline** in device clocks: every device
@@ -17,15 +17,25 @@
 //! device while others idle. Per-stream ordering is preserved by the
 //! stream's own completion chain (`vdone`). The resulting makespan is
 //! the modeled wall-clock of the whole job graph on the pool — the
-//! metric the throughput bench and the overlap example report, and one
-//! that is exact regardless of how many host cores the simulation
-//! itself got.
+//! metric the throughput bench and the overlap example report.
+//!
+//! What is deterministic: every command's modeled cycles, the order of
+//! commands within a stream, and — with one worker draining a backlog
+//! built under [`crate::Runtime::pause`] — the whole timeline. What is not:
+//! commands are placed when their batch is published, so with more
+//! than one worker the cross-stream makespan and the per-device splits
+//! follow host completion order (`tables --check` holds those leaves
+//! to a report-only band for that reason).
 //!
 //! The scheduler also hosts **stream capture**: a capturing stream's
 //! commands are recorded into a `simt_graph` DAG (per-stream chain
 //! edges, plus cross-stream edges through captured events) instead of
-//! executing, and graph replay places its nodes through the same
-//! least-loaded rule via [`Shared::place_graph_command`].
+//! executing, and graph replay retires its nodes through the same
+//! `Shared::retire` path stream commands take.
+//!
+//! Every transition is written down once, as a [`simt_profile::Event`]
+//! in the pool's one [`EventRing`] — the trace of a profiled pool and
+//! the black box of every pool are both views of it.
 //!
 //! ## Wake protocol
 //!
@@ -78,16 +88,15 @@
 //! transition of `outstanding` to zero — the only thing its waiters
 //! test.
 
-use crate::pool::{Device, RuntimeConfig};
+use crate::pool::{Device, LaunchOutcome, RuntimeConfig};
 use crate::stats::{CommandKind, CompletionRecord, DeviceStats, RuntimeStats, StreamStats};
 use crate::stream::Command;
 use crate::RuntimeError;
 use simt_chaos::{DeviceHealth, FaultKind, FaultPlan, PlannedFault};
 use simt_core::ExecStats;
-use simt_forensics::{FlightEvent, FlightKind, FlightRecorder};
 use simt_graph::{ExecGraph, GraphNode, GraphOp, NodeId};
 use simt_metrics::{names as metric, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
-use simt_profile::{labels, TraceEvent, Tracer};
+use simt_profile::{labels, Event, EventRing};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -197,20 +206,6 @@ impl PoolMetrics {
             retry_backoff: registry.histogram(metric::RETRY_BACKOFF_CYCLES, ""),
             registry,
         }
-    }
-
-    /// Record one retired launch (stream or graph path).
-    fn record_launch(&self, device: usize, stats: &ExecStats) {
-        self.launches.inc();
-        self.dyn_instrs.add(stats.instructions);
-        self.thread_ops.add(stats.thread_ops);
-        self.device_busy[device].add(stats.cycles);
-    }
-
-    /// Record one retired copy (stream or graph path).
-    fn record_copy(&self, device: usize, cycles: u64) {
-        self.copies.inc();
-        self.device_busy[device].add(cycles);
     }
 
     /// Record the modeled critical-path span of one graph replay.
@@ -335,66 +330,84 @@ pub(crate) struct Shared {
     /// `synchronize` waits here for quiescence.
     idle: Condvar,
     pub(crate) shutdown: AtomicBool,
-    /// Structured-event recorder (`Some` iff the pool was configured
-    /// with a [`simt_profile::ProfileConfig`]).
-    pub(crate) tracer: Option<Arc<Tracer>>,
+    /// The pool's event ring: the newest
+    /// `max(flight_capacity, profile.events)` transitions, detailed iff
+    /// profiling is on. `None` iff both the black box
+    /// ([`RuntimeConfig::flight_capacity`] zero) and the profiler are
+    /// off.
+    pub(crate) events: Option<Arc<EventRing>>,
     /// Always-on pool metrics (`Some` unless [`RuntimeConfig::metrics`]
     /// was switched off to measure the disabled path).
     pub(crate) metrics: Option<PoolMetrics>,
-    /// Always-on flight recorder (`Some` unless
-    /// [`RuntimeConfig::flight_capacity`] is zero — the off switch
-    /// exists only to measure the disabled path).
-    pub(crate) flight: Option<Arc<FlightRecorder>>,
     /// Compiled fault-injection oracle (`Some` iff the pool was
     /// configured with [`RuntimeConfig::with_chaos`]).
     plan: Option<FaultPlan>,
     started: Instant,
 }
 
-/// A `CopyOut` completion cell plus the words to deliver into it.
-type CopyDelivery = (
-    Arc<crate::stream::Slot<Result<Vec<u32>, RuntimeError>>>,
-    Vec<u32>,
-);
+/// Where a retired command came from, which decides where it may go
+/// and whose books it lands in besides the placement device's.
+pub(crate) enum Origin {
+    /// A stream command: ready at the stream's completion front.
+    Stream {
+        sid: usize,
+        /// This success is a recovery from an earlier fault.
+        faulted: bool,
+        /// Device the faulted attempt was blamed on (failover target
+        /// exclusion at placement).
+        avoid: Option<usize>,
+    },
+    /// A graph-replay node: ready when its dependencies end.
+    Graph { ready: u64 },
+}
+
+/// What a launch adds to a [`Retired`] command.
+pub(crate) struct Launched {
+    pub(crate) outcome: LaunchOutcome,
+    /// Kernel name, on a detailed (profiled) ring: it costs an
+    /// allocation.
+    pub(crate) kernel: Option<Arc<str>>,
+    /// The kernel-labelled launch-cycle histogram (`Some` iff metrics
+    /// are on), resolved by the executing thread before it took the
+    /// scheduler lock.
+    pub(crate) kernel_cycles: Option<Arc<Histogram>>,
+}
+
+/// One executed copy or launch on its way to the virtual timeline:
+/// everything [`Shared::retire`] places, accounts and records.
+pub(crate) struct Retired {
+    pub(crate) origin: Origin,
+    /// Sequence number within the stream, or node index within the
+    /// graph.
+    pub(crate) seq: u64,
+    pub(crate) kind: CommandKind,
+    /// Modeled engine cycles.
+    pub(crate) cycles: u64,
+    /// Words moved (copies).
+    pub(crate) words: u64,
+    /// Host time spent executing.
+    pub(crate) wall: Duration,
+    /// `Some` iff the command is a launch.
+    pub(crate) launch: Option<Launched>,
+}
+
+/// The handle a retired stream command resolves.
+enum Sink {
+    /// Copy-ins have none.
+    None,
+    /// `CopyOut` cell plus the words to deliver into it.
+    CopyOut(
+        Arc<crate::stream::Slot<Result<Vec<u32>, RuntimeError>>>,
+        Vec<u32>,
+    ),
+    Launch(Arc<crate::stream::Slot<Result<ExecStats, RuntimeError>>>),
+}
 
 /// One executed command, ready to publish.
 enum Done {
-    Copy {
-        seq: u64,
-        kind: CommandKind,
-        words: u64,
-        cycles: u64,
-        wall: Duration,
-        /// `CopyOut` payload to resolve at publish time.
-        sink: Option<CopyDelivery>,
-        /// This success is a recovery from an earlier fault.
-        faulted: bool,
-        /// Device the faulted attempt was blamed on (failover target
-        /// exclusion at placement).
-        avoid: Option<usize>,
-    },
-    Launch {
-        seq: u64,
-        stats: ExecStats,
-        cache_hit: bool,
-        compile_hit: bool,
-        wall: Duration,
-        /// Kernel name for trace events (cloned only when tracing).
-        kernel: String,
-        /// The kernel-labelled launch-cycle histogram (`Some` iff
-        /// metrics are on), resolved by the worker before it took the
-        /// lock.
-        kernel_cycles: Option<Arc<Histogram>>,
-        sink: Arc<crate::stream::Slot<Result<ExecStats, RuntimeError>>>,
-        /// This success is a recovery from an earlier fault.
-        faulted: bool,
-        /// Device the faulted attempt was blamed on (failover target
-        /// exclusion at placement).
-        avoid: Option<usize>,
-    },
+    Retired(Retired, Sink),
     Failed {
         seq: u64,
-        kind: CommandKind,
         error: RuntimeError,
         cmd: Command,
     },
@@ -434,12 +447,10 @@ impl Shared {
     pub(crate) fn new(cfg: RuntimeConfig) -> Self {
         let d = cfg.devices;
         let cfg_metrics = cfg.metrics;
-        let tracer = cfg
-            .profile
-            .as_ref()
-            .map(|p| Arc::new(Tracer::from_config(p)));
-        let flight =
-            (cfg.flight_capacity > 0).then(|| Arc::new(FlightRecorder::new(cfg.flight_capacity)));
+        let trace = cfg.profile.as_ref().map_or(0, |p| p.events);
+        let capacity = cfg.flight_capacity.max(trace);
+        let events =
+            (capacity > 0).then(|| Arc::new(EventRing::new(capacity, cfg.profile.is_some())));
         let plan = cfg.chaos.as_ref().map(FaultPlan::new);
         Shared {
             cfg,
@@ -466,32 +477,39 @@ impl Shared {
             work: (0..d).map(|_| Condvar::new()).collect(),
             idle: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            tracer,
-            metrics: if cfg_metrics {
-                Some(PoolMetrics::new(d))
-            } else {
-                None
-            },
-            flight,
+            events,
+            metrics: cfg_metrics.then(|| PoolMetrics::new(d)),
             plan,
             started: Instant::now(),
         }
     }
 
-    /// Record `event` when tracing is on (one branch on `None` when
-    /// off).
-    pub(crate) fn emit(&self, event: TraceEvent) {
-        if let Some(t) = &self.tracer {
-            t.record(event);
+    /// Record one transition (one branch on `None` when the pool has
+    /// no ring; eager `event` construction stays cheap — ids, cycles
+    /// and already-computed gauge values).
+    pub(crate) fn record(&self, event: Event) {
+        if let Some(ring) = &self.events {
+            ring.record(event);
         }
     }
 
-    /// Record a flight event (one branch on `None` when the recorder is
-    /// disabled; eager `event` construction stays cheap — ids and
-    /// already-computed gauge values).
-    pub(crate) fn note(&self, event: FlightEvent) {
-        if let Some(f) = &self.flight {
-            f.record(event);
+    /// The launch half of a [`Retired`] command, resolved by the thread
+    /// that ran `kernel` on `device` before it takes the scheduler
+    /// lock.
+    pub(crate) fn launched(
+        &self,
+        device: &mut Device,
+        kernel: &str,
+        outcome: LaunchOutcome,
+    ) -> Launched {
+        let detailed = self.events.as_ref().is_some_and(|ring| ring.detailed());
+        Launched {
+            outcome,
+            kernel: detailed.then(|| kernel.into()),
+            kernel_cycles: self
+                .metrics
+                .as_ref()
+                .map(|m| device.kernel_cycles(&m.registry, kernel)),
         }
     }
 
@@ -558,14 +576,14 @@ impl Shared {
     pub(crate) fn pause(&self) {
         let mut state = self.state.lock().unwrap();
         state.paused = true;
-        self.note(FlightEvent::Pause);
+        self.record(Event::Pause);
     }
 
     /// Release paused workers.
     pub(crate) fn resume(&self) {
         let mut state = self.state.lock().unwrap();
         state.paused = false;
-        self.note(FlightEvent::Resume);
+        self.record(Event::Resume);
         let sleepers = std::mem::take(&mut state.parked);
         drop(state);
         for w in sleepers {
@@ -720,22 +738,17 @@ impl Shared {
             // that failed carries the original error; everything after
             // it sees the sticky marker until `Stream::reset`.
             let sticky = Self::sticky_error(st, stream);
-            let vdone = st.vdone;
-            cmd.resolve_err(&sticky, vdone);
-            state.stream_stats[stream].commands += 1;
-            state.record_completion(CompletionRecord {
-                stream,
-                seq,
-                device: 0,
-                kind: cmd.kind(),
-                start: vdone,
-                end: vdone,
-            });
+            let signals = matches!(cmd, Command::RecordEvent(_));
+            // Outstanding for the length of the call, so `fail` is the
+            // one path every failed command takes.
+            state.outstanding += 1;
+            self.fail(&mut state, stream, seq, cmd, &sticky, 0, false);
             // A record failed here still signals its event, which may
             // be what another stream's head was waiting on.
-            let sleeper = match cmd {
-                Command::RecordEvent(_) => state.sleeper_if(SchedState::any_claimable),
-                _ => None,
+            let sleeper = if signals {
+                state.sleeper_if(SchedState::any_claimable)
+            } else {
+                None
             };
             drop(state);
             self.wake(sleeper);
@@ -744,26 +757,22 @@ impl Shared {
         let kind = cmd.kind();
         st.queue.push_back(Pending::first(seq, cmd));
         state.outstanding += 1;
-        if self.metrics.is_some() {
-            let depth = state.streams[stream].queue.len() as u64;
-            if let Some(sm) = &state.streams[stream].metrics {
+        let st = &state.streams[stream];
+        let depth = st.queue.len() as u64;
+        let outstanding = state.outstanding as u64;
+        if let Some(m) = &self.metrics {
+            if let Some(sm) = &st.metrics {
                 sm.depth.set(depth);
             }
-            if let Some(m) = &self.metrics {
-                m.outstanding.set(state.outstanding as u64);
-            }
+            m.outstanding.set(outstanding);
         }
-        if self.flight.is_some() || self.tracer.is_some() {
-            let depth = state.streams[stream].queue.len() as u64;
-            let outstanding = state.outstanding as u64;
-            self.note(FlightEvent::Enqueue {
-                stream,
-                kind: flight_kind(kind),
-                depth,
-                outstanding,
-            });
-            self.gauge_samples(stream, state.streams[stream].vdone, depth, outstanding);
-        }
+        self.record(Event::Enqueue {
+            stream,
+            kind,
+            depth,
+            outstanding,
+            at: st.vdone,
+        });
         // Wake a worker only for a command that made its stream
         // claimable: a busy stream is rescanned by the worker running
         // its batch when it publishes, and behind an older command the
@@ -774,27 +783,6 @@ impl Shared {
         });
         drop(state);
         self.wake(sleeper);
-    }
-
-    /// Emit queue-depth / outstanding counter samples onto the trace
-    /// timeline (tracing only; callers pre-check so the default path
-    /// pays nothing).
-    fn gauge_samples(&self, stream: usize, at: u64, depth: u64, outstanding: u64) {
-        if self.tracer.is_none() {
-            return;
-        }
-        self.emit(TraceEvent::GaugeSample {
-            name: metric::QUEUE_DEPTH.to_string(),
-            label: labels::stream(stream),
-            value: depth,
-            at,
-        });
-        self.emit(TraceEvent::GaugeSample {
-            name: metric::OUTSTANDING.to_string(),
-            label: String::new(),
-            value: outstanding,
-            at,
-        });
     }
 
     /// Block until no command is queued or in flight; surfaces the first
@@ -882,10 +870,12 @@ impl Shared {
             snap.push_counter(metric::DEVICE_FAULTS, &labels::device(d), f);
         }
         snap.push_counter(metric::COMPLETIONS_DROPPED, "", state.completions_dropped);
+        // Only a trace can be partial: the black box laps by design.
+        let trace = self.events.as_ref().filter(|ring| ring.detailed());
         snap.push_counter(
             metric::TRACER_DROPPED,
             "",
-            self.tracer.as_ref().map(|t| t.dropped()).unwrap_or(0),
+            trace.map_or(0, |ring| ring.dropped()),
         );
         snap.sort();
         Some(snap)
@@ -896,23 +886,19 @@ impl Shared {
     pub(crate) fn drain_after_shutdown(&self) {
         let mut state = self.state.lock().unwrap();
         for sid in 0..state.streams.len() {
-            let vdone = state.streams[sid].vdone;
             if state.streams[sid].poisoned.is_none() {
                 state.streams[sid].poisoned = Some(RuntimeError::Shutdown);
             }
             while let Some(p) = state.streams[sid].queue.pop_front() {
-                let kind = p.cmd.kind();
-                p.cmd.resolve_err(&RuntimeError::Shutdown, vdone);
-                state.stream_stats[sid].commands += 1;
-                state.record_completion(CompletionRecord {
-                    stream: sid,
-                    seq: p.seq,
-                    device: 0,
-                    kind,
-                    start: vdone,
-                    end: vdone,
-                });
-                self.complete(&mut state, 1);
+                self.fail(
+                    &mut state,
+                    sid,
+                    p.seq,
+                    p.cmd,
+                    &RuntimeError::Shutdown,
+                    0,
+                    false,
+                );
             }
         }
     }
@@ -941,7 +927,7 @@ impl Shared {
         {
             state.sticky_disabled = true;
         }
-        self.note(FlightEvent::DeviceReset { device });
+        self.record(Event::DeviceReset { device });
     }
 
     /// Current per-device health states.
@@ -956,76 +942,175 @@ impl Shared {
         std::mem::take(&mut self.state.lock().unwrap().pending_quarantines)
     }
 
-    /// Place one graph-replay command on the least-loaded engine of the
-    /// matching kind (the same dispatch rule stream commands use) and
-    /// merge it into the placement device's accounting. Returns
-    /// `(device, start, end)` in virtual cycles.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn place_graph_command(
-        &self,
-        kind: CommandKind,
-        ready: u64,
-        cycles: u64,
-        words: u64,
-        exec: Option<&ExecStats>,
-        cache_hit: bool,
-        compile_hit: bool,
-        wall: Duration,
-    ) -> (usize, u64, u64) {
-        let mut state = self.state.lock().unwrap();
-        let compute = matches!(kind, CommandKind::Launch);
-        let SchedState {
-            vcompute,
-            vcopy,
-            device_health,
-            ..
-        } = &mut *state;
-        let engines = if compute { vcompute } else { vcopy };
-        let (p, start) = place(engines, ready, cycles, device_health, None);
+    /// Retire one graph-replay node through the path stream commands
+    /// take. Returns `(device, start, end)` in virtual cycles.
+    pub(crate) fn retire_graph_node(&self, node: &Retired) -> (usize, u64, u64) {
+        self.retire(&mut self.state.lock().unwrap(), node)
+    }
+
+    /// The one way an executed copy or launch reaches the books:
+    /// *place* it on the least-loaded engine of the matching kind
+    /// (breaking stream-device affinity), advance the timeline, merge
+    /// it into the placement device's accounting — and, for a stream
+    /// command, the stream's, the completion trace and the outstanding
+    /// count — update the metrics and record one [`Event::Placed`].
+    /// Returns `(device, start, end)` in virtual cycles; the caller
+    /// resolves the command's handle afterwards, so a waiter that wakes
+    /// on it finds all of this already written.
+    fn retire(&self, state: &mut SchedState, r: &Retired) -> (usize, u64, u64) {
+        let Retired {
+            seq, kind, cycles, ..
+        } = *r;
+        let launch = r.launch.as_ref();
+        let (ready, avoid) = match r.origin {
+            Origin::Stream { sid, avoid, .. } => (state.streams[sid].vdone, avoid),
+            Origin::Graph { ready } => (ready, None),
+        };
+        let engines = match launch {
+            Some(_) => &mut state.vcompute,
+            None => &mut state.vcopy,
+        };
+        let (p, start) = place(engines, ready, cycles, &state.device_health, avoid);
         let end = start + cycles;
         let ds = &mut state.device_stats[p];
         ds.placements += 1;
         ds.busy_cycles += cycles;
-        ds.busy_wall += wall;
-        match kind {
-            CommandKind::Launch => {
+        ds.busy_wall += r.wall;
+        match launch {
+            Some(l) => {
                 ds.launches += 1;
-                if cache_hit {
+                if l.outcome.cache_hit {
                     ds.cache_hits += 1;
                 } else {
                     ds.cache_misses += 1;
                 }
-                if compile_hit {
+                if l.outcome.compile_hit {
                     ds.compile_hits += 1;
                 } else {
                     ds.compile_misses += 1;
                 }
-                if let Some(stats) = exec {
-                    ds.compute.merge(stats);
+                ds.compute.merge(&l.outcome.stats);
+            }
+            None => ds.copies += 1,
+        }
+        if let Origin::Stream { sid, .. } = r.origin {
+            ds.batched_commands += 1;
+            state.streams[sid].vdone = end;
+            let ss = &mut state.stream_stats[sid];
+            ss.commands += 1;
+            ss.busy_wall += r.wall;
+            match launch {
+                Some(l) => {
+                    ss.launches += 1;
+                    ss.compute.merge(&l.outcome.stats);
+                }
+                None => {
+                    ss.copies += 1;
+                    ss.copy_words += r.words;
+                    ss.copy_cycles += cycles;
                 }
             }
-            _ => {
-                ds.copies += 1;
-                let _ = words;
-            }
+            state.record_completion(CompletionRecord {
+                stream: sid,
+                seq,
+                device: p,
+                kind,
+                start,
+                end,
+            });
         }
         if let Some(m) = &self.metrics {
-            match kind {
-                CommandKind::Launch => {
-                    if let Some(stats) = exec {
-                        m.record_launch(p, stats);
+            m.device_busy[p].add(cycles);
+            match launch {
+                Some(l) => {
+                    m.launches.inc();
+                    m.dyn_instrs.add(l.outcome.stats.instructions);
+                    m.thread_ops.add(l.outcome.stats.thread_ops);
+                    if let Some(h) = &l.kernel_cycles {
+                        h.record(cycles);
                     }
                 }
-                _ => m.record_copy(p, cycles),
+                None => m.copies.inc(),
+            }
+            if let Origin::Stream { sid, faulted, .. } = r.origin {
+                if faulted {
+                    m.recovered.inc();
+                }
+                if let Some(sm) = &state.streams[sid].metrics {
+                    match launch {
+                        Some(_) => sm.launch_cycles.record(cycles),
+                        None => sm.copy_cycles.record(cycles),
+                    }
+                }
             }
         }
-        self.note(FlightEvent::GraphPlace {
-            kind: flight_kind(kind),
+        let stream = match r.origin {
+            Origin::Stream { sid, .. } => Some(sid),
+            Origin::Graph { .. } => None,
+        };
+        self.record(Event::Placed {
+            stream,
+            seq,
+            kind,
             device: p,
             start,
             end,
+            words: r.words,
+            instructions: launch.map_or(0, |l| l.outcome.stats.instructions),
+            kernel: launch.and_then(|l| l.kernel.clone()),
         });
+        if stream.is_some() {
+            self.complete(state, 1);
+        }
         (p, start, end)
+    }
+
+    /// The one way a command that will never run leaves the books:
+    /// resolve its handle with `error` at the stream's completion
+    /// front, count it, trace the completion (`device` is who gave up
+    /// on it) and stop it being outstanding. `root` marks the command
+    /// that actually failed, as opposed to the backlog behind it: it is
+    /// recorded in the ring *before* its handle resolves — a waiter
+    /// that wakes on the error and immediately dumps the ring must see
+    /// it — poisons the stream, and becomes the pool's first error if
+    /// there is none yet.
+    #[allow(clippy::too_many_arguments)]
+    fn fail(
+        &self,
+        state: &mut SchedState,
+        sid: usize,
+        seq: u64,
+        cmd: Command,
+        error: &RuntimeError,
+        device: usize,
+        root: bool,
+    ) {
+        let kind = cmd.kind();
+        if root {
+            if let Some(ring) = &self.events {
+                ring.record(Event::Failed {
+                    stream: sid,
+                    kind,
+                    error: error.to_string(),
+                });
+            }
+            state.streams[sid]
+                .poisoned
+                .get_or_insert_with(|| error.clone());
+            state.first_error.get_or_insert_with(|| error.clone());
+        }
+        let vdone = state.streams[sid].vdone;
+        cmd.resolve_err(error, vdone);
+        state.stream_stats[sid].commands += 1;
+        state.record_completion(CompletionRecord {
+            stream: sid,
+            seq,
+            device,
+            kind,
+            start: vdone,
+            end: vdone,
+        });
+        self.complete(state, 1);
     }
 
     /// Resolve any event commands at the head of idle streams and pop a
@@ -1079,21 +1164,17 @@ impl Shared {
                         start: at,
                         end: at,
                     });
-                    match kind {
-                        CommandKind::EventRecord => self.emit(TraceEvent::EventRecord {
-                            stream: sid,
-                            seq,
-                            device: d,
-                            at,
-                        }),
-                        CommandKind::EventWait => self.emit(TraceEvent::EventWait {
-                            stream: sid,
-                            seq,
-                            device: d,
-                            at,
-                        }),
-                        _ => {}
-                    }
+                    self.record(Event::Placed {
+                        stream: Some(sid),
+                        seq,
+                        kind,
+                        device: d,
+                        start: at,
+                        end: at,
+                        words: 0,
+                        instructions: 0,
+                        kernel: None,
+                    });
                     self.complete(state, 1);
                     progress = true;
                 }
@@ -1150,7 +1231,7 @@ impl Shared {
                     }
                     st.busy = true;
                     state.scan_from[d] = sid + 1;
-                    self.note(FlightEvent::Batch {
+                    self.record(Event::Batch {
                         stream: sid,
                         device: d,
                         commands: batch.len() as u64,
@@ -1167,11 +1248,9 @@ impl Shared {
     }
 
     /// Publish a finished batch, under the caller's lock (the worker
-    /// claims its next batch in the same critical section): *place*
-    /// each command on the least-loaded device's virtual engine
-    /// (breaking stream-device affinity), advance the timeline in
-    /// completion order, merge stats, resolve sinks, drain the stream
-    /// if it was poisoned.
+    /// claims its next batch in the same critical section): retire or
+    /// fail each command in completion order, resolve its handle, judge
+    /// a fault (retry or give up), drain the stream if it was poisoned.
     /// `d` is the physical worker that executed the batch; it only
     /// accounts for `batches`. `requeue` is the unexecuted tail of a
     /// batch cut short by a fault — it returns to the queue front, in
@@ -1185,202 +1264,22 @@ impl Shared {
         } = finished;
         // Commands whose handle resolved (retried commands stay
         // outstanding).
-        let mut resolved = 0usize;
+        let mut resolved = 0u64;
         let mut retry: Option<Pending> = None;
         for item in done {
             match item {
-                Done::Copy {
-                    seq,
-                    kind,
-                    words,
-                    cycles,
-                    wall,
-                    sink,
-                    faulted,
-                    avoid,
-                } => {
+                Done::Retired(cmd, sink) => {
                     resolved += 1;
-                    let ready = state.streams[sid].vdone;
-                    let (p, start) =
-                        place(&mut state.vcopy, ready, cycles, &state.device_health, avoid);
-                    let end = start + cycles;
-                    state.streams[sid].vdone = end;
-                    let ss = &mut state.stream_stats[sid];
-                    ss.commands += 1;
-                    ss.copies += 1;
-                    ss.copy_words += words;
-                    ss.copy_cycles += cycles;
-                    ss.busy_wall += wall;
-                    let ds = &mut state.device_stats[p];
-                    ds.copies += 1;
-                    ds.placements += 1;
-                    ds.batched_commands += 1;
-                    ds.busy_cycles += cycles;
-                    ds.busy_wall += wall;
-                    state.record_completion(CompletionRecord {
-                        stream: sid,
-                        seq,
-                        device: p,
-                        kind,
-                        start,
-                        end,
-                    });
-                    if let Some(m) = &self.metrics {
-                        m.record_copy(p, cycles);
-                        if faulted {
-                            m.recovered.inc();
-                        }
-                        if let Some(sm) = &state.streams[sid].metrics {
-                            sm.copy_cycles.record(cycles);
-                        }
-                    }
-                    self.emit(TraceEvent::Copy {
-                        stream: sid,
-                        seq,
-                        device: p,
-                        to_device: matches!(kind, CommandKind::CopyIn),
-                        words,
-                        start,
-                        end,
-                    });
-                    self.note(FlightEvent::Place {
-                        stream: sid,
-                        kind: flight_kind(kind),
-                        device: p,
-                        start,
-                        end,
-                    });
-                    if let Some((slot, data)) = sink {
-                        slot.set(Ok(data));
+                    self.retire(state, &cmd);
+                    match (sink, cmd.launch) {
+                        (Sink::CopyOut(slot, data), _) => slot.set(Ok(data)),
+                        (Sink::Launch(slot), Some(l)) => slot.set(Ok(l.outcome.stats)),
+                        _ => {}
                     }
                 }
-                Done::Launch {
-                    seq,
-                    stats,
-                    cache_hit,
-                    compile_hit,
-                    wall,
-                    kernel,
-                    kernel_cycles,
-                    sink,
-                    faulted,
-                    avoid,
-                } => {
+                Done::Failed { seq, error, cmd } => {
                     resolved += 1;
-                    let cycles = stats.cycles;
-                    let ready = state.streams[sid].vdone;
-                    let (p, start) = place(
-                        &mut state.vcompute,
-                        ready,
-                        cycles,
-                        &state.device_health,
-                        avoid,
-                    );
-                    let end = start + cycles;
-                    state.streams[sid].vdone = end;
-                    let ss = &mut state.stream_stats[sid];
-                    ss.commands += 1;
-                    ss.launches += 1;
-                    ss.compute.merge(&stats);
-                    ss.busy_wall += wall;
-                    let ds = &mut state.device_stats[p];
-                    ds.launches += 1;
-                    ds.placements += 1;
-                    ds.batched_commands += 1;
-                    if cache_hit {
-                        ds.cache_hits += 1;
-                    } else {
-                        ds.cache_misses += 1;
-                    }
-                    if compile_hit {
-                        ds.compile_hits += 1;
-                    } else {
-                        ds.compile_misses += 1;
-                    }
-                    ds.busy_cycles += cycles;
-                    ds.compute.merge(&stats);
-                    ds.busy_wall += wall;
-                    state.record_completion(CompletionRecord {
-                        stream: sid,
-                        seq,
-                        device: p,
-                        kind: CommandKind::Launch,
-                        start,
-                        end,
-                    });
-                    if let Some(m) = &self.metrics {
-                        m.record_launch(p, &stats);
-                        if let Some(h) = &kernel_cycles {
-                            h.record(cycles);
-                        }
-                        if faulted {
-                            m.recovered.inc();
-                        }
-                        if let Some(sm) = &state.streams[sid].metrics {
-                            sm.launch_cycles.record(cycles);
-                        }
-                    }
-                    if self.tracer.is_some() {
-                        self.emit(TraceEvent::KernelLaunch {
-                            stream: sid,
-                            seq,
-                            device: p,
-                            kernel: kernel.clone(),
-                            start,
-                        });
-                        self.emit(TraceEvent::KernelRetire {
-                            stream: sid,
-                            seq,
-                            device: p,
-                            kernel,
-                            start,
-                            end,
-                            instructions: stats.instructions,
-                        });
-                    }
-                    self.note(FlightEvent::Place {
-                        stream: sid,
-                        kind: FlightKind::Launch,
-                        device: p,
-                        start,
-                        end,
-                    });
-                    sink.set(Ok(stats));
-                }
-                Done::Failed {
-                    seq,
-                    kind,
-                    error,
-                    cmd,
-                } => {
-                    resolved += 1;
-                    let vdone = state.streams[sid].vdone;
-                    // Record the flight event before resolving the
-                    // handle: a waiter that wakes on the error and
-                    // immediately dumps the recorder must see it.
-                    if self.flight.is_some() {
-                        self.note(FlightEvent::Failed {
-                            stream: sid,
-                            kind: flight_kind(kind),
-                            error: error.to_string(),
-                        });
-                    }
-                    cmd.resolve_err(&error, vdone);
-                    if state.streams[sid].poisoned.is_none() {
-                        state.streams[sid].poisoned = Some(error.clone());
-                    }
-                    if state.first_error.is_none() {
-                        state.first_error = Some(error);
-                    }
-                    state.stream_stats[sid].commands += 1;
-                    state.record_completion(CompletionRecord {
-                        stream: sid,
-                        seq,
-                        device: d,
-                        kind,
-                        start: vdone,
-                        end: vdone,
-                    });
+                    self.fail(state, sid, seq, cmd, &error, d, true);
                 }
                 Done::Fault {
                     pending,
@@ -1390,64 +1289,15 @@ impl Shared {
                     error,
                     cycles,
                 } => {
-                    // Charge the modeled fault time (the watchdog
-                    // budget for hangs, zero otherwise) to the blamed
-                    // device's compute engine and push the stream
-                    // frontier past it: a hang costs its full budget
-                    // on the virtual timeline.
-                    let ready = state.streams[sid].vdone;
-                    let start = state.vcompute[device].max(ready);
-                    let end = start + cycles;
-                    state.vcompute[device] = end;
-                    state.streams[sid].vdone = end;
-                    state.device_stats[device].busy_cycles += cycles;
-                    // Fault accounting and the health transition on the
-                    // blamed device.
-                    state.device_faults[device] += 1;
-                    let faults = state.device_faults[device];
-                    let was = state.device_health[device];
-                    let now = if faults >= self.cfg.recovery.quarantine_after {
-                        DeviceHealth::Quarantined
-                    } else if faults >= self.cfg.recovery.degrade_after {
-                        DeviceHealth::Degraded
-                    } else {
-                        was
-                    };
-                    if now != was {
-                        state.device_health[device] = now;
-                        if now == DeviceHealth::Quarantined {
-                            state.pending_quarantines.push(device);
-                            if let Some(m) = &self.metrics {
-                                m.quarantines.inc();
-                            }
-                            self.note(FlightEvent::Quarantine { device, faults });
-                        }
-                    }
-                    if let Some(m) = &self.metrics {
-                        if injected {
-                            m.registry
-                                .counter(metric::FAULTS_INJECTED, kind.label())
-                                .inc();
-                        }
-                        if matches!(kind, FaultKind::HungKernel) {
-                            m.timeouts.inc();
-                        }
-                    }
                     let attempt = pending.attempt + 1;
-                    self.note(FlightEvent::Fault {
-                        stream: sid,
-                        device,
-                        attempt,
-                        family: kind.label().to_string(),
-                        injected,
-                    });
+                    self.fault(state, sid, device, attempt, kind, injected, cycles);
                     if attempt < self.cfg.recovery.max_attempts {
                         // Retry: charge the modeled exponential backoff
                         // to the stream's timeline and requeue the
                         // command at the front, steered away from the
                         // blamed device.
                         let backoff = self.cfg.recovery.backoff_cycles(attempt);
-                        state.streams[sid].vdone = end + backoff;
+                        state.streams[sid].vdone += backoff;
                         if let Some(m) = &self.metrics {
                             m.retries.inc();
                             m.retry_backoff.record(backoff);
@@ -1455,18 +1305,16 @@ impl Shared {
                                 m.failovers.inc();
                             }
                         }
-                        self.note(FlightEvent::Retry {
+                        self.record(Event::Retry {
                             stream: sid,
                             device,
                             attempt,
                             backoff_cycles: backoff,
                         });
                         retry = Some(Pending {
-                            seq: pending.seq,
                             attempt,
                             avoid: Some(device),
-                            faulted: true,
-                            cmd: pending.cmd,
+                            ..pending
                         });
                     } else {
                         // Attempts exhausted: the command fails with
@@ -1476,36 +1324,11 @@ impl Shared {
                         if let Some(m) = &self.metrics {
                             m.terminal_failures.inc();
                         }
-                        let vdone = state.streams[sid].vdone;
-                        let cmd_kind = pending.cmd.kind();
-                        if self.flight.is_some() {
-                            self.note(FlightEvent::Failed {
-                                stream: sid,
-                                kind: flight_kind(cmd_kind),
-                                error: error.to_string(),
-                            });
-                        }
-                        pending.cmd.resolve_err(&error, vdone);
-                        if state.streams[sid].poisoned.is_none() {
-                            state.streams[sid].poisoned = Some(error.clone());
-                        }
-                        if state.first_error.is_none() {
-                            state.first_error = Some(error);
-                        }
-                        state.stream_stats[sid].commands += 1;
-                        state.record_completion(CompletionRecord {
-                            stream: sid,
-                            seq: pending.seq,
-                            device,
-                            kind: cmd_kind,
-                            start: vdone,
-                            end: vdone,
-                        });
+                        self.fail(state, sid, pending.seq, pending.cmd, &error, device, true);
                     }
                 }
             }
         }
-        self.complete(state, resolved);
         state.device_stats[d].batches += 1;
         // A fault cut the batch short: the unexecuted tail returns to
         // the queue front in order, behind the retried command itself.
@@ -1523,54 +1346,91 @@ impl Shared {
         // that failed).
         if state.streams[sid].poisoned.is_some() {
             let sticky = Self::sticky_error(&state.streams[sid], sid);
-            let vdone = state.streams[sid].vdone;
             while let Some(p) = state.streams[sid].queue.pop_front() {
-                let kind = p.cmd.kind();
-                p.cmd.resolve_err(&sticky, vdone);
-                state.stream_stats[sid].commands += 1;
-                state.record_completion(CompletionRecord {
-                    stream: sid,
-                    seq: p.seq,
-                    device: d,
-                    kind,
-                    start: vdone,
-                    end: vdone,
-                });
-                self.complete(state, 1);
+                self.fail(state, sid, p.seq, p.cmd, &sticky, d, false);
             }
         }
+        let st = &state.streams[sid];
+        let depth = st.queue.len() as u64;
+        let outstanding = state.outstanding as u64;
         if let Some(m) = &self.metrics {
-            m.outstanding.set(state.outstanding as u64);
-            let depth = state.streams[sid].queue.len() as u64;
-            if let Some(sm) = &state.streams[sid].metrics {
+            m.outstanding.set(outstanding);
+            if let Some(sm) = &st.metrics {
                 sm.depth.set(depth);
             }
         }
-        if self.flight.is_some() || self.tracer.is_some() {
-            let depth = state.streams[sid].queue.len() as u64;
-            let outstanding = state.outstanding as u64;
-            self.note(FlightEvent::Publish {
-                stream: sid,
-                device: d,
-                commands: resolved as u64,
-                depth,
-                outstanding,
-            });
-            self.gauge_samples(sid, state.streams[sid].vdone, depth, outstanding);
-        }
+        self.record(Event::Publish {
+            stream: sid,
+            device: d,
+            commands: resolved,
+            depth,
+            outstanding,
+            at: st.vdone,
+        });
         state.streams[sid].buffer = Some(buffer);
         state.streams[sid].busy = false;
     }
-}
 
-/// Map a scheduler command kind onto the flight-recorder vocabulary.
-pub(crate) fn flight_kind(kind: CommandKind) -> FlightKind {
-    match kind {
-        CommandKind::CopyIn => FlightKind::CopyIn,
-        CommandKind::CopyOut => FlightKind::CopyOut,
-        CommandKind::Launch => FlightKind::Launch,
-        CommandKind::EventRecord => FlightKind::EventRecord,
-        CommandKind::EventWait => FlightKind::EventWait,
+    /// Book one fault against the device it is blamed on: charge the
+    /// modeled fault time (the watchdog budget for hangs, zero
+    /// otherwise) to its compute engine and push the stream frontier
+    /// past it — a hang costs its full budget on the virtual timeline —
+    /// then count the fault and walk the device's health state.
+    /// `attempt` is the attempt number that faulted (1 = first
+    /// execution).
+    #[allow(clippy::too_many_arguments)]
+    fn fault(
+        &self,
+        state: &mut SchedState,
+        sid: usize,
+        device: usize,
+        attempt: u32,
+        kind: FaultKind,
+        injected: bool,
+        cycles: u64,
+    ) {
+        let ready = state.streams[sid].vdone;
+        let end = state.vcompute[device].max(ready) + cycles;
+        state.vcompute[device] = end;
+        state.streams[sid].vdone = end;
+        state.device_stats[device].busy_cycles += cycles;
+        state.device_faults[device] += 1;
+        let faults = state.device_faults[device];
+        let was = state.device_health[device];
+        let now = if faults >= self.cfg.recovery.quarantine_after {
+            DeviceHealth::Quarantined
+        } else if faults >= self.cfg.recovery.degrade_after {
+            DeviceHealth::Degraded
+        } else {
+            was
+        };
+        state.device_health[device] = now;
+        if now != was && now == DeviceHealth::Quarantined {
+            state.pending_quarantines.push(device);
+            if let Some(m) = &self.metrics {
+                m.quarantines.inc();
+            }
+            self.record(Event::Quarantine { device, faults });
+        }
+        if let Some(m) = &self.metrics {
+            if injected {
+                m.registry
+                    .counter(metric::FAULTS_INJECTED, kind.label())
+                    .inc();
+            }
+            if matches!(kind, FaultKind::HungKernel) {
+                m.timeouts.inc();
+            }
+        }
+        if let Some(ring) = &self.events {
+            ring.record(Event::Fault {
+                stream: sid,
+                device,
+                attempt,
+                family: kind.label().to_string(),
+                injected,
+            });
+        }
     }
 }
 
@@ -1672,7 +1532,6 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
             if let Some(p) = &poison {
                 done.push(Done::Failed {
                     seq,
-                    kind: cmd.kind(),
                     error: p.clone(),
                     cmd,
                 });
@@ -1721,6 +1580,23 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                 break;
             }
             let t0 = Instant::now();
+            let retired = |kind, cycles, words: usize, launch, sink| {
+                let origin = Origin::Stream {
+                    sid,
+                    faulted,
+                    avoid,
+                };
+                let cmd = Retired {
+                    origin,
+                    seq,
+                    kind,
+                    cycles,
+                    words: words as u64,
+                    wall: t0.elapsed(),
+                    launch,
+                };
+                Done::Retired(cmd, sink)
+            };
             match cmd {
                 Command::CopyIn { dst, data } => {
                     if dst
@@ -1735,7 +1611,6 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                         poison = Some(RuntimeError::StreamPoisoned { stream: sid });
                         done.push(Done::Failed {
                             seq,
-                            kind: CommandKind::CopyIn,
                             error: e,
                             cmd: Command::CopyIn {
                                 dst,
@@ -1745,16 +1620,14 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                         continue;
                     }
                     buffer[dst..dst + data.len()].copy_from_slice(&data);
-                    done.push(Done::Copy {
-                        seq,
-                        kind: CommandKind::CopyIn,
-                        words: data.len() as u64,
-                        cycles: device.copy_cycles(data.len()),
-                        wall: t0.elapsed(),
-                        sink: None,
-                        faulted,
-                        avoid,
-                    });
+                    let cycles = device.copy_cycles(data.len());
+                    done.push(retired(
+                        CommandKind::CopyIn,
+                        cycles,
+                        data.len(),
+                        None,
+                        Sink::None,
+                    ));
                 }
                 Command::CopyOut { src, len, sink } => {
                     if src.checked_add(len).is_none_or(|end| end > buffer.len()) {
@@ -1766,45 +1639,22 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                         poison = Some(RuntimeError::StreamPoisoned { stream: sid });
                         done.push(Done::Failed {
                             seq,
-                            kind: CommandKind::CopyOut,
                             error: e,
                             cmd: Command::CopyOut { src, len, sink },
                         });
                         continue;
                     }
                     let data = buffer[src..src + len].to_vec();
-                    done.push(Done::Copy {
-                        seq,
-                        kind: CommandKind::CopyOut,
-                        words: len as u64,
-                        cycles: device.copy_cycles(len),
-                        wall: t0.elapsed(),
-                        sink: Some((sink, data)),
-                        faulted,
-                        avoid,
-                    });
+                    let (cycles, sink) = (device.copy_cycles(len), Sink::CopyOut(sink, data));
+                    done.push(retired(CommandKind::CopyOut, cycles, len, None, sink));
                 }
                 Command::Launch { spec, sink } => match device.run_launch(&spec, &mut buffer) {
-                    Ok(outcome) => done.push(Done::Launch {
-                        seq,
-                        stats: outcome.stats,
-                        cache_hit: outcome.cache_hit,
-                        compile_hit: outcome.compile_hit,
-                        wall: t0.elapsed(),
-                        // Name only travels when someone will read it.
-                        kernel: if shared.tracer.is_some() {
-                            spec.name.clone()
-                        } else {
-                            String::new()
-                        },
-                        kernel_cycles: shared
-                            .metrics
-                            .as_ref()
-                            .map(|m| device.kernel_cycles(&m.registry, &spec.name)),
-                        sink,
-                        faulted,
-                        avoid,
-                    }),
+                    Ok(outcome) => {
+                        let launch = shared.launched(&mut device, &spec.name, outcome);
+                        let cycles = launch.outcome.stats.cycles;
+                        let sink = Sink::Launch(sink);
+                        done.push(retired(CommandKind::Launch, cycles, 0, Some(launch), sink));
+                    }
                     Err(e @ RuntimeError::Timeout { .. }) => {
                         // A real watchdog kill is retryable: the budget
                         // check fires before write-back, so the buffer
@@ -1832,7 +1682,6 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                         poison = Some(RuntimeError::StreamPoisoned { stream: sid });
                         done.push(Done::Failed {
                             seq,
-                            kind: CommandKind::Launch,
                             error: e,
                             cmd: Command::Launch { spec, sink },
                         });

@@ -1,24 +1,9 @@
 //! Runtime accounting: per-stream and per-device cycle and wall-clock
 //! statistics, built on the core's [`ExecStats`] machinery.
 
-use serde::{Deserialize, Serialize};
 use simt_core::ExecStats;
+pub use simt_profile::CommandKind;
 use std::time::Duration;
-
-/// What kind of command a completion record refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CommandKind {
-    /// Host→device copy.
-    CopyIn,
-    /// Device→host copy.
-    CopyOut,
-    /// Kernel launch.
-    Launch,
-    /// Event record.
-    EventRecord,
-    /// Event wait.
-    EventWait,
-}
 
 /// One completed command, in global completion order — the scheduler's
 /// observable trace (ordering assertions in tests key off this).
@@ -205,8 +190,9 @@ impl RuntimeStats {
     }
 
     /// Modeled wall-clock of the submitted job graph: the virtual-time
-    /// makespan at the configured device clock. Independent of how many
-    /// host cores the simulation itself got.
+    /// makespan at the configured device clock. A function of the work
+    /// and of the order commands completed in — with more than one
+    /// worker, cross-stream placement follows host completion order.
     pub fn modeled_seconds(&self) -> f64 {
         self.makespan_cycles as f64 / (self.fmax_mhz * 1e6)
     }

@@ -6,9 +6,10 @@
 use simt_kernels::workload::int_vector;
 use simt_kernels::LaunchSpec;
 use simt_metrics::names;
+use simt_profile::Event;
 use simt_runtime::{
-    ChaosConfig, DeviceHealth, FlightEvent, GraphBuilder, RecoveryConfig, Runtime, RuntimeConfig,
-    RuntimeError, Stream,
+    ChaosConfig, DeviceHealth, GraphBuilder, RecoveryConfig, Runtime, RuntimeConfig, RuntimeError,
+    Stream,
 };
 
 /// Submit `n` saxpy jobs (copy-in inputs, launch, copy-out result) on
@@ -230,7 +231,7 @@ fn sticky_device_failure_quarantines_within_the_fault_budget() {
         .flight
         .events
         .iter()
-        .any(|r| matches!(r.event, FlightEvent::Quarantine { device: 1, .. })));
+        .any(|r| matches!(r.event, Event::Quarantine { device: 1, .. })));
 
     // All placement now avoids the quarantined device: stream commands...
     let s2 = rt.stream();
@@ -279,10 +280,9 @@ fn sticky_device_failure_quarantines_within_the_fault_budget() {
     assert!(rt
         .flight()
         .unwrap()
-        .dump()
         .events
         .iter()
-        .any(|r| matches!(r.event, FlightEvent::DeviceReset { device: 1 })));
+        .any(|r| matches!(r.event, Event::DeviceReset { device: 1 })));
 }
 
 #[test]

@@ -13,8 +13,8 @@ pub fn assert_golden(name: &str, actual: &str) {
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(&path, actual).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let want =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     assert!(
         actual == want,
         "{name} differs from the committed golden file:\n--- golden\n{want}\n--- actual\n{actual}"

@@ -1,4 +1,4 @@
-//! Forensics integration: flight-recorder determinism, postmortem
+//! Forensics integration: black-box determinism, postmortem
 //! bundles, configurable health thresholds, and cache counters in the
 //! always-on metrics snapshot.
 
@@ -6,9 +6,9 @@ use proptest::prelude::*;
 use simt_kernels::workload::int_vector;
 use simt_kernels::LaunchSpec;
 use simt_metrics::names;
+use simt_profile::{CommandKind, Event};
 use simt_runtime::{
-    FlightEvent, FlightKind, HealthConfig, HealthFinding, HealthMonitor, ProfileConfig, Runtime,
-    RuntimeConfig,
+    HealthConfig, HealthFinding, HealthMonitor, ProfileConfig, Runtime, RuntimeConfig,
 };
 
 mod common;
@@ -17,11 +17,16 @@ mod common;
 /// pause, so the drain order — and with it the flight window — is a
 /// pure function of the submitted work. Returns the drained runtime.
 fn forensic_runtime(launches: usize, scale: i32) -> Runtime {
+    forensic_runtime_with(launches, scale, Some(ProfileConfig::full()))
+}
+
+/// [`forensic_runtime`] under the given profiler setting.
+fn forensic_runtime_with(launches: usize, scale: i32, profile: Option<ProfileConfig>) -> Runtime {
     let cfg = RuntimeConfig {
         devices: 1,
+        profile,
         ..Default::default()
-    }
-    .with_profile(ProfileConfig::full());
+    };
     let rt = Runtime::new(cfg);
     let x = int_vector(64, 1);
     let y = int_vector(64, 2);
@@ -39,8 +44,8 @@ fn forensic_runtime(launches: usize, scale: i32) -> Runtime {
 /// [`forensic_runtime`].
 fn forensic_run(launches: usize, scale: i32) -> (String, String) {
     let rt = forensic_runtime(launches, scale);
-    let flight = rt.flight().expect("flight recorder is on by default");
-    let dump = serde_json::to_string(&flight.dump()).unwrap();
+    let flight = rt.flight().expect("the black box is on by default");
+    let dump = serde_json::to_string(&flight).unwrap();
     let report = rt
         .postmortem("proptest")
         .expect("metrics are on by default");
@@ -123,26 +128,18 @@ fn injected_stall_postmortem_names_the_device_and_its_hottest_pc() {
     let ev = &report.flight.events;
     assert!(ev.iter().any(|r| matches!(
         &r.event,
-        FlightEvent::Health { finding } if finding == "device_stall(device1)"
+        Event::Health { finding } if finding == "device_stall(device1)"
     )));
     // ... which contains the full scheduler story of the run.
-    assert!(ev.iter().any(|r| matches!(r.event, FlightEvent::Pause)));
-    assert!(ev.iter().any(|r| matches!(r.event, FlightEvent::Resume)));
+    assert!(ev.iter().any(|r| matches!(r.event, Event::Pause)));
+    assert!(ev.iter().any(|r| matches!(r.event, Event::Resume)));
+    assert!(ev.iter().any(|r| matches!(r.event, Event::Enqueue { .. })));
+    assert!(ev.iter().any(|r| matches!(r.event, Event::Batch { .. })));
+    assert!(ev.iter().any(|r| matches!(r.event, Event::Placed { .. })));
+    assert!(ev.iter().any(|r| matches!(r.event, Event::Publish { .. })));
     assert!(ev
         .iter()
-        .any(|r| matches!(r.event, FlightEvent::Enqueue { .. })));
-    assert!(ev
-        .iter()
-        .any(|r| matches!(r.event, FlightEvent::Batch { .. })));
-    assert!(ev
-        .iter()
-        .any(|r| matches!(r.event, FlightEvent::Place { .. })));
-    assert!(ev
-        .iter()
-        .any(|r| matches!(r.event, FlightEvent::Publish { .. })));
-    assert!(ev
-        .iter()
-        .any(|r| matches!(r.event, FlightEvent::CacheQuery { .. })));
+        .any(|r| matches!(r.event, Event::CacheLookup { .. })));
     assert!(!report.timelines.is_empty());
 
     // Per-PC hotspots (per_pc profiling was on) name the kernel's
@@ -169,9 +166,60 @@ fn injected_stall_postmortem_names_the_device_and_its_hottest_pc() {
 }
 
 #[test]
+fn the_black_box_is_the_tail_of_the_trace() {
+    // Profiling on: one ring serves both views. The black box is its
+    // newest `flight_capacity` records — same events, same sequence
+    // numbers — and the trace is all of them.
+    let cfg = RuntimeConfig {
+        devices: 1,
+        flight_capacity: 8,
+        ..Default::default()
+    }
+    .with_profile(ProfileConfig::full());
+    let rt = Runtime::new(cfg);
+    let s = rt.stream();
+    rt.pause();
+    for _ in 0..3 {
+        s.launch(LaunchSpec::saxpy_ir(
+            2,
+            &int_vector(64, 1),
+            &int_vector(64, 2),
+        ));
+    }
+    rt.resume();
+    rt.synchronize().unwrap();
+    let trace = rt.tracer().expect("profiled pool").records();
+    let window = rt.flight().expect("black box on");
+    assert!(trace.len() > 8, "the trace outgrew the window");
+    assert_eq!(window.capacity, 8);
+    assert_eq!(window.recorded, trace.len() as u64);
+    assert_eq!(window.events, trace[trace.len() - 8..]);
+    // Detail (pass runs, kernel names) is in the trace because the
+    // profiler is on; a plain pool's black box records neither.
+    assert!(trace
+        .iter()
+        .any(|r| matches!(r.event, Event::PassRun { .. })));
+    let plain = forensic_runtime_with(3, 2, None).flight().unwrap();
+    assert!(plain.events.iter().all(|r| !matches!(
+        r.event,
+        Event::PassRun { .. }
+            | Event::Placed {
+                kernel: Some(_),
+                ..
+            }
+    )));
+    assert!(plain
+        .events
+        .iter()
+        .any(|r| matches!(r.event, Event::Placed { kernel: None, .. })));
+}
+
+#[test]
 fn flight_capacity_zero_disables_the_recorder_but_not_postmortems() {
     let rt = Runtime::new(RuntimeConfig::default().with_flight_capacity(0));
+    // Neither view asked for: the pool owns no ring at all.
     assert!(rt.flight().is_none());
+    assert!(rt.tracer().is_none());
     let s = rt.stream();
     s.launch(LaunchSpec::sum(&int_vector(64, 1)));
     rt.synchronize().unwrap();
@@ -193,10 +241,10 @@ fn failed_commands_land_in_the_flight_window() {
     bad.source = simt_kernels::KernelSource::Asm("  frob r1\n  exit".into());
     let h = s.launch(bad);
     assert!(h.wait().is_err());
-    let dump = rt.flight().expect("flight recorder on by default").dump();
+    let dump = rt.flight().expect("the black box is on by default");
     assert!(dump.events.iter().any(|r| matches!(
         &r.event,
-        FlightEvent::Failed { kind: FlightKind::Launch, error, .. } if error.contains("assembly")
+        Event::Failed { kind: CommandKind::Launch, error, .. } if error.contains("assembly")
     )));
 }
 

@@ -213,11 +213,14 @@ fn graph_replays_record_span_and_kernel_histograms() {
     assert_eq!(h.sum, spans.iter().sum::<u64>());
     assert_eq!(h.max, *spans.iter().max().unwrap());
     assert_eq!(h.min, *spans.iter().min().unwrap());
-    // Each stage kernel's latency histogram saw all three replays.
+    // Each stage kernel's latency histogram saw every replayed launch
+    // exactly once: graph nodes retire through the path stream
+    // commands take, and only that path records it.
     for stage in &p.stages {
         let k = snap.histogram(names::LAUNCH_CYCLES, &stage.name).unwrap();
         assert_eq!(k.count, 3, "{}", stage.name);
     }
+    assert_eq!(snap.counter(names::LAUNCHES, "").unwrap().value, 9);
 }
 
 #[test]

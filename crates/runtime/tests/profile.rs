@@ -10,7 +10,7 @@ use simt_isa::Opcode;
 use simt_kernels::pipeline::Pipeline;
 use simt_kernels::workload::{int_vector, q15_signal};
 use simt_kernels::{iir, KernelSource, LaunchSpec};
-use simt_profile::{chrome, summary::summarize, ProfileConfig, TraceEvent};
+use simt_profile::{chrome, summary::summarize, CacheTier, Event, ProfileConfig};
 use simt_runtime::{CommandKind, GraphBuilder, NodeId, Runtime, RuntimeConfig};
 
 mod common;
@@ -70,28 +70,65 @@ fn every_trace_category_is_recorded_and_summarized() {
     let tracer = rt.tracer().expect("profiled runtime exposes its tracer");
     assert_eq!(tracer.dropped(), 0, "default ring must not saturate");
     let events = tracer.events();
+    let sum = summarize(&events, tracer.dropped());
+    assert_eq!(sum.dropped, 0);
     for cat in ["kernel", "copy", "sync", "graph", "cache", "compiler"] {
-        let n = events.iter().filter(|e| e.category() == cat).count();
-        assert!(n >= 1, "no `{cat}` events in {} recorded", events.len());
+        assert!(
+            sum.by_category.iter().any(|c| c.category == cat),
+            "no `{cat}` marks in {:?}",
+            sum.by_category
+        );
     }
     // Both stream launches retire; the second one hits the compile
     // cache the first one populated.
     let retires = events
         .iter()
-        .filter(|e| matches!(e, TraceEvent::KernelRetire { .. }))
+        .filter(|e| {
+            matches!(
+                e,
+                Event::Placed {
+                    stream: Some(_),
+                    kind: CommandKind::Launch,
+                    ..
+                }
+            )
+        })
         .count();
     assert!(retires >= 2, "{retires} retires");
+    assert_eq!(sum.kernel_retires as usize, retires);
+    let compile_hit = |e: &Event| {
+        matches!(
+            e,
+            Event::CacheLookup {
+                tier: CacheTier::Compile,
+                hit: true,
+                ..
+            }
+        )
+    };
+    assert!(events.iter().any(compile_hit));
     assert!(events
         .iter()
-        .any(|e| matches!(e, TraceEvent::CompileCacheHit { .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, TraceEvent::GraphReplayDone { .. })));
+        .any(|e| matches!(e, Event::GraphReplayDone { .. })));
 
     // The flat summary agrees with a hand count.
-    let sum = summarize(&events, tracer.dropped());
-    assert_eq!(sum.events as usize, events.len());
-    assert_eq!(sum.dropped, 0);
+    let sync = events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                Event::Placed {
+                    kind: CommandKind::EventRecord | CommandKind::EventWait,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(sum.sync_commands as usize, sync);
+    assert_eq!(
+        sum.events,
+        sum.by_category.iter().map(|c| c.events).sum::<u64>()
+    );
 }
 
 #[test]
@@ -106,7 +143,8 @@ fn chrome_trace_parses_with_per_engine_tracks_and_nested_spans() {
         Value::Seq(items) => items,
         other => panic!("trace must be a JSON array, got {}", other.kind()),
     };
-    assert!(objs.len() > events.len(), "metadata + ≥1 object per event");
+    let marks = summarize(&events, 0).events as usize;
+    assert!(objs.len() > marks, "metadata + ≥1 object per timeline mark");
 
     // Every object carries the uniform 8-key shape.
     let field = |v: &Value, k: &str| v.get_field(k).unwrap_or_else(|e| panic!("{e}")).clone();
@@ -145,10 +183,10 @@ fn chrome_trace_parses_with_per_engine_tracks_and_nested_spans() {
         }
     }
     // The export says how complete it is: a default-capacity run drops
-    // nothing, and the event count matches the recorded stream.
+    // nothing, and the mark count matches the summary's.
     let trace_meta = trace_meta.expect("trace_metadata record");
     assert_eq!(as_u64(&trace_meta, "dropped_events"), 0);
-    assert_eq!(as_u64(&trace_meta, "events") as usize, events.len());
+    assert_eq!(as_u64(&trace_meta, "events") as usize, marks);
     for want in ["host", "device0", "device1", "streams"] {
         assert!(
             processes.iter().any(|(_, n)| n == want),
@@ -248,10 +286,7 @@ fn event_streams_are_deterministic_across_identical_runs() {
     assert!(!first.is_empty());
     assert_eq!(first, second, "same work, same seed ⇒ same events");
     // Both exporters are pure functions of that stream.
-    common::assert_golden(
-        "trace_chrome.json",
-        &chrome::chrome_trace(&first, dropped),
-    );
+    common::assert_golden("trace_chrome.json", &chrome::chrome_trace(&first, dropped));
     common::assert_golden(
         "trace_summary.json",
         &serde_json::to_string_pretty(&summarize(&first, dropped)).unwrap(),

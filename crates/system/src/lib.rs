@@ -21,6 +21,8 @@
 //! * a system clock derived from the *stamped* compile of `fpga-fitter`
 //!   — the Table 2 result is what multi-core systems actually run at.
 
+#![forbid(unsafe_code)]
+
 pub mod accel;
 
 use fpga_fabric::Device;

@@ -72,6 +72,8 @@
 //! assert!(launch.wait().unwrap().cycles > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use fpga_fabric;
 pub use fpga_fitter;
 pub use simt_compiler;
