@@ -2,8 +2,10 @@
 //! product split across 1..4 cores, accounting the stamped system clock
 //! each core count actually achieves — more cores shrink the per-core
 //! reduction but pay a slower clock and interconnect latency (the §5.1
-//! trade-off). The store-bound reduction parallelises well: each core's
-//! 16:1 write mux streams a quarter of the threads.
+//! trade-off). The store-bound reduction splits well across *modeled*
+//! cores: each core's 16:1 write mux streams a quarter of the threads,
+//! and the cores are concurrent on the modeled clock. The host runs
+//! them one after another; results do not depend on that order.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpga_fabric::Device;

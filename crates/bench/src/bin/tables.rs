@@ -179,26 +179,11 @@ struct SimWorkloadRow {
     bit_exact: bool,
 }
 
-/// One point of the lane-parallel fan-out threshold sweep
-/// (`ProcessorConfig::parallel_threshold`), measured on the predecoded
-/// interpreter with `RunOptions::parallel()`.
-#[derive(Debug, Clone, Serialize)]
-struct ThresholdRow {
-    /// Active-thread threshold; `None` = fan-out disabled entirely.
-    threshold: Option<u64>,
-    us_per_run: f64,
-}
-
 /// The machine-readable snapshot written to `BENCH_sim.json`.
 #[derive(Debug, Clone, Serialize)]
 struct SimBenchReport {
     schema_version: u32,
     rows: Vec<SimWorkloadRow>,
-    threshold_sweep_workload: String,
-    threshold_sweep: Vec<ThresholdRow>,
-    /// `None` = fan-out disabled by default (the measured optimum under
-    /// the vendored sequential rayon shim).
-    default_parallel_threshold: Option<u64>,
     /// Decode-cache behaviour of repeated runtime launches (asserted:
     /// re-runs hit the cached decode).
     decode_misses: u64,
@@ -394,51 +379,6 @@ fn sim() {
         rows.push(row);
     }
 
-    // Fan-out threshold sweep (predecoded loop, RunOptions::parallel):
-    // where does rayon fan-out actually win? Under the vendored
-    // sequential rayon shim the answer is "never" — the sweep records
-    // the measured overhead of the gather/fan-out path so the default
-    // threshold is an informed choice, not a relic.
-    let sweep_w = sim_workloads()
-        .into_iter()
-        .find(|w| w.name == "saxpy" && w.threads == 1024)
-        .expect("sweep workload exists");
-    let mut threshold_sweep = Vec::new();
-    for threshold in [
-        Some(0usize),
-        Some(64),
-        Some(128),
-        Some(256),
-        Some(512),
-        Some(1024),
-        None,
-    ] {
-        let w = SimWorkload {
-            config: sweep_w
-                .config
-                .clone()
-                .with_parallel_threshold(threshold.unwrap_or(usize::MAX)),
-            name: sweep_w.name.clone(),
-            threads: sweep_w.threads,
-            program: sweep_w.program.clone(),
-        };
-        let mut cpu = sim_processor(&w);
-        let t = sim_time_per_run(|| {
-            cpu.run(RunOptions::parallel()).expect("runs");
-        });
-        threshold_sweep.push(ThresholdRow {
-            threshold: threshold.map(|t| t as u64),
-            us_per_run: t * 1e6,
-        });
-    }
-    println!("\nfan-out threshold sweep (saxpy, 1024 threads, parallel run options):");
-    for r in &threshold_sweep {
-        match r.threshold {
-            Some(t) => println!("  threshold {:>6}: {:>8.2} us/run", t, r.us_per_run),
-            None => println!("  never        : {:>8.2} us/run", r.us_per_run),
-        }
-    }
-
     // Decode-cache smoke: repeated runtime launches of one kernel must
     // decode once and hit the cached decode on every re-run.
     let rt = Runtime::new(RuntimeConfig::with_devices(1));
@@ -458,14 +398,8 @@ fn sim() {
     println!("\ndecode cache over 4 repeated launches: {decode_misses} miss, {decode_hits} hits");
 
     let report = SimBenchReport {
-        schema_version: 4,
+        schema_version: 5,
         rows,
-        threshold_sweep_workload: "saxpy/1024".into(),
-        threshold_sweep,
-        default_parallel_threshold: match ProcessorConfig::default().parallel_threshold {
-            usize::MAX => None,
-            t => Some(t as u64),
-        },
         decode_misses,
         decode_hits,
     };
@@ -1567,7 +1501,6 @@ fn postmortem() {
             stall_idle_fraction: 0.4,
             stall_min_parallelism: 2,
             starvation_factor: 8,
-            ..Default::default()
         });
     let rt = Runtime::new(cfg);
     let x = int_vector(256, 1);

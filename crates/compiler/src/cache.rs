@@ -195,10 +195,7 @@ impl CompileCache {
             inner.tick += 1;
             let tick = inner.tick;
             if let Some(e) = inner.map.get_mut(&key) {
-                // Artifact identity ignores host-tuning fields
-                // (parallel_threshold) — see
-                // ProcessorConfig::artifact_compatible.
-                if e.material == *material && e.config.artifact_compatible(config) {
+                if e.material == *material && e.config == *config {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.note(&e.label, CacheTier::Compile, true, want_decoded);
@@ -673,27 +670,87 @@ mod tests {
     }
 
     #[test]
-    fn parallel_threshold_does_not_split_the_cache() {
-        // The fan-out threshold is a host-tuning knob: it changes
-        // neither the compiled artifact nor the decode, so sweeping it
-        // (as `tables --sim` does) must not force recompiles.
+    fn every_config_field_is_part_of_the_artifact_identity() {
+        // Config identity is the derived `==`: changing any one field
+        // (to a value that still validates and compiles) is a cache
+        // miss, and a processor of the base configuration refuses the
+        // foreign decode. The exhaustive destructuring makes a new
+        // field a compile error here until it gets a row; the final
+        // `len` check fails if `hash_config` forgets it (equal keys are
+        // a collision: compiled one-off, never resident).
+        let base = ProcessorConfig::small();
+        let ProcessorConfig {
+            threads,
+            regs_per_thread,
+            shared_words,
+            predicates,
+            call_stack_depth,
+            loop_stack_depth,
+            imem_capacity,
+            dsp_mode: _,
+        } = base.clone();
+        let variants = [
+            ("threads", base.clone().with_threads(threads * 2)),
+            (
+                "regs_per_thread",
+                base.clone().with_regs_per_thread(regs_per_thread * 2),
+            ),
+            (
+                "shared_words",
+                base.clone().with_shared_words(shared_words * 2),
+            ),
+            ("predicates", base.clone().with_predicates(!predicates)),
+            (
+                "call_stack_depth",
+                ProcessorConfig {
+                    call_stack_depth: call_stack_depth + 1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "loop_stack_depth",
+                ProcessorConfig {
+                    loop_stack_depth: loop_stack_depth + 1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "imem_capacity",
+                ProcessorConfig {
+                    imem_capacity: imem_capacity * 2,
+                    ..base.clone()
+                },
+            ),
+            (
+                "dsp_mode",
+                base.clone()
+                    .with_dsp_mode(simt_core::DspMode::FloatingPoint),
+            ),
+        ];
         let cache = CompileCache::new();
         let k = kernel(3);
-        let base = ProcessorConfig::small();
-        let (d1, hit1) = cache
+        let (_, hit) = cache
             .get_or_compile_decoded(&k, &base, OptLevel::Full)
             .unwrap();
-        assert!(!hit1);
-        for threshold in [0usize, 64, 1024, usize::MAX] {
-            let cfg = base.clone().with_parallel_threshold(threshold);
+        assert!(!hit);
+        let mut cpu = simt_core::Processor::new(base.clone()).unwrap();
+        for (field, cfg) in &variants {
+            cfg.validate().unwrap();
             let (d, hit) = cache
-                .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+                .get_or_compile_decoded(&k, cfg, OptLevel::Full)
                 .unwrap();
-            assert!(hit, "threshold {threshold} must share the artifact");
-            assert!(Arc::ptr_eq(&d, &d1));
+            assert!(!hit, "{field} must split the cache");
+            assert_eq!(
+                cpu.load_decoded(d),
+                Err(simt_core::LoadError::ConfigMismatch),
+                "{field}"
+            );
         }
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.misses(), 1);
+        let (_, hit) = cache
+            .get_or_compile_decoded(&k, &base, OptLevel::Full)
+            .unwrap();
+        assert!(hit, "the base artifact is still cached");
+        assert_eq!(cache.len(), variants.len() + 1);
     }
 
     #[test]

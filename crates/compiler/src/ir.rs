@@ -1188,9 +1188,6 @@ pub(crate) fn hash_config(h: &mut Fnv, cfg: &ProcessorConfig) {
         DspMode::Integer => 0,
         DspMode::FloatingPoint => 1,
     });
-    // `parallel_threshold` is deliberately NOT hashed: it is a
-    // host-simulation tuning knob that affects neither the compiled
-    // artifact nor its decode (see ProcessorConfig::artifact_compatible).
 }
 
 #[cfg(test)]

@@ -39,19 +39,6 @@ pub struct ProcessorConfig {
     pub imem_capacity: usize,
     /// DSP-block mode (integer for this design; FP for the eGPU baseline).
     pub dsp_mode: DspMode,
-    /// Active-thread count at or above which a run with
-    /// [`RunOptions::parallel`](crate::RunOptions) fans a data
-    /// instruction's column kernel out over thread sub-ranges through
-    /// rayon instead of running it over the whole active set
-    /// (host-simulation tuning only — results are bit-identical either
-    /// way). `0` engages the parallel path for every data instruction;
-    /// `usize::MAX` never engages it.
-    ///
-    /// The default is `usize::MAX`: the `tables --sim` sweep (recorded
-    /// in `BENCH_sim.json`) shows the fan-out path never wins under the
-    /// workspace's vendored **sequential** rayon shim. Set a finite
-    /// threshold when linking a real rayon thread pool.
-    pub parallel_threshold: usize,
 }
 
 impl Default for ProcessorConfig {
@@ -68,7 +55,6 @@ impl Default for ProcessorConfig {
             loop_stack_depth: 4,
             imem_capacity: 512,
             dsp_mode: DspMode::Integer,
-            parallel_threshold: usize::MAX,
         }
     }
 }
@@ -122,13 +108,6 @@ impl ProcessorConfig {
         self
     }
 
-    /// Builder-style: lane-parallel fan-out threshold (see
-    /// [`ProcessorConfig::parallel_threshold`]).
-    pub fn with_parallel_threshold(mut self, t: usize) -> Self {
-        self.parallel_threshold = t;
-        self
-    }
-
     /// Validate all paper-imposed limits.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.threads == 0 || self.threads > MAX_THREADS {
@@ -161,39 +140,6 @@ impl ProcessorConfig {
             return Err(ConfigError::ImemCapacity);
         }
         Ok(())
-    }
-
-    /// True when `other` yields byte-identical compiled artifacts and
-    /// simulator decodes: every field **except**
-    /// [`ProcessorConfig::parallel_threshold`], which only steers the
-    /// host-side lane-parallel fan-out at run time. The compile cache
-    /// and [`Processor::load_decoded`](crate::Processor::load_decoded)
-    /// compare with this, so configurations differing only in the
-    /// threshold share one artifact and one decode.
-    ///
-    /// New fields must be added to the destructuring here — and
-    /// compared iff they influence compilation, validation or the µop
-    /// decode.
-    pub fn artifact_compatible(&self, other: &ProcessorConfig) -> bool {
-        let ProcessorConfig {
-            threads,
-            regs_per_thread,
-            shared_words,
-            predicates,
-            call_stack_depth,
-            loop_stack_depth,
-            imem_capacity,
-            dsp_mode,
-            parallel_threshold: _,
-        } = self;
-        *threads == other.threads
-            && *regs_per_thread == other.regs_per_thread
-            && *shared_words == other.shared_words
-            && *predicates == other.predicates
-            && *call_stack_depth == other.call_stack_depth
-            && *loop_stack_depth == other.loop_stack_depth
-            && *imem_capacity == other.imem_capacity
-            && *dsp_mode == other.dsp_mode
     }
 
     /// Total registers across all threads.

@@ -3,9 +3,7 @@
 //!
 //! * **Functional** — computes results one register column at a time and
 //!   accounts clocks with the closed-form counter arithmetic of
-//!   [`InstructionTiming`];
-//!   optionally fanned out over thread sub-ranges via rayon for large
-//!   thread counts.
+//!   [`InstructionTiming`].
 //! * **CycleAccurate** — additionally steps the
 //!   [`PipelineControl`] counter
 //!   hardware clock by clock for every instruction and cross-checks it
@@ -37,7 +35,6 @@ use crate::regfile::RegisterFile;
 use crate::sequencer::{InstructionTiming, PipelineControl, FETCH_PIPELINE_DEPTH};
 use crate::shared::SharedMemory;
 use crate::stats::ExecStats;
-use rayon::prelude::*;
 use simt_datapath::{logic::LogicOp, ShiftKind, Signedness};
 use simt_isa::{CycleClass, Guard, Instruction, Opcode, Program};
 use std::sync::Arc;
@@ -59,11 +56,6 @@ pub struct RunOptions {
     pub max_cycles: u64,
     /// Execution mode.
     pub mode: ExecMode,
-    /// Fan each column kernel out over thread sub-ranges with rayon
-    /// when the active thread count reaches
-    /// [`ProcessorConfig::parallel_threshold`] (results are
-    /// bit-identical; commits and stores stay in thread order).
-    pub parallel: bool,
 }
 
 impl Default for RunOptions {
@@ -71,7 +63,6 @@ impl Default for RunOptions {
         RunOptions {
             max_cycles: 200_000_000,
             mode: ExecMode::Functional,
-            parallel: false,
         }
     }
 }
@@ -81,18 +72,6 @@ impl RunOptions {
     pub fn cycle_accurate() -> Self {
         RunOptions {
             mode: ExecMode::CycleAccurate,
-            ..Default::default()
-        }
-    }
-
-    /// Lane-parallel functional run. Fan-out additionally requires the
-    /// active thread count to reach
-    /// [`ProcessorConfig::parallel_threshold`], whose default disables
-    /// it (measured: the vendored sequential rayon shim never wins —
-    /// see `BENCH_sim.json`).
-    pub fn parallel() -> Self {
-        RunOptions {
-            parallel: true,
             ..Default::default()
         }
     }
@@ -216,12 +195,9 @@ impl Processor {
     /// Load an already-decoded program (validated against this build),
     /// sharing the decode instead of re-deriving it — the path the
     /// runtime's compile cache and multi-core systems use. The decode's
-    /// configuration must be
-    /// [artifact-compatible](ProcessorConfig::artifact_compatible) with
-    /// this processor's (the fan-out threshold may differ — this
-    /// processor's own setting governs the run).
+    /// configuration must equal this processor's.
     pub fn load_decoded(&mut self, decoded: Arc<DecodedProgram>) -> Result<(), LoadError> {
-        if !decoded.config().artifact_compatible(&self.config) {
+        if *decoded.config() != self.config {
             return Err(LoadError::ConfigMismatch);
         }
         validate_program(decoded.program(), &self.config)?;
@@ -387,7 +363,6 @@ impl Processor {
         profile: &mut Option<PcProfile>,
     ) -> Result<ExecStats, ExecError> {
         let uops = decoded.uops();
-        let threshold = self.config.parallel_threshold;
         self.shared.reset_stats();
         let mut stats = ExecStats {
             cycles: FETCH_PIPELINE_DEPTH,
@@ -503,10 +478,7 @@ impl Processor {
                     return Ok(stats);
                 }
                 Opcode::Nop | Opcode::Bar => {}
-                _ => {
-                    let parallel = opts.parallel && active >= threshold;
-                    self.exec_uop(&u, pc, active, parallel)?;
-                }
+                _ => self.exec_uop(&u, pc, active)?,
             }
 
             if TRACED {
@@ -578,13 +550,7 @@ impl Processor {
     /// kernel per opcode over the operand registers' contiguous
     /// columns, with the guard test and operand indices pre-resolved —
     /// no per-lane field extraction or opcode dispatch.
-    fn exec_uop(
-        &mut self,
-        u: &Uop,
-        pc: usize,
-        active: usize,
-        parallel: bool,
-    ) -> Result<(), ExecError> {
+    fn exec_uop(&mut self, u: &Uop, pc: usize, active: usize) -> Result<(), ExecError> {
         let Processor {
             config,
             regfile,
@@ -602,7 +568,6 @@ impl Processor {
             scratch,
             threads,
             active,
-            parallel,
             u: *u,
         };
 
@@ -1004,10 +969,6 @@ impl Processor {
     }
 }
 
-/// Threads per sub-range when [`RunOptions::parallel`] fans a column
-/// kernel out (16 full rows of the 16-SP block).
-const PAR_SUBRANGE: usize = 256;
-
 /// One data µop's view of the register file: the raw register-major
 /// columns, the predicate nibbles and the processor's scratch column.
 ///
@@ -1017,8 +978,7 @@ const PAR_SUBRANGE: usize = 256;
 /// column. Sources are only ever borrowed shared and `rd` only after
 /// they are released, so `rd` aliasing a source needs no special case,
 /// and the loops are plain zips over contiguous slices the compiler can
-/// vectorize. With `parallel` set the *evaluate* phase runs the same
-/// kernel over [`PAR_SUBRANGE`]-thread sub-ranges through rayon.
+/// vectorize.
 struct ColumnKernel<'a> {
     regs: &'a mut [u32],
     preds: &'a mut [u8],
@@ -1026,7 +986,6 @@ struct ColumnKernel<'a> {
     /// Column stride (the configured thread count).
     threads: usize,
     active: usize,
-    parallel: bool,
     /// By value: a local copy the lane loops can keep in registers.
     u: Uop,
 }
@@ -1061,28 +1020,14 @@ impl ColumnKernel<'_> {
             scratch,
             threads,
             active,
-            parallel,
             u,
         } = self;
         let src = |reg| col(regs, threads, active, reg);
         let (a, b, c, p) = (src(u.ra), src(u.rb), src(u.rc), &preds[..active]);
         let out = &mut scratch[..active];
-        let kernel = |base: usize, out: &mut [u32], a: &[u32], b: &[u32], c: &[u32], p: &[u8]| {
-            let lanes = out.iter_mut().zip(a).zip(b).zip(c).zip(p);
-            for (i, ((((o, &a), &b), &c), &p)) in lanes.enumerate() {
-                *o = f((base + i) as u32, a, b, c, p);
-            }
-        };
-        if parallel {
-            out.par_chunks_mut(PAR_SUBRANGE)
-                .zip(a.par_chunks(PAR_SUBRANGE))
-                .zip(b.par_chunks(PAR_SUBRANGE))
-                .zip(c.par_chunks(PAR_SUBRANGE))
-                .zip(p.par_chunks(PAR_SUBRANGE))
-                .enumerate()
-                .for_each(|(n, ((((o, a), b), c), p))| kernel(n * PAR_SUBRANGE, o, a, b, c, p));
-        } else {
-            kernel(0, out, a, b, c, p);
+        let lanes = out.iter_mut().zip(a).zip(b).zip(c).zip(p);
+        for (tid, ((((o, &a), &b), &c), &p)) in lanes.enumerate() {
+            *o = f(tid as u32, a, b, c, p);
         }
         let rd = &mut regs[u.rd as usize * threads..][..active];
         commit(rd, out, p, &u);
@@ -1102,7 +1047,6 @@ impl ColumnKernel<'_> {
             preds,
             threads,
             active,
-            parallel,
             u,
             ..
         } = self;
@@ -1111,20 +1055,9 @@ impl ColumnKernel<'_> {
             col(regs, threads, active, u.rb),
         );
         let bit = u.pred_bit;
-        let kernel = |p: &mut [u8], a: &[u32], b: &[u32]| {
-            for ((p, &a), &b) in p.iter_mut().zip(a).zip(b) {
-                let set = if f(a, b) { *p | bit } else { *p & !bit };
-                *p = if u.guard_passes(*p) { set } else { *p };
-            }
-        };
-        let p = &mut preds[..active];
-        if parallel {
-            p.par_chunks_mut(PAR_SUBRANGE)
-                .zip(a.par_chunks(PAR_SUBRANGE))
-                .zip(b.par_chunks(PAR_SUBRANGE))
-                .for_each(|((p, a), b)| kernel(p, a, b));
-        } else {
-            kernel(p, a, b);
+        for ((p, &a), &b) in preds[..active].iter_mut().zip(a).zip(b) {
+            let set = if f(a, b) { *p | bit } else { *p & !bit };
+            *p = if u.guard_passes(*p) { set } else { *p };
         }
     }
 
@@ -1135,6 +1068,9 @@ impl ColumnKernel<'_> {
     /// Out of line, like `sts`: inlined into the dispatch function the
     /// gather loop's code quality swung with unrelated edits there
     /// (0.48 ↔ 0.68 ns per lane measured); a call per µop is free.
+    /// Where the linker puts it still matters: byte-identical code
+    /// starting 48 bytes into a 64-byte line, instead of 0 or 32, read
+    /// ≈ 4 % lower `stream_heavy` thread-ops/s (PR 16 in `CHANGES.md`).
     #[inline(never)]
     fn lds(self, shared: &mut SharedMemory, pc: usize) -> Result<(), ExecError> {
         let ColumnKernel {
@@ -1143,45 +1079,34 @@ impl ColumnKernel<'_> {
             scratch,
             threads,
             active,
-            parallel,
             u,
         } = self;
         shared.account_read_rows(u.lanes as usize, u.depth as usize);
         let data = shared.as_slice();
         let (a, p) = (col(regs, threads, active, u.ra), &preds[..active]);
         let out = &mut scratch[..active];
-        // Per sub-range: the first trapping (thread, addr), if any. The
-        // unguarded common case carries no per-lane guard test.
-        let kernel = |base: usize, out: &mut [u32], a: &[u32], p: &[u8]| {
-            let load = |i: usize, o: &mut u32, a: u32| -> Result<(), (usize, usize)> {
+        // The first trapping (thread, addr), if any. The unguarded
+        // common case carries no per-lane guard test.
+        let gather = |out: &mut [u32]| {
+            let load = |thread: usize, o: &mut u32, a: u32| -> Result<(), (usize, usize)> {
                 let addr = a.wrapping_add(u.imm) as usize;
-                *o = *data.get(addr).ok_or((base + i, addr))?;
+                *o = *data.get(addr).ok_or((thread, addr))?;
                 Ok(())
             };
             if u.guard_and == 0 {
-                for (i, (o, &a)) in out.iter_mut().zip(a).enumerate() {
-                    load(i, o, a)?;
+                for (thread, (o, &a)) in out.iter_mut().zip(a).enumerate() {
+                    load(thread, o, a)?;
                 }
             } else {
-                for (i, ((o, &a), &p)) in out.iter_mut().zip(a).zip(p).enumerate() {
+                for (thread, ((o, &a), &p)) in out.iter_mut().zip(a).zip(p).enumerate() {
                     if u.guard_passes(p) {
-                        load(i, o, a)?;
+                        load(thread, o, a)?;
                     }
                 }
             }
             Ok(())
         };
-        let trap = if parallel {
-            out.par_chunks_mut(PAR_SUBRANGE)
-                .zip(a.par_chunks(PAR_SUBRANGE))
-                .zip(p.par_chunks(PAR_SUBRANGE))
-                .enumerate()
-                .map(|(n, ((o, a), p))| kernel(n * PAR_SUBRANGE, o, a, p))
-                .try_reduce(|| (), |(), ()| Ok(()))
-        } else {
-            kernel(0, out, a, p)
-        }
-        .err();
+        let trap = gather(out).err();
         let loaded = trap.map_or(active, |(thread, _)| thread);
         let p = &p[..loaded];
         let rd = &mut regs[u.rd as usize * threads..][..loaded];

@@ -71,11 +71,11 @@ pub const SETP_OPS: &[Opcode] = &[
 pub const REGS: u8 = 8;
 /// Shared-memory words the generated programs may touch.
 pub const MEM_WORDS: usize = 4096;
-/// Upper bound on the serial-case thread sweep.
+/// Upper bound on the per-case thread sweep.
 pub const MAX_THREADS: usize = 96;
-/// Thread count of the lane-parallel differential case (above the
-/// default fan-out threshold) — the memory-offset bound must cover it.
-pub const PAR_THREADS: usize = 512;
+/// Thread count of the wide-block differential case (a 32-row block)
+/// — the memory-offset bound must cover it.
+pub const WIDE_THREADS: usize = 512;
 
 /// Random decoration: optional guard and optional dynamic thread scale.
 fn decorate() -> impl Strategy<Value = (Option<(u8, bool)>, Option<u8>)> {
@@ -119,8 +119,8 @@ fn arb_data_instr() -> impl Strategy<Value = Instruction> {
                     .rb(rb)
             } else {
                 // Memory, thread-id based and in bounds: tid < threads
-                // <= PAR_THREADS, so r0 + off stays inside MEM_WORDS.
-                let off = (imm as usize % (MEM_WORDS - PAR_THREADS)) as u32;
+                // <= WIDE_THREADS, so r0 + off stays inside MEM_WORDS.
+                let off = (imm as usize % (MEM_WORDS - WIDE_THREADS)) as u32;
                 if pick % 2 == 0 {
                     Instruction::new(Opcode::Lds).rd(rd).ra(0).imm(off)
                 } else {
@@ -252,10 +252,6 @@ pub fn config(threads: usize) -> ProcessorConfig {
         .with_regs_per_thread(REGS as usize)
         .with_shared_words(MEM_WORDS)
         .with_predicates(true)
-        // The default threshold disables fan-out (the vendored rayon
-        // shim never wins); a finite one keeps the parallel code path
-        // under differential test.
-        .with_parallel_threshold(256)
 }
 
 /// The deterministic shared-memory seed image every case starts from.

@@ -253,7 +253,7 @@ fn functional_and_cycle_accurate_agree() {
 }
 
 #[test]
-fn parallel_and_serial_agree() {
+fn full_block_predecoded_matches_reference() {
     let src = "  stid r1
            muli r2, r1, 13
            xori r2, r2, 0x5A5A
@@ -262,7 +262,7 @@ fn parallel_and_serial_agree() {
            sts [r1+0], r4
            exit";
     let mut outs = Vec::new();
-    for parallel in [false, true] {
+    for reference in [false, true] {
         let mut cpu = Processor::new(
             ProcessorConfig::default()
                 .with_threads(1024)
@@ -277,11 +277,12 @@ fn parallel_and_serial_agree() {
             .unwrap();
         let p = assemble(src).unwrap();
         cpu.load_program(&p).unwrap();
-        let opts = RunOptions {
-            parallel,
-            ..Default::default()
-        };
-        let stats = cpu.run(opts).unwrap();
+        let stats = if reference {
+            cpu.run_reference(RunOptions::default())
+        } else {
+            cpu.run(RunOptions::default())
+        }
+        .unwrap();
         outs.push((stats, cpu.shared().as_slice().to_vec()));
     }
     assert_eq!(outs[0].0, outs[1].0);
@@ -508,19 +509,4 @@ fn reference_interpreter_matches_fast_path_end_to_end() {
     let sr = reference.run_reference(RunOptions::default()).unwrap();
     assert_eq!(sf, sr);
     assert_eq!(fast.shared().as_slice(), reference.shared().as_slice());
-}
-
-#[test]
-fn load_decoded_accepts_a_threshold_only_difference() {
-    // parallel_threshold is host tuning: it does not change the decode,
-    // so sharing across it must work (the compile cache relies on it).
-    let mut a = small_cpu();
-    let p = assemble("  stid r1\n  exit").unwrap();
-    a.load_program(&p).unwrap();
-    let decoded = a.decoded().cloned().unwrap();
-
-    let mut b = Processor::new(ProcessorConfig::small().with_parallel_threshold(0)).unwrap();
-    b.load_decoded(decoded).unwrap();
-    b.run(RunOptions::default()).unwrap();
-    assert_eq!(b.regfile().read(5, 1), 5);
 }

@@ -8,15 +8,16 @@
 //!   plus the per-PC charges reproduce `ExecStats` exactly, and issue /
 //!   thread-op totals match the instruction counters;
 //! * same program + same seed ⇒ **identical profiles**, across repeat
-//!   runs, across execution modes, and across the serial and
-//!   lane-parallel paths.
+//!   runs and across execution modes;
+//! * on a wide block (512 threads) the profile equals the one derived
+//!   independently from the **reference** interpreter's trace.
 
 mod common;
 
-use common::{arb_program, config, seed_memory, MAX_THREADS, PAR_THREADS};
+use common::{arb_program, config, seed_memory, MAX_THREADS, WIDE_THREADS};
 use proptest::prelude::*;
-use simt_core::{ExecStats, PcProfile, Processor, RunOptions};
-use simt_isa::Program;
+use simt_core::{ExecStats, PcProfile, Processor, RunOptions, FETCH_PIPELINE_DEPTH};
+use simt_isa::{CycleClass, Program};
 
 fn run_profiled(program: &Program, threads: usize, opts: RunOptions) -> (ExecStats, PcProfile) {
     let mut cpu = Processor::new(config(threads)).unwrap();
@@ -81,13 +82,32 @@ proptest! {
         prop_assert_eq!(&a, &ca);
     }
 
-    /// The lane-parallel fan-out path produces the same profile as the
-    /// serial path (512 threads, above the fan-out threshold).
+    /// The wide-block case (512 threads, 32 rows): the predecoded
+    /// loop's profile equals the one rebuilt from the reference
+    /// interpreter's trace — each entry charges its clocks, plus the
+    /// flush if it redirected the PC, plus its thread-ops, to its PC.
     #[test]
-    fn parallel_profile_matches_serial(program in arb_program()) {
-        let serial = run_profiled(&program, PAR_THREADS, RunOptions::default());
-        let parallel = run_profiled(&program, PAR_THREADS, RunOptions::parallel());
-        prop_assert_eq!(serial, parallel);
+    fn wide_block_profile_matches_reference_trace(program in arb_program()) {
+        let (stats, profile) = run_profiled(&program, WIDE_THREADS, RunOptions::default());
+
+        let mut reference = Processor::new(config(WIDE_THREADS)).unwrap();
+        reference.shared_mut().load_words(0, &seed_memory()).unwrap();
+        reference.load_program(&program).unwrap();
+        let (ref_stats, trace) = reference.run_reference_traced(RunOptions::default()).unwrap();
+        let mut derived = PcProfile::with_len(program.len());
+        derived.fill_cycles = ref_stats.fill_cycles;
+        for e in &trace {
+            let flush = if e.jumped.is_some() { FETCH_PIPELINE_DEPTH } else { 0 };
+            let ops = if e.opcode.cycle_class() == CycleClass::SingleCycle {
+                0
+            } else {
+                e.active as u64
+            };
+            derived.record(e.pc, e.clocks + flush, ops);
+        }
+
+        prop_assert_eq!(stats, ref_stats);
+        prop_assert_eq!(profile, derived);
     }
 }
 

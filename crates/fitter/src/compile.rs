@@ -11,7 +11,6 @@ use crate::netlist::{timing_arcs, DesignVariant};
 use crate::place::{place, Constraint, Placement};
 use crate::sta::{analyze, StaReport};
 use fpga_fabric::{Device, TimingModel};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use simt_core::ProcessorConfig;
 
@@ -173,7 +172,8 @@ pub fn compile(cfg: &ProcessorConfig, device: &Device, opts: &CompileOptions) ->
     }
 }
 
-/// Run a seed sweep in parallel and return all reports, seed order.
+/// Compile once per seed, one after another, and return all reports
+/// in seed order (each compile is a pure function of its seed).
 pub fn seed_sweep(
     cfg: &ProcessorConfig,
     device: &Device,
@@ -181,7 +181,7 @@ pub fn seed_sweep(
     seeds: &[u64],
 ) -> Vec<CompileReport> {
     seeds
-        .par_iter()
+        .iter()
         .map(|&seed| compile(cfg, device, &opts.clone().with_seed(seed)))
         .collect()
 }

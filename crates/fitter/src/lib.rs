@@ -17,7 +17,7 @@
 //! * [`sta`] — static timing: soft-path delays from logic depth ×
 //!   routing distance × congestion × seed jitter, hard-block ceilings
 //!   (DSP 958/771 MHz, M20K, MLAB 850 MHz), worst-slack stamp coupling;
-//! * [`mod@compile`] — the full flow plus parallel seed sweeps (**Table 2**,
+//! * [`mod@compile`] — the full flow plus seed sweeps (**Table 2**,
 //!   §5's Fmax results);
 //! * [`floorplan`] — textual floorplans (Figures 6 and 7);
 //! * [`calib`] — every calibrated constant, each citing the sentence of

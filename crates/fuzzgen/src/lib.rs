@@ -12,7 +12,6 @@
 //! * `O0` vs `O2` compilation ([`simt_compiler::OptLevel`]),
 //! * the reference interpreter vs the predecoded pipeline model,
 //! * functional vs cycle-accurate timing mode,
-//! * serial vs parallel lane fan-out,
 //! * an eager runtime stream vs captured-graph replay vs
 //!   fused-graph replay ([`simt_runtime`]).
 //!

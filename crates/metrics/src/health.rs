@@ -27,10 +27,11 @@ pub struct HealthConfig {
     /// A stream is starved when its un-serviced age exceeds this many
     /// multiples of the pool's median launch latency.
     pub starvation_factor: u64,
-    /// Retry pressure is excessive when retries exceed this fraction of
-    /// retired launches (0.5 = one retry per two launches).
-    pub excessive_retry_factor: f64,
 }
+
+/// Retry pressure is excessive when retries exceed this fraction of
+/// retired launches: one retry per two launches.
+const EXCESSIVE_RETRY_FACTOR: f64 = 0.5;
 
 impl Default for HealthConfig {
     fn default() -> Self {
@@ -38,7 +39,6 @@ impl Default for HealthConfig {
             stall_idle_fraction: 0.5,
             stall_min_parallelism: 2,
             starvation_factor: 8,
-            excessive_retry_factor: 0.5,
         }
     }
 }
@@ -263,7 +263,7 @@ impl HealthMonitor {
             .counter(names::LAUNCHES, "")
             .map(|c| c.value)
             .unwrap_or(0);
-        if retries as f64 > self.cfg.excessive_retry_factor * launches as f64 {
+        if retries as f64 > EXCESSIVE_RETRY_FACTOR * launches as f64 {
             out.push(HealthFinding::ExcessiveRetries { retries, launches });
         }
     }

@@ -273,10 +273,9 @@ impl Runtime {
     /// [`RuntimeConfig::compile_cache_capacity`]).
     ///
     /// # Panics
-    /// If the configuration asks for zero devices or zero-sized batches.
+    /// If the configuration asks for zero devices.
     pub fn new(cfg: RuntimeConfig) -> Self {
         assert!(cfg.devices >= 1, "a pool needs at least one device");
-        assert!(cfg.max_batch >= 1, "batches need at least one command");
         let shared = Arc::new(Shared::new(cfg.clone()));
         let mut compile_cache = match cfg.compile_cache_capacity {
             Some(cap) => CompileCache::with_capacity(cap),

@@ -75,8 +75,6 @@ impl Default for DeviceConfig {
 pub struct RuntimeConfig {
     /// Number of simulated devices (worker threads).
     pub devices: usize,
-    /// Maximum commands one scheduler wake-up drains for a device.
-    pub max_batch: usize,
     /// LRU bound on the pool-wide content-addressed compile cache
     /// (`None` = unbounded). A long-running pool serving many distinct
     /// programs must not grow the cache without limit; evictions are
@@ -122,7 +120,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             devices: 2,
-            max_batch: 8,
             compile_cache_capacity: Some(256),
             profile: None,
             metrics: true,

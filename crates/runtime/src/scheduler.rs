@@ -3,7 +3,7 @@
 //! One worker thread per pool device (a plain `std::thread` spawn)
 //! drains ready commands from any stream with work. A wake-up claims a
 //! *batch*: consecutive ready commands of one stream, up to
-//! `max_batch`, stopping after a launch so co-resident streams
+//! `MAX_BATCH`, stopping after a launch so co-resident streams
 //! interleave — that is what lets one stream's copies overlap another
 //! stream's compute.
 //!
@@ -239,6 +239,9 @@ pub(crate) struct CaptureSession {
 /// records, completions still count in the stats but are no longer
 /// appended (a long-running runtime must not grow without bound).
 const COMPLETION_TRACE_CAP: usize = 1 << 16;
+
+/// Maximum commands one scheduler wake-up claims for a device.
+const MAX_BATCH: usize = 8;
 
 /// Everything behind the scheduler mutex.
 pub(crate) struct SchedState {
@@ -1201,7 +1204,7 @@ impl Shared {
                         | Some(Command::Launch { .. })
                 ) {
                     let mut batch = Vec::new();
-                    while batch.len() < self.cfg.max_batch {
+                    while batch.len() < MAX_BATCH {
                         let (is_launch, is_copy) = match st.queue.front().map(|p| &p.cmd) {
                             Some(Command::Launch { .. }) => (true, false),
                             Some(Command::CopyIn { .. }) | Some(Command::CopyOut { .. }) => {

@@ -95,7 +95,6 @@ fn injected_stall_postmortem_names_the_device_and_its_hottest_pc() {
             stall_idle_fraction: 0.4,
             stall_min_parallelism: 2,
             starvation_factor: 8,
-            ..Default::default()
         });
     let rt = Runtime::new(cfg);
     let x = int_vector(256, 1);

@@ -27,7 +27,6 @@ pub mod accel;
 
 use fpga_fabric::Device;
 use fpga_fitter::{best_of, seed_sweep, CompileOptions};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use simt_core::{
     ConfigError, ExecError, ExecStats, LoadError, Processor, ProcessorConfig, RunOptions,
@@ -214,19 +213,17 @@ impl System {
             assert!(!seen[i], "duplicate core index {i}");
             seen[i] = true;
         }
-        let selected: Vec<&mut Processor> = self
+        // The modeled cores run concurrently, so a trap on one does not
+        // stop the others: the host runs every selected core, in index
+        // order, and only then reports the first error.
+        let results: Vec<Result<ExecStats, ExecError>> = self
             .cores
             .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| seen[*i])
-            .map(|(_, c)| c)
+            .zip(&seen)
+            .filter(|(_, &selected)| selected)
+            .map(|(core, _)| core.run(opts))
             .collect();
-        let results: Vec<Result<ExecStats, ExecError>> =
-            selected.into_par_iter().map(|c| c.run(opts)).collect();
-        let mut phase: Vec<ExecStats> = Vec::with_capacity(results.len());
-        for r in results {
-            phase.push(r?);
-        }
+        let phase = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(self.account_phase(phase))
     }
 
