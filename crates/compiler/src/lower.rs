@@ -297,7 +297,7 @@ fn pred(alloc: &Allocation, v: ValueId) -> Result<u8, CompileError> {
     })
 }
 
-fn bin_opcode(b: BinOp) -> Opcode {
+pub(crate) fn bin_opcode(b: BinOp) -> Opcode {
     match b {
         BinOp::Add => Opcode::Add,
         BinOp::Sub => Opcode::Sub,
@@ -332,7 +332,7 @@ fn bin_imm_opcode(b: BinOp) -> Opcode {
     }
 }
 
-fn un_opcode(u: UnOp) -> Opcode {
+pub(crate) fn un_opcode(u: UnOp) -> Opcode {
     match u {
         UnOp::Abs => Opcode::Abs,
         UnOp::Neg => Opcode::Neg,

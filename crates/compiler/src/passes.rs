@@ -11,6 +11,9 @@
 //! saturation), so folding can never change a kernel's output.
 
 use crate::ir::{BinOp, Kernel, Op, UnOp, ValueId};
+use crate::lower::{bin_opcode, un_opcode};
+use simt_core::alu::native;
+use simt_isa::Opcode;
 use std::collections::HashMap;
 
 /// Architectural thread ceiling (the ISA's 1024-thread limit), used as
@@ -121,56 +124,18 @@ pub fn optimize(k: &mut Kernel) -> PipelineReport {
     report
 }
 
-// ---- bit-exact constant evaluation (mirrors `simt_core::alu`) ---------
+// ---- bit-exact constant evaluation -------------------------------------
+//
+// A folded instruction must yield what executing it would have: folding
+// evaluates the opcode the op lowers to through `simt_core::alu::native`,
+// the semantics the simulator's fast path itself runs.
 
 pub(crate) fn eval_bin(op: BinOp, a: u32, b: u32) -> u32 {
-    match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => (a as i32).wrapping_mul(b as i32) as u32,
-        BinOp::MulHi => (((a as i32 as i64).wrapping_mul(b as i32 as i64)) >> 32) as u32,
-        BinOp::MulUHi => (((a as u64).wrapping_mul(b as u64)) >> 32) as u32,
-        BinOp::Min => (a as i32).min(b as i32) as u32,
-        BinOp::Max => (a as i32).max(b as i32) as u32,
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => {
-            if b >= 32 {
-                0
-            } else {
-                a << b
-            }
-        }
-        BinOp::Lsr => {
-            if b >= 32 {
-                0
-            } else {
-                a >> b
-            }
-        }
-        BinOp::Asr => {
-            if b >= 32 {
-                ((a as i32) >> 31) as u32
-            } else {
-                ((a as i32) >> b) as u32
-            }
-        }
-        BinOp::SatAdd => (a as i32).saturating_add(b as i32) as u32,
-        BinOp::SatSub => (a as i32).saturating_sub(b as i32) as u32,
-    }
+    native(bin_opcode(op), a, b, 0, 0)
 }
 
 pub(crate) fn eval_un(op: UnOp, a: u32) -> u32 {
-    match op {
-        UnOp::Abs => (a as i32).wrapping_abs() as u32,
-        UnOp::Neg => (a as i32).wrapping_neg() as u32,
-        UnOp::Not => !a,
-        UnOp::Cnot => (a == 0) as u32,
-        UnOp::Popc => a.count_ones(),
-        UnOp::Clz => a.leading_zeros(),
-        UnOp::Brev => a.reverse_bits(),
-    }
+    native(un_opcode(op), a, 0, 0, 0)
 }
 
 // ---- constant folding -------------------------------------------------
@@ -248,13 +213,13 @@ fn fold_region(
             }
             (Op::Un(u), [Some(x)]) => Some(eval_un(*u, *x as u32)),
             (Op::Mad, [Some(x), Some(y), Some(z)]) => {
-                Some(eval_bin(BinOp::Mul, *x as u32, *y as u32).wrapping_add(*z as u32))
+                Some(native(Opcode::MadLo, *x as u32, *y as u32, *z as u32, 0))
             }
             (Op::MulShr(s), [Some(x), Some(y)]) => {
-                Some((((*x as i64).wrapping_mul(*y as i64)) >> (s & 63)) as u32)
+                Some(native(Opcode::MulShr, *x as u32, *y as u32, 0, *s))
             }
             (Op::ShAdd(s), [Some(x), Some(y)]) => {
-                Some(eval_bin(BinOp::Shl, *x as u32, s & 31).wrapping_add(*y as u32))
+                Some(native(Opcode::ShAdd, *x as u32, *y as u32, 0, *s))
             }
             _ => None,
         };

@@ -1,9 +1,28 @@
-//! Per-thread instruction semantics, routed through the bit-exact
-//! datapath models of `simt-datapath` — the simulator computes every
-//! multiply through the DSP-vector composition and every shift through
-//! the multiplicative shifter, so an RTL bug class (wrong vector
-//! arrangement, wrong carry, wrong mask) would surface as a wrong result
-//! here, not just as a wrong cycle count.
+//! Per-thread instruction semantics, twice.
+//!
+//! **Structural — the oracle.** [`Datapath::eval`] / [`Datapath::eval_setp`]
+//! route every operation through the bit-exact datapath models of
+//! `simt-datapath`: every multiply goes through the DSP-vector
+//! composition, every shift through the multiplicative shifter, every
+//! add through the two-stage 16+16 adder. An RTL bug class (wrong vector
+//! arrangement, wrong carry, wrong mask) surfaces there as a wrong
+//! *result*, not just as a wrong cycle count. The **reference
+//! interpreter** ([`Processor::run_reference`](crate::Processor::run_reference))
+//! computes through it, as do `tables --fig5`, the fitter's depth inputs
+//! and the datapath crate's own tests.
+//!
+//! **Native — the fast path.** [`native`] / [`native_setp`] say what that
+//! structure *computes*: a 32-bit wrapping add, a 64-bit product, a
+//! shift. The predecoded interpreter ([`Processor::run`](crate::Processor::run))
+//! and the compiler's constant folder evaluate through them. The fast
+//! path may be native because both semantics are pure, total functions
+//! of `(opcode, a, b, c, imm)`: `tests/native_semantics.rs` proves them
+//! equal opcode by opcode over a corner-value cross product plus seeded
+//! random operands, and every predecoded-vs-reference comparison
+//! (`prop_decode`, `opcode_matrix`, the fuzz matrix's `ref-*` vs `pre-*`
+//! legs, `tables --sim`'s `bit_exact`) checks native against structural
+//! again on whole programs. The gate structure exists to close timing
+//! near 1 GHz, which no host loop has to do.
 
 use simt_datapath::{
     logic::LogicOp, Int32Multiplier, LogicUnit, MultiplicativeShifter, PipelinedAdder32, ShiftKind,
@@ -15,10 +34,10 @@ use simt_isa::{Instruction, Opcode};
 /// simulator shares one instance since the models are stateless).
 #[derive(Debug, Clone, Default)]
 pub struct Datapath {
-    pub(crate) mult: Int32Multiplier,
-    pub(crate) shifter: MultiplicativeShifter,
-    pub(crate) adder: PipelinedAdder32,
-    pub(crate) logic: LogicUnit,
+    mult: Int32Multiplier,
+    shifter: MultiplicativeShifter,
+    adder: PipelinedAdder32,
+    logic: LogicUnit,
 }
 
 /// Operand bundle for one thread's lane.
@@ -167,6 +186,129 @@ impl Datapath {
             Opcode::SetpGeu => !lt_unsigned,
             _ => unreachable!("{opcode:?} is not a setp opcode"),
         }
+    }
+}
+
+/// What the datapath computes, in host arithmetic — the semantics of
+/// every ALU-value opcode as a pure function of its operands.
+///
+/// `imm` is the immediate as the decoder widens it (`imm32` for Imm32
+/// forms, zero-extended `imm16` for Imm16 forms; ignored elsewhere).
+/// The three opcodes whose value comes from the lane rather than from
+/// registers take it as an operand: `selp` steers on `c != 0`, `stid`
+/// and `sntid` return the special register passed as `a`.
+///
+/// Always inlined: a caller passing a constant `opcode` (each arm of
+/// the simulator's µop dispatch does) gets the one arm it names, and
+/// the match folds out of its lane loop.
+///
+/// # Panics
+/// If called with a memory, control or `setp` opcode, like
+/// [`Datapath::eval`].
+#[inline(always)]
+pub fn native(opcode: Opcode, a: u32, b: u32, c: u32, imm: u32) -> u32 {
+    // The full 64-bit signed product of the two 32-bit operands.
+    let product = |a: u32, b: u32| a as i32 as i64 * b as i32 as i64;
+    let mul_hi = |a: u32, b: u32| (product(a, b) >> 32) as u32;
+    // Out-of-range shift amounts shift everything out (the one-hot
+    // conversion yields 0); `asr` then leaves the sign.
+    let shl = |a: u32, s: u32| a.checked_shl(s).unwrap_or(0);
+    let lsr = |a: u32, s: u32| a.checked_shr(s).unwrap_or(0);
+    let asr = |a: u32, s: u32| ((a as i32) >> s.min(31)) as u32;
+    match opcode {
+        Opcode::Add => a.wrapping_add(b),
+        Opcode::Sub => a.wrapping_sub(b),
+        Opcode::Min => (a as i32).min(b as i32) as u32,
+        Opcode::Max => (a as i32).max(b as i32) as u32,
+        Opcode::Abs => (a as i32).wrapping_abs() as u32,
+        Opcode::Neg => a.wrapping_neg(),
+        Opcode::Sad => c.wrapping_add((a as i32).abs_diff(b as i32)),
+        Opcode::Addi => a.wrapping_add(imm),
+        Opcode::Subi => a.wrapping_sub(imm),
+        Opcode::MulLo => a.wrapping_mul(b),
+        Opcode::MulHi => mul_hi(a, b),
+        Opcode::MuluHi => ((a as u64 * b as u64) >> 32) as u32,
+        Opcode::MadLo => a.wrapping_mul(b).wrapping_add(c),
+        Opcode::MadHi => mul_hi(a, b).wrapping_add(c),
+        Opcode::Muli => a.wrapping_mul(imm),
+        Opcode::And => a & b,
+        Opcode::Or => a | b,
+        Opcode::Xor => a ^ b,
+        Opcode::Not => !a,
+        Opcode::Cnot => (a == 0) as u32,
+        Opcode::Andi => a & imm,
+        Opcode::Ori => a | imm,
+        Opcode::Xori => a ^ imm,
+        Opcode::Popc => a.count_ones(),
+        Opcode::Clz => a.leading_zeros(),
+        Opcode::Brev => a.reverse_bits(),
+        Opcode::Shl => shl(a, b),
+        Opcode::Lsr => lsr(a, b),
+        Opcode::Asr => asr(a, b),
+        Opcode::Shli => shl(a, imm),
+        Opcode::Lsri => lsr(a, imm),
+        Opcode::Asri => asr(a, imm),
+        Opcode::SatAdd => (a as i32).saturating_add(b as i32) as u32,
+        Opcode::SatSub => (a as i32).saturating_sub(b as i32) as u32,
+        // Fixed-point scaling: the full product, arithmetic shift right
+        // by imm (0..=63), low 32 bits.
+        Opcode::MulShr => (product(a, b) >> (imm & 63)) as u32,
+        // Address generation: (a << imm) + b.
+        Opcode::ShAdd => (a << (imm & 31)).wrapping_add(b),
+        Opcode::Bfe => {
+            let pos = imm & 0x1F;
+            let len = (imm >> 5) & 0x3F;
+            (a >> pos) & 1u32.checked_shl(len).map_or(u32::MAX, |bit| bit - 1)
+        }
+        Opcode::Rotri => a.rotate_right(imm & 31),
+        Opcode::Selp => {
+            if c != 0 {
+                a
+            } else {
+                b
+            }
+        }
+        Opcode::Mov | Opcode::Stid | Opcode::Sntid => a,
+        Opcode::Movi => imm,
+        Opcode::SetpEq
+        | Opcode::SetpNe
+        | Opcode::SetpLt
+        | Opcode::SetpLe
+        | Opcode::SetpGt
+        | Opcode::SetpGe
+        | Opcode::SetpLtu
+        | Opcode::SetpGeu
+        | Opcode::Lds
+        | Opcode::Sts
+        | Opcode::Bra
+        | Opcode::Brp
+        | Opcode::Call
+        | Opcode::Ret
+        | Opcode::Loop
+        | Opcode::Exit
+        | Opcode::Nop
+        | Opcode::Bar => {
+            unreachable!("{opcode:?} is not an ALU-value opcode")
+        }
+    }
+}
+
+/// The `setp.*` comparisons in host arithmetic (see [`native`]).
+///
+/// # Panics
+/// If `opcode` is not a `setp.*`, like [`Datapath::eval_setp`].
+#[inline(always)]
+pub fn native_setp(opcode: Opcode, a: u32, b: u32) -> bool {
+    match opcode {
+        Opcode::SetpEq => a == b,
+        Opcode::SetpNe => a != b,
+        Opcode::SetpLt => (a as i32) < (b as i32),
+        Opcode::SetpLe => (a as i32) <= (b as i32),
+        Opcode::SetpGt => (a as i32) > (b as i32),
+        Opcode::SetpGe => (a as i32) >= (b as i32),
+        Opcode::SetpLtu => a < b,
+        Opcode::SetpGeu => a >= b,
+        _ => unreachable!("{opcode:?} is not a setp opcode"),
     }
 }
 

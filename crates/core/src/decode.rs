@@ -24,10 +24,11 @@
 //! the compile cache keeps one per compiled artifact, a multi-core
 //! `simt_system::System` hands one `Arc` to every core, and
 //! [`Processor::reset`](crate::Processor::reset) keeps it alive across
-//! runs. Decoding performs **no validation** — a `DecodedProgram` is
-//! paired with the [`validate_program`] checks at
-//! [`Processor::load_decoded`](crate::Processor::load_decoded) time,
-//! exactly the checks `load_program` has always run.
+//! runs. Decoding never fails, but it runs the [`validate_program`]
+//! checks once and keeps their verdict with the decode, so
+//! [`Processor::load_decoded`](crate::Processor::load_decoded) — every
+//! launch of a cached artifact — returns it without walking the program
+//! again.
 
 use crate::config::ProcessorConfig;
 use crate::error::LoadError;
@@ -51,6 +52,13 @@ pub(crate) struct Uop {
     /// Pre-shifted predicate bit: `1 << dst` for `setp.*`,
     /// `1 << sel` for `selp`, 0 otherwise.
     pub pred_bit: u8,
+    /// The µop writes register `rd` and also *reads* it — a live source
+    /// field names the same register — so a kernel that writes `rd` in
+    /// place must read that source from a copy taken first. Decided
+    /// here because only the decoder knows which source fields are
+    /// live: dead ones are cleared to 0 below and would compare equal
+    /// to an `rd` of `r0`.
+    pub rd_is_src: bool,
     /// Destination register index (0 for control flow).
     pub rd: u16,
     /// First source register index (0 where the opcode reads none —
@@ -118,6 +126,9 @@ impl Uop {
         // rc is a predicate index, already folded into `pred_bit`).
         let reads = instr.opcode.reg_reads();
         let src = |n: usize, r: simt_isa::Reg| if reads >= n { r.index() as u16 } else { 0 };
+        let live = |n: usize, r: simt_isa::Reg| reads >= n && r == instr.rd;
+        let rd_is_src = instr.opcode.writes_rd()
+            && (live(1, instr.ra) || live(2, instr.rb) || live(3, instr.rc));
         let active = InstructionTiming::scaled_threads(config.threads, instr.scale);
         let class = instr.opcode.cycle_class();
         let (lanes, depth) = InstructionTiming::block_shape(active);
@@ -127,6 +138,7 @@ impl Uop {
             guard_and,
             guard_xor,
             pred_bit,
+            rd_is_src,
             rd,
             ra: src(1, instr.ra),
             rb: src(2, instr.rb),
@@ -158,14 +170,17 @@ pub struct DecodedProgram {
     uops: Vec<Uop>,
     program: Arc<Program>,
     config: ProcessorConfig,
+    /// What [`validate_program`] says of `program` under `config`.
+    validity: Result<(), LoadError>,
 }
 
 impl DecodedProgram {
     /// Lower `program` for `config`.
     ///
-    /// Decoding never fails; pair it with [`validate_program`] (which
+    /// Decoding never fails: an invalid program decodes to a value that
+    /// carries its [`validate_program`] error, which
     /// [`Processor::load_decoded`](crate::Processor::load_decoded)
-    /// runs) before executing the result.
+    /// returns instead of loading it.
     pub fn decode(program: Arc<Program>, config: &ProcessorConfig) -> Self {
         let uops = program
             .instructions()
@@ -174,9 +189,16 @@ impl DecodedProgram {
             .collect();
         DecodedProgram {
             uops,
+            validity: validate_program(&program, config),
             program,
             config: config.clone(),
         }
+    }
+
+    /// The load checks' verdict on the source program under
+    /// [`DecodedProgram::config`], computed once at decode time.
+    pub(crate) fn validity(&self) -> &Result<(), LoadError> {
+        &self.validity
     }
 
     /// The source program.
@@ -333,6 +355,36 @@ mod tests {
         assert_eq!(srcs(Opcode::Selp), (9, 10, 0)); // rc is a predicate index
         assert_eq!(srcs(Opcode::MadLo), (9, 10, 11));
         assert_eq!(srcs(Opcode::Sts), (9, 10, 0));
+    }
+
+    #[test]
+    fn rd_is_src_is_set_by_live_sources_only() {
+        let bit = |i: Instruction| Uop::decode(&i, &cfg()).rd_is_src;
+        let i = |op, rd, ra, rb, rc| Instruction::new(op).rd(rd).ra(ra).rb(rb).rc(rc);
+        // No missed copy-in: any live source naming rd, r0 included.
+        assert!(bit(i(Opcode::Add, 1, 1, 2, 0)));
+        assert!(bit(i(Opcode::Add, 1, 2, 1, 0)));
+        assert!(bit(i(Opcode::MadLo, 1, 2, 3, 1)));
+        assert!(bit(i(Opcode::Addi, 4, 4, 0, 0)));
+        assert!(bit(i(Opcode::Add, 0, 0, 1, 0)));
+        assert!(bit(i(Opcode::Lds, 0, 0, 0, 0)));
+        assert!(bit(i(Opcode::Lds, 5, 5, 0, 0)));
+        // No spurious one: dead fields decode to register 0 and must
+        // not alias an rd of r0 ...
+        assert!(!bit(i(Opcode::Add, 1, 2, 3, 0)));
+        assert!(!bit(i(Opcode::Movi, 0, 0, 0, 0)));
+        assert!(!bit(i(Opcode::Stid, 0, 0, 0, 0)));
+        assert!(!bit(i(Opcode::Addi, 0, 1, 0, 0)));
+        assert!(!bit(i(Opcode::Add, 0, 1, 2, 0)));
+        assert!(!bit(i(Opcode::Lds, 0, 1, 0, 0)));
+        // ... nor does a dead field that happens to name rd, selp's
+        // predicate index included.
+        assert!(!bit(i(Opcode::Addi, 1, 2, 1, 1)));
+        assert!(!bit(i(Opcode::Add, 3, 1, 2, 3)));
+        assert!(!bit(i(Opcode::Selp, 1, 2, 3, 1)));
+        // Opcodes that write no register have no rd column to alias.
+        assert!(!bit(i(Opcode::Sts, 1, 1, 1, 0)));
+        assert!(!bit(i(Opcode::SetpLt, 1, 1, 1, 0)));
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!   port schedule makes loads cost 4 clocks per 16-thread row and stores
 //!   16 ([`shared`]);
 //! * a register file of up to 4096 threads × 64 K registers ([`regfile`]);
-//! * per-lane execution routed through the **bit-exact datapath models**
-//!   of `simt-datapath` — every multiply goes through the DSP-vector
-//!   composition, every shift through the multiplicative shifter
-//!   ([`alu`]);
+//! * per-lane semantics in two independent forms ([`alu`]): the
+//!   **bit-exact datapath models** of `simt-datapath` — every multiply
+//!   through the DSP-vector composition, every shift through the
+//!   multiplicative shifter — which the reference interpreter evaluates,
+//!   and the host arithmetic they compute, which the fast path runs and
+//!   the tests prove equal;
 //! * uniform control flow with the Fig. 2 call stack, zero-overhead
 //!   loops, and taken-branch pipeline zeroing ([`sm`]).
 //!

@@ -11,32 +11,38 @@
 //!
 //! Both modes produce identical results and identical [`ExecStats`].
 //!
-//! Two *interpreters* also share that semantic core (see
+//! Two *interpreters* compute that semantics independently (see
 //! `docs/SIMULATOR.md`):
 //!
 //! * the **predecoded** fast path ([`Processor::run`]) executes the
 //!   cached [`DecodedProgram`] µops with per-opcode column kernels,
 //!   monomorphized over (trace on/off × mode) so the hot loop carries
-//!   no trace or cross-check branches;
+//!   no trace or cross-check branches. Its lanes are **native**: host
+//!   arithmetic ([`crate::alu::native`]) written straight into the `rd`
+//!   column, and unit-stride or broadcast `lds`/`sts` address columns
+//!   moved as one block;
 //! * the **reference** path ([`Processor::run_reference`]) interprets
 //!   the [`Program`] directly, re-extracting fields per dynamic
-//!   instruction the way the seed simulator did — kept as the
-//!   differential-testing oracle and the host-throughput baseline.
+//!   instruction the way the seed simulator did, one lane at a time
+//!   through the **structural** datapath models
+//!   ([`Datapath::eval`]) — kept as the differential-testing oracle and
+//!   the host-throughput baseline.
 //!
 //! The two must never diverge: results, traces and [`ExecStats`] are
-//! pinned bit-identical by `tests/prop_decode.rs`.
+//! pinned bit-identical by `tests/prop_decode.rs`, which makes every
+//! such comparison a native-versus-structural check as well.
 
-use crate::alu::{Datapath, Operands};
+use crate::alu::{native, native_setp, Datapath, Operands};
 use crate::config::ProcessorConfig;
-use crate::decode::{validate_program, DecodedProgram, Uop};
+use crate::decode::{DecodedProgram, Uop};
 use crate::error::{ConfigError, ExecError, LoadError};
 use crate::profile::PcProfile;
 use crate::regfile::RegisterFile;
 use crate::sequencer::{InstructionTiming, PipelineControl, FETCH_PIPELINE_DEPTH};
 use crate::shared::SharedMemory;
 use crate::stats::ExecStats;
-use simt_datapath::{logic::LogicOp, ShiftKind, Signedness};
 use simt_isa::{CycleClass, Guard, Instruction, Opcode, Program};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Execution mode selector.
@@ -126,8 +132,9 @@ pub struct Processor {
     datapath: Datapath,
     /// The loaded program, predecoded (kept across [`Processor::reset`]).
     decoded: Option<Arc<DecodedProgram>>,
-    /// The column kernels' reusable result column (one word per
-    /// thread): a data µop evaluates into it, then commits to `rd`.
+    /// The column kernels' reusable spare column (one word per thread):
+    /// a µop that reads the register it writes reads its old contents
+    /// from here.
     scratch: Vec<u32>,
 }
 
@@ -186,21 +193,21 @@ impl Processor {
     /// I-Mem is "externally re-loadable", Fig. 2) and predecode it into
     /// the µop cache the run loop executes.
     pub fn load_program(&mut self, program: &Program) -> Result<(), LoadError> {
-        validate_program(program, &self.config)?;
         let program = Arc::new(program.clone());
-        self.decoded = Some(Arc::new(DecodedProgram::decode(program, &self.config)));
-        Ok(())
+        self.load_decoded(Arc::new(DecodedProgram::decode(program, &self.config)))
     }
 
-    /// Load an already-decoded program (validated against this build),
-    /// sharing the decode instead of re-deriving it — the path the
-    /// runtime's compile cache and multi-core systems use. The decode's
-    /// configuration must equal this processor's.
+    /// Load an already-decoded program, sharing the decode instead of
+    /// re-deriving it — the path the runtime's compile cache and
+    /// multi-core systems use. The decode's configuration must equal
+    /// this processor's; the program was validated against it when it
+    /// was decoded, and an invalid one is rejected here with that
+    /// verdict.
     pub fn load_decoded(&mut self, decoded: Arc<DecodedProgram>) -> Result<(), LoadError> {
         if *decoded.config() != self.config {
             return Err(LoadError::ConfigMismatch);
         }
-        validate_program(decoded.program(), &self.config)?;
+        decoded.validity().clone()?;
         self.decoded = Some(decoded);
         Ok(())
     }
@@ -549,13 +556,14 @@ impl Processor {
     /// thread set: one dense dispatch per *instruction*, then a column
     /// kernel per opcode over the operand registers' contiguous
     /// columns, with the guard test and operand indices pre-resolved —
-    /// no per-lane field extraction or opcode dispatch.
+    /// no per-lane field extraction or opcode dispatch, and host
+    /// arithmetic ([`native`]) in the lane loop, not the gate structure
+    /// the reference interpreter evaluates.
     fn exec_uop(&mut self, u: &Uop, pc: usize, active: usize) -> Result<(), ExecError> {
         let Processor {
             config,
             regfile,
             shared,
-            datapath: dp,
             scratch,
             ..
         } = self;
@@ -571,116 +579,53 @@ impl Processor {
             u: *u,
         };
 
-        match u.opcode {
-            // ---- shared memory --------------------------------------
-            Opcode::Lds => return k.lds(shared, pc),
-            Opcode::Sts => return k.sts(shared, pc),
-
-            // ---- compares (predicate writers; the opcode is a constant
-            // per arm so the compare folds out of the lane loop) -------
-            Opcode::SetpEq => k.setp(|a, b| dp.eval_setp(Opcode::SetpEq, a, b)),
-            Opcode::SetpNe => k.setp(|a, b| dp.eval_setp(Opcode::SetpNe, a, b)),
-            Opcode::SetpLt => k.setp(|a, b| dp.eval_setp(Opcode::SetpLt, a, b)),
-            Opcode::SetpLe => k.setp(|a, b| dp.eval_setp(Opcode::SetpLe, a, b)),
-            Opcode::SetpGt => k.setp(|a, b| dp.eval_setp(Opcode::SetpGt, a, b)),
-            Opcode::SetpGe => k.setp(|a, b| dp.eval_setp(Opcode::SetpGe, a, b)),
-            Opcode::SetpLtu => k.setp(|a, b| dp.eval_setp(Opcode::SetpLtu, a, b)),
-            Opcode::SetpGeu => k.setp(|a, b| dp.eval_setp(Opcode::SetpGeu, a, b)),
-
-            // ---- integer arithmetic (adder datapath) ----------------
-            Opcode::Add => k.lanes(|_, a, b, _| dp.adder.add(a, b)),
-            Opcode::Sub => k.lanes(|_, a, b, _| dp.adder.sub(a, b)),
-            Opcode::Min => k.lanes(|_, a, b, _| dp.adder.min_s(a, b)),
-            Opcode::Max => k.lanes(|_, a, b, _| dp.adder.max_s(a, b)),
-            Opcode::Abs => k.lanes(|_, a, _, _| dp.adder.abs(a)),
-            Opcode::Neg => k.lanes(|_, a, _, _| dp.adder.neg(a)),
-            Opcode::Sad => k.lanes(|_, a, b, c| dp.adder.sad(a, b, c)),
-            Opcode::Addi => k.lanes(|_, a, _, _| dp.adder.add(a, imm)),
-            Opcode::Subi => k.lanes(|_, a, _, _| dp.adder.sub(a, imm)),
-
-            // ---- multiplier datapath --------------------------------
-            Opcode::MulLo => k.lanes(|_, a, b, _| dp.mult.mul_lo(a, b, Signedness::Signed)),
-            Opcode::MulHi => k.lanes(|_, a, b, _| dp.mult.mul_hi(a, b, Signedness::Signed)),
-            Opcode::MuluHi => k.lanes(|_, a, b, _| dp.mult.mul_hi(a, b, Signedness::Unsigned)),
-            Opcode::MadLo => {
-                k.lanes(|_, a, b, c| dp.adder.add(dp.mult.mul_lo(a, b, Signedness::Signed), c))
-            }
-            Opcode::MadHi => {
-                k.lanes(|_, a, b, c| dp.adder.add(dp.mult.mul_hi(a, b, Signedness::Signed), c))
-            }
-            Opcode::Muli => k.lanes(|_, a, _, _| dp.mult.mul_lo(a, imm, Signedness::Signed)),
-
-            // ---- bitwise logic (soft-logic ALU) ---------------------
-            Opcode::And => k.lanes(|_, a, b, _| dp.logic.eval(LogicOp::And, a, b)),
-            Opcode::Or => k.lanes(|_, a, b, _| dp.logic.eval(LogicOp::Or, a, b)),
-            Opcode::Xor => k.lanes(|_, a, b, _| dp.logic.eval(LogicOp::Xor, a, b)),
-            Opcode::Not => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Not, a, 0)),
-            Opcode::Cnot => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Cnot, a, 0)),
-            Opcode::Andi => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::And, a, imm)),
-            Opcode::Ori => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Or, a, imm)),
-            Opcode::Xori => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Xor, a, imm)),
-            Opcode::Popc => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Popc, a, 0)),
-            Opcode::Clz => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Clz, a, 0)),
-            Opcode::Brev => k.lanes(|_, a, _, _| dp.logic.eval(LogicOp::Brev, a, 0)),
-
-            // ---- shifts (multiplicative shifter) --------------------
-            Opcode::Shl => k.lanes(|_, a, b, _| dp.shifter.shift(ShiftKind::Lsl, a, b)),
-            Opcode::Lsr => k.lanes(|_, a, b, _| dp.shifter.shift(ShiftKind::Lsr, a, b)),
-            Opcode::Asr => k.lanes(|_, a, b, _| dp.shifter.shift(ShiftKind::Asr, a, b)),
-            Opcode::Shli => k.lanes(|_, a, _, _| dp.shifter.shift(ShiftKind::Lsl, a, imm)),
-            Opcode::Lsri => k.lanes(|_, a, _, _| dp.shifter.shift(ShiftKind::Lsr, a, imm)),
-            Opcode::Asri => k.lanes(|_, a, _, _| dp.shifter.shift(ShiftKind::Asr, a, imm)),
-
-            // ---- fixed-point / address helpers ----------------------
-            Opcode::SatAdd => k.lanes(|_, a, b, _| dp.adder.sat_add(a, b)),
-            Opcode::SatSub => k.lanes(|_, a, b, _| dp.adder.sat_sub(a, b)),
-            Opcode::MulShr => {
-                // Fixed-point scaling: full 64-bit signed product,
-                // arithmetic shift right by imm (0..=63), low 32 bits.
-                let sh = imm & 63;
-                k.lanes(|_, a, b, _| {
-                    let full = dp.mult.mul_full(a, b, Signedness::Signed) as i64;
-                    (full >> sh) as u32
-                })
-            }
-            Opcode::ShAdd => {
-                // Address generation: (a << imm) + b.
-                let sh = imm & 31;
-                k.lanes(|_, a, b, _| dp.adder.add(dp.shifter.shift(ShiftKind::Lsl, a, sh), b))
-            }
-            Opcode::Bfe => {
-                let pos = imm & 0x1F;
-                let len = (imm >> 5) & 0x3F;
-                let mask = if len >= 32 {
-                    u32::MAX
-                } else {
-                    (1u32 << len) - 1
-                };
-                k.lanes(|_, a, _, _| dp.shifter.shift(ShiftKind::Lsr, a, pos) & mask)
-            }
-            Opcode::Rotri => k.lanes(|_, a, _, _| dp.shifter.rotate_right(a, imm)),
-
-            // ---- predicated select and data movement ----------------
-            Opcode::Selp => {
-                let bit = u.pred_bit;
-                k.lanes_pred_src(|_, a, b, _, p| if p & bit != 0 { a } else { b })
-            }
-            Opcode::Mov => k.lanes(|_, a, _, _| a),
-            Opcode::Movi => k.lanes(|_, _, _, _| imm),
-            Opcode::Stid => k.lanes(|tid, _, _, _| tid),
-            Opcode::Sntid => k.lanes(|_, _, _, _| ntid),
-
-            // Control flow is handled by the run loop.
-            Opcode::Bra
-            | Opcode::Brp
-            | Opcode::Call
-            | Opcode::Ret
-            | Opcode::Loop
-            | Opcode::Exit
-            | Opcode::Nop
-            | Opcode::Bar => {
-                unreachable!("{:?} is not a data opcode", u.opcode)
-            }
+        // One arm per opcode, each naming its opcode as a constant:
+        // `native`/`native_setp` inline into the kernel's lane loop and
+        // their match folds to the one arm before the loop is compiled.
+        macro_rules! dispatch {
+            (setp: $($setp:ident)*; value: $($value:ident)*;) => {
+                match u.opcode {
+                    Opcode::Lds => return k.lds(shared, pc),
+                    Opcode::Sts => return k.sts(shared, pc),
+                    $(Opcode::$setp => k.setp(|a, b| native_setp(Opcode::$setp, a, b)),)*
+                    $(Opcode::$value => k.lanes(|_, a, b, c| native(Opcode::$value, a, b, c, imm)),)*
+                    // The lane supplies what the registers do not: the
+                    // steering predicate and the two special registers.
+                    Opcode::Selp => {
+                        let bit = u.pred_bit;
+                        k.lanes_pred_src(|_, a, b, _, p| {
+                            native(Opcode::Selp, a, b, (p & bit) as u32, 0)
+                        })
+                    }
+                    Opcode::Stid => k.lanes(|tid, _, _, _| native(Opcode::Stid, tid, 0, 0, 0)),
+                    Opcode::Sntid => k.lanes(|_, _, _, _| native(Opcode::Sntid, ntid, 0, 0, 0)),
+                    // Control flow is handled by the run loop.
+                    Opcode::Bra
+                    | Opcode::Brp
+                    | Opcode::Call
+                    | Opcode::Ret
+                    | Opcode::Loop
+                    | Opcode::Exit
+                    | Opcode::Nop
+                    | Opcode::Bar => unreachable!("{:?} is not a data opcode", u.opcode),
+                }
+            };
+        }
+        dispatch! {
+            setp: SetpEq SetpNe SetpLt SetpLe SetpGt SetpGe SetpLtu SetpGeu;
+            value:
+                // integer arithmetic
+                Add Sub Min Max Abs Neg Sad Addi Subi
+                // multiplier
+                MulLo MulHi MuluHi MadLo MadHi Muli
+                // bitwise logic
+                And Or Xor Not Cnot Andi Ori Xori Popc Clz Brev
+                // shifts
+                Shl Lsr Asr Shli Lsri Asri
+                // fixed-point / address helpers
+                SatAdd SatSub MulShr ShAdd Bfe Rotri
+                // data movement
+                Mov Movi;
         }
         Ok(())
     }
@@ -972,13 +917,16 @@ impl Processor {
 /// One data µop's view of the register file: the raw register-major
 /// columns, the predicate nibbles and the processor's scratch column.
 ///
-/// Every register-writing kernel follows the same *scratch-and-commit*
-/// rule: read the `ra`/`rb`/`rc` column prefixes `[..active]`, evaluate
-/// lane by lane into the scratch column, then [`commit`] it to the `rd`
-/// column. Sources are only ever borrowed shared and `rd` only after
-/// they are released, so `rd` aliasing a source needs no special case,
-/// and the loops are plain zips over contiguous slices the compiler can
-/// vectorize.
+/// Register-writing kernels **write in place**: [`split_rd`] splits the
+/// flat register array around the `rd` column, the `ra`/`rb`/`rc`
+/// prefixes `[..active]` are borrowed from the two halves, and each
+/// lane is evaluated straight into `rd` — a plain store when the µop is
+/// unguarded, a mask blend with the old value otherwise, one loop
+/// either way. Only when `rd` is itself a live source
+/// ([`Uop::rd_is_src`]) is that column first *copied in* to the scratch
+/// column and read from there. The loops are plain zips over
+/// equal-length contiguous slices, which is what lets the compiler
+/// vectorize them.
 struct ColumnKernel<'a> {
     regs: &'a mut [u32],
     preds: &'a mut [u8],
@@ -996,6 +944,134 @@ fn col(regs: &[u32], threads: usize, active: usize, reg: u16) -> &[u32] {
     &regs[reg as usize * threads..][..active]
 }
 
+/// Split the register array around the `rd` column: its active prefix,
+/// mutable, and a lookup from a source field to that register's active
+/// prefix in what is left. A field naming `rd` itself reads the scratch
+/// column, which holds `rd`'s old contents when such a field is live
+/// (`u.rd_is_src`) and which no kernel looks at when it is dead.
+#[inline(always)]
+fn split_rd<'a>(
+    regs: &'a mut [u32],
+    scratch: &'a mut [u32],
+    threads: usize,
+    active: usize,
+    u: &Uop,
+) -> (&'a mut [u32], impl Fn(u16) -> &'a [u32]) {
+    let (below, rest) = regs.split_at_mut(u.rd as usize * threads);
+    let (rd, above) = rest.split_at_mut(threads);
+    let (rd, old) = (&mut rd[..active], &mut scratch[..active]);
+    if u.rd_is_src {
+        old.copy_from_slice(rd);
+    }
+    let (below, above, old): (&[u32], &[u32], &[u32]) = (below, above, old);
+    let rd_reg = u.rd;
+    let src = move |reg: u16| match reg.cmp(&rd_reg) {
+        Ordering::Less => col(below, threads, active, reg),
+        Ordering::Equal => old,
+        Ordering::Greater => col(above, threads, active, reg - rd_reg - 1),
+    };
+    (rd, src)
+}
+
+/// Lanes an address-pattern test folds between early-exit checks: a
+/// scattered column pays for one chunk, not for the column.
+const PATTERN_CHUNK: usize = 64;
+
+/// Whether every lane of `column` holds its lower neighbour's value
+/// plus `step`: a branch-free OR-fold of the deviations, a chunk at a
+/// time.
+fn steps_by(column: &[u32], step: u32) -> bool {
+    let upper = column.get(1..).unwrap_or_default();
+    let mut chunks = column
+        .chunks(PATTERN_CHUNK)
+        .zip(upper.chunks(PATTERN_CHUNK));
+    chunks.all(|(lo, hi)| {
+        let deviation = |acc, (&lo, &hi): (&u32, &u32)| acc | (hi.wrapping_sub(lo) ^ step);
+        lo.iter().zip(hi).fold(0, deviation) == 0
+    })
+}
+
+/// The first word of the window an unguarded `lds`/`sts` walks when
+/// lane `t` addresses word `first + t` — unit stride — and every one of
+/// those is in bounds. A column that leaves the memory, or wraps
+/// `u32`, is `None`: traps stay with the per-lane loops.
+fn unit_stride(column: &[u32], imm: u32, words: usize) -> Option<usize> {
+    let first = column.first()?.wrapping_add(imm);
+    let last = first.checked_add(column.len() as u32 - 1)?;
+    ((last as usize) < words && steps_by(column, 1)).then_some(first as usize)
+}
+
+/// The one in-bounds word every lane of an unguarded `lds` addresses,
+/// if that is what the column says.
+fn broadcast(column: &[u32], imm: u32, words: usize) -> Option<usize> {
+    let addr = column.first()?.wrapping_add(imm) as usize;
+    (addr < words && steps_by(column, 0)).then_some(addr)
+}
+
+/// `lds`, lane by lane: `rd[t] = data[a[t] + imm]` on guard-passing
+/// lanes, stopping at the first out-of-bounds one, whose
+/// `(thread, addr)` is the error. The unguarded common case carries no
+/// per-lane guard test.
+///
+/// A function of its own so the two loops get a register allocation of
+/// their own: inside `lds` they reloaded both base pointers from the
+/// stack every lane (0.72 against 0.45 ns per lane). Where the linker
+/// puts such a loop can still matter: PR 16 measured byte-identical
+/// gather code starting 48 bytes into a 64-byte line, instead of 0 or
+/// 32, at ≈ 4 % lower `stream_heavy` thread-ops/s (`CHANGES.md`).
+#[inline(never)]
+fn gather(
+    rd: &mut [u32],
+    a: &[u32],
+    p: &[u8],
+    data: &[u32],
+    u: &Uop,
+) -> Result<(), (usize, usize)> {
+    let load = |thread: usize, d: &mut u32, a: u32| -> Result<(), (usize, usize)> {
+        let addr = a.wrapping_add(u.imm) as usize;
+        *d = *data.get(addr).ok_or((thread, addr))?;
+        Ok(())
+    };
+    if u.guard_and == 0 {
+        for (thread, (d, &a)) in rd.iter_mut().zip(a).enumerate() {
+            load(thread, d, a)?;
+        }
+    } else {
+        for (thread, ((d, &a), &p)) in rd.iter_mut().zip(a).zip(p).enumerate() {
+            if u.guard_passes(p) {
+                load(thread, d, a)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `sts`, lane by lane and in thread order: `data[a[t] + imm] =
+/// values[t]` on guard-passing lanes, stopping at the first
+/// out-of-bounds one. Returns the words written and that lane's
+/// `(thread, addr)`, if any. Out of line for [`gather`]'s reason.
+#[inline(never)]
+fn scatter(
+    data: &mut [u32],
+    a: &[u32],
+    values: &[u32],
+    p: &[u8],
+    u: &Uop,
+) -> (u64, Option<(usize, usize)>) {
+    let mut writes = 0u64;
+    for (thread, ((&a, &value), &p)) in a.iter().zip(values).zip(p).enumerate() {
+        if u.guard_passes(p) {
+            let addr = a.wrapping_add(u.imm) as usize;
+            match data.get_mut(addr) {
+                Some(slot) => *slot = value,
+                None => return (writes, Some((thread, addr))),
+            }
+            writes += 1;
+        }
+    }
+    (writes, None)
+}
+
 impl ColumnKernel<'_> {
     /// Register-writing value op: `rd = f(tid, ra, rb, rc)` per lane.
     #[inline(always)]
@@ -1008,7 +1084,7 @@ impl ColumnKernel<'_> {
 
     /// [`ColumnKernel::lanes`] variant whose body also reads the lane's
     /// predicate nibble (`selp`). Every active lane is evaluated — the
-    /// datapath models are total — and the guard is applied at commit.
+    /// semantics are total — and a guard only selects what is stored.
     #[inline(always)]
     fn lanes_pred_src<F>(self, f: F)
     where
@@ -1022,15 +1098,20 @@ impl ColumnKernel<'_> {
             active,
             u,
         } = self;
-        let src = |reg| col(regs, threads, active, reg);
+        let (rd, src) = split_rd(regs, scratch, threads, active, &u);
         let (a, b, c, p) = (src(u.ra), src(u.rb), src(u.rc), &preds[..active]);
-        let out = &mut scratch[..active];
-        let lanes = out.iter_mut().zip(a).zip(b).zip(c).zip(p);
-        for (tid, ((((o, &a), &b), &c), &p)) in lanes.enumerate() {
-            *o = f(tid as u32, a, b, c, p);
+        let lanes = rd.iter_mut().zip(a).zip(b).zip(c).zip(p).enumerate();
+        if u.guard_and == 0 {
+            for (tid, ((((d, &a), &b), &c), &p)) in lanes {
+                *d = f(tid as u32, a, b, c, p);
+            }
+        } else {
+            // A mask blend, not a conditional store, so it vectorizes.
+            for (tid, ((((d, &a), &b), &c), &p)) in lanes {
+                let mask = (u.guard_passes(p) as u32).wrapping_neg();
+                *d = (f(tid as u32, a, b, c, p) & mask) | (*d & !mask);
+            }
         }
-        let rd = &mut regs[u.rd as usize * threads..][..active];
-        commit(rd, out, p, &u);
     }
 
     /// Predicate-writing compare: the µop's pre-shifted destination bit
@@ -1062,15 +1143,14 @@ impl ColumnKernel<'_> {
     }
 
     /// `lds`: `rd = shared[ra + imm]` on guard-passing lanes. An
-    /// out-of-bounds lane traps with the lanes below it already loaded
-    /// (and counted), as in-order per-lane execution leaves them.
+    /// unguarded, in-bounds [`unit_stride`] or [`broadcast`] address
+    /// column is one `copy_from_slice` or `fill`; everything else
+    /// [`gather`]s lane by lane, and an out-of-bounds lane traps with
+    /// the lanes below it already loaded (and counted), as in-order
+    /// per-lane execution leaves them.
     ///
-    /// Out of line, like `sts`: inlined into the dispatch function the
-    /// gather loop's code quality swung with unrelated edits there
-    /// (0.48 ↔ 0.68 ns per lane measured); a call per µop is free.
-    /// Where the linker puts it still matters: byte-identical code
-    /// starting 48 bytes into a 64-byte line, instead of 0 or 32, read
-    /// ≈ 4 % lower `stream_heavy` thread-ops/s (PR 16 in `CHANGES.md`).
+    /// Out of line, like `sts`, to keep the dispatch function small; a
+    /// call per µop is free.
     #[inline(never)]
     fn lds(self, shared: &mut SharedMemory, pc: usize) -> Result<(), ExecError> {
         let ColumnKernel {
@@ -1083,38 +1163,31 @@ impl ColumnKernel<'_> {
         } = self;
         shared.account_read_rows(u.lanes as usize, u.depth as usize);
         let data = shared.as_slice();
-        let (a, p) = (col(regs, threads, active, u.ra), &preds[..active]);
-        let out = &mut scratch[..active];
-        // The first trapping (thread, addr), if any. The unguarded
-        // common case carries no per-lane guard test.
-        let gather = |out: &mut [u32]| {
-            let load = |thread: usize, o: &mut u32, a: u32| -> Result<(), (usize, usize)> {
-                let addr = a.wrapping_add(u.imm) as usize;
-                *o = *data.get(addr).ok_or((thread, addr))?;
-                Ok(())
-            };
-            if u.guard_and == 0 {
-                for (thread, (o, &a)) in out.iter_mut().zip(a).enumerate() {
-                    load(thread, o, a)?;
-                }
+        let (rd, src) = split_rd(regs, scratch, threads, active, &u);
+        let (a, p) = (src(u.ra), &preds[..active]);
+        let unguarded = u.guard_and == 0;
+        let bulk = unguarded
+            && if let Some(first) = unit_stride(a, u.imm, data.len()) {
+                rd.copy_from_slice(&data[first..][..active]);
+                true
+            } else if let Some(addr) = broadcast(a, u.imm, data.len()) {
+                rd.fill(data[addr]);
+                true
             } else {
-                for (thread, ((o, &a), &p)) in out.iter_mut().zip(a).zip(p).enumerate() {
-                    if u.guard_passes(p) {
-                        load(thread, o, a)?;
-                    }
-                }
-            }
-            Ok(())
+                false
+            };
+        // The first trapping (thread, addr), if any.
+        let trap = if bulk {
+            None
+        } else {
+            gather(rd, a, p, data, &u).err()
         };
-        let trap = gather(out).err();
         let loaded = trap.map_or(active, |(thread, _)| thread);
-        let p = &p[..loaded];
-        let rd = &mut regs[u.rd as usize * threads..][..loaded];
-        commit(rd, &out[..loaded], p, &u);
-        shared.bump_reads(if u.guard_and == 0 {
+        shared.bump_reads(if unguarded {
             loaded as u64
         } else {
-            p.iter().filter(|&&p| u.guard_passes(p)).count() as u64
+            let passing = p[..loaded].iter().filter(|&&p| u.guard_passes(p));
+            passing.count() as u64
         });
         match trap {
             None => Ok(()),
@@ -1131,7 +1204,8 @@ impl ColumnKernel<'_> {
     /// stream through the single write port in thread order — on
     /// address conflicts the highest thread id wins — and the address
     /// base and value are already two contiguous columns, so there is
-    /// nothing to gather and nothing to fan out.
+    /// nothing to gather. An unguarded in-bounds unit-stride column
+    /// has no conflicts to order and is one `copy_from_slice`.
     #[inline(never)]
     fn sts(self, shared: &mut SharedMemory, pc: usize) -> Result<(), ExecError> {
         let ColumnKernel {
@@ -1144,45 +1218,25 @@ impl ColumnKernel<'_> {
         } = self;
         shared.account_write_rows(u.lanes as usize, u.depth as usize);
         let src = |reg| col(regs, threads, active, reg);
-        let lanes = src(u.ra).iter().zip(src(u.rb)).zip(&preds[..active]);
+        let (a, values, p) = (src(u.ra), src(u.rb), &preds[..active]);
         let (size, data) = (shared.words(), shared.as_mut_slice());
-        let mut trap = None;
-        let mut writes = 0u64;
-        for (thread, ((&a, &value), &p)) in lanes.enumerate() {
-            if u.guard_passes(p) {
-                let addr = a.wrapping_add(u.imm) as usize;
-                match data.get_mut(addr) {
-                    Some(slot) => *slot = value,
-                    None => {
-                        trap = Some(ExecError::SharedOutOfBounds {
-                            pc,
-                            thread,
-                            addr,
-                            size,
-                        });
-                        break;
-                    }
-                }
-                writes += 1;
+        if u.guard_and == 0 {
+            if let Some(first) = unit_stride(a, u.imm, size) {
+                data[first..][..active].copy_from_slice(values);
+                shared.bump_writes(active as u64);
+                return Ok(());
             }
         }
+        let (writes, trap) = scatter(data, a, values, p, &u);
         shared.bump_writes(writes);
-        trap.map_or(Ok(()), Err)
-    }
-}
-
-/// Commit a scratch column to the `rd` column: a plain copy when the
-/// µop is unguarded, a per-lane select on the guard otherwise (a mask
-/// blend, not a conditional store, so it vectorizes).
-#[inline(always)]
-fn commit(rd: &mut [u32], out: &[u32], preds: &[u8], u: &Uop) {
-    if u.guard_and == 0 {
-        rd.copy_from_slice(out);
-    } else {
-        for ((d, &o), &p) in rd.iter_mut().zip(out).zip(preds) {
-            let mask = (u.guard_passes(p) as u32).wrapping_neg();
-            *d = (o & mask) | (*d & !mask);
-        }
+        trap.map_or(Ok(()), |(thread, addr)| {
+            Err(ExecError::SharedOutOfBounds {
+                pc,
+                thread,
+                addr,
+                size,
+            })
+        })
     }
 }
 

@@ -490,6 +490,46 @@ fn load_decoded_rejects_a_foreign_configuration() {
 }
 
 #[test]
+fn load_decoded_rejects_an_invalid_program_with_the_validation_error() {
+    use simt_core::{validate_program, DecodedProgram};
+    use simt_isa::{Instruction, Opcode, Program};
+    use std::sync::Arc;
+    // The verdict is computed once, at decode time; every load of the
+    // decode must return exactly what `validate_program` says.
+    let exit = Instruction::new(Opcode::Exit);
+    let no_preds = ProcessorConfig::small().with_predicates(false);
+    let cases = [
+        (
+            "no terminator",
+            vec![Instruction::new(Opcode::Nop)],
+            ProcessorConfig::small(),
+        ),
+        (
+            "register beyond regs_per_thread",
+            vec![Instruction::new(Opcode::Add).rd(1).ra(200).rb(1), exit],
+            ProcessorConfig::small(),
+        ),
+        (
+            "predicate use on a no-predicate build",
+            vec![Instruction::new(Opcode::Add).guarded(0, false), exit],
+            no_preds,
+        ),
+    ];
+    for (what, instructions, config) in cases {
+        let program = Arc::new(Program::from_instructions(instructions));
+        let want = validate_program(&program, &config).expect_err(what);
+        let decoded = Arc::new(DecodedProgram::decode(Arc::clone(&program), &config));
+        let mut cpu = Processor::new(config).unwrap();
+        for attempt in ["first", "repeated"] {
+            let got = cpu.load_decoded(Arc::clone(&decoded));
+            assert_eq!(got, Err(want.clone()), "{what}, {attempt} load");
+            assert!(cpu.decoded().is_none(), "{what}: nothing may be loaded");
+        }
+        assert_eq!(cpu.load_program(&program), Err(want), "{what}");
+    }
+}
+
+#[test]
 fn reference_interpreter_matches_fast_path_end_to_end() {
     // A kernel touching every execution unit, run through both
     // interpreters on fresh processors: identical stats and memory.

@@ -1,15 +1,19 @@
 #![allow(clippy::needless_range_loop)] // tests index several parallel arrays by thread id
 
-//! The opcode matrix: every one of the 61 instructions executed on the
-//! simulator and checked against an *independent* reference semantics
-//! written directly in this test (not the datapath models — so a bug in
-//! the DSP-vector composition or the multiplicative shifter would show
-//! up here as a semantic mismatch).
+//! The opcode matrix: every one of the 61 instructions executed on
+//! **both** interpreters and checked against an *independent* reference
+//! semantics written directly in this test — neither the datapath
+//! models nor `alu::native`. `run_reference` evaluates the gate
+//! structure, so a bug in the DSP-vector composition or the
+//! multiplicative shifter shows up here as a semantic mismatch on that
+//! side; `run` evaluates host arithmetic, so a wrong native arm shows up
+//! on the other.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use simt_core::{ExecError, Processor, ProcessorConfig, RunOptions};
+use simt_core::{ExecError, ExecStats, Processor, ProcessorConfig, RunOptions};
 use simt_isa::{assemble, Instruction, Opcode, Program};
+use std::fmt::Debug;
 
 const N: usize = 48; // covers full and partial thread rows
 
@@ -31,10 +35,22 @@ fn inputs(seed: u64) -> Inputs {
     }
 }
 
-/// Run one instruction line (writing r7) over the seeded inputs and
-/// return r7 per thread. `line` may reference r1 (=a), r2 (=b), r3 (=c),
-/// p1 (=p), r6 (=tid-dependent small shift 0..=35 for shift tests).
-fn run_line(line: &str, inp: &Inputs) -> Vec<u32> {
+/// The two interpreters, by the name an assertion prints.
+const INTERPRETERS: [(&str, bool); 2] = [("run", false), ("run_reference", true)];
+
+fn run_on(cpu: &mut Processor, reference: bool) -> Result<ExecStats, ExecError> {
+    if reference {
+        cpu.run_reference(RunOptions::default())
+    } else {
+        cpu.run(RunOptions::default())
+    }
+}
+
+/// Run one instruction line (writing r7) over the seeded inputs through
+/// each of [`INTERPRETERS`] and return r7 per thread for each. `line`
+/// may reference r1 (=a), r2 (=b), r3 (=c), p1 (=p), r6 (=tid-dependent
+/// small shift 0..=35 for shift tests).
+fn run_line(line: &str, inp: &Inputs) -> [Vec<u32>; 2] {
     let src = format!("  {line}\n  exit");
     let program = assemble(&src).unwrap();
     let mut cpu = Processor::new(
@@ -52,21 +68,33 @@ fn run_line(line: &str, inp: &Inputs) -> Vec<u32> {
         cpu.regfile_mut().write_pred(t, 1, p);
     }
     cpu.load_program(&program).unwrap();
-    cpu.run(RunOptions::default()).unwrap();
-    cpu.regfile().gather(7)
+    INTERPRETERS.map(|(_, reference)| {
+        let mut cpu = cpu.clone();
+        run_on(&mut cpu, reference).unwrap();
+        cpu.regfile().gather(7)
+    })
+}
+
+/// Hold what `line` leaves in r7 on each interpreter against `want`.
+fn check_line<F: Fn(usize) -> u32>(line: &str, inp: &Inputs, want: F) {
+    for ((interpreter, _), got) in INTERPRETERS.iter().zip(run_line(line, inp)) {
+        for t in 0..N {
+            assert_eq!(
+                got[t],
+                want(t),
+                "`{line}` on `{interpreter}`, thread {t}: a={:#x} b={:#x} c={:#x} p={}",
+                inp.a[t],
+                inp.b[t],
+                inp.c[t],
+                inp.p[t]
+            );
+        }
+    }
 }
 
 fn check<F: Fn(usize, u32, u32, u32) -> u32>(line: &str, f: F) {
     let inp = inputs(0xC0FFEE);
-    let got = run_line(line, &inp);
-    for t in 0..N {
-        let want = f(t, inp.a[t], inp.b[t], inp.c[t]);
-        assert_eq!(
-            got[t], want,
-            "`{line}` thread {t}: a={:#x} b={:#x} c={:#x}",
-            inp.a[t], inp.b[t], inp.c[t]
-        );
-    }
+    check_line(line, &inp, |t| f(t, inp.a[t], inp.b[t], inp.c[t]));
 }
 
 #[test]
@@ -169,6 +197,9 @@ fn fixed_point_group() {
 #[test]
 fn compare_and_select_group() {
     // setp writes p0; read it back through selp(1, 0).
+    let via_selp = |cc: &str| {
+        format!("setp.{cc} p0, r1, r2\n  movi r4, 1\n  movi r5, 0\n  selp r7, r4, r5, p0")
+    };
     for (cc, f) in [
         (
             "eq",
@@ -181,40 +212,23 @@ fn compare_and_select_group() {
         ("ge", Box::new(|a, b| a >= b)),
     ] {
         let inp = inputs(7);
-        let got = run_line(
-            &format!("setp.{cc} p0, r1, r2\n  movi r4, 1\n  movi r5, 0\n  selp r7, r4, r5, p0"),
-            &inp,
-        );
-        for t in 0..N {
-            assert_eq!(
-                got[t],
-                f(inp.a[t] as i32, inp.b[t] as i32) as u32,
-                "setp.{cc} thread {t}"
-            );
-        }
+        check_line(&via_selp(cc), &inp, |t| {
+            f(inp.a[t] as i32, inp.b[t] as i32) as u32
+        });
     }
     // Unsigned pair.
     let inp = inputs(8);
-    let got = run_line(
-        "setp.ltu p0, r1, r2\n  movi r4, 1\n  movi r5, 0\n  selp r7, r4, r5, p0",
-        &inp,
-    );
-    for t in 0..N {
-        assert_eq!(got[t], (inp.a[t] < inp.b[t]) as u32);
-    }
-    let got = run_line(
-        "setp.geu p0, r1, r2\n  movi r4, 1\n  movi r5, 0\n  selp r7, r4, r5, p0",
-        &inp,
-    );
-    for t in 0..N {
-        assert_eq!(got[t], (inp.a[t] >= inp.b[t]) as u32);
-    }
+    check_line(&via_selp("ltu"), &inp, |t| (inp.a[t] < inp.b[t]) as u32);
+    check_line(&via_selp("geu"), &inp, |t| (inp.a[t] >= inp.b[t]) as u32);
     // selp with the pre-seeded p1.
     let inp = inputs(9);
-    let got = run_line("selp r7, r1, r2, p1", &inp);
-    for t in 0..N {
-        assert_eq!(got[t], if inp.p[t] { inp.a[t] } else { inp.b[t] });
-    }
+    check_line("selp r7, r1, r2, p1", &inp, |t| {
+        if inp.p[t] {
+            inp.a[t]
+        } else {
+            inp.b[t]
+        }
+    });
 }
 
 #[test]
@@ -231,12 +245,18 @@ fn memory_group() {
     let inp = inputs(10);
     let src = "  stid r4\n  sts [r4+100], r1\n  lds r7, [r4+100]\n  exit";
     let program = assemble(src).unwrap();
-    let mut cpu = Processor::new(ProcessorConfig::small().with_threads(N)).unwrap();
-    cpu.regfile_mut().scatter(1, &inp.a);
-    cpu.load_program(&program).unwrap();
-    cpu.run(RunOptions::default()).unwrap();
-    assert_eq!(cpu.regfile().gather(7), inp.a);
-    assert_eq!(&cpu.shared().as_slice()[100..100 + N], &inp.a[..]);
+    for (interpreter, reference) in INTERPRETERS {
+        let mut cpu = Processor::new(ProcessorConfig::small().with_threads(N)).unwrap();
+        cpu.regfile_mut().scatter(1, &inp.a);
+        cpu.load_program(&program).unwrap();
+        run_on(&mut cpu, reference).unwrap();
+        assert_eq!(cpu.regfile().gather(7), inp.a, "{interpreter}");
+        assert_eq!(
+            &cpu.shared().as_slice()[100..100 + N],
+            &inp.a[..],
+            "{interpreter}"
+        );
+    }
 }
 
 #[test]
@@ -267,23 +287,29 @@ fn control_group() {
           addi r1, r1, 1
           ret";
     let program = assemble(src).unwrap();
-    let mut cpu = Processor::new(
-        ProcessorConfig::small()
-            .with_threads(N)
-            .with_predicates(true),
-    )
-    .unwrap();
-    cpu.load_program(&program).unwrap();
-    let stats = cpu.run(RunOptions::default()).unwrap();
-    // 1 (call) + 4*10 (loop) = 41, and the two skipped movi 99s never ran.
-    assert!(cpu.shared().as_slice()[..N].iter().all(|&v| v == 41));
-    assert_eq!(stats.branches_taken, 4); // bra, call, ret, brp
-    assert_eq!(stats.loop_backedges, 3);
+    for (interpreter, reference) in INTERPRETERS {
+        let mut cpu = Processor::new(
+            ProcessorConfig::small()
+                .with_threads(N)
+                .with_predicates(true),
+        )
+        .unwrap();
+        cpu.load_program(&program).unwrap();
+        let stats = run_on(&mut cpu, reference).unwrap();
+        // 1 (call) + 4*10 (loop) = 41, and the two skipped movi 99s never ran.
+        assert!(
+            cpu.shared().as_slice()[..N].iter().all(|&v| v == 41),
+            "{interpreter}"
+        );
+        assert_eq!(stats.branches_taken, 4, "{interpreter}"); // bra, call, ret, brp
+        assert_eq!(stats.loop_backedges, 3, "{interpreter}");
+    }
 }
 
-/// A processor over `N` threads with r1..r3 seeded from `inp` (masked to
-/// small in-bounds addresses when `small`), p1 from `inp.p`, and shared
-/// memory holding a recognisable pattern.
+/// A processor over `N` threads with r1..r3 seeded from `inp` and r0
+/// from their mix (all masked to small in-bounds addresses when
+/// `small`), p1 from `inp.p`, and shared memory holding a recognisable
+/// pattern.
 fn seeded(inp: &Inputs, small: bool) -> Processor {
     let mut cpu = Processor::new(
         ProcessorConfig::small()
@@ -292,16 +318,22 @@ fn seeded(inp: &Inputs, small: bool) -> Processor {
     )
     .unwrap();
     let mask = if small { 0xFF } else { u32::MAX };
-    for (reg, vals) in [(1, &inp.a), (2, &inp.b), (3, &inp.c)] {
+    let mix: Vec<u32> = (0..N).map(|t| inp.a[t] ^ inp.b[t].rotate_left(7)).collect();
+    for (reg, vals) in [(0, &mix), (1, &inp.a), (2, &inp.b), (3, &inp.c)] {
         let vals: Vec<u32> = vals.iter().map(|v| v & mask).collect();
         cpu.regfile_mut().scatter(reg, &vals);
     }
     for (t, &p) in inp.p.iter().enumerate() {
         cpu.regfile_mut().write_pred(t, 1, p);
     }
-    let pattern: Vec<u32> = (0..1024u32).map(|i| i.wrapping_mul(2654435761)).collect();
-    cpu.shared_mut().load_words(0, &pattern).unwrap();
+    cpu.shared_mut().load_words(0, &pattern()).unwrap();
     cpu
+}
+
+/// What [`seeded`] leaves in shared memory (`ProcessorConfig::small()`
+/// has 1024 words).
+fn pattern() -> Vec<u32> {
+    (0..1024u32).map(|i| i.wrapping_mul(2654435761)).collect()
 }
 
 /// Every register (r0..r7) across all threads, plus the predicate nibbles.
@@ -316,18 +348,30 @@ fn machine_state(cpu: &Processor) -> (Vec<Vec<u32>>, Vec<[bool; 4]>) {
 
 #[test]
 fn aliasing_matrix() {
-    // The column kernels evaluate into a scratch column and commit it to
-    // rd afterwards; rd aliasing any source, a guard, and a `.tk`-scaled
-    // partial active set must all leave exactly what per-lane in-order
-    // execution (the reference interpreter) leaves.
+    // The column kernels write rd in place and read a source that *is*
+    // rd from a copy taken first; rd aliasing any source, a guard, and a
+    // `.tk`-scaled partial active set must all leave exactly what
+    // per-lane in-order execution (the reference interpreter) leaves.
+    // The r0 rows matter on their own: dead source fields decode to
+    // register 0, so an rd of r0 "aliases" them without reading them.
     let inp = inputs(0xA11A5);
     let writers = Opcode::ALL
         .iter()
         .filter(|op| op.writes_rd() && op.cycle_class() != simt_isa::CycleClass::SingleCycle);
     let mut cases = 0;
     for &op in writers {
-        // (rd, ra, rb, rc): rd == ra, rd == rb, rd == rc, all equal.
-        for (rd, ra, rb, rc) in [(1, 1, 2, 3), (2, 1, 2, 3), (3, 1, 2, 3), (1, 1, 1, 1)] {
+        // (rd, ra, rb, rc): rd == ra, rd == rb, rd == rc, all equal; then
+        // the same with rd = r0, and r0 aliasing nothing live.
+        for (rd, ra, rb, rc) in [
+            (1, 1, 2, 3),
+            (2, 1, 2, 3),
+            (3, 1, 2, 3),
+            (1, 1, 1, 1),
+            (0, 0, 2, 3),
+            (0, 1, 0, 3),
+            (0, 1, 2, 0),
+            (0, 1, 2, 3),
+        ] {
             for guard in [None, Some(false), Some(true)] {
                 for scale in [None, Some(1)] {
                     // selp's rc field is its steering predicate (p1).
@@ -369,7 +413,7 @@ fn aliasing_matrix() {
             }
         }
     }
-    assert_eq!(cases, 44 * 4 * 3 * 2); // 43 value ops + lds
+    assert_eq!(cases, 44 * 8 * 3 * 2); // 43 value ops + lds
 }
 
 #[test]
@@ -418,6 +462,172 @@ fn lds_trap_on_lane_k_is_identical_on_both_interpreters() {
             assert_ne!(new[..K], old[..K], "`{guard}{line}`: lanes below K loaded");
         }
     }
+}
+
+/// Run `src` (plus an `exit`) from the state `before` on one interpreter.
+fn run_from(
+    before: &Processor,
+    src: &str,
+    reference: bool,
+) -> (Result<ExecStats, ExecError>, Processor) {
+    let mut cpu = before.clone();
+    cpu.load_program(&assemble(&format!("  {src}\n  exit")).unwrap())
+        .unwrap();
+    let result = run_on(&mut cpu, reference);
+    (result, cpu)
+}
+
+/// Everything a run leaves behind: every register and predicate, shared
+/// memory and its port statistics (which, after a trap, count the lanes
+/// served before it).
+fn left_behind(cpu: &Processor) -> impl PartialEq + Debug {
+    (
+        machine_state(cpu),
+        cpu.shared().as_slice().to_vec(),
+        cpu.shared().stats(),
+    )
+}
+
+#[test]
+fn address_pattern_fast_paths_match_per_lane_execution() {
+    // Unguarded unit-stride and broadcast address columns take a bulk
+    // copy / fill on the predecoded path. Every edge of that selection —
+    // the last window that fits, one word past it, `ra + imm` wrapping
+    // `u32`, `rd == ra`, guards, `.tk` scales, a one-lane active set —
+    // must leave exactly what the reference interpreter's per-lane loop
+    // leaves: same values, same trap, same lanes served before the trap,
+    // same `SharedMemStats`.
+    const WORDS: usize = 1024; // ProcessorConfig::small()
+    const TOP: usize = WORDS - N; // first word of the last window that fits
+    let inp = inputs(0xFA57);
+    let before = seeded(&inp, false);
+    let trap = |pc, thread, addr| {
+        Some(ExecError::SharedOutOfBounds {
+            pc,
+            thread,
+            addr,
+            size: WORDS,
+        })
+    };
+    // The last lane's guard decides whether a guarded window one word
+    // too far traps at all.
+    let last_if = |passes: bool| if passes { trap(1, N - 1, WORDS) } else { None };
+    let cases: Vec<(String, Option<ExecError>)> = vec![
+        // (a) The window ends exactly at the last word: no trap.
+        (format!("stid r4\n lds r7, [r4+{TOP}]"), None),
+        (format!("stid r4\n sts [r4+{TOP}], r1"), None),
+        (format!("movi r4, {}\n lds r7, [r4+0]", WORDS - 1), None),
+        (format!("movi r4, {}\n sts [r4+0], r1", WORDS - 1), None),
+        // (b) One word further: the last lane of a ramp traps with the
+        // lanes below it served; every lane of a broadcast would, so
+        // lane 0 does.
+        (
+            format!("stid r4\n lds r7, [r4+{}]", TOP + 1),
+            trap(1, N - 1, WORDS),
+        ),
+        (
+            format!("stid r4\n sts [r4+{}], r1", TOP + 1),
+            trap(1, N - 1, WORDS),
+        ),
+        (
+            format!("movi r4, {WORDS}\n lds r7, [r4+0]"),
+            trap(1, 0, WORDS),
+        ),
+        (
+            format!("movi r4, {WORDS}\n sts [r4+0], r1"),
+            trap(1, 0, WORDS),
+        ),
+        // (c) `ra + imm` wraps u32 back into bounds (a ramp from word 0);
+        // without the immediate the ramp itself crosses the wrap, and
+        // its first lane is far out of bounds.
+        ("stid r4\n addi r4, r4, -16\n lds r7, [r4+16]".into(), None),
+        ("stid r4\n addi r4, r4, -16\n sts [r4+16], r1".into(), None),
+        (
+            "stid r4\n addi r4, r4, -16\n lds r7, [r4+0]".into(),
+            trap(2, 0, 0xFFFF_FFF0),
+        ),
+        (
+            "stid r4\n addi r4, r4, -16\n sts [r4+0], r1".into(),
+            trap(2, 0, 0xFFFF_FFF0),
+        ),
+        // (d) The destination is the address register.
+        ("stid r4\n lds r4, [r4+100]".into(), None),
+        ("movi r4, 5\n lds r4, [r4+0]".into(), None),
+        (
+            format!("stid r4\n lds r4, [r4+{}]", TOP + 1),
+            trap(1, N - 1, WORDS),
+        ),
+        // (e) Guarded and scaled variants of (a) and (b).
+        (format!("stid r4\n @p1 lds r7, [r4+{TOP}]"), None),
+        (format!("stid r4\n @!p1 sts [r4+{TOP}], r1"), None),
+        (
+            format!("stid r4\n @p1 lds r7, [r4+{}]", TOP + 1),
+            last_if(inp.p[N - 1]),
+        ),
+        (
+            format!("stid r4\n @!p1 sts [r4+{}], r1", TOP + 1),
+            last_if(!inp.p[N - 1]),
+        ),
+        (format!("stid r4\n lds.t1 r7, [r4+{}]", TOP + 1), None),
+        (format!("stid r4\n sts.t1 [r4+{}], r1", TOP + 1), None),
+        (
+            format!("stid r4\n lds.t1 r7, [r4+{}]", WORDS - N / 2 + 1),
+            trap(1, N / 2 - 1, WORDS),
+        ),
+        (format!("stid r4\n @p1 lds.t1 r7, [r4+{}]", TOP + 1), None),
+        ("movi r4, 9\n @p1 lds r7, [r4+0]".into(), None),
+        // (f) One active lane (48 >> 6 floors at 1).
+        (format!("stid r4\n lds.t6 r7, [r4+{}]", WORDS - 1), None),
+        (format!("stid r4\n sts.t6 [r4+{}], r1", WORDS - 1), None),
+        (
+            format!("stid r4\n lds.t6 r7, [r4+{WORDS}]"),
+            trap(1, 0, WORDS),
+        ),
+        (
+            format!("stid r4\n sts.t6 [r4+{WORDS}], r1"),
+            trap(1, 0, WORDS),
+        ),
+    ];
+    for (src, want) in &cases {
+        let [(fast, fast_cpu), (oracle, oracle_cpu)] =
+            INTERPRETERS.map(|(_, reference)| run_from(&before, src, reference));
+        assert_eq!(fast, oracle, "`{src}`");
+        assert_eq!(left_behind(&fast_cpu), left_behind(&oracle_cpu), "`{src}`");
+        // The trap is also held against this table, not only against
+        // the other interpreter.
+        assert_eq!(fast.err(), *want, "`{src}`");
+    }
+
+    // And against values worked out here, for the plain (a)/(b) rows.
+    let (shared, run) = (pattern(), |src: &str| run_from(&before, src, false));
+    let (result, cpu) = run(&format!("stid r4\n lds r7, [r4+{TOP}]"));
+    assert_eq!(result.unwrap().mem.reads, N as u64);
+    assert_eq!(cpu.regfile().gather(7), &shared[TOP..]);
+    let (result, cpu) = run(&format!("stid r4\n lds r7, [r4+{}]", TOP + 1));
+    assert!(result.is_err());
+    assert_eq!(cpu.shared().stats().reads, N as u64 - 1);
+    assert_eq!(cpu.regfile().gather(7)[..N - 1], shared[TOP + 1..]);
+    assert_eq!(
+        cpu.regfile().gather(7)[N - 1],
+        0,
+        "the trapping lane keeps r7"
+    );
+    let (result, cpu) = run(&format!("movi r4, {}\n lds r7, [r4+0]", WORDS - 1));
+    assert_eq!(result.unwrap().mem.reads, N as u64);
+    assert_eq!(cpu.regfile().gather(7), vec![shared[WORDS - 1]; N]);
+    let (result, cpu) = run(&format!("stid r4\n sts [r4+{TOP}], r1"));
+    assert_eq!(result.unwrap().mem.writes, N as u64);
+    assert_eq!(cpu.shared().as_slice()[TOP..], inp.a[..]);
+    assert_eq!(cpu.shared().as_slice()[..TOP], shared[..TOP]);
+    let (result, cpu) = run(&format!("stid r4\n sts [r4+{}], r1", TOP + 1));
+    assert!(result.is_err());
+    assert_eq!(cpu.shared().stats().writes, N as u64 - 1);
+    assert_eq!(cpu.shared().as_slice()[TOP + 1..], inp.a[..N - 1]);
+    // A broadcast store streams through the one write port in thread
+    // order: the highest thread's value is what stays.
+    let (result, cpu) = run(&format!("movi r4, {}\n sts [r4+0], r1", WORDS - 1));
+    assert_eq!(result.unwrap().mem.writes, N as u64);
+    assert_eq!(cpu.shared().as_slice()[WORDS - 1], inp.a[N - 1]);
 }
 
 #[test]

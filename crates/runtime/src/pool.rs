@@ -204,7 +204,9 @@ pub(crate) struct Device {
     /// Watchdog: modeled-cycle budget a launch may run before it is
     /// killed and resolved as [`RuntimeError::Timeout`].
     watchdog_cycle_budget: u64,
-    cache: Vec<(ProcessorConfig, Processor)>,
+    /// Retired processor builds, most recent first, each found again by
+    /// its own [`Processor::config`].
+    cache: Vec<Processor>,
     /// Pool-wide compile cache (shared across every device).
     compile_cache: Arc<CompileCache>,
     /// Pool-wide per-PC profile sink (`Some` only when the runtime was
@@ -256,8 +258,8 @@ impl Device {
     /// Fetch a processor for `config`, reusing a cached build when the
     /// configuration matches (reset to power-on state either way).
     fn processor(&mut self, config: &ProcessorConfig) -> Result<(Processor, bool), RuntimeError> {
-        if let Some(i) = self.cache.iter().position(|(c, _)| c == config) {
-            let (_, mut p) = self.cache.remove(i);
+        if let Some(i) = self.cache.iter().position(|p| p.config() == config) {
+            let mut p = self.cache.remove(i);
             p.reset();
             return Ok((p, true));
         }
@@ -265,8 +267,8 @@ impl Device {
         Ok((p, false))
     }
 
-    fn retire(&mut self, config: ProcessorConfig, p: Processor) {
-        self.cache.insert(0, (config, p));
+    fn retire(&mut self, p: Processor) {
+        self.cache.insert(0, p);
         self.cache.truncate(PROCESSOR_CACHE);
     }
 
@@ -349,7 +351,7 @@ impl Device {
         // write-back, so a retried or poisoned command leaves the
         // buffer bit-exact with the fault-free history).
         if stats.cycles > self.watchdog_cycle_budget {
-            self.retire(spec.config.clone(), proc);
+            self.retire(proc);
             return Err(RuntimeError::Timeout {
                 kernel: spec.name.clone(),
                 device: self.id,
@@ -357,7 +359,7 @@ impl Device {
             });
         }
         buffer[..shared_words].copy_from_slice(&proc.shared().as_slice()[..shared_words]);
-        self.retire(spec.config.clone(), proc);
+        self.retire(proc);
         Ok(LaunchOutcome {
             stats,
             cache_hit,
