@@ -1,43 +1,27 @@
-//! Regenerate every table and figure of the paper.
+//! Regenerate every table, figure and committed artifact of the
+//! reproduction.
 //!
 //! ```sh
-//! cargo run -p simt-bench --bin tables            # everything
-//! cargo run -p simt-bench --bin tables -- --table1
+//! cargo run -p simt-bench --bin tables            # everything (= --all)
 //! cargo run -p simt-bench --bin tables -- --table2 --fig5
+//! cargo run -p simt-bench --bin tables -- --list  # every flag and what it writes
+//! cargo run -p simt-bench --bin tables -- --check # the artifact gate
 //! ```
 //!
-//! Flags: `--table1 --table2 --fmax --registers --baseline --shifter
-//! --fig5 --fig6 --fig7 --cycles --runtime --compiler --graph
-//! --sim --profile` (no flags = all).
+//! Every section is one row of [`SECTIONS`]; `--all`, `--<flag>`,
+//! `--check [--inject]`, `--list` and the unknown-flag error all derive
+//! from that table, so it is the only list to edit. A section's `gated`
+//! files are the committed baselines (`--check` regenerates and diffs
+//! them, and they regenerate deterministically apart from the
+//! multi-worker placement leaves [`simt_bench::check`] classes
+//! report-only); its `ungated` files are local outputs and CI uploads,
+//! named in `.gitignore`. Every generator asserts its own invariants
+//! before it writes, so a file that exists was validated.
 //!
-//! The `--runtime` section also writes `BENCH_runtime.json` — a
-//! machine-readable snapshot of the runtime scheduler's scaling numbers
-//! and the headline clock results — `--compiler` writes
-//! `BENCH_compiler.json` (compile times, pass-pipeline instruction
-//! reductions, hand-written vs IR cycle counts for every family
-//! including the loop-carried `matmul`/`iir`, compile-cache hit
-//! rates), and `--graph` writes
-//! `BENCH_graph.json` (fused vs unfused execution-graph makespans,
-//! fusion pass reductions, replay cache hits), so future changes can be
-//! tracked against them. `--profile` drives a traced stream + graph
-//! workload through a profiled runtime and writes `PROFILE_trace.json`
-//! (Chrome trace-event JSON, Perfetto-loadable) plus
-//! `PROFILE_summary.json` (the flat [`simt_profile::summary`]
-//! roll-up). What the instruments themselves cost is `bench-e2e
-//! --trace 1`'s to say (`metrics.`/`forensics.`/`profile.overhead_ns_per_launch`,
-//! with spread).
-//!
-//! `--fuzz [N]` (standalone, not part of `--all`) sweeps seeds `0..N`
-//! (default 500) through the `simt-fuzzgen` differential matrix,
-//! writes `BENCH_fuzz.json`, and exits 1 with a minimized corpus-format
-//! reproducer if any path pair diverges. See `docs/FUZZING.md`.
-//!
-//! `--chaos` (standalone, not part of `--all`) runs the fault-injection
-//! drill: a transient-fault plan that must recover every command
-//! bit-exactly against a fault-free oracle, and a sticky device-failure
-//! plan that must quarantine the failing device and export its
-//! automatic postmortem. Writes `BENCH_chaos.json` and
-//! `POSTMORTEM_chaos.json`. See `docs/RESILIENCE.md`.
+//! Nothing here reads a wall clock. Host time — per interpreter, per
+//! compile, per launch, with spread — is `bench-e2e --trace 1`'s to
+//! say (see `BENCHMARK.json`); per-opcode ns/lane is
+//! `cargo run --release -p simt-core --example opbench`.
 
 use fpga_fitter::{compile, floorplan, CompileOptions, DesignVariant};
 use serde::Serialize;
@@ -53,110 +37,150 @@ use std::sync::OnceLock;
 /// committed baselines stay untouched.
 static OUT_DIR: OnceLock<PathBuf> = OnceLock::new();
 
-fn artifact_path(name: &str) -> PathBuf {
-    match OUT_DIR.get() {
+fn write_artifact(name: &str, contents: &str) {
+    let path = match OUT_DIR.get() {
         Some(dir) => dir.join(name),
         None => PathBuf::from(name),
-    }
-}
-
-fn write_artifact(name: &str, contents: &str) {
-    let path = artifact_path(name);
+    };
     std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("(wrote {})\n", path.display());
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--check") {
-        check(args.iter().any(|a| a == "--inject"));
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--fuzz") {
-        let seeds = args
-            .get(i + 1)
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(500u64);
-        fuzz(seeds);
-        return;
-    }
-    if args.iter().any(|a| a == "--chaos") {
-        chaos();
-        return;
-    }
-    let all = args.is_empty() || args.iter().any(|a| a == "--all");
-    let want = |f: &str| all || args.iter().any(|a| a == f);
+/// One section of the harness.
+struct Section {
+    /// The command-line flag that selects it.
+    flag: &'static str,
+    run: fn(),
+    /// Committed baselines it writes: `--check` regenerates and diffs
+    /// exactly these, and they are the only artifacts tracked in git.
+    gated: &'static [&'static str],
+    /// Its other outputs — event logs, forensic bundles, a second
+    /// rendering of a gated run, a sweep whose size is an argument.
+    /// `.gitignore` names them; CI uploads them.
+    ungated: &'static [&'static str],
+}
 
-    if want("--table1") {
-        table1();
-    }
-    if want("--registers") {
-        registers();
-    }
-    if want("--fmax") {
-        fmax_results();
-    }
-    if want("--table2") {
-        table2();
-    }
-    if want("--baseline") {
-        baseline();
-    }
-    if want("--shifter") {
-        shifter();
-    }
-    if want("--fig5") {
-        fig5();
-    }
-    if want("--fig6") {
-        fig6();
-    }
-    if want("--fig7") {
-        fig7();
-    }
-    if want("--cycles") {
-        cycles();
-    }
-    if want("--routing") {
-        routing();
-    }
-    if want("--predicates") {
-        predicates();
-    }
-    if want("--scaling") {
-        scaling();
-    }
-    if want("--sweep") {
-        sweep();
-    }
-    if want("--isa") {
-        isa_reference();
-    }
-    if want("--runtime") {
-        runtime();
-    }
-    if want("--compiler") {
-        compiler();
-    }
-    if want("--graph") {
-        graph();
-    }
-    if want("--sim") {
-        sim();
-    }
-    if want("--profile") {
-        profile();
-    }
-    if want("--metrics") {
-        metrics();
-    }
-    if want("--postmortem") {
-        postmortem();
+const fn section(
+    flag: &'static str,
+    run: fn(),
+    gated: &'static [&'static str],
+    ungated: &'static [&'static str],
+) -> Section {
+    Section {
+        flag,
+        run,
+        gated,
+        ungated,
     }
 }
 
-/// One workload row of the host-throughput harness: the same program
-/// run through the reference (baseline) and predecoded interpreters.
+/// Every section, in `--all` order: flag, generator, gated, ungated.
+const SECTIONS: &[Section] = &[
+    section("--table1", table1, &[], &[]),
+    section("--registers", registers, &[], &[]),
+    section("--fmax", fmax_results, &[], &[]),
+    section("--table2", table2, &[], &[]),
+    section("--baseline", baseline, &[], &[]),
+    section("--shifter", shifter, &[], &[]),
+    section("--fig5", fig5, &[], &[]),
+    section("--fig6", fig6, &[], &[]),
+    section("--fig7", fig7, &[], &[]),
+    section("--cycles", cycles, &[], &[]),
+    section("--routing", routing, &[], &[]),
+    section("--predicates", predicates, &[], &[]),
+    section("--scaling", scaling, &[], &[]),
+    section("--sweep", sweep, &[], &[]),
+    section("--isa", isa_reference, &[], &[]),
+    section("--runtime", runtime, &["BENCH_runtime.json"], &[]),
+    section("--compiler", compiler, &["BENCH_compiler.json"], &[]),
+    section("--graph", graph, &["BENCH_graph.json"], &[]),
+    section("--sim", sim, &["BENCH_sim.json"], &[]),
+    section(
+        "--profile",
+        profile,
+        &[],
+        &["PROFILE_trace.json", "PROFILE_summary.json"],
+    ),
+    section("--metrics", metrics, &["METRICS.json"], &["METRICS.prom"]),
+    section("--postmortem", postmortem, &[], &["POSTMORTEM.json"]),
+    section("--fuzz", fuzz, &[], &["BENCH_fuzz.json"]),
+    section(
+        "--chaos",
+        chaos,
+        &["BENCH_chaos.json"],
+        &["POSTMORTEM_chaos.json"],
+    ),
+];
+
+/// What one invocation does.
+enum Mode {
+    List,
+    Check { inject: bool },
+    Run(Vec<&'static Section>),
+}
+
+/// `--fuzz [N]`: the seed count riding behind the flag, default 500.
+fn fuzz_seeds(args: &[String]) -> u64 {
+    let mut after = args.iter().skip_while(|a| *a != "--fuzz").skip(1);
+    after.next().and_then(|n| n.parse().ok()).unwrap_or(500)
+}
+
+fn parse(args: &[String]) -> Result<Mode, String> {
+    let is = |flag: &str| args.iter().any(|a| a == flag);
+    for (i, a) in args.iter().enumerate() {
+        let fuzz_count = i > 0 && args[i - 1] == "--fuzz" && a.parse::<u64>().is_ok();
+        let known = ["--all", "--check", "--inject", "--list"].contains(&a.as_str());
+        if !(known || fuzz_count || SECTIONS.iter().any(|s| s.flag == a)) {
+            let flags: Vec<_> = SECTIONS.iter().map(|s| s.flag).collect();
+            return Err(format!(
+                "unknown argument `{a}`\nsections: {}\nmodes:    --all (the default) | --check [--inject] | --list",
+                flags.join(" ")
+            ));
+        }
+    }
+    if is("--inject") && !is("--check") {
+        return Err("`--inject` only modifies `--check`".into());
+    }
+    Ok(if is("--list") {
+        Mode::List
+    } else if is("--check") {
+        Mode::Check {
+            inject: is("--inject"),
+        }
+    } else {
+        let all = is("--all") || !SECTIONS.iter().any(|s| is(s.flag));
+        Mode::Run(SECTIONS.iter().filter(|s| all || is(s.flag)).collect())
+    })
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&args) {
+        Err(usage) => {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        }
+        Ok(Mode::List) => {
+            println!(
+                "{:<13} {:<21} ungated (.gitignored)",
+                "flag", "gated (committed)"
+            );
+            for s in SECTIONS {
+                println!(
+                    "{:<13} {:<21} {}",
+                    s.flag,
+                    s.gated.join(" "),
+                    s.ungated.join(" ")
+                );
+            }
+        }
+        Ok(Mode::Check { inject }) => check(inject),
+        Ok(Mode::Run(sections)) => sections.iter().for_each(|s| (s.run)()),
+    }
+}
+
+/// One workload row of `--sim`: the same program run through the
+/// reference and the predecoded interpreter.
 #[derive(Debug, Clone, Serialize)]
 struct SimWorkloadRow {
     name: String,
@@ -165,15 +189,6 @@ struct SimWorkloadRow {
     dyn_instrs: u64,
     /// Thread-operations one run retires.
     thread_ops: u64,
-    baseline_us_per_run: f64,
-    predecoded_us_per_run: f64,
-    /// Host throughput in million dynamic instructions per second.
-    baseline_minstrs_per_s: f64,
-    predecoded_minstrs_per_s: f64,
-    /// Host throughput in million thread-operations per second.
-    baseline_mthread_ops_per_s: f64,
-    predecoded_mthread_ops_per_s: f64,
-    speedup: f64,
     /// Asserted at generation time: identical registers, predicates,
     /// shared memory, traces and ExecStats on both interpreters.
     bit_exact: bool,
@@ -276,42 +291,20 @@ fn sim_processor(w: &SimWorkload) -> Processor {
     cpu
 }
 
-/// Wall time per run of `f`, adaptively repeated to ~80 ms.
-fn sim_time_per_run(mut f: impl FnMut()) -> f64 {
-    use std::time::Instant;
-    f(); // warm-up (page in code, fill the decode caches)
-    let t0 = Instant::now();
-    f();
-    let one = t0.elapsed().as_secs_f64().max(1e-7);
-    let reps = ((0.08 / one) as usize).clamp(2, 20_000);
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
-
 fn sim() {
     use simt_kernels::workload::int_vector;
     use simt_kernels::LaunchSpec;
     use simt_runtime::{Runtime, RuntimeConfig};
 
-    println!("== host-side simulation throughput: baseline vs predecoded interpreter ==");
+    println!("== interpreter bit-exactness: reference vs predecoded (host time: bench-e2e) ==");
     println!(
-        "{:<10} {:>7} {:>9} {:>12} {:>12} {:>11} {:>11} {:>8}",
-        "workload",
-        "threads",
-        "dyn instr",
-        "base us/run",
-        "pre us/run",
-        "base Mi/s",
-        "pre Mi/s",
-        "speedup"
+        "{:<10} {:>7} {:>9} {:>11} {:>9}",
+        "workload", "threads", "dyn instr", "thread ops", "bit-exact"
     );
 
     let mut rows = Vec::new();
     for w in sim_workloads() {
-        // Bit-exactness first: fresh processors, same seed image, both
+        // Bit-exactness: fresh processors, same seed image, both
         // interpreters traced — registers, predicates, shared memory,
         // traces and stats must be identical.
         let mut fast = sim_processor(&w);
@@ -338,46 +331,20 @@ fn sim() {
             );
         }
 
-        // Host throughput: repeated runs of the loaded processor (the
-        // instruction stream is data-independent, so every run issues
-        // the same dynamic instructions).
-        let pre = sim_time_per_run(|| {
-            fast.run(RunOptions::default()).expect("runs");
-        });
-        let base = sim_time_per_run(|| {
-            reference
-                .run_reference(RunOptions::default())
-                .expect("runs");
-        });
-        let di = fast_stats.instructions as f64;
-        let to = fast_stats.thread_ops as f64;
         let row = SimWorkloadRow {
             name: w.name.clone(),
             threads: w.threads,
             dyn_instrs: fast_stats.instructions,
             thread_ops: fast_stats.thread_ops,
-            baseline_us_per_run: base * 1e6,
-            predecoded_us_per_run: pre * 1e6,
-            baseline_minstrs_per_s: di / base / 1e6,
-            predecoded_minstrs_per_s: di / pre / 1e6,
-            baseline_mthread_ops_per_s: to / base / 1e6,
-            predecoded_mthread_ops_per_s: to / pre / 1e6,
-            speedup: base / pre,
             bit_exact: true,
         };
         println!(
-            "{:<10} {:>7} {:>9} {:>12.2} {:>12.2} {:>11.1} {:>11.1} {:>7.2}x",
-            row.name,
-            row.threads,
-            row.dyn_instrs,
-            row.baseline_us_per_run,
-            row.predecoded_us_per_run,
-            row.baseline_minstrs_per_s,
-            row.predecoded_minstrs_per_s,
-            row.speedup
+            "{:<10} {:>7} {:>9} {:>11} {:>9}",
+            row.name, row.threads, row.dyn_instrs, row.thread_ops, row.bit_exact
         );
         rows.push(row);
     }
+    assert_eq!(rows.len(), 12, "four families at three thread counts");
 
     // Decode-cache smoke: repeated runtime launches of one kernel must
     // decode once and hit the cached decode on every re-run.
@@ -398,7 +365,7 @@ fn sim() {
     println!("\ndecode cache over 4 repeated launches: {decode_misses} miss, {decode_hits} hits");
 
     let report = SimBenchReport {
-        schema_version: 5,
+        schema_version: 6,
         rows,
         decode_misses,
         decode_hits,
@@ -574,7 +541,6 @@ struct CompilerKernelRow {
     handwritten_len: usize,
     reduction_pct: f64,
     regs_used: usize,
-    compile_us: f64,
     /// Modeled execution cycles of the hand-written kernel.
     handwritten_cycles: u64,
     /// Modeled execution cycles of the optimized IR lowering — must
@@ -613,7 +579,6 @@ fn compiler() {
     use simt_kernels::workload::{int_vector, lowpass_taps, q15_signal};
     use simt_kernels::{fir, iir, matmul, reduce, vector, LaunchSpec};
     use simt_runtime::{Runtime, RuntimeConfig};
-    use std::time::Instant;
 
     println!("== simt-compiler: pass pipeline, loop-carried kernels, compile cache ==");
     let subjects: Vec<(String, simt_compiler::Kernel, ProcessorConfig, String)> = vec![
@@ -668,30 +633,14 @@ fn compiler() {
     ];
 
     println!(
-        "{:<13} {:>5} {:>6} {:>6} {:>5} {:>5} {:>5} {:>9} {:>9} {:>9}",
-        "kernel",
-        "IR",
-        "IR opt",
-        "naive",
-        "opt",
-        "hand",
-        "regs",
-        "hand clk",
-        "IR clk",
-        "compile us"
+        "{:<13} {:>5} {:>6} {:>6} {:>5} {:>5} {:>5} {:>9} {:>9}",
+        "kernel", "IR", "IR opt", "naive", "opt", "hand", "regs", "hand clk", "IR clk"
     );
     let mut rows = Vec::new();
     for (name, kernel, cfg, hand_asm) in subjects {
         let naive = compile(&kernel, &cfg, OptLevel::None).expect("naive lowering");
         let full = compile(&kernel, &cfg, OptLevel::Full).expect("optimized lowering");
         let hand = simt_isa::assemble(&hand_asm).expect("handwritten kernel");
-        // Mean wall time of a cold full compile.
-        const REPS: u32 = 200;
-        let t0 = Instant::now();
-        for _ in 0..REPS {
-            let _ = compile(&kernel, &cfg, OptLevel::Full).unwrap();
-        }
-        let compile_us = t0.elapsed().as_secs_f64() * 1e6 / REPS as f64;
         let row = CompilerKernelRow {
             name: name.clone(),
             ir_insts: full.report.insts_before,
@@ -701,12 +650,11 @@ fn compiler() {
             handwritten_len: hand.len(),
             reduction_pct: full.report.reduction() * 100.0,
             regs_used: full.regs_used,
-            compile_us,
             handwritten_cycles: modeled_cycles(&hand, &cfg),
             optimized_cycles: modeled_cycles(&full.program, &cfg),
         };
         println!(
-            "{:<13} {:>5} {:>6} {:>6} {:>5} {:>5} {:>5} {:>9} {:>9} {:>9.1}",
+            "{:<13} {:>5} {:>6} {:>6} {:>5} {:>5} {:>5} {:>9} {:>9}",
             row.name,
             row.ir_insts,
             row.ir_insts_optimized,
@@ -715,8 +663,7 @@ fn compiler() {
             row.handwritten_len,
             row.regs_used,
             row.handwritten_cycles,
-            row.optimized_cycles,
-            row.compile_us
+            row.optimized_cycles
         );
         assert!(
             row.optimized_len <= row.naive_len,
@@ -1277,21 +1224,27 @@ fn profile() {
         "fused replay output"
     );
 
-    // Export both artifacts.
+    // Validate, then export both artifacts.
     let tracer = rt.tracer().expect("profiled runtime has a tracer");
     let events = tracer.events();
     let summary = summarize(&events, tracer.dropped());
-    std::fs::write(
-        artifact_path("PROFILE_trace.json"),
-        chrome_trace(&events, tracer.dropped()),
-    )
-    .expect("write PROFILE_trace.json");
-    std::fs::write(
-        artifact_path("PROFILE_summary.json"),
-        serde_json::to_string_pretty(&summary).expect("summary serializes"),
-    )
-    .expect("write PROFILE_summary.json");
-
+    assert_eq!(summary.dropped, 0, "default-capacity ring dropped events");
+    assert!(
+        summary.kernel_retires >= 2 && summary.pass_runs >= 1,
+        "both iir launches retire and the compiler's passes are traced: {summary:?}"
+    );
+    let trace = chrome_trace(&events, tracer.dropped());
+    let parsed: serde::Value = serde_json::from_str(&trace).expect("Chrome trace parses back");
+    let serde::Value::Seq(items) = parsed else {
+        panic!("Chrome trace must be an array, got {}", parsed.kind());
+    };
+    assert!(!items.is_empty(), "Chrome trace is empty");
+    for key in ["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"] {
+        assert!(
+            items.iter().all(|item| item.get_field(key).is_ok()),
+            "a trace event lacks `{key}`"
+        );
+    }
     println!(
         "{} events ({} dropped) across {} categories:",
         summary.events,
@@ -1323,7 +1276,12 @@ fn profile() {
     for (pc, c) in prof.hottest(5) {
         println!("  pc {pc:>3}  {:>8} clk  {:>6} issues", c.cycles, c.issues);
     }
-    println!("(wrote PROFILE_trace.json, PROFILE_summary.json)\n");
+    println!();
+    write_artifact("PROFILE_trace.json", &trace);
+    write_artifact(
+        "PROFILE_summary.json",
+        &serde_json::to_string_pretty(&summary).expect("summary serializes"),
+    );
 }
 
 /// The machine-readable snapshot written to `METRICS.json`.
@@ -1449,6 +1407,25 @@ fn metrics() {
             h.count, h.p50, h.p90, h.p99, h.max
         );
     }
+    assert!(by_kernel.len() >= 4, "kernel families: {by_kernel:?}");
+    let per_stream = snapshot
+        .histograms
+        .iter()
+        .filter(|h| h.name == names::STREAM_LAUNCH_CYCLES);
+    assert_eq!(per_stream.count(), 4, "one launch histogram per stream");
+    // Every histogram of the pool, not only the per-kernel ones: exact,
+    // and each reported quantile a value that was actually recorded.
+    for h in snapshot.histograms.iter().filter(|h| h.count > 0) {
+        assert!(h.exact && h.overflow == 0, "{}{{{}}}", h.name, h.label);
+        for q in [h.p50, h.p90, h.p99, h.min, h.max] {
+            assert!(
+                h.values.iter().any(|v| v.value == q),
+                "{}{{{}}}: {q} is not a recorded sample",
+                h.name,
+                h.label
+            );
+        }
+    }
     let spans = snapshot.merged_histogram(names::GRAPH_SPAN_CYCLES);
     assert_eq!(spans.count, 3, "one span sample per replay");
     println!(
@@ -1457,14 +1434,12 @@ fn metrics() {
     );
 
     let health = rt.health().expect("metrics are on by default");
-    match health.healthy {
-        true => println!("health: ok ({} findings)", health.findings.len()),
-        false => {
-            for f in &health.findings {
-                println!("health finding: {f:?}");
-            }
-        }
-    }
+    assert!(
+        health.healthy && health.findings.is_empty(),
+        "a clean workload must read healthy: {:?}",
+        health.findings
+    );
+    println!("health: ok");
 
     let report = MetricsReport {
         schema_version: 1,
@@ -1472,13 +1447,13 @@ fn metrics() {
         health,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    let prom = simt_metrics::prometheus::render(&snapshot);
+    assert!(
+        prom.contains("# TYPE simt_launches_total counter") && prom.contains("simt_launch_cycles"),
+        "Prometheus exposition lost its launch series"
+    );
     write_artifact("METRICS.json", &json);
-    std::fs::write(
-        artifact_path("METRICS.prom"),
-        simt_metrics::prometheus::render(&snapshot),
-    )
-    .expect("write METRICS.prom");
-    println!("(wrote METRICS.prom)\n");
+    write_artifact("METRICS.prom", &prom);
 }
 
 /// `--postmortem`: stage a deliberate device stall — a serialized
@@ -1527,6 +1502,17 @@ fn postmortem() {
         })
         .expect("a DeviceStall finding");
     assert_eq!(stalled, "device1", "placement ties break toward device0");
+    assert!(
+        report
+            .flight
+            .events
+            .iter()
+            .any(|r| matches!(r.event, simt_profile::Event::Health { .. })),
+        "the finding must land in the flight window"
+    );
+    assert!(!report.timelines.is_empty(), "gauge timelines");
+    let hottest = &report.hotspots[0].pcs[0];
+    assert!(hottest.cycles > 0 && !hottest.asm.is_empty(), "{hottest:?}");
     print!("{}", report.render_text());
     write_artifact(
         "POSTMORTEM.json",
@@ -1542,9 +1528,8 @@ struct FuzzSkipReason {
 }
 
 /// Machine-readable snapshot of one `--fuzz` sweep (`BENCH_fuzz.json`).
-/// Deliberately not in [`CHECKED_ARTIFACTS`]: `programs_per_s` is
-/// host-dependent, and the CI smoke step gates on the exit code (any
-/// divergence) instead.
+/// Ungated: its content follows the seed count on the command line,
+/// and the sweep gates itself (exit 1 on any divergence).
 #[derive(Debug, Clone, Serialize)]
 struct FuzzSnapshot {
     schema_version: u32,
@@ -1560,20 +1545,20 @@ struct FuzzSnapshot {
     fused_launches: usize,
     /// Live IR instructions, summed over passing seeds.
     ir_insts: usize,
-    programs_per_s: f64,
     skip_reasons: Vec<FuzzSkipReason>,
 }
 
-/// `--fuzz [N]`: run seeds `0..N` through the full differential matrix
-/// ([`simt_fuzzgen::fuzz_one`]), print a throughput/coverage summary,
-/// and write `BENCH_fuzz.json`. On any divergence, greedily minimize
-/// the first one, dump it in the corpus text format, and exit 1.
-fn fuzz(seeds: u64) {
+/// `--fuzz [N]`: run seeds `0..N` (default 500) through the full
+/// differential matrix ([`simt_fuzzgen::fuzz_one`]), print a coverage
+/// summary, and write `BENCH_fuzz.json`. On any divergence, greedily
+/// minimize the first one, dump it in the corpus text format, and
+/// exit 1. See `docs/FUZZING.md`.
+fn fuzz() {
     use simt_fuzzgen::gen::{materialize, program_for_seed, GenMode};
     use simt_fuzzgen::{differ, fuzz_one, minimize, text, Verdict};
 
+    let seeds = fuzz_seeds(&std::env::args().collect::<Vec<_>>());
     println!("== differential fuzz: {seeds} seed(s) ==\n");
-    let start = std::time::Instant::now();
     let mut snap = FuzzSnapshot {
         schema_version: 1,
         seeds,
@@ -1584,7 +1569,6 @@ fn fuzz(seeds: u64) {
         pipeline: 0,
         fused_launches: 0,
         ir_insts: 0,
-        programs_per_s: 0.0,
         skip_reasons: Vec::new(),
     };
     let mut skip_counts: std::collections::BTreeMap<String, usize> =
@@ -1626,23 +1610,29 @@ fn fuzz(seeds: u64) {
         }
     }
 
-    let elapsed = start.elapsed().as_secs_f64();
-    snap.programs_per_s = seeds as f64 / elapsed.max(1e-9);
     snap.skip_reasons = skip_counts
         .into_iter()
         .map(|(reason, count)| FuzzSkipReason { reason, count })
         .collect();
 
     println!(
-        "\n{} pass / {} skip / {} diverge  ({:.1} programs/s, {} wild + {} pipeline, {} launches fused)",
-        snap.passes,
-        snap.skipped,
-        snap.divergences,
-        snap.programs_per_s,
-        snap.wild,
-        snap.pipeline,
-        snap.fused_launches
+        "\n{} pass / {} skip / {} diverge  ({} wild + {} pipeline, {} launches fused)",
+        snap.passes, snap.skipped, snap.divergences, snap.wild, snap.pipeline, snap.fused_launches
     );
+    // A clean sweep that covered nothing is a failure too (a handful of
+    // seeds, as when hunting a reproducer, is exempt).
+    if first_divergence.is_none() && seeds >= 100 {
+        assert!(
+            snap.passes as u64 * 5 >= seeds * 4,
+            "sweep degenerated into skips: {:?}",
+            snap.skip_reasons
+        );
+        assert!(
+            snap.wild > 0 && snap.pipeline > 0,
+            "both memory modes must be exercised"
+        );
+        assert!(snap.fused_launches > 0, "the fusion path never engaged");
+    }
     write_artifact(
         "BENCH_fuzz.json",
         &serde_json::to_string_pretty(&snap).expect("fuzz snapshot serializes"),
@@ -1705,9 +1695,8 @@ struct ChaosSticky {
 }
 
 /// Machine-readable snapshot of one `--chaos` drill
-/// (`BENCH_chaos.json`). Deliberately not in [`CHECKED_ARTIFACTS`]:
-/// the CI smoke step validates its invariants (full recovery, the
-/// deterministic quarantine) instead of diffing it byte-for-byte.
+/// (`BENCH_chaos.json`): seeded, single-stream, and so a gated
+/// baseline like any other modeled artifact.
 #[derive(Debug, Clone, Serialize)]
 struct ChaosSnapshot {
     schema_version: u32,
@@ -1717,14 +1706,15 @@ struct ChaosSnapshot {
     sticky: ChaosSticky,
 }
 
-/// `--chaos` (standalone, not part of `--all`): the fault-injection
-/// drill. Part one installs a transient-only plan (launch faults, hung
-/// kernels, copy faults) and asserts the retry/failover machinery
-/// recovers every command bit-exactly against a fault-free oracle.
-/// Part two installs a sticky device failure and asserts the failing
-/// device is quarantined within the fault budget, that placement and
-/// the automatic postmortem react, and exports the bundle. Both halves
-/// are seeded, so `BENCH_chaos.json` is byte-deterministic.
+/// `--chaos`: the fault-injection drill. Part one installs a
+/// transient-only plan (launch faults, hung kernels, copy faults) and
+/// asserts the retry/failover machinery recovers every command
+/// bit-exactly against a fault-free oracle. Part two installs a sticky
+/// device failure and asserts the failing device is quarantined within
+/// the fault budget, that placement and the automatic postmortem
+/// react, and exports the bundle (`POSTMORTEM_chaos.json`). Both halves
+/// are seeded, so `BENCH_chaos.json` is byte-deterministic. See
+/// `docs/RESILIENCE.md`.
 fn chaos() {
     use simt_kernels::workload::int_vector;
     use simt_kernels::LaunchSpec;
@@ -1816,6 +1806,11 @@ fn chaos() {
     };
     assert!(bit_exact, "recovered outputs diverged from the oracle");
     assert!(transient.faults_injected > 0, "the plan injected nothing");
+    assert_eq!(terminal, 0, "every fault must be absorbed by a retry");
+    assert!(
+        transient.backoff_p50_cycles >= 1,
+        "retries must pay modeled backoff"
+    );
     println!(
         "transient: {} faults over {} jobs, {} retries, {} failovers, recovery rate {:.2}, backoff p50/p90/p99 = {}/{}/{} cycles",
         transient.faults_injected,
@@ -1858,6 +1853,7 @@ fn chaos() {
     };
     let reports = rt2.quarantine_postmortems();
     assert_eq!(reports.len(), 1, "one automatic quarantine postmortem");
+    assert_eq!(reports[0].reason, "device-quarantined");
     let sticky = ChaosSticky {
         jobs: jobs + 8,
         quarantined_device: 1,
@@ -1874,6 +1870,7 @@ fn chaos() {
         post_quarantine_completions: per_device(&stats.completions[completions_at_quarantine..]),
         postmortems: reports.len(),
     };
+    assert_eq!(sticky.quarantines, 1, "one device, quarantined once");
     assert_eq!(
         sticky.post_quarantine_completions[1], 0,
         "placement must avoid the quarantined device"
@@ -1899,17 +1896,6 @@ fn chaos() {
         &serde_json::to_string_pretty(&reports[0]).expect("postmortem serializes"),
     );
 }
-
-/// The artifacts `--check` regenerates and gates on. `PROFILE_*` are
-/// excluded: the trace is a wall-clock-timestamped event log, not a
-/// metric baseline.
-const CHECKED_ARTIFACTS: &[&str] = &[
-    "BENCH_runtime.json",
-    "BENCH_compiler.json",
-    "BENCH_graph.json",
-    "BENCH_sim.json",
-    "METRICS.json",
-];
 
 /// Workload families the gate knows how to re-profile when a leaf
 /// naming one of them regresses: the four sim-harness kernels, each
@@ -2093,16 +2079,17 @@ fn attribute_workload(workload: &str) -> simt_forensics::WorkloadAttribution {
     }
 }
 
-/// `--check [--inject]`: regenerate every gated artifact into a
-/// scratch directory, compare each against its committed baseline with
-/// [`simt_bench::check`], print the deviations, and exit nonzero if
-/// any *exact-class* (modeled-cycle) metric moved. Throughput-class
-/// deviations are reported but never enforced. On failure the gate
-/// re-profiles the implicated workloads and writes `CHECK_REPORT.json`
-/// (a [`simt_forensics::CheckReport`]) into the working directory, so
-/// the exit-1 names where the cycles moved. `--inject` doubles every
-/// exact-class cycle leaf of the fresh artifacts first — the self-test
-/// proving the gate trips and the report attributes.
+/// `--check [--inject]`: run every gated section of [`SECTIONS`] into
+/// a scratch directory, compare each gated file against its committed
+/// baseline with [`simt_bench::check`], print the deviations, and exit
+/// nonzero if any *exact-class* (modeled) leaf moved. Throughput-class
+/// (placement-dependent) deviations are reported but never enforced.
+/// On failure the gate re-profiles the implicated workloads and writes
+/// `CHECK_REPORT.json` (a [`simt_forensics::CheckReport`]) into the
+/// working directory, so the exit-1 names where the cycles moved.
+/// `--inject` doubles every exact-class cycle leaf of the fresh
+/// artifacts first — the self-test proving the gate trips and the
+/// report attributes, asserted on the report before the exit.
 fn check(inject: bool) {
     use simt_bench::check::{compare, inject_cycle_regression};
     use simt_forensics::{CheckReport, LeafDelta, CHECK_REPORT_SCHEMA_VERSION};
@@ -2112,26 +2099,21 @@ fn check(inject: bool) {
     OUT_DIR.set(scratch.clone()).expect("check runs once");
 
     println!("== regenerating artifacts into {} ==\n", scratch.display());
-    runtime();
-    compiler();
-    graph();
-    sim();
-    metrics();
+    let gated = SECTIONS.iter().filter(|s| !s.gated.is_empty());
+    gated.for_each(|s| (s.run)());
 
     println!("== perf-regression gate: committed baselines vs this tree ==");
     let mut all_failures: Vec<LeafDelta> = Vec::new();
     let mut all_warnings: Vec<LeafDelta> = Vec::new();
     let mut injected = 0usize;
-    for artifact in CHECKED_ARTIFACTS {
+    for artifact in SECTIONS.iter().flat_map(|s| s.gated) {
         let stem = artifact.trim_end_matches(".json").to_ascii_lowercase();
-        let baseline: serde::Value = match std::fs::read_to_string(artifact) {
-            Ok(s) => serde_json::from_str(&s)
-                .unwrap_or_else(|e| panic!("{artifact}: baseline does not parse: {e:?}")),
-            Err(_) => {
-                println!("{artifact:<22} SKIP  no committed baseline");
-                continue;
-            }
-        };
+        // Gated = committed: a missing baseline is a broken checkout
+        // (or the wrong working directory), never a pass.
+        let committed = std::fs::read_to_string(artifact)
+            .unwrap_or_else(|e| panic!("{artifact}: no committed baseline in the cwd: {e}"));
+        let baseline: serde::Value = serde_json::from_str(&committed)
+            .unwrap_or_else(|e| panic!("{artifact}: baseline does not parse: {e:?}"));
         let fresh = std::fs::read_to_string(scratch.join(artifact))
             .unwrap_or_else(|e| panic!("{artifact}: regeneration missing: {e}"));
         let mut current: serde::Value =
@@ -2206,9 +2188,99 @@ fn check(inject: bool) {
             serde_json::to_string_pretty(&report).expect("check report serializes"),
         )
         .expect("write CHECK_REPORT.json");
+        if inject {
+            // The self-test's other half: the report must name the
+            // doubled leaves and carry a two-shape profile of each
+            // implicated workload.
+            assert!(
+                report.failures.iter().all(|f| f.path.contains("cycles")),
+                "failures must be the injected cycle leaves"
+            );
+            assert!(!report.attributions.is_empty(), "nothing re-profiled");
+            for a in &report.attributions {
+                assert!(
+                    a.shapes.len() == 2 && a.shapes.iter().all(|s| !s.pcs.is_empty()),
+                    "{}: attribution lacks per-PC data",
+                    a.workload
+                );
+            }
+        }
         print!("{}", report.render_text());
         println!("\ngate: FAILED — {failures} modeled-cycle regressions (wrote CHECK_REPORT.json)");
         std::process::exit(1);
     }
     println!("\ngate: ok — no modeled-cycle regressions");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_are_unique_and_dashed() {
+        let flags: BTreeSet<_> = SECTIONS.iter().map(|s| s.flag).collect();
+        assert_eq!(flags.len(), SECTIONS.len(), "duplicate flag");
+        assert!(flags.iter().all(|f| f.starts_with("--")));
+    }
+
+    #[test]
+    fn unknown_arguments_are_usage_errors_that_list_the_flags() {
+        for bad in [
+            &["--tabel1"][..],
+            &["--sim", "--nope"],
+            &["50"],
+            &["--inject"],
+        ] {
+            assert!(parse(&args(bad)).is_err(), "{bad:?} must not parse");
+        }
+        let usage = parse(&args(&["--tabel1"])).err().unwrap();
+        assert!(SECTIONS.iter().all(|s| usage.contains(s.flag)), "{usage}");
+
+        let flags = |list: &[&str]| match parse(&args(list)) {
+            Ok(Mode::Run(sections)) => sections.iter().map(|s| s.flag).collect::<Vec<_>>(),
+            _ => panic!("{list:?} must select sections"),
+        };
+        assert_eq!(flags(&[]).len(), SECTIONS.len(), "no flag = --all");
+        assert_eq!(flags(&["--fuzz", "50"]), ["--fuzz"]);
+        assert_eq!(flags(&["--sim", "--table1"]), ["--table1", "--sim"]);
+        assert_eq!(fuzz_seeds(&args(&["--fuzz", "50"])), 50);
+        assert_eq!(fuzz_seeds(&args(&["--fuzz", "--sim"])), 500);
+    }
+
+    /// Committed = gated: the artifacts tracked at the workspace root
+    /// are exactly the files `--check` diffs, and everything else a
+    /// section writes is named in `.gitignore`.
+    #[test]
+    fn tracked_root_artifacts_are_exactly_the_gated_ones() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let gitignore = std::fs::read_to_string(format!("{root}/.gitignore")).unwrap();
+        let ignored: BTreeSet<&str> = gitignore
+            .lines()
+            .map(|l| l.trim_start_matches('/'))
+            .collect();
+        let tracked: BTreeSet<String> = std::fs::read_dir(root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| {
+                ["BENCH_", "METRICS", "POSTMORTEM", "PROFILE_"]
+                    .iter()
+                    .any(|prefix| n.starts_with(prefix))
+                    && !ignored.contains(n.as_str())
+            })
+            .collect();
+        let gated: BTreeSet<String> = SECTIONS
+            .iter()
+            .flat_map(|s| s.gated)
+            .map(|f| f.to_string())
+            .collect();
+        assert_eq!(tracked, gated);
+        for f in SECTIONS.iter().flat_map(|s| s.ungated) {
+            assert!(ignored.contains(f), "{f} is ungated but not .gitignored");
+        }
+    }
 }

@@ -4,13 +4,16 @@
 //! committed baselines, leaf by leaf. Every JSON leaf is classified by
 //! its path:
 //!
-//! - **Exact** — modeled quantities (cycles, instruction counts, cache
-//!   hits, histogram shapes). These are deterministic functions of the
-//!   code, so any drift is a real behavioural change: the gate fails.
-//! - **Throughput** — host wall-clock rates, ratios and anything racy
-//!   (makespans under multi-worker placement, per-device splits,
-//!   watermarks). Checked against a ±15 % band and *reported*, never
-//!   enforced — CI machines are too noisy to gate on.
+//! - **Exact** — modeled quantities (cycles, instruction counts,
+//!   register use, the seeded fitter's MHz, cache hits, histogram
+//!   shapes). These are deterministic functions of the code, so any
+//!   drift is a real behavioural change: the gate fails.
+//! - **Throughput** — placement-dependent (multi-worker race)
+//!   quantities: makespans and what derives from them, per-device
+//!   splits, watermarks. Cross-stream placement follows host completion
+//!   order, so they are checked against a ±15 % band and *reported*,
+//!   never enforced. No gated artifact carries a wall-clock leaf; host
+//!   time is `bench-e2e`'s to report.
 //! - **Ignored** — free-form fields with no regression meaning.
 //!
 //! The classifier works on lowercase slash-joined paths rooted at the
@@ -27,8 +30,7 @@ pub enum Class {
     /// Deterministic modeled quantity: must match bit-for-bit
     /// (floats: within 1e-9 relative).
     Exact,
-    /// Host-speed or placement-dependent quantity: ±15 % band,
-    /// report-only.
+    /// Placement-dependent quantity: ±15 % band, report-only.
     Throughput,
     /// Not a regression signal.
     Ignore,
@@ -37,23 +39,16 @@ pub enum Class {
 /// Relative tolerance for throughput-class leaves.
 pub const THROUGHPUT_TOLERANCE: f64 = 0.15;
 
-/// Path substrings that mark a leaf as throughput-class (host speed,
-/// rates/ratios, or quantities that depend on the OS thread race).
+/// Path substrings that mark a leaf as throughput-class: quantities
+/// that depend on the OS thread race of a multi-worker pool, and the
+/// derived rates and percentages that ride along in the same rows.
+/// Every marker matches a leaf of some committed baseline
+/// (`no_marker_is_dead`).
 const THROUGHPUT_MARKERS: &[&str] = &[
-    // host wall-clock and derived rates
-    "_us",
-    "us_",
-    "wall",
-    "per_s",
-    "per_run",
-    "mhz",
-    "ratio",
+    "modeled_us",
     "rate",
     "speedup",
-    "second",
     "pct",
-    "fraction",
-    // placement-dependent (multi-worker race) quantities
     "makespan",
     "occupancy",
     "watermark",
@@ -63,7 +58,6 @@ const THROUGHPUT_MARKERS: &[&str] = &[
     "busy",
     "device_compute",
     "device_copy",
-    "spread",
 ];
 
 /// Path substrings with no regression meaning at all.
@@ -313,31 +307,95 @@ mod tests {
 
     #[test]
     fn classification_by_path() {
-        assert_eq!(classify("bench_sim/rows/saxpy/dyn_instrs"), Class::Exact);
-        assert_eq!(
-            classify("bench_sim/rows/saxpy/baseline_us_per_run"),
-            Class::Throughput
-        );
-        assert_eq!(
-            classify("bench_runtime/sweep/0/makespan_cycles"),
-            Class::Throughput,
-            "makespan outranks cycles"
-        );
-        assert_eq!(
-            classify("metrics/snapshot/histograms/launch_cycles{saxpy}/p99"),
-            Class::Exact
-        );
-        assert_eq!(
-            classify("metrics/snapshot/counters/compile_cache_hits_total"),
-            Class::Throughput,
-            "cache counters are racy on the multi-worker pool"
-        );
-        assert_eq!(
-            classify("bench_compiler/cache/hits"),
-            Class::Exact,
-            "single-device harness cache is deterministic"
-        );
-        assert_eq!(classify("metrics/health/healthy"), Class::Ignore);
+        use Class::*;
+        for (path, class, why) in [
+            ("bench_sim/rows/saxpy@64/dyn_instrs", Exact, ""),
+            (
+                "bench_runtime/sweep/0/makespan_cycles",
+                Throughput,
+                "makespan outranks cycles",
+            ),
+            (
+                "bench_runtime/sweep/3/modeled_us",
+                Throughput,
+                "the makespan in microseconds",
+            ),
+            (
+                "bench_compiler/kernels/fir16/regs_used",
+                Exact,
+                "`_us` must not swallow `regs_used`",
+            ),
+            (
+                "bench_runtime/unconstrained_restricted_mhz",
+                Exact,
+                "seeded fitter",
+            ),
+            ("bench_runtime/stamped3_best_mhz", Exact, "seeded fitter"),
+            ("bench_runtime/device_fmax_mhz", Exact, "a constant"),
+            (
+                "metrics/snapshot/histograms/launch_cycles{saxpy}/p99",
+                Exact,
+                "",
+            ),
+            (
+                "metrics/snapshot/counters/compile_cache_hits_total",
+                Throughput,
+                "cache counters are racy on the multi-worker pool",
+            ),
+            (
+                "bench_compiler/cache/hits",
+                Exact,
+                "single-device harness cache is deterministic",
+            ),
+            (
+                "bench_chaos/transient/backoff_p50_cycles",
+                Exact,
+                "seeded drill",
+            ),
+            ("metrics/health/healthy", Ignore, ""),
+        ] {
+            assert_eq!(classify(path), class, "{path}: {why}");
+        }
+    }
+
+    /// Leaf paths of `v`, spelled the way `walk` spells them.
+    fn leaf_paths(path: &str, v: &Value, out: &mut Vec<String>) {
+        match v {
+            Value::Map(fields) => fields
+                .iter()
+                .for_each(|(k, v)| leaf_paths(&format!("{path}/{}", k.to_lowercase()), v, out)),
+            Value::Seq(items) => items.iter().enumerate().for_each(|(i, v)| {
+                leaf_paths(&format!("{path}/{}", seq_key(v, i).to_lowercase()), v, out)
+            }),
+            _ => out.push(path.to_string()),
+        }
+    }
+
+    /// A marker that matches no leaf of any committed baseline is dead
+    /// weight, and a hazard: it will silently demote the first new leaf
+    /// whose name happens to contain it (`_us` did that to `regs_used`).
+    #[test]
+    fn no_marker_is_dead() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let ignored = std::fs::read_to_string(format!("{root}/.gitignore")).unwrap();
+        let mut paths = Vec::new();
+        for entry in std::fs::read_dir(root).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let committed = !ignored.lines().any(|l| l.trim_start_matches('/') == name);
+            if (name.starts_with("BENCH_") || name == "METRICS.json") && committed {
+                let text = std::fs::read_to_string(format!("{root}/{name}")).unwrap();
+                let v: Value = serde_json::from_str(&text).unwrap();
+                let stem = name.trim_end_matches(".json").to_lowercase();
+                leaf_paths(&stem, &v, &mut paths);
+            }
+        }
+        assert!(paths.len() > 1000, "baselines not found under {root}");
+        for m in THROUGHPUT_MARKERS {
+            assert!(
+                paths.iter().any(|p| p.contains(m)),
+                "marker `{m}` matches no leaf of any committed baseline"
+            );
+        }
     }
 
     #[test]
@@ -361,8 +419,8 @@ mod tests {
 
     #[test]
     fn throughput_within_band_is_silent() {
-        let base = map(vec![("compile_us", Value::F64(10.0))]);
-        let cur = map(vec![("compile_us", Value::F64(11.0))]);
+        let base = map(vec![("modeled_us", Value::F64(10.0))]);
+        let cur = map(vec![("modeled_us", Value::F64(11.0))]);
         let cmp = compare("bench_x", &base, &cur);
         assert_eq!(cmp.findings.len(), 0, "10% is inside the ±15% band");
     }
@@ -414,7 +472,7 @@ mod tests {
         let mut v = map(vec![
             ("span_cycles", Value::U64(40)),
             ("makespan_cycles", Value::U64(40)),
-            ("compile_us", Value::F64(3.0)),
+            ("modeled_us", Value::F64(3.0)),
         ]);
         let hits = inject_cycle_regression("bench_x", &mut v);
         assert_eq!(hits, 1, "only the exact-class cycle leaf is touched");
@@ -423,7 +481,7 @@ mod tests {
             &map(vec![
                 ("span_cycles", Value::U64(40)),
                 ("makespan_cycles", Value::U64(40)),
-                ("compile_us", Value::F64(3.0)),
+                ("modeled_us", Value::F64(3.0)),
             ]),
             &v,
         );

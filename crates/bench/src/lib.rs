@@ -1,4 +1,5 @@
-//! Shared helpers for the benchmark harness and the `tables` binary.
+//! Shared helpers for the `tables` binary, and the artifact gate behind
+//! `tables --check`.
 
 #![forbid(unsafe_code)]
 

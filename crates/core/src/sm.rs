@@ -290,8 +290,9 @@ impl Processor {
     /// Execute through the **reference interpreter**: field extraction
     /// per dynamic instruction, generic per-lane dispatch through
     /// [`Datapath::eval`] — semantically identical to [`Processor::run`]
-    /// (pinned by proptest), kept as the differential-testing oracle and
-    /// the `tables --sim` host-throughput baseline.
+    /// (pinned by proptest), kept as the differential-testing oracle
+    /// (`tables --sim` asserts the two bit-exact on the bench kernels;
+    /// `bench-e2e` times this one as `core.run_reference_ns`).
     pub fn run_reference(&mut self, opts: RunOptions) -> Result<ExecStats, ExecError> {
         self.run_reference_inner(opts, &mut None)
     }
@@ -327,7 +328,7 @@ impl Processor {
         // Monomorphize the run loop over (trace, profile, mode): the
         // fast path carries no trace pushes, no per-PC counter updates
         // and no counter-hardware stepping.
-        let stats = match (trace.is_some(), profile.is_some(), opts.mode) {
+        match (trace.is_some(), profile.is_some(), opts.mode) {
             (false, false, ExecMode::Functional) => {
                 self.run_loop::<false, false, false>(&decoded, opts, trace, profile)
             }
@@ -352,12 +353,7 @@ impl Processor {
             (true, true, ExecMode::CycleAccurate) => {
                 self.run_loop::<true, true, true>(&decoded, opts, trace, profile)
             }
-        }?;
-        // Always-on retirement counters: one relaxed add per counter per
-        // *finished run*, never per instruction — the process-wide
-        // dyn-instr / thread-op totals the metrics layer reports.
-        simt_metrics::sim::retire_run(stats.instructions, stats.thread_ops);
-        Ok(stats)
+        }
     }
 
     /// The predecoded run loop, monomorphized over trace capture,
@@ -750,9 +746,6 @@ impl Processor {
                         });
                     }
                     stats.mem = self.shared.stats();
-                    // Same always-on retirement accounting as the
-                    // predecoded path (one relaxed add per run).
-                    simt_metrics::sim::retire_run(stats.instructions, stats.thread_ops);
                     return Ok(stats);
                 }
                 Opcode::Nop | Opcode::Bar => {}

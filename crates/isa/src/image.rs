@@ -16,7 +16,6 @@
 
 use crate::error::IsaError;
 use crate::program::Program;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Image magic.
 pub const MAGIC: &[u8; 4] = b"SIMT";
@@ -30,22 +29,22 @@ fn checksum(words: &[u64]) -> u32 {
 }
 
 /// Serialize a program into an I-Mem image.
-pub fn to_image(program: &Program) -> Bytes {
+pub fn to_image(program: &Program) -> Vec<u8> {
     let words = program.words();
-    let mut buf = BytesMut::with_capacity(16 + 8 * words.len());
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(program.uses_predicates() as u16);
-    buf.put_u32_le(words.len() as u32);
+    let mut buf = Vec::with_capacity(16 + 8 * words.len());
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(program.uses_predicates() as u16).to_le_bytes());
+    buf.extend_from_slice(&(words.len() as u32).to_le_bytes());
     for &w in &words {
-        buf.put_u64_le(w);
+        buf.extend_from_slice(&w.to_le_bytes());
     }
-    buf.put_u32_le(checksum(&words));
-    buf.freeze()
+    buf.extend_from_slice(&checksum(&words).to_le_bytes());
+    buf
 }
 
 /// Deserialize an I-Mem image back into a program.
-pub fn from_image(mut data: &[u8]) -> Result<Program, IsaError> {
+pub fn from_image(data: &[u8]) -> Result<Program, IsaError> {
     let err = |detail: &str| IsaError::Syntax {
         line: 0,
         detail: format!("bad image: {detail}"),
@@ -53,28 +52,29 @@ pub fn from_image(mut data: &[u8]) -> Result<Program, IsaError> {
     if data.len() < 16 {
         return Err(err("truncated header"));
     }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let (header, body) = data.split_at(12);
+    if &header[0..4] != MAGIC {
         return Err(err("wrong magic"));
     }
-    let version = data.get_u16_le();
+    let version = u16::from_le_bytes([header[4], header[5]]);
     if version != VERSION {
         return Err(err(&format!("unsupported version {version}")));
     }
-    let _flags = data.get_u16_le();
-    let count = data.get_u32_le() as usize;
-    if data.remaining() != 8 * count + 4 {
+    // header[6..8] is the flags word; the decoder re-derives predicate
+    // use from the instructions.
+    let count = u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
+    if body.len() as u64 != 8 * count as u64 + 4 {
         return Err(err(&format!(
             "length mismatch: {} bytes for {count} instructions",
-            data.remaining()
+            body.len()
         )));
     }
-    let mut words = Vec::with_capacity(count);
-    for _ in 0..count {
-        words.push(data.get_u64_le());
-    }
-    let stored = data.get_u32_le();
+    let (payload, trailer) = body.split_at(8 * count);
+    let words: Vec<u64> = payload
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
+        .collect();
+    let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
     if stored != checksum(&words) {
         return Err(err("checksum mismatch"));
     }
@@ -107,11 +107,18 @@ mod tests {
         assert_eq!(&img[0..4], b"SIMT");
         assert_eq!(u16::from_le_bytes([img[4], img[5]]), VERSION);
         assert_eq!(u32::from_le_bytes([img[8], img[9], img[10], img[11]]), 6);
+        // Byte order on the wire: `roundtrip` alone would pass a
+        // to_image/from_image pair that flipped endianness together.
+        // `stid r1` encodes as 0x3100_0100_0000_0000.
+        assert_eq!(img[12..20], [0, 0, 0, 0, 0, 0x01, 0, 0x31]);
+        assert_eq!(sample().words()[0], 0x3100_0100_0000_0000);
+        // Trailing checksum 0x0b04_0100, low byte first.
+        assert_eq!(img[img.len() - 4..], [0x00, 0x01, 0x04, 0x0b]);
     }
 
     #[test]
     fn corruption_detected() {
-        let img = to_image(&sample()).to_vec();
+        let img = to_image(&sample());
         // Flip a payload bit.
         let mut bad = img.clone();
         bad[20] ^= 1;

@@ -341,43 +341,6 @@ impl Histogram {
     }
 }
 
-/// Process-wide interpreter counters: the always-on path. `simt-core`
-/// folds a finished run's totals in here — one relaxed `fetch_add` per
-/// counter per launch retirement, never per instruction.
-pub mod sim {
-    use super::Counter;
-
-    /// The three always-on interpreter counters.
-    #[derive(Debug)]
-    pub struct SimCounters {
-        /// Kernel runs retired (any interpreter tier).
-        pub runs: Counter,
-        /// Dynamic instructions retired.
-        pub dyn_instrs: Counter,
-        /// Thread-operations retired (instructions × active lanes).
-        pub thread_ops: Counter,
-    }
-
-    static SIM: SimCounters = SimCounters {
-        runs: Counter::new(),
-        dyn_instrs: Counter::new(),
-        thread_ops: Counter::new(),
-    };
-
-    /// The process-wide counters.
-    pub fn counters() -> &'static SimCounters {
-        &SIM
-    }
-
-    /// Fold one finished run into the process-wide counters.
-    #[inline]
-    pub fn retire_run(dyn_instrs: u64, thread_ops: u64) {
-        SIM.runs.inc();
-        SIM.dyn_instrs.add(dyn_instrs);
-        SIM.thread_ops.add(thread_ops);
-    }
-}
-
 /// A pool-wide metric registry: get-or-create metrics by
 /// `(name, label)`. Creation takes a mutex; recording through the
 /// returned [`Arc`] is lock-free, so hot paths cache the handle.
@@ -549,15 +512,5 @@ mod tests {
             snap.histogram(names::LAUNCH_CYCLES, "saxpy").unwrap().count,
             1
         );
-    }
-
-    #[test]
-    fn sim_counters_accumulate() {
-        let before = sim::counters().runs.get();
-        sim::retire_run(100, 1600);
-        let c = sim::counters();
-        assert!(c.runs.get() > before);
-        assert!(c.dyn_instrs.get() >= 100);
-        assert!(c.thread_ops.get() >= 1600);
     }
 }

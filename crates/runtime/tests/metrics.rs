@@ -257,17 +257,3 @@ fn metrics_can_be_switched_off() {
     assert!(rt.metrics_snapshot().is_none());
     assert!(rt.health().is_none());
 }
-
-#[test]
-fn sim_counters_advance_with_every_retired_run() {
-    // The core-level instrument: one relaxed add per retired run,
-    // process-global, alive even when pool metrics are off.
-    let before = simt_metrics::sim::counters().runs.get();
-    let spec = LaunchSpec::saxpy(3, &int_vector(64, 1), &int_vector(64, 2));
-    let local = spec.run_local().unwrap();
-    assert_eq!(local.output, spec.expected);
-    let after = simt_metrics::sim::counters();
-    assert!(after.runs.get() > before);
-    assert!(after.dyn_instrs.get() >= local.stats.instructions);
-    assert!(after.thread_ops.get() >= local.stats.thread_ops);
-}
