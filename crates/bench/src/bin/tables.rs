@@ -1841,16 +1841,14 @@ fn chaos() {
         DeviceHealth::Quarantined,
         "the sticky device must be quarantined within the fault budget"
     );
-    let completions_at_quarantine = rt2.stats().completions.len();
-    let _post = run_jobs(&rt2, &s2, 8);
-    let stats = rt2.stats();
-    let per_device = |records: &[simt_runtime::CompletionRecord]| -> Vec<u64> {
-        let mut shares = vec![0u64; 2];
-        for c in records {
-            shares[c.device] += 1;
-        }
-        shares
+    // Stream commands retired per device, straight off the books.
+    let per_device = || -> Vec<u64> {
+        let devices = rt2.stats().devices;
+        devices.iter().map(|d| d.batched_commands).collect()
     };
+    let at_quarantine = per_device();
+    let _post = run_jobs(&rt2, &s2, 8);
+    let completions_per_device = per_device();
     let reports = rt2.quarantine_postmortems();
     assert_eq!(reports.len(), 1, "one automatic quarantine postmortem");
     assert_eq!(reports[0].reason, "device-quarantined");
@@ -1866,8 +1864,12 @@ fn chaos() {
             .map(|c| c.value)
             .sum(),
         quarantines: counter(&rt2, names::QUARANTINES),
-        completions_per_device: per_device(&stats.completions),
-        post_quarantine_completions: per_device(&stats.completions[completions_at_quarantine..]),
+        post_quarantine_completions: completions_per_device
+            .iter()
+            .zip(&at_quarantine)
+            .map(|(after, before)| after - before)
+            .collect(),
+        completions_per_device,
         postmortems: reports.len(),
     };
     assert_eq!(sticky.quarantines, 1, "one device, quarantined once");

@@ -3,7 +3,8 @@
 //! Keys are deterministic 64-bit content hashes of (source, processor
 //! configuration, opt level) — the wasmtime/cranelift artifact-cache
 //! shape: identical kernels compiled for identical targets share one
-//! [`Program`] no matter which stream, device or process-lifetime
+//! predecoded program ([`DecodedProgram`], which owns its
+//! [`Program`]) no matter which stream, device or process-lifetime
 //! launch asked first. Both frontends are covered: IR kernels (hashed
 //! over a canonical renumbering, see [`Kernel::content_hash`]) and text
 //! assembly (hashed over the source bytes).
@@ -78,12 +79,10 @@ struct Entry {
     label: Arc<str>,
     material: SourceMaterial,
     config: ProcessorConfig,
-    program: Arc<Program>,
-    /// The program predecoded for `config`
-    /// ([`simt_core::DecodedProgram`]), filled on the first decoded
-    /// lookup so graph replays and repeated stream launches skip
-    /// re-decoding entirely.
-    decoded: Option<Arc<DecodedProgram>>,
+    /// The program, predecoded for `config` when it was compiled, so
+    /// graph replays and repeated stream launches skip re-decoding
+    /// entirely.
+    decoded: Arc<DecodedProgram>,
     /// Recency stamp for LRU eviction (larger = used more recently).
     last_used: u64,
 }
@@ -119,15 +118,10 @@ pub struct CompileCache {
     events: Option<Arc<EventRing>>,
 }
 
-/// Internal lookup result: the program, its decode when requested, and
-/// whether the artifact came out of the cache.
-type Lookup<E> = Result<(Arc<Program>, Option<Arc<DecodedProgram>>, bool), E>;
-
 /// Outcome of claiming a key under the lock.
 enum Claim {
-    /// Resident artifact; the decode is `Some` iff the caller asked
-    /// for a decoded lookup.
-    Hit(Arc<Program>, Option<Arc<DecodedProgram>>),
+    /// Resident artifact.
+    Hit(Arc<DecodedProgram>),
     /// This thread owns the compile for the key.
     Owned,
     /// The key is resident but the material differs (hash collision):
@@ -165,31 +159,23 @@ impl CompileCache {
     /// Record a lookup outcome when a ring is attached (one branch on
     /// `None` otherwise). `kernel` is an entry's shared label, so this
     /// allocates nothing — it may run under the map lock.
-    fn note(&self, kernel: &Arc<str>, tier: CacheTier, hit: bool, decoded: bool) {
+    fn note(&self, kernel: &Arc<str>, tier: CacheTier, hit: bool) {
         if let Some(ring) = &self.events {
             ring.record(Event::CacheLookup {
                 kernel: Arc::clone(kernel),
                 tier,
                 hit,
-                decoded,
+                decoded: true,
             });
         }
     }
 
     /// Claim `key` under the lock: hit, collision, or take ownership of
     /// the compile (waiting out any other thread already compiling it).
-    /// With `want_decoded`, a hit also returns the entry's predecoded
-    /// form, deriving and caching it on first request (decoding is a
-    /// cheap linear pass, so holding the lock is acceptable). Hits are
-    /// recorded here, under the lock, so a hit's compile and decode
-    /// outcomes stay adjacent; misses by the caller once it has a label.
-    fn claim(
-        &self,
-        key: u64,
-        material: &SourceMaterial,
-        config: &ProcessorConfig,
-        want_decoded: bool,
-    ) -> Claim {
+    /// Hits are recorded here, under the lock, so a hit's compile and
+    /// decode outcomes stay adjacent; misses by the caller once it has a
+    /// label.
+    fn claim(&self, key: u64, material: &SourceMaterial, config: &ProcessorConfig) -> Claim {
         let mut inner = self.inner.lock().unwrap();
         loop {
             inner.tick += 1;
@@ -198,28 +184,10 @@ impl CompileCache {
                 if e.material == *material && e.config == *config {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.note(&e.label, CacheTier::Compile, true, want_decoded);
-                    let decoded = if want_decoded {
-                        self.note(&e.label, CacheTier::Decode, e.decoded.is_some(), true);
-                        Some(match &e.decoded {
-                            Some(d) => {
-                                self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                                Arc::clone(d)
-                            }
-                            None => {
-                                self.decode_misses.fetch_add(1, Ordering::Relaxed);
-                                let d = Arc::new(DecodedProgram::decode(
-                                    Arc::clone(&e.program),
-                                    &e.config,
-                                ));
-                                e.decoded = Some(Arc::clone(&d));
-                                d
-                            }
-                        })
-                    } else {
-                        None
-                    };
-                    return Claim::Hit(Arc::clone(&e.program), decoded);
+                    self.decode_hits.fetch_add(1, Ordering::Relaxed);
+                    self.note(&e.label, CacheTier::Compile, true);
+                    self.note(&e.label, CacheTier::Decode, true);
+                    return Claim::Hit(Arc::clone(&e.decoded));
                 }
                 return Claim::Collision;
             }
@@ -256,42 +224,19 @@ impl CompileCache {
     }
 
     /// Compile an IR kernel (or return the cached artifact, flagged
-    /// `true`). Concurrent launches of the same kernel compile exactly
-    /// once — later callers wait for the first, and unrelated keys
-    /// compile in parallel (the map lock is not held across a compile).
-    pub fn get_or_compile(
-        &self,
-        kernel: &Kernel,
-        config: &ProcessorConfig,
-        opt: OptLevel,
-    ) -> Result<(Arc<Program>, bool), CompileError> {
-        let (p, _, hit) = self.compile_inner(kernel, config, opt, false)?;
-        Ok((p, hit))
-    }
-
-    /// [`CompileCache::get_or_compile`], returning the artifact
-    /// predecoded for `config` — the form
-    /// `simt_core::Processor::load_decoded` consumes directly. The
-    /// decode is cached with the entry, so repeated launches and graph
-    /// replays pay it once (observable via
-    /// [`CompileCache::decode_hits`]).
+    /// `true`), predecoded for `config` — the form
+    /// `simt_core::Processor::load_decoded` consumes directly. Concurrent
+    /// launches of the same kernel compile exactly once — later callers
+    /// wait for the first, and unrelated keys compile in parallel (the
+    /// map lock is not held across a compile). The decode is cached with
+    /// the entry, so repeated launches and graph replays pay it once
+    /// (observable via [`CompileCache::decode_hits`]).
     pub fn get_or_compile_decoded(
         &self,
         kernel: &Kernel,
         config: &ProcessorConfig,
         opt: OptLevel,
     ) -> Result<(Arc<DecodedProgram>, bool), CompileError> {
-        let (_, d, hit) = self.compile_inner(kernel, config, opt, true)?;
-        Ok((d.expect("decoded lookup returns a decode"), hit))
-    }
-
-    fn compile_inner(
-        &self,
-        kernel: &Kernel,
-        config: &ProcessorConfig,
-        opt: OptLevel,
-        want_decoded: bool,
-    ) -> Lookup<CompileError> {
         // The kernel's identity memo carries everything derived from
         // the IR alone (validation verdict, canonical bytes, hash state
         // after them); a warm lookup hashes only the configuration on
@@ -308,7 +253,6 @@ impl CompileCache {
             h.finish(),
             material,
             config,
-            want_decoded,
             || kernel.name.as_str().into(),
             || {
                 let compiled = compile(kernel, config, opt)?;
@@ -329,17 +273,7 @@ impl CompileCache {
     }
 
     /// Assemble a text kernel (or return the cached artifact, flagged
-    /// `true`), keyed by the source bytes and configuration.
-    pub fn get_or_assemble(
-        &self,
-        asm: &str,
-        config: &ProcessorConfig,
-    ) -> Result<(Arc<Program>, bool), IsaError> {
-        let (p, _, hit) = self.assemble_inner(asm, config, false)?;
-        Ok((p, hit))
-    }
-
-    /// [`CompileCache::get_or_assemble`], returning the artifact
+    /// `true`), keyed by the source bytes and configuration and
     /// predecoded for `config` (see
     /// [`CompileCache::get_or_compile_decoded`]).
     pub fn get_or_assemble_decoded(
@@ -347,16 +281,6 @@ impl CompileCache {
         asm: &str,
         config: &ProcessorConfig,
     ) -> Result<(Arc<DecodedProgram>, bool), IsaError> {
-        let (_, d, hit) = self.assemble_inner(asm, config, true)?;
-        Ok((d.expect("decoded lookup returns a decode"), hit))
-    }
-
-    fn assemble_inner(
-        &self,
-        asm: &str,
-        config: &ProcessorConfig,
-        want_decoded: bool,
-    ) -> Lookup<IsaError> {
         let mut h = Fnv::new();
         h.write_u8(ASM_NAMESPACE);
         h.write_bytes(asm.as_bytes());
@@ -366,7 +290,6 @@ impl CompileCache {
             key,
             SourceMaterial::Asm(asm.to_string()),
             config,
-            want_decoded,
             // Assembly sources carry no kernel name; label by content
             // hash.
             || format!("asm#{key:016x}").into(),
@@ -383,18 +306,17 @@ impl CompileCache {
         key: u64,
         material: SourceMaterial,
         config: &ProcessorConfig,
-        want_decoded: bool,
         label: impl FnOnce() -> Arc<str>,
         build: impl FnOnce() -> Result<Program, E>,
-    ) -> Lookup<E> {
-        let owned = match self.claim(key, &material, config, want_decoded) {
-            Claim::Hit(p, d) => return Ok((p, d, true)),
+    ) -> Result<(Arc<DecodedProgram>, bool), E> {
+        let owned = match self.claim(key, &material, config) {
+            Claim::Hit(d) => return Ok((d, true)),
             Claim::Owned => true,
             Claim::Collision => false,
         };
         let label = label();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.note(&label, CacheTier::Compile, false, want_decoded);
+        self.note(&label, CacheTier::Compile, false);
         let program = match build() {
             Ok(p) => Arc::new(p),
             Err(e) => {
@@ -404,23 +326,20 @@ impl CompileCache {
                 return Err(e);
             }
         };
-        let decoded = want_decoded.then(|| {
-            self.decode_misses.fetch_add(1, Ordering::Relaxed);
-            self.note(&label, CacheTier::Decode, false, true);
-            Arc::new(DecodedProgram::decode(Arc::clone(&program), config))
-        });
+        self.decode_misses.fetch_add(1, Ordering::Relaxed);
+        self.note(&label, CacheTier::Decode, false);
+        let decoded = Arc::new(DecodedProgram::decode(program, config));
         if owned {
             let entry = Entry {
                 label,
                 material,
                 config: config.clone(),
-                program: Arc::clone(&program),
-                decoded: decoded.clone(),
+                decoded: Arc::clone(&decoded),
                 last_used: 0,
             };
             self.settle(key, Some(entry));
         }
-        Ok((program, decoded, false))
+        Ok((decoded, false))
     }
 
     /// Cache hits so far.
@@ -438,13 +357,13 @@ impl CompileCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Decoded-form lookups served from a cached decode (no re-decode).
+    /// Lookups served from a cached decode (no re-decode).
     pub fn decode_hits(&self) -> u64 {
         self.decode_hits.load(Ordering::Relaxed)
     }
 
-    /// Decoded-form lookups that had to decode (first decoded request
-    /// per entry, fresh compiles, and collision one-offs).
+    /// Lookups that had to decode (fresh compiles and collision
+    /// one-offs).
     pub fn decode_misses(&self) -> u64 {
         self.decode_misses.load(Ordering::Relaxed)
     }
@@ -496,8 +415,12 @@ mod tests {
         let cache = CompileCache::new();
         let cfg = ProcessorConfig::small();
         let k = kernel(3);
-        let (p1, hit1) = cache.get_or_compile(&k, &cfg, OptLevel::Full).unwrap();
-        let (p2, hit2) = cache.get_or_compile(&k, &cfg, OptLevel::Full).unwrap();
+        let (p1, hit1) = cache
+            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+            .unwrap();
+        let (p2, hit2) = cache
+            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+            .unwrap();
         assert!(Arc::ptr_eq(&p1, &p2));
         assert!(!hit1);
         assert!(hit2);
@@ -511,14 +434,18 @@ mod tests {
         let cache = CompileCache::new();
         let cfg = ProcessorConfig::small();
         let k = kernel(3);
-        cache.get_or_compile(&k, &cfg, OptLevel::Full).unwrap();
         cache
-            .get_or_compile(&kernel(4), &cfg, OptLevel::Full)
+            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
             .unwrap();
         cache
-            .get_or_compile(&k, &cfg.clone().with_threads(32), OptLevel::Full)
+            .get_or_compile_decoded(&kernel(4), &cfg, OptLevel::Full)
             .unwrap();
-        cache.get_or_compile(&k, &cfg, OptLevel::None).unwrap();
+        cache
+            .get_or_compile_decoded(&k, &cfg.clone().with_threads(32), OptLevel::Full)
+            .unwrap();
+        cache
+            .get_or_compile_decoded(&k, &cfg, OptLevel::None)
+            .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 4));
         assert_eq!(cache.len(), 4);
     }
@@ -528,13 +455,13 @@ mod tests {
         let cache = CompileCache::new();
         let cfg = ProcessorConfig::small();
         let src = "  stid r1\n  sts [r1+0], r1\n  exit";
-        let (p1, hit1) = cache.get_or_assemble(src, &cfg).unwrap();
-        let (p2, hit2) = cache.get_or_assemble(src, &cfg).unwrap();
+        let (p1, hit1) = cache.get_or_assemble_decoded(src, &cfg).unwrap();
+        let (p2, hit2) = cache.get_or_assemble_decoded(src, &cfg).unwrap();
         assert!(Arc::ptr_eq(&p1, &p2));
         assert!(!hit1);
         assert!(hit2);
         let _ = cache
-            .get_or_assemble(src, &cfg.clone().with_threads(32))
+            .get_or_assemble_decoded(src, &cfg.clone().with_threads(32))
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
@@ -550,8 +477,12 @@ mod tests {
         let mut k2 = kernel(3);
         let garbage = k2.append_inst(crate::ir::Op::Const(99), vec![]);
         let _ = garbage; // never placed in a region
-        let (_, hit1) = cache.get_or_compile(&k1, &cfg, OptLevel::Full).unwrap();
-        let (_, hit2) = cache.get_or_compile(&k2, &cfg, OptLevel::Full).unwrap();
+        let (_, hit1) = cache
+            .get_or_compile_decoded(&k1, &cfg, OptLevel::Full)
+            .unwrap();
+        let (_, hit2) = cache
+            .get_or_compile_decoded(&k2, &cfg, OptLevel::Full)
+            .unwrap();
         assert!(!hit1);
         assert!(hit2, "garbage-only difference must still hit");
         assert_eq!(cache.len(), 1);
@@ -575,7 +506,7 @@ mod tests {
         let bad = b.finish();
         let cache = CompileCache::new();
         let cfg = ProcessorConfig::small();
-        match cache.get_or_compile(&bad, &cfg, OptLevel::Full) {
+        match cache.get_or_compile_decoded(&bad, &cfg, OptLevel::Full) {
             Err(CompileError::Malformed { .. }) => {}
             other => panic!("expected Malformed, got {other:?}"),
         }
@@ -587,9 +518,11 @@ mod tests {
         let cache = CompileCache::new();
         let cfg = ProcessorConfig::small().with_regs_per_thread(2);
         let k = kernel(3);
-        assert!(cache.get_or_compile(&k, &cfg, OptLevel::Full).is_err());
+        assert!(cache
+            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+            .is_err());
         assert!(cache.is_empty());
-        assert!(cache.get_or_assemble("  frob r1", &cfg).is_err());
+        assert!(cache.get_or_assemble_decoded("  frob r1", &cfg).is_err());
         assert!(cache.is_empty());
     }
 
@@ -599,30 +532,30 @@ mod tests {
         assert_eq!(cache.capacity(), Some(2));
         let cfg = ProcessorConfig::small();
         cache
-            .get_or_compile(&kernel(1), &cfg, OptLevel::Full)
+            .get_or_compile_decoded(&kernel(1), &cfg, OptLevel::Full)
             .unwrap();
         cache
-            .get_or_compile(&kernel(2), &cfg, OptLevel::Full)
+            .get_or_compile_decoded(&kernel(2), &cfg, OptLevel::Full)
             .unwrap();
         assert_eq!((cache.len(), cache.evictions()), (2, 0));
         // Touch kernel(1) so kernel(2) is the LRU entry.
         let (_, hit) = cache
-            .get_or_compile(&kernel(1), &cfg, OptLevel::Full)
+            .get_or_compile_decoded(&kernel(1), &cfg, OptLevel::Full)
             .unwrap();
         assert!(hit);
         // A third artifact pushes out kernel(2), not kernel(1).
         cache
-            .get_or_compile(&kernel(3), &cfg, OptLevel::Full)
+            .get_or_compile_decoded(&kernel(3), &cfg, OptLevel::Full)
             .unwrap();
         assert_eq!((cache.len(), cache.evictions()), (2, 1));
         let (_, hit1) = cache
-            .get_or_compile(&kernel(1), &cfg, OptLevel::Full)
+            .get_or_compile_decoded(&kernel(1), &cfg, OptLevel::Full)
             .unwrap();
         assert!(hit1, "recently-used artifact survived the eviction");
         // kernel(2) was evicted: compiling it again is a miss (and in
         // turn evicts the now-coldest kernel(3)).
         let (_, hit2) = cache
-            .get_or_compile(&kernel(2), &cfg, OptLevel::Full)
+            .get_or_compile_decoded(&kernel(2), &cfg, OptLevel::Full)
             .unwrap();
         assert!(!hit2, "evicted artifact must recompile");
         assert_eq!(cache.evictions(), 2);
@@ -636,7 +569,7 @@ mod tests {
         let cfg = ProcessorConfig::small();
         for m in 1..=16 {
             cache
-                .get_or_compile(&kernel(m), &cfg, OptLevel::Full)
+                .get_or_compile_decoded(&kernel(m), &cfg, OptLevel::Full)
                 .unwrap();
         }
         assert_eq!((cache.len(), cache.evictions()), (16, 0));
@@ -661,12 +594,13 @@ mod tests {
         assert!(Arc::ptr_eq(&d1, &d2));
         assert_eq!((cache.decode_hits(), cache.decode_misses()), (1, 1));
         assert_eq!(d1.config(), &cfg);
-        // A program-only lookup of the same entry leaves decode counters
-        // untouched.
-        let (p, hit3) = cache.get_or_compile(&k, &cfg, OptLevel::Full).unwrap();
+        // Every later lookup of the entry shares the one program too.
+        let (d3, hit3) = cache
+            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+            .unwrap();
         assert!(hit3);
-        assert!(Arc::ptr_eq(d1.program(), &p));
-        assert_eq!((cache.decode_hits(), cache.decode_misses()), (1, 1));
+        assert!(Arc::ptr_eq(d1.program(), d3.program()));
+        assert_eq!((cache.decode_hits(), cache.decode_misses()), (2, 1));
     }
 
     #[test]
@@ -754,25 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_fills_lazily_on_entries_compiled_without_it() {
-        let cache = CompileCache::new();
-        let cfg = ProcessorConfig::small();
-        let src = "  stid r1\n  sts [r1+0], r1\n  exit";
-        // Assembled without asking for the decode...
-        let (_, hit) = cache.get_or_assemble(src, &cfg).unwrap();
-        assert!(!hit);
-        assert_eq!(cache.decode_misses(), 0);
-        // ...the first decoded lookup derives and caches it...
-        let (d1, hit1) = cache.get_or_assemble_decoded(src, &cfg).unwrap();
-        assert!(hit1, "same artifact: a compile hit");
-        assert_eq!((cache.decode_hits(), cache.decode_misses()), (0, 1));
-        // ...and every later decoded lookup shares it.
-        let (d2, _) = cache.get_or_assemble_decoded(src, &cfg).unwrap();
-        assert!(Arc::ptr_eq(&d1, &d2));
-        assert_eq!((cache.decode_hits(), cache.decode_misses()), (1, 1));
-    }
-
-    #[test]
     fn event_ring_sees_hits_misses_decodes_and_passes() {
         let lookups = |ring: &EventRing, tier: CacheTier, hit: bool| {
             ring.events()
@@ -803,15 +718,17 @@ mod tests {
                 .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
                 .unwrap();
             // Assembly miss, labelled by content hash.
-            cache.get_or_assemble("  stid r1\n  exit", &cfg).unwrap();
+            cache
+                .get_or_assemble_decoded("  stid r1\n  exit", &cfg)
+                .unwrap();
             assert_eq!(lookups(&ring, CacheTier::Compile, false), 2);
             assert_eq!(lookups(&ring, CacheTier::Compile, true), 1);
-            assert_eq!(lookups(&ring, CacheTier::Decode, false), 1);
+            assert_eq!(lookups(&ring, CacheTier::Decode, false), 2);
             assert_eq!(lookups(&ring, CacheTier::Decode, true), 1);
             // Pass runs cost allocations: detailed rings only.
             assert_eq!(passes(&ring) > 0, detailed);
             // IR lookups carry the kernel name; asm ones a hash label;
-            // the decoded flag says what the lookup asked for.
+            // every lookup asks for the decode.
             let labels: Vec<(String, bool)> = ring
                 .events()
                 .iter()
@@ -827,7 +744,7 @@ mod tests {
                 .collect();
             assert_eq!(labels[0], ("k".to_string(), true));
             assert_eq!(labels[1], ("k".to_string(), true));
-            assert!(labels[2].0.starts_with("asm#") && !labels[2].1);
+            assert!(labels[2].0.starts_with("asm#") && labels[2].1);
         }
     }
 
@@ -903,20 +820,20 @@ mod tests {
             let original = pass_fodder();
             let mut clone = original.clone();
             // Fills the cell the two share.
-            let (before, _) = cache.get_or_compile(&clone, &cfg, opt).unwrap();
+            let (before, _) = cache.get_or_compile_decoded(&clone, &cfg, opt).unwrap();
             pass(&mut clone);
             assert!(
                 clone.canonical_bytes(&cfg) != original.canonical_bytes(&cfg),
                 "{name} found nothing to rewrite in the fixture"
             );
-            let (after, hit) = cache.get_or_compile(&clone, &cfg, opt).unwrap();
+            let (after, hit) = cache.get_or_compile_decoded(&clone, &cfg, opt).unwrap();
             assert!(!hit, "{name}: the rewritten clone hit its old entry");
             assert_eq!(
-                *after,
+                **after.program(),
                 compile(&clone, &cfg, opt).unwrap().program,
                 "{name}"
             );
-            let (again, hit) = cache.get_or_compile(&original, &cfg, opt).unwrap();
+            let (again, hit) = cache.get_or_compile_decoded(&original, &cfg, opt).unwrap();
             assert!(hit, "{name}: the untouched original lost its entry");
             assert!(Arc::ptr_eq(&again, &before), "{name}");
         }
@@ -927,7 +844,9 @@ mod tests {
         let cache = CompileCache::new();
         let cfg = ProcessorConfig::small();
         let k = kernel(3);
-        cache.get_or_compile(&k, &cfg, OptLevel::Full).unwrap();
+        cache
+            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+            .unwrap();
         let tid = k.body()[0];
         type Edit = fn(&mut Kernel, ValueId);
         let edits: [Edit; 3] = [
@@ -952,17 +871,29 @@ mod tests {
         for edit in edits {
             let mut m = k.clone();
             edit(&mut m, tid);
-            let (p, hit) = cache.get_or_compile(&m, &cfg, OptLevel::Full).unwrap();
+            let (p, hit) = cache
+                .get_or_compile_decoded(&m, &cfg, OptLevel::Full)
+                .unwrap();
             assert!(!hit);
-            assert_eq!(*p, compile(&m, &cfg, OptLevel::Full).unwrap().program);
+            assert_eq!(
+                **p.program(),
+                compile(&m, &cfg, OptLevel::Full).unwrap().program
+            );
         }
         // A stitched kernel is built from its parts' arenas, not their
         // memos.
         let fused = crate::stitch::concat_kernels("kk", &[&k, &k]);
-        let (p, hit) = cache.get_or_compile(&fused, &cfg, OptLevel::Full).unwrap();
+        let (p, hit) = cache
+            .get_or_compile_decoded(&fused, &cfg, OptLevel::Full)
+            .unwrap();
         assert!(!hit);
-        assert_eq!(*p, compile(&fused, &cfg, OptLevel::Full).unwrap().program);
-        let (_, hit) = cache.get_or_compile(&k, &cfg, OptLevel::Full).unwrap();
+        assert_eq!(
+            **p.program(),
+            compile(&fused, &cfg, OptLevel::Full).unwrap().program
+        );
+        let (_, hit) = cache
+            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+            .unwrap();
         assert!(hit, "the parts keep their own entry");
     }
 
@@ -977,29 +908,31 @@ mod tests {
         let base = fills();
         let (first, second) = (spec.clone(), spec.clone());
         cache
-            .get_or_compile(&first, &small, OptLevel::Full)
+            .get_or_compile_decoded(&first, &small, OptLevel::Full)
             .unwrap();
         assert_eq!(fills() - base, 1);
         let (_, hit) = cache
-            .get_or_compile(&second, &small, OptLevel::Full)
+            .get_or_compile_decoded(&second, &small, OptLevel::Full)
             .unwrap();
         assert!(hit);
         // The memo is IR-only: another configuration, another opt level
         // and the spec itself all reuse it.
         cache
-            .get_or_compile(&second, &wide, OptLevel::Full)
+            .get_or_compile_decoded(&second, &wide, OptLevel::Full)
             .unwrap();
         cache
-            .get_or_compile(&second, &small, OptLevel::None)
+            .get_or_compile_decoded(&second, &small, OptLevel::None)
             .unwrap();
-        let (_, hit) = cache.get_or_compile(&spec, &wide, OptLevel::Full).unwrap();
+        let (_, hit) = cache
+            .get_or_compile_decoded(&spec, &wide, OptLevel::Full)
+            .unwrap();
         assert!(hit);
         assert_eq!(fills() - base, 1, "one validate + canonicalize in all");
         assert_eq!((cache.hits(), cache.misses()), (2, 3));
         // An equal kernel built separately has its own memo, and still
         // hits by content.
         let (_, hit) = cache
-            .get_or_compile(&kernel(3), &small, OptLevel::Full)
+            .get_or_compile_decoded(&kernel(3), &small, OptLevel::Full)
             .unwrap();
         assert!(hit);
         assert_eq!(fills() - base, 2);
@@ -1011,7 +944,7 @@ mod tests {
         let cfg = ProcessorConfig::small();
         let (resident, victim) = (kernel(3), kernel(4));
         let (resident_program, _) = cache
-            .get_or_compile(&resident, &cfg, OptLevel::Full)
+            .get_or_compile_decoded(&resident, &cfg, OptLevel::Full)
             .unwrap();
         // Re-file the resident entry under the key the victim hashes to.
         let (_, mut h) = victim.cache_identity(true).unwrap();
@@ -1030,7 +963,7 @@ mod tests {
                 **d.program(),
                 compile(&victim, &cfg, OptLevel::Full).unwrap().program
             );
-            assert_ne!(**d.program(), *resident_program);
+            assert_ne!(d.program(), resident_program.program());
         }
         assert_eq!(cache.len(), 1, "the resident entry is left alone");
     }
@@ -1046,7 +979,9 @@ mod tests {
         let clone = bad.clone();
         for k in [&bad, &bad, &clone] {
             assert_eq!(
-                cache.get_or_compile(k, &cfg, OptLevel::Full).unwrap_err(),
+                cache
+                    .get_or_compile_decoded(k, &cfg, OptLevel::Full)
+                    .unwrap_err(),
                 want
             );
             assert_eq!(
@@ -1065,7 +1000,9 @@ mod tests {
         ));
         let tid = bad.body()[0];
         bad.raw_inst_mut(last).args[1] = tid;
-        assert!(cache.get_or_compile(&bad, &cfg, OptLevel::Full).is_ok());
+        assert!(cache
+            .get_or_compile_decoded(&bad, &cfg, OptLevel::Full)
+            .is_ok());
     }
 
     #[test]
@@ -1078,7 +1015,7 @@ mod tests {
                 let cfg = cfg.clone();
                 std::thread::spawn(move || {
                     cache
-                        .get_or_compile(&kernel(7), &cfg, OptLevel::Full)
+                        .get_or_compile_decoded(&kernel(7), &cfg, OptLevel::Full)
                         .unwrap();
                 })
             })

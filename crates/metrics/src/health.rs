@@ -2,7 +2,7 @@
 //! flags conditions a human would otherwise only notice by staring at a
 //! Chrome trace — devices sitting idle while work is queued, streams
 //! aging far past the pool's median service latency, and observability
-//! data loss (tracer-ring or completion-trace drops).
+//! data loss (tracer-ring drops).
 //!
 //! The monitor is pure over snapshots: feed it a synthetic
 //! [`MetricsSnapshot`] in tests and it is fully deterministic. Every
@@ -74,11 +74,6 @@ pub enum HealthFinding {
         /// Events dropped at the ring.
         dropped: u64,
     },
-    /// The per-stream completion trace hit its cap and dropped records.
-    CompletionTraceDrops {
-        /// Completion records dropped.
-        dropped: u64,
-    },
     /// A device crossed its fault budget and left the placement pool.
     DeviceQuarantined {
         /// Device label (`device{N}`).
@@ -106,9 +101,6 @@ impl HealthFinding {
                 format!("stream_starvation({stream})")
             }
             HealthFinding::TracerDrops { dropped } => format!("tracer_drops({dropped})"),
-            HealthFinding::CompletionTraceDrops { dropped } => {
-                format!("completion_trace_drops({dropped})")
-            }
             HealthFinding::DeviceQuarantined { device, .. } => {
                 format!("device_quarantined({device})")
             }
@@ -225,11 +217,6 @@ impl HealthMonitor {
         if let Some(c) = snap.counter(names::TRACER_DROPPED, "") {
             if c.value > 0 {
                 out.push(HealthFinding::TracerDrops { dropped: c.value });
-            }
-        }
-        if let Some(c) = snap.counter(names::COMPLETIONS_DROPPED, "") {
-            if c.value > 0 {
-                out.push(HealthFinding::CompletionTraceDrops { dropped: c.value });
             }
         }
     }
@@ -378,15 +365,11 @@ mod tests {
     fn drops_surface_as_findings() {
         let mut s = base_snapshot();
         s.push_counter(names::TRACER_DROPPED, "", 17);
-        s.push_counter(names::COMPLETIONS_DROPPED, "", 2);
         s.sort();
         let report = HealthMonitor::default().check(&s);
         assert_eq!(
             report.findings,
-            vec![
-                HealthFinding::TracerDrops { dropped: 17 },
-                HealthFinding::CompletionTraceDrops { dropped: 2 },
-            ]
+            vec![HealthFinding::TracerDrops { dropped: 17 }]
         );
     }
 

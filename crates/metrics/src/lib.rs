@@ -65,9 +65,9 @@ pub mod names {
     pub const LAUNCHES: &str = "launches_total";
     /// Counter: copies retired pool-wide.
     pub const COPIES: &str = "copies_total";
-    /// Counter: dynamic instructions retired (one relaxed add per launch).
+    /// Counter: dynamic instructions retired pool-wide.
     pub const DYN_INSTRS: &str = "dyn_instrs_total";
-    /// Counter: thread-operations retired (one relaxed add per launch).
+    /// Counter: thread-operations retired pool-wide.
     pub const THREAD_OPS: &str = "thread_ops_total";
     /// Counter, label = device: modeled busy cycles placed on the device.
     pub const DEVICE_BUSY_CYCLES: &str = "device_busy_cycles";
@@ -85,8 +85,6 @@ pub mod names {
     pub const STREAM_VDONE_CYCLES: &str = "stream_vdone_cycles";
     /// Gauge: fraction of `devices × makespan` spent busy (0..=1).
     pub const OCCUPANCY: &str = "modeled_occupancy";
-    /// Counter: completion-trace records dropped at the trace cap.
-    pub const COMPLETIONS_DROPPED: &str = "completions_dropped_total";
     /// Counter: tracer ring-buffer events dropped (0 when tracing is off).
     pub const TRACER_DROPPED: &str = "tracer_dropped_events_total";
     /// Counter: compile-cache artifact hits.

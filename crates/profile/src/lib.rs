@@ -90,8 +90,7 @@ impl ProfileConfig {
     }
 }
 
-/// What kind of command an event, a completion record or a graph
-/// placement refers to.
+/// What kind of command an event or a graph placement refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CommandKind {
     /// Host→device copy.
@@ -211,8 +210,9 @@ pub enum Event {
         tier: CacheTier,
         /// True on hit.
         hit: bool,
-        /// Whether the lookup asked for the predecoded form (always
-        /// true on the decode tier).
+        /// Whether the lookup asked for the predecoded form. Every
+        /// lookup does (the cache keeps no other); recorded traces keep
+        /// the field.
         decoded: bool,
     },
     /// One optimization pass ran over a kernel

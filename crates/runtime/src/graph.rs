@@ -2,7 +2,7 @@
 //!
 //! A [`simt_graph::ExecGraph`] (built directly, or recorded with
 //! `Stream::begin_capture`/`end_capture`, optionally fused with
-//! [`simt_graph::fuse`]) becomes runnable in two steps:
+//! [`simt_graph::fuse()`]) becomes runnable in two steps:
 //!
 //! 1. [`Runtime::instantiate`] — validate every node against the pool
 //!    configuration and compile every launch through the pool-wide
@@ -21,10 +21,9 @@
 
 use crate::scheduler::{Origin, Retired};
 use crate::stats::CommandKind;
-use crate::{Runtime, RuntimeError};
-use simt_compiler::OptLevel;
+use crate::{pool, Runtime, RuntimeError};
 use simt_core::ExecStats;
-use simt_graph::{ExecGraph, GraphOp, KernelSource, NodeId};
+use simt_graph::{ExecGraph, GraphOp, NodeId};
 use simt_profile::Event;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -121,7 +120,13 @@ impl GraphReplay {
     }
 }
 
-fn check_window(off: usize, len: usize, memory_words: usize) -> Result<(), RuntimeError> {
+/// Does the copy window `[off, off + len)` fit a buffer of
+/// `memory_words` words?
+pub(crate) fn check_window(
+    off: usize,
+    len: usize,
+    memory_words: usize,
+) -> Result<(), RuntimeError> {
     if off.checked_add(len).is_none_or(|end| end > memory_words) {
         return Err(RuntimeError::CopyOutOfBounds {
             offset: off,
@@ -147,18 +152,7 @@ impl Runtime {
                 GraphOp::CopyIn { dst, data } => check_window(*dst, data.len(), memory_words)?,
                 GraphOp::CopyOut { src, len } => check_window(*src, *len, memory_words)?,
                 GraphOp::Launch(spec) => {
-                    match &spec.source {
-                        KernelSource::Ir(kernel) => self
-                            .compile_cache()
-                            .get_or_compile_decoded(kernel, &spec.config, OptLevel::Full)
-                            .map(|_| ())
-                            .map_err(|e| RuntimeError::Compile(e.to_string()))?,
-                        KernelSource::Asm(asm) => self
-                            .compile_cache()
-                            .get_or_assemble_decoded(asm, &spec.config)
-                            .map(|_| ())
-                            .map_err(|e| RuntimeError::Asm(e.to_string()))?,
-                    };
+                    pool::resolve(self.compile_cache(), spec)?;
                 }
             }
         }

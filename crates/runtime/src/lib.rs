@@ -31,7 +31,7 @@
 //! * hot repeated DAGs graduate to **execution graphs**: capture a
 //!   stream (`Stream::begin_capture`/`end_capture`) or build a
 //!   [`GraphBuilder`] DAG, fuse back-to-back IR launch chains into
-//!   single kernels ([`fuse`]), [`instantiate`](Runtime::instantiate)
+//!   single kernels ([`fuse()`]), [`instantiate`](Runtime::instantiate)
 //!   through the pool-wide compile cache, and
 //!   [`replay`](Runtime::replay) with topological least-loaded
 //!   placement and parameterized re-launch.
@@ -75,7 +75,7 @@ use std::thread::JoinHandle;
 pub use event::Event;
 pub use graph::{GraphExec, GraphReplay, NodePlacement};
 pub use pool::{DeviceConfig, RuntimeConfig};
-pub use stats::{CommandKind, CompletionRecord, DeviceStats, RuntimeStats, StreamStats};
+pub use stats::{CommandKind, DeviceStats, RuntimeStats, StreamStats};
 pub use stream::{CopyHandle, LaunchHandle, Stream};
 // The graph vocabulary, so runtime users need no extra import to
 // capture, fuse and replay.
@@ -470,8 +470,10 @@ impl Runtime {
         };
         snap.push_gauge(names::COMPILE_HIT_RATE, "", rate(hits, misses));
         snap.push_gauge(names::DECODE_HIT_RATE, "", rate(dhits, dmisses));
-        // Modeled occupancy: busy cycles placed across all devices over
-        // devices × makespan (same definition as RuntimeStats).
+        // Modeled occupancy: busy cycles (compute and copy, hung
+        // kernels included) placed across all devices over devices ×
+        // makespan. Not `RuntimeStats::modeled_occupancy`, which counts
+        // kernel cycles only.
         let busy: u64 = snap
             .counters
             .iter()
@@ -672,7 +674,26 @@ mod tests {
         let stats = rt.stats();
         assert_eq!(stats.launches(), 1);
         assert!(stats.makespan_cycles > 0);
-        assert!(stats.per_stream_ordering_holds());
+        // Per-stream order, read off the ring: the launch, then the copy.
+        let placed: Vec<(u64, CommandKind)> = rt
+            .flight()
+            .unwrap()
+            .events
+            .iter()
+            .filter_map(|r| match r.event {
+                simt_profile::Event::Placed {
+                    stream: Some(0),
+                    seq,
+                    kind,
+                    ..
+                } => Some((seq, kind)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            placed,
+            [(0, CommandKind::Launch), (1, CommandKind::CopyOut)]
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::RuntimeError;
 use simt_chaos::{ChaosConfig, RecoveryConfig};
 use simt_compiler::{CompileCache, OptLevel};
-use simt_core::{ExecStats, PcProfile, Processor, ProcessorConfig, RunOptions};
+use simt_core::{DecodedProgram, ExecStats, PcProfile, Processor, ProcessorConfig, RunOptions};
 use simt_isa::Program;
 use simt_kernels::{KernelSource, LaunchSpec};
 use simt_metrics::{names as metric, HealthConfig, Histogram, Registry};
@@ -196,6 +196,25 @@ pub(crate) struct LaunchOutcome {
     pub compile_hit: bool,
 }
 
+/// Resolve a launch's kernel source through the pool's compile cache,
+/// in *predecoded* form: the simulator's µop decode rides the cached
+/// artifact, so repeated stream launches and graph replays skip
+/// re-decoding (the cache's `decode_hits` counter tracks this). The
+/// flag is whether the artifact was already resident.
+pub(crate) fn resolve(
+    cache: &CompileCache,
+    spec: &LaunchSpec,
+) -> Result<(Arc<DecodedProgram>, bool), RuntimeError> {
+    match &spec.source {
+        KernelSource::Asm(asm) => cache
+            .get_or_assemble_decoded(asm, &spec.config)
+            .map_err(|e| RuntimeError::Asm(e.to_string())),
+        KernelSource::Ir(kernel) => cache
+            .get_or_compile_decoded(kernel, &spec.config, OptLevel::Full)
+            .map_err(|e| RuntimeError::Compile(e.to_string())),
+    }
+}
+
 /// One simulated device.
 pub(crate) struct Device {
     /// Pool index.
@@ -276,26 +295,12 @@ impl Device {
     /// processor's shared memory is seeded from the buffer, inline spec
     /// inputs are applied on top, the kernel runs to `exit`, and the
     /// shared image is written back so later copies and launches see it.
-    ///
-    /// Compiles resolve through the pool cache in *predecoded* form:
-    /// the simulator's µop decode rides the cached artifact, so
-    /// repeated stream launches and graph replays skip re-decoding
-    /// (the cache's `decode_hits` counter tracks this).
     pub(crate) fn run_launch(
         &mut self,
         spec: &LaunchSpec,
         buffer: &mut [u32],
     ) -> Result<LaunchOutcome, RuntimeError> {
-        let (decoded, compile_hit) = match &spec.source {
-            KernelSource::Asm(asm) => self
-                .compile_cache
-                .get_or_assemble_decoded(asm, &spec.config)
-                .map_err(|e| RuntimeError::Asm(e.to_string()))?,
-            KernelSource::Ir(kernel) => self
-                .compile_cache
-                .get_or_compile_decoded(kernel, &spec.config, OptLevel::Full)
-                .map_err(|e| RuntimeError::Compile(e.to_string()))?,
-        };
+        let (decoded, compile_hit) = resolve(&self.compile_cache, spec)?;
         let (mut proc, cache_hit) = self.processor(&spec.config)?;
         let exec_err = |e: String| RuntimeError::Exec {
             kernel: spec.name.clone(),

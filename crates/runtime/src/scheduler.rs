@@ -33,9 +33,27 @@
 //! executing, and graph replay retires its nodes through the same
 //! `Shared::retire` path stream commands take.
 //!
-//! Every transition is written down once, as a [`simt_profile::Event`]
-//! in the pool's one [`EventRing`] — the trace of a profiled pool and
-//! the black box of every pool are both views of it.
+//! ## Who owns which fact
+//!
+//! Per retired command the scheduler writes each fact exactly once:
+//!
+//! * **counts and sums** go into the books ([`DeviceStats`] /
+//!   [`StreamStats`]) — plain integers under the lock it already holds;
+//! * **where and when** is one [`Event::Placed`] in the pool's one
+//!   [`EventRing`] (every other transition is one
+//!   [`simt_profile::Event`] there too) — the trace of a profiled pool
+//!   and the black box of every pool are both views of it, and so are
+//!   per-stream order and cross-stream overlap;
+//! * **distributions and watermarks** — the latency histograms, the
+//!   queue-depth and outstanding gauges — go into the metrics registry,
+//!   because they cannot be rebuilt later. So do the fault-recovery
+//!   counters, which have no book.
+//!
+//! Everything else is computed when somebody asks: `stats()` clones the
+//! books, and `metrics_snapshot()` derives the launch, copy,
+//! instruction, thread-op and per-device busy-cycle counters from them
+//! under the same lock, beside the makespan and the engine clocks — a
+//! counter kept twice is a counter that can disagree with itself.
 //!
 //! ## Wake protocol
 //!
@@ -88,8 +106,9 @@
 //! transition of `outstanding` to zero — the only thing its waiters
 //! test.
 
+use crate::graph::check_window;
 use crate::pool::{Device, LaunchOutcome, RuntimeConfig};
-use crate::stats::{CommandKind, CompletionRecord, DeviceStats, RuntimeStats, StreamStats};
+use crate::stats::{CommandKind, DeviceStats, RuntimeStats, StreamStats};
 use crate::stream::Command;
 use crate::RuntimeError;
 use simt_chaos::{DeviceHealth, FaultKind, FaultPlan, PlannedFault};
@@ -161,17 +180,13 @@ pub(crate) struct StreamMetrics {
 
 /// Pool-wide metric handles, cached at pool creation. The registry
 /// itself is reachable for label-keyed metrics (per-kernel histograms);
-/// everything on the per-command path goes through these `Arc`s.
+/// everything on the per-command path goes through these `Arc`s. Only
+/// what the books cannot answer lives here — see "Who owns which fact"
+/// in the module doc.
 pub(crate) struct PoolMetrics {
     pub(crate) registry: Arc<Registry>,
-    launches: Arc<Counter>,
-    copies: Arc<Counter>,
-    dyn_instrs: Arc<Counter>,
-    thread_ops: Arc<Counter>,
     outstanding: Arc<Gauge>,
     graph_span: Arc<Histogram>,
-    /// Modeled busy cycles placed per device, indexed by device id.
-    device_busy: Vec<Arc<Counter>>,
     /// Fault-recovery counters (all zero on fault-free pools).
     retries: Arc<Counter>,
     failovers: Arc<Counter>,
@@ -185,18 +200,11 @@ pub(crate) struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    fn new(devices: usize) -> Self {
+    fn new() -> Self {
         let registry = Arc::new(Registry::new());
         PoolMetrics {
-            launches: registry.counter(metric::LAUNCHES, ""),
-            copies: registry.counter(metric::COPIES, ""),
-            dyn_instrs: registry.counter(metric::DYN_INSTRS, ""),
-            thread_ops: registry.counter(metric::THREAD_OPS, ""),
             outstanding: registry.gauge(metric::OUTSTANDING, ""),
             graph_span: registry.histogram(metric::GRAPH_SPAN_CYCLES, ""),
-            device_busy: (0..devices)
-                .map(|d| registry.counter(metric::DEVICE_BUSY_CYCLES, &labels::device(d)))
-                .collect(),
             retries: registry.counter(metric::RETRIES, ""),
             failovers: registry.counter(metric::FAILOVERS, ""),
             recovered: registry.counter(metric::RECOVERED, ""),
@@ -235,11 +243,6 @@ pub(crate) struct CaptureSession {
     pending: HashMap<usize, Vec<usize>>,
 }
 
-/// Completion-trace cap: the trace is a diagnostic; past this many
-/// records, completions still count in the stats but are no longer
-/// appended (a long-running runtime must not grow without bound).
-const COMPLETION_TRACE_CAP: usize = 1 << 16;
-
 /// Maximum commands one scheduler wake-up claims for a device.
 const MAX_BATCH: usize = 8;
 
@@ -248,9 +251,6 @@ pub(crate) struct SchedState {
     streams: Vec<StreamState>,
     stream_stats: Vec<StreamStats>,
     device_stats: Vec<DeviceStats>,
-    completions: Vec<CompletionRecord>,
-    /// Completions not recorded because the trace hit its cap.
-    completions_dropped: u64,
     /// Queued plus in-flight commands.
     outstanding: usize,
     first_error: Option<RuntimeError>,
@@ -287,12 +287,16 @@ pub(crate) struct SchedState {
 }
 
 impl SchedState {
-    fn record_completion(&mut self, rec: CompletionRecord) {
-        if self.completions.len() < COMPLETION_TRACE_CAP {
-            self.completions.push(rec);
-        } else {
-            self.completions_dropped += 1;
-        }
+    /// The modeled makespan: the latest point any stream's completion
+    /// chain or any engine clock has reached.
+    fn makespan(&self) -> u64 {
+        self.streams
+            .iter()
+            .map(|s| s.vdone)
+            .chain(self.vcompute.iter().copied())
+            .chain(self.vcopy.iter().copied())
+            .max()
+            .unwrap_or(0)
     }
 
     /// The worker to wake for work that just became claimable: the
@@ -410,7 +414,6 @@ enum Sink {
 enum Done {
     Retired(Retired, Sink),
     Failed {
-        seq: u64,
         error: RuntimeError,
         cmd: Command,
     },
@@ -461,8 +464,6 @@ impl Shared {
                 streams: Vec::new(),
                 stream_stats: Vec::new(),
                 device_stats: vec![DeviceStats::default(); d],
-                completions: Vec::new(),
-                completions_dropped: 0,
                 outstanding: 0,
                 first_error: None,
                 vcompute: vec![0; d],
@@ -481,7 +482,7 @@ impl Shared {
             idle: Condvar::new(),
             shutdown: AtomicBool::new(false),
             events,
-            metrics: cfg_metrics.then(|| PoolMetrics::new(d)),
+            metrics: cfg_metrics.then(PoolMetrics::new),
             plan,
             started: Instant::now(),
         }
@@ -745,7 +746,7 @@ impl Shared {
             // Outstanding for the length of the call, so `fail` is the
             // one path every failed command takes.
             state.outstanding += 1;
-            self.fail(&mut state, stream, seq, cmd, &sticky, 0, false);
+            self.fail(&mut state, stream, cmd, &sticky, false);
             // A record failed here still signals its event, which may
             // be what another stream's head was waiting on.
             let sleeper = if signals {
@@ -804,32 +805,23 @@ impl Shared {
     /// Snapshot the accounting.
     pub(crate) fn stats(&self) -> RuntimeStats {
         let state = self.state.lock().unwrap();
-        let makespan = state
-            .streams
-            .iter()
-            .map(|s| s.vdone)
-            .chain(state.vcompute.iter().copied())
-            .chain(state.vcopy.iter().copied())
-            .max()
-            .unwrap_or(0);
         RuntimeStats {
             streams: state.stream_stats.clone(),
             devices: state.device_stats.clone(),
-            completions: state.completions.clone(),
-            completions_dropped: state.completions_dropped,
             compile_evictions: 0, // filled by Runtime::stats
             wall: self.started.elapsed(),
-            makespan_cycles: makespan,
+            makespan_cycles: state.makespan(),
             fmax_mhz: self.cfg.device.fmax_mhz,
         }
     }
 
     /// Snapshot the pool metrics (`None` iff metrics are off): refresh
     /// the live gauges under the scheduler lock, snapshot the registry,
-    /// then append the derived virtual-timeline entries (makespan,
-    /// per-engine clocks, per-stream frontiers) and the observability
-    /// drop counters. Sorted, so byte-deterministic given the recorded
-    /// samples.
+    /// then append what is derived from the scheduler's own state — the
+    /// work counters off the books, the virtual timeline (makespan,
+    /// per-engine clocks, per-stream frontiers), device health — and
+    /// the trace's drop counter. Sorted, so byte-deterministic given
+    /// the recorded samples.
     pub(crate) fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         let m = self.metrics.as_ref()?;
         let state = self.state.lock().unwrap();
@@ -840,15 +832,20 @@ impl Shared {
             }
         }
         let mut snap = m.registry.snapshot();
-        let makespan = state
-            .streams
-            .iter()
-            .map(|s| s.vdone)
-            .chain(state.vcompute.iter().copied())
-            .chain(state.vcopy.iter().copied())
-            .max()
-            .unwrap_or(0);
-        snap.push_gauge(metric::MAKESPAN_CYCLES, "", makespan as f64);
+        let books = &state.device_stats;
+        let total = |f: fn(&DeviceStats) -> u64| books.iter().map(f).sum();
+        snap.push_counter(metric::LAUNCHES, "", total(|d| d.launches));
+        snap.push_counter(metric::COPIES, "", total(|d| d.copies));
+        snap.push_counter(metric::DYN_INSTRS, "", total(|d| d.compute.instructions));
+        snap.push_counter(metric::THREAD_OPS, "", total(|d| d.compute.thread_ops));
+        for (d, ds) in books.iter().enumerate() {
+            snap.push_counter(
+                metric::DEVICE_BUSY_CYCLES,
+                &labels::device(d),
+                ds.busy_cycles,
+            );
+        }
+        snap.push_gauge(metric::MAKESPAN_CYCLES, "", state.makespan() as f64);
         for (d, &v) in state.vcompute.iter().enumerate() {
             snap.push_gauge(metric::DEVICE_COMPUTE_CYCLES, &labels::device(d), v as f64);
         }
@@ -872,7 +869,6 @@ impl Shared {
         for (d, &f) in state.device_faults.iter().enumerate() {
             snap.push_counter(metric::DEVICE_FAULTS, &labels::device(d), f);
         }
-        snap.push_counter(metric::COMPLETIONS_DROPPED, "", state.completions_dropped);
         // Only a trace can be partial: the black box laps by design.
         let trace = self.events.as_ref().filter(|ring| ring.detailed());
         snap.push_counter(
@@ -893,15 +889,7 @@ impl Shared {
                 state.streams[sid].poisoned = Some(RuntimeError::Shutdown);
             }
             while let Some(p) = state.streams[sid].queue.pop_front() {
-                self.fail(
-                    &mut state,
-                    sid,
-                    p.seq,
-                    p.cmd,
-                    &RuntimeError::Shutdown,
-                    0,
-                    false,
-                );
+                self.fail(&mut state, sid, p.cmd, &RuntimeError::Shutdown, false);
             }
         }
     }
@@ -955,11 +943,12 @@ impl Shared {
     /// *place* it on the least-loaded engine of the matching kind
     /// (breaking stream-device affinity), advance the timeline, merge
     /// it into the placement device's accounting — and, for a stream
-    /// command, the stream's, the completion trace and the outstanding
-    /// count — update the metrics and record one [`Event::Placed`].
-    /// Returns `(device, start, end)` in virtual cycles; the caller
-    /// resolves the command's handle afterwards, so a waiter that wakes
-    /// on it finds all of this already written.
+    /// command, the stream's and the outstanding count — record its
+    /// latency samples and one [`Event::Placed`] (see "Who owns which
+    /// fact" in the module doc). Returns `(device, start, end)` in
+    /// virtual cycles; the caller resolves the command's handle
+    /// afterwards, so a waiter that wakes on it finds all of this
+    /// already written.
     fn retire(&self, state: &mut SchedState, r: &Retired) -> (usize, u64, u64) {
         let Retired {
             seq, kind, cycles, ..
@@ -1013,27 +1002,10 @@ impl Shared {
                     ss.copy_cycles += cycles;
                 }
             }
-            state.record_completion(CompletionRecord {
-                stream: sid,
-                seq,
-                device: p,
-                kind,
-                start,
-                end,
-            });
         }
         if let Some(m) = &self.metrics {
-            m.device_busy[p].add(cycles);
-            match launch {
-                Some(l) => {
-                    m.launches.inc();
-                    m.dyn_instrs.add(l.outcome.stats.instructions);
-                    m.thread_ops.add(l.outcome.stats.thread_ops);
-                    if let Some(h) = &l.kernel_cycles {
-                        h.record(cycles);
-                    }
-                }
-                None => m.copies.inc(),
+            if let Some(h) = launch.and_then(|l| l.kernel_cycles.as_ref()) {
+                h.record(cycles);
             }
             if let Origin::Stream { sid, faulted, .. } = r.origin {
                 if faulted {
@@ -1070,30 +1042,25 @@ impl Shared {
 
     /// The one way a command that will never run leaves the books:
     /// resolve its handle with `error` at the stream's completion
-    /// front, count it, trace the completion (`device` is who gave up
-    /// on it) and stop it being outstanding. `root` marks the command
-    /// that actually failed, as opposed to the backlog behind it: it is
-    /// recorded in the ring *before* its handle resolves — a waiter
-    /// that wakes on the error and immediately dumps the ring must see
-    /// it — poisons the stream, and becomes the pool's first error if
-    /// there is none yet.
-    #[allow(clippy::too_many_arguments)]
+    /// front, count it and stop it being outstanding. `root` marks the
+    /// command that actually failed, as opposed to the backlog behind
+    /// it: it is recorded in the ring *before* its handle resolves — a
+    /// waiter that wakes on the error and immediately dumps the ring
+    /// must see it — poisons the stream, and becomes the pool's first
+    /// error if there is none yet.
     fn fail(
         &self,
         state: &mut SchedState,
         sid: usize,
-        seq: u64,
         cmd: Command,
         error: &RuntimeError,
-        device: usize,
         root: bool,
     ) {
-        let kind = cmd.kind();
         if root {
             if let Some(ring) = &self.events {
                 ring.record(Event::Failed {
                     stream: sid,
-                    kind,
+                    kind: cmd.kind(),
                     error: error.to_string(),
                 });
             }
@@ -1105,14 +1072,6 @@ impl Shared {
         let vdone = state.streams[sid].vdone;
         cmd.resolve_err(error, vdone);
         state.stream_stats[sid].commands += 1;
-        state.record_completion(CompletionRecord {
-            stream: sid,
-            seq,
-            device,
-            kind,
-            start: vdone,
-            end: vdone,
-        });
         self.complete(state, 1);
     }
 
@@ -1159,14 +1118,6 @@ impl Shared {
                     let kind = cmd.kind();
                     let at = st.vdone;
                     state.stream_stats[sid].commands += 1;
-                    state.record_completion(CompletionRecord {
-                        stream: sid,
-                        seq,
-                        device: d,
-                        kind,
-                        start: at,
-                        end: at,
-                    });
                     self.record(Event::Placed {
                         stream: Some(sid),
                         seq,
@@ -1280,9 +1231,9 @@ impl Shared {
                         _ => {}
                     }
                 }
-                Done::Failed { seq, error, cmd } => {
+                Done::Failed { error, cmd } => {
                     resolved += 1;
-                    self.fail(state, sid, seq, cmd, &error, d, true);
+                    self.fail(state, sid, cmd, &error, true);
                 }
                 Done::Fault {
                     pending,
@@ -1327,7 +1278,7 @@ impl Shared {
                         if let Some(m) = &self.metrics {
                             m.terminal_failures.inc();
                         }
-                        self.fail(state, sid, pending.seq, pending.cmd, &error, device, true);
+                        self.fail(state, sid, pending.cmd, &error, true);
                     }
                 }
             }
@@ -1350,7 +1301,7 @@ impl Shared {
         if state.streams[sid].poisoned.is_some() {
             let sticky = Self::sticky_error(&state.streams[sid], sid);
             while let Some(p) = state.streams[sid].queue.pop_front() {
-                self.fail(state, sid, p.seq, p.cmd, &sticky, d, false);
+                self.fail(state, sid, p.cmd, &sticky, false);
             }
         }
         let st = &state.streams[sid];
@@ -1534,7 +1485,6 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
             } = pending;
             if let Some(p) = &poison {
                 done.push(Done::Failed {
-                    seq,
                     error: p.clone(),
                     cmd,
                 });
@@ -1602,19 +1552,10 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
             };
             match cmd {
                 Command::CopyIn { dst, data } => {
-                    if dst
-                        .checked_add(data.len())
-                        .is_none_or(|end| end > buffer.len())
-                    {
-                        let e = RuntimeError::CopyOutOfBounds {
-                            offset: dst,
-                            len: data.len(),
-                            memory_words: buffer.len(),
-                        };
+                    if let Err(error) = check_window(dst, data.len(), buffer.len()) {
                         poison = Some(RuntimeError::StreamPoisoned { stream: sid });
                         done.push(Done::Failed {
-                            seq,
-                            error: e,
+                            error,
                             cmd: Command::CopyIn {
                                 dst,
                                 data: Vec::new(),
@@ -1633,16 +1574,10 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                     ));
                 }
                 Command::CopyOut { src, len, sink } => {
-                    if src.checked_add(len).is_none_or(|end| end > buffer.len()) {
-                        let e = RuntimeError::CopyOutOfBounds {
-                            offset: src,
-                            len,
-                            memory_words: buffer.len(),
-                        };
+                    if let Err(error) = check_window(src, len, buffer.len()) {
                         poison = Some(RuntimeError::StreamPoisoned { stream: sid });
                         done.push(Done::Failed {
-                            seq,
-                            error: e,
+                            error,
                             cmd: Command::CopyOut { src, len, sink },
                         });
                         continue;
@@ -1684,7 +1619,6 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                         // config) do not benefit from a retry.
                         poison = Some(RuntimeError::StreamPoisoned { stream: sid });
                         done.push(Done::Failed {
-                            seq,
                             error: e,
                             cmd: Command::Launch { spec, sink },
                         });

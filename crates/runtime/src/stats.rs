@@ -1,39 +1,15 @@
-//! Runtime accounting: per-stream and per-device cycle and wall-clock
-//! statistics, built on the core's [`ExecStats`] machinery.
+//! Runtime accounting — the scheduler's *books*: per-stream and
+//! per-device counts, cycle sums and wall-clock, built on the core's
+//! [`ExecStats`] machinery. Counts and sums live here and nowhere else
+//! (the metrics snapshot derives its work counters from these fields);
+//! *where and when* each command ran is not here but in the event ring,
+//! one [`simt_profile::Event::Placed`] per completed command — see "Who
+//! owns which fact" in [`crate::scheduler`]. A snapshot is
+//! O(streams + devices) however long the pool has run.
 
 use simt_core::ExecStats;
 pub use simt_profile::CommandKind;
 use std::time::Duration;
-
-/// One completed command, in global completion order — the scheduler's
-/// observable trace (ordering assertions in tests key off this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompletionRecord {
-    /// Stream the command belonged to.
-    pub stream: usize,
-    /// Sequence number of the command within its stream (0-based).
-    pub seq: u64,
-    /// Device the command was placed on (least-loaded at dispatch).
-    pub device: usize,
-    /// Command kind.
-    pub kind: CommandKind,
-    /// Virtual start cycle on the placed engine. Event resolutions and
-    /// failed commands occupy no engine time (`start == end`, the
-    /// stream's completion front at that point).
-    pub start: u64,
-    /// Virtual end cycle. Cross-stream overlap is observable here: two
-    /// placements on different engines may have intersecting
-    /// `[start, end)` windows.
-    pub end: u64,
-}
-
-impl CompletionRecord {
-    /// Whether this record's `[start, end)` engine window overlaps
-    /// another's in virtual time.
-    pub fn overlaps(&self, other: &CompletionRecord) -> bool {
-        self.start < other.end && other.start < self.end
-    }
-}
 
 /// Per-stream accounting.
 #[derive(Debug, Clone, Default)]
@@ -102,12 +78,6 @@ pub struct RuntimeStats {
     pub streams: Vec<StreamStats>,
     /// Per-device statistics, indexed by device id.
     pub devices: Vec<DeviceStats>,
-    /// Completion trace, in global completion order. Capped: a
-    /// long-running runtime stops appending after the first 2^16
-    /// records (`completions_dropped` counts the rest).
-    pub completions: Vec<CompletionRecord>,
-    /// Completions that happened after the trace hit its cap.
-    pub completions_dropped: u64,
     /// Artifacts evicted from the pool's compile cache by its LRU bound.
     pub compile_evictions: u64,
     /// Wall-clock elapsed since the runtime was built.
@@ -208,19 +178,6 @@ impl RuntimeStats {
             compute as f64 / (self.makespan_cycles as f64 * self.devices.len() as f64)
         }
     }
-
-    /// Check per-stream completion ordering: within every stream,
-    /// completions appear in strictly increasing sequence order.
-    pub fn per_stream_ordering_holds(&self) -> bool {
-        let mut next = vec![0u64; self.streams.len()];
-        for c in &self.completions {
-            if c.seq != next[c.stream] {
-                return false;
-            }
-            next[c.stream] += 1;
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -247,42 +204,5 @@ mod tests {
         assert_eq!(a.cycles, 15);
         assert_eq!(a.instructions, 5);
         assert_eq!(a.thread_ops, 7);
-    }
-
-    #[test]
-    fn completion_overlap_is_window_intersection() {
-        let rec = |start, end| CompletionRecord {
-            stream: 0,
-            seq: 0,
-            device: 0,
-            kind: CommandKind::Launch,
-            start,
-            end,
-        };
-        assert!(rec(0, 10).overlaps(&rec(5, 15)));
-        assert!(rec(5, 15).overlaps(&rec(0, 10)));
-        assert!(!rec(0, 10).overlaps(&rec(10, 20)), "half-open windows");
-    }
-
-    #[test]
-    fn ordering_check_catches_reorder() {
-        let rec = |stream, seq| CompletionRecord {
-            stream,
-            seq,
-            device: 0,
-            kind: CommandKind::Launch,
-            start: 0,
-            end: 0,
-        };
-        let mut s = RuntimeStats {
-            streams: vec![StreamStats::default(), StreamStats::default()],
-            completions: vec![rec(0, 0), rec(1, 0), rec(0, 1), rec(1, 1)],
-            ..Default::default()
-        };
-        assert!(s.per_stream_ordering_holds());
-        s.completions.swap(2, 3);
-        assert!(s.per_stream_ordering_holds());
-        s.completions.swap(0, 2);
-        assert!(!s.per_stream_ordering_holds());
     }
 }

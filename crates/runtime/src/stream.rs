@@ -16,8 +16,9 @@ use simt_core::ExecStats;
 use simt_kernels::LaunchSpec;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// A write-once completion cell shared between a handle and the worker
-/// that resolves it.
+/// A write-once completion cell shared between a handle (or an
+/// [`Event`]'s clones) and the worker that resolves it. The first `set`
+/// wins; later ones only wake waiters.
 #[derive(Debug)]
 pub(crate) struct Slot<T> {
     value: Mutex<Option<T>>,
@@ -25,11 +26,11 @@ pub(crate) struct Slot<T> {
 }
 
 impl<T: Clone> Slot<T> {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Slot {
+    pub(crate) fn new() -> Self {
+        Slot {
             value: Mutex::new(None),
             cond: Condvar::new(),
-        })
+        }
     }
 
     pub(crate) fn set(&self, v: T) {
@@ -40,7 +41,7 @@ impl<T: Clone> Slot<T> {
         self.cond.notify_all();
     }
 
-    fn wait(&self) -> T {
+    pub(crate) fn wait(&self) -> T {
         let mut g = self.value.lock().unwrap();
         while g.is_none() {
             g = self.cond.wait(g).unwrap();
@@ -48,7 +49,7 @@ impl<T: Clone> Slot<T> {
         g.as_ref().unwrap().clone()
     }
 
-    fn try_get(&self) -> Option<T> {
+    pub(crate) fn try_get(&self) -> Option<T> {
         self.value.lock().unwrap().clone()
     }
 }
@@ -174,7 +175,7 @@ impl Stream {
 
     /// Enqueue an asynchronous kernel launch.
     pub fn launch(&self, spec: LaunchSpec) -> LaunchHandle {
-        let slot = Slot::new();
+        let slot = Arc::new(Slot::new());
         self.shared.enqueue(
             self.id,
             Command::Launch {
@@ -187,7 +188,7 @@ impl Stream {
 
     /// Enqueue a device→host copy of `len` words from offset `src`.
     pub fn copy_out(&self, src: usize, len: usize) -> CopyHandle {
-        let slot = Slot::new();
+        let slot = Arc::new(Slot::new());
         self.shared.enqueue(
             self.id,
             Command::CopyOut {
@@ -233,9 +234,8 @@ impl Stream {
     /// Clear the stream's sticky error (CUDA's destroy-and-recreate
     /// recovery, folded into a reset): after a terminal failure every
     /// queued and subsequent command resolves with
-    /// [`RuntimeError::StreamPoisoned`](crate::RuntimeError::StreamPoisoned)
-    /// until this is called. The failed commands stay failed — only
-    /// new work is accepted again.
+    /// [`RuntimeError::StreamPoisoned`] until this is called. The failed
+    /// commands stay failed — only new work is accepted again.
     pub fn reset(&self) {
         self.shared.reset_stream(self.id);
     }

@@ -89,6 +89,41 @@ fn transient_faults_recover_bit_exact_against_the_fault_free_oracle() {
         .device_health()
         .iter()
         .all(|h| *h != DeviceHealth::Quarantined));
+    // Hung attempts included, the metrics read what the books read.
+    assert_eq!(
+        counter(&rt, names::DEVICE_BUSY_CYCLES),
+        rt.stats().device_cycles()
+    );
+}
+
+/// A hung kernel's watchdog budget is charged to the blamed device by
+/// the fault path, not the retire path. The busy-cycle counter is read
+/// off the books, so it — and the occupancy gauge over it — cannot miss
+/// that charge (a counter bumped beside the books once did: books
+/// 20 000, metrics 0).
+#[test]
+fn books_and_metrics_agree_under_hung_kernels() {
+    let recovery = RecoveryConfig {
+        watchdog_cycle_budget: 5_000,
+        ..RecoveryConfig::default()
+    };
+    let attempts = recovery.max_attempts as u64;
+    let cfg = RuntimeConfig::default()
+        .with_chaos(ChaosConfig::new(1).with_hung_kernel_rate(1.0))
+        .with_recovery(recovery);
+    let rt = Runtime::new(cfg);
+    let h = rt.stream().launch(LaunchSpec::sum(&int_vector(64, 1)));
+    assert!(matches!(h.wait(), Err(RuntimeError::Timeout { .. })));
+    assert!(rt.synchronize().is_err());
+    let stats = rt.stats();
+    assert_eq!(stats.device_cycles(), attempts * 5_000);
+    assert_eq!(
+        counter(&rt, names::DEVICE_BUSY_CYCLES),
+        stats.device_cycles()
+    );
+    let snap = rt.metrics_snapshot().unwrap();
+    let occupancy = snap.gauge(names::OCCUPANCY, "").unwrap().value;
+    assert!(occupancy > 0.0, "engines sat in hung kernels: {occupancy}");
 }
 
 #[test]
@@ -235,11 +270,12 @@ fn sticky_device_failure_quarantines_within_the_fault_budget() {
 
     // All placement now avoids the quarantined device: stream commands...
     let s2 = rt.stream();
-    let before = rt.stats().completions.len();
+    let placed_on_device1 = || rt.stats().devices[1].batched_commands;
+    let before = placed_on_device1();
     run_saxpy_jobs(&rt, &s2, 8).expect("post-quarantine work");
-    let stats = rt.stats();
-    assert!(
-        stats.completions[before..].iter().all(|c| c.device == 0),
+    assert_eq!(
+        placed_on_device1(),
+        before,
         "stream placement must skip the quarantined device"
     );
 
@@ -263,11 +299,9 @@ fn sticky_device_failure_quarantines_within_the_fault_budget() {
         vec![DeviceHealth::Healthy, DeviceHealth::Healthy]
     );
     let s3 = rt.stream();
-    let before = rt.stats().completions.len();
     run_saxpy_jobs(&rt, &s3, 8).expect("post-reset work");
-    let stats = rt.stats();
     assert!(
-        stats.completions[before..].iter().any(|c| c.device == 1),
+        placed_on_device1() > before,
         "a readmitted device must take placements again"
     );
     let snap = rt.metrics_snapshot().unwrap();

@@ -8,6 +8,8 @@ use simt_kernels::workload::{int_vector, lowpass_taps, q15_signal};
 use simt_kernels::LaunchSpec;
 use simt_runtime::{fuse, GraphBuilder, NodeId, Runtime, RuntimeConfig, RuntimeError};
 
+mod common;
+
 /// Build the pipeline as a graph: copy-ins → launch chain → copy-out.
 /// Returns the graph and the copy-out node.
 fn pipeline_graph(p: &Pipeline) -> (simt_runtime::ExecGraph, NodeId) {
@@ -412,6 +414,6 @@ proptest! {
             prop_assert_eq!(rid, eid);
             prop_assert_eq!(rout, eout, "node {} diverged", rid);
         }
-        prop_assert!(rt.stats().per_stream_ordering_holds());
+        prop_assert!(common::per_stream_ordering_holds(&common::placements(&rt)));
     }
 }

@@ -297,7 +297,7 @@ fn event_streams_are_deterministic_across_identical_runs() {
 fn completion_windows_overlap_across_streams() {
     // Two independent streams on a two-device pool: their launch
     // windows run concurrently on the virtual timeline, observable via
-    // the new CompletionRecord start/end fields.
+    // the start/end of their `Placed` events.
     let rt = Runtime::new(RuntimeConfig::default());
     let x = int_vector(256, 1);
     let y = int_vector(256, 2);
@@ -308,9 +308,8 @@ fn completion_windows_overlap_across_streams() {
         s1.launch(LaunchSpec::sat_add(&x, &y));
     }
     rt.synchronize().unwrap();
-    let stats = rt.stats();
-    let launches: Vec<_> = stats
-        .completions
+    let placed = common::placements(&rt);
+    let launches: Vec<_> = placed
         .iter()
         .filter(|c| c.kind == CommandKind::Launch)
         .collect();

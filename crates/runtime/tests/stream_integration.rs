@@ -12,6 +12,9 @@ use simt_runtime::{
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 
+mod common;
+use common::{per_stream_ordering_holds, placements};
+
 /// A mixed bag of ≥ 32 kernels across every family, deterministic.
 fn mixed_jobs() -> Vec<LaunchSpec> {
     let mut jobs = Vec::new();
@@ -89,7 +92,7 @@ fn mixed_kernels_across_streams_match_reference_bit_exactly() {
     let stats = rt.stats();
     // (b) per-stream ordering: completions strictly follow enqueue
     // order within each stream.
-    assert!(stats.per_stream_ordering_holds());
+    assert!(per_stream_ordering_holds(&placements(&rt)));
     assert_eq!(stats.launches(), 36);
     assert!(
         stats.devices.iter().all(|d| d.launches > 0),
@@ -135,10 +138,10 @@ fn event_waits_are_honored_across_devices() {
     rt.synchronize().unwrap();
 
     let stats = rt.stats();
-    assert!(stats.per_stream_ordering_holds());
+    let placed = placements(&rt);
+    assert!(per_stream_ordering_holds(&placed));
     let pos = |stream: usize, kind: CommandKind| {
-        stats
-            .completions
+        placed
             .iter()
             .position(|c| c.stream == stream && c.kind == kind)
             .unwrap()
@@ -345,7 +348,14 @@ fn under_watchdog(what: String, scenario: impl FnOnce() + Send + 'static) {
 /// are still enqueueing.
 fn mixed_traffic(devices: usize, seed: u64, shutdown_mid_flight: bool) {
     const STEPS: usize = 400;
-    let rt = Arc::new(Runtime::new(RuntimeConfig::with_devices(devices)));
+    // A step is at most five commands (three copies around a launch, or
+    // one event) and a pause or resume; a command is at most an
+    // enqueue, a batch, a placement, a publish and two cache lookups.
+    // The window holds all of it, so the ordering check below sees
+    // every stream from its first command.
+    let window = 2 * STEPS * (5 * 6 + 2);
+    let cfg = RuntimeConfig::with_devices(devices).with_flight_capacity(window);
+    let rt = Arc::new(Runtime::new(cfg));
     let streams: Vec<Stream> = (0..8).map(|_| rt.stream()).collect();
     let events = Arc::new(Mutex::new(Vec::new()));
     let shutdown = Arc::new(Barrier::new(2));
@@ -407,7 +417,7 @@ fn mixed_traffic(devices: usize, seed: u64, shutdown_mid_flight: bool) {
         assert!(stats.launches() >= ok && stats.launches() <= launches);
     } else {
         sync.unwrap();
-        assert!(stats.per_stream_ordering_holds());
+        assert!(per_stream_ordering_holds(&placements(&rt)));
         assert_eq!(refused, 0);
         assert_eq!(stats.launches(), launches);
         assert_eq!(stats.streams.iter().map(|s| s.copies).sum::<u64>(), copies);

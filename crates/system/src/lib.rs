@@ -23,8 +23,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod accel;
-
 use fpga_fabric::Device;
 use fpga_fitter::{best_of, seed_sweep, CompileOptions};
 use serde::{Deserialize, Serialize};
@@ -32,8 +30,6 @@ use simt_core::{
     ConfigError, ExecError, ExecStats, LoadError, Processor, ProcessorConfig, RunOptions,
 };
 use simt_isa::Program;
-
-pub use accel::{dispatch, Accelerator, MacAccelerator, Mailbox};
 
 /// Configuration of a multi-core system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
