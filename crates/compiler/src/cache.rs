@@ -1023,7 +1023,9 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // The miss path compiles under the lock: exactly one compile.
+        // Exactly one compile, though the map lock is never held across
+        // it: the first thread to miss takes the key's `pending` claim,
+        // the rest wait on the condvar until it publishes and then hit.
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 3);
     }

@@ -45,10 +45,11 @@
 //! assert!(kernel.validate().is_ok());
 //! ```
 
+use crate::entity::{ValueMap, ValueSet};
 use crate::error::CompileError;
 use simt_core::{DspMode, ProcessorConfig};
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
 
 /// An SSA value: the result of one instruction in the kernel arena.
@@ -167,7 +168,7 @@ pub enum CmpOp {
 
 /// Operation of one IR instruction. Operand arity and types are fixed
 /// per variant (checked by [`Kernel::validate`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Word constant.
     Const(i32),
@@ -511,12 +512,12 @@ impl Kernel {
         fn walk(k: &Kernel, region: &[ValueId], f: &mut impl FnMut(ValueId, &Inst)) {
             for &v in region {
                 f(v, k.inst(v));
-                if let Some(body) = k.inst(v).body.clone() {
-                    walk(k, &body, f);
+                if let Some(body) = &k.inst(v).body {
+                    walk(k, body, f);
                 }
             }
         }
-        walk(self, &self.body.clone(), &mut f);
+        walk(self, &self.body, &mut f);
     }
 
     /// The leading [`Op::Param`] instructions of a loop's body region,
@@ -545,11 +546,10 @@ impl Kernel {
         fn walk(
             k: &Kernel,
             region: &[ValueId],
-            visible: &mut Vec<ValueId>,
+            visible: &mut ValueSet,
             sanctioned_params: &[ValueId],
             carried: Option<&[ValueId]>,
         ) -> Result<(), CompileError> {
-            let scope_base = visible.len();
             for &v in region {
                 let inst = k.inst(v);
                 if !matches!(inst.op, Op::Loop(_)) && inst.args.len() != inst.op.arity() {
@@ -564,7 +564,7 @@ impl Kernel {
                     ));
                 }
                 for (i, &a) in inst.args.iter().enumerate() {
-                    if !visible.contains(&a) {
+                    if !visible.contains(a) {
                         return Err(bad(v, format!("operand {a} does not dominate this use")));
                     }
                     let want = match (&inst.op, i) {
@@ -581,7 +581,7 @@ impl Kernel {
                     }
                 }
                 if let Some(g) = inst.guard {
-                    if !visible.contains(&g.pred) {
+                    if !visible.contains(g.pred) {
                         return Err(bad(v, format!("guard {} does not dominate", g.pred)));
                     }
                     if k.ty(g.pred) != Ty::Pred {
@@ -709,14 +709,18 @@ impl Kernel {
                 if !matches!(inst.op, Op::Loop(_)) && inst.carried.is_some() {
                     return Err(bad(v, "only loops carry next-iteration values".into()));
                 }
-                visible.push(v);
+                // One bit per value is only a scope if each value has
+                // one defining position.
+                if !visible.insert(v) {
+                    return Err(bad(v, "value is placed in a region twice".into()));
+                }
             }
             // The carried values are read at the end of every
             // iteration, while this region's definitions are still in
             // scope; check them here, before the scope closes.
             if let Some(cs) = carried {
                 for (i, &c) in cs.iter().enumerate() {
-                    if !visible.contains(&c) {
+                    if !visible.contains(c) {
                         return Err(bad(
                             c,
                             format!("carried value {i} ({c}) is not visible at the back edge"),
@@ -729,10 +733,12 @@ impl Kernel {
             }
             // Values defined in this region go out of scope with it (a
             // loop body's definitions are invisible after the loop).
-            visible.truncate(scope_base);
+            for &v in region {
+                visible.remove(v);
+            }
             Ok(())
         }
-        let mut visible = Vec::new();
+        let mut visible = ValueSet::new(self.insts.len());
         walk(self, &self.body, &mut visible, &[], None)
     }
 
@@ -765,21 +771,22 @@ impl Kernel {
     /// well-formed regions (an operand that is defined nowhere panics).
     fn canonical_ir(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        let mut dense: HashMap<ValueId, u32> = HashMap::new();
+        let mut dense = ValueMap::new(self.insts.len());
         fn walk(
             k: &Kernel,
             region: &[ValueId],
-            dense: &mut HashMap<ValueId, u32>,
+            dense: &mut ValueMap<u32>,
+            numbered: &mut u32,
             out: &mut Vec<u8>,
         ) {
             put(out, 0xBE61_0000); // region open
             for &v in region {
-                let n = dense.len() as u32;
-                dense.insert(v, n);
+                dense.insert(v, *numbered);
+                *numbered += 1;
                 let inst = k.inst(v);
                 put(out, inst.op.tag());
                 put(out, inst.op.payload());
-                for a in &inst.args {
+                for &a in &inst.args {
                     put(out, dense[a]);
                 }
                 put(
@@ -792,18 +799,18 @@ impl Kernel {
                 match inst.guard {
                     Some(g) => {
                         put(out, 0x200 | g.negate as u32);
-                        put(out, dense[&g.pred]);
+                        put(out, dense[g.pred]);
                     }
                     None => put(out, 0),
                 }
                 if let Some(body) = &inst.body {
-                    walk(k, body, dense, out);
+                    walk(k, body, dense, numbered, out);
                     // Carried values reference body definitions, so
                     // their dense ids only exist after the body walk.
                     match &inst.carried {
                         Some(cs) => {
                             put(out, 0x400 | cs.len() as u32);
-                            for c in cs {
+                            for &c in cs {
                                 put(out, dense[c]);
                             }
                         }
@@ -813,7 +820,7 @@ impl Kernel {
             }
             put(out, 0xBE61_FFFF); // region close
         }
-        walk(self, &self.body, &mut dense, &mut out);
+        walk(self, &self.body, &mut dense, &mut 0, &mut out);
         out
     }
 
@@ -1148,6 +1155,22 @@ fn put(out: &mut Vec<u8>, v: u32) {
 /// across processes (std's `DefaultHasher` is randomly seeded).
 pub(crate) struct Fnv(u64);
 
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
+
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_bytes(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 impl Fnv {
     pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
@@ -1226,6 +1249,31 @@ mod tests {
         k.insts.push(Inst::new(Op::Store(0), vec![tid, bumped]));
         k.body.push(escape);
         assert!(matches!(k.validate(), Err(CompileError::Malformed { .. })));
+    }
+
+    #[test]
+    fn a_value_placed_in_two_regions_is_rejected() {
+        // Scoping is one bit per value, which only means something if
+        // each value has one defining position: the same instruction
+        // listed at the root and again in a loop body is malformed, not
+        // "visible twice".
+        let mut b = IrBuilder::new("t");
+        let tid = b.tid();
+        b.begin_loop(2);
+        b.store(tid, 0, tid);
+        b.end_loop();
+        b.store(tid, 1, tid);
+        let mut k = b.finish();
+        assert!(k.validate().is_ok());
+        let loop_id = k.body[1];
+        k.inst_mut(loop_id).body.as_mut().unwrap().push(tid);
+        assert_eq!(
+            k.validate(),
+            Err(CompileError::Malformed {
+                value: tid.0,
+                detail: "value is placed in a region twice".into()
+            })
+        );
     }
 
     #[test]

@@ -67,6 +67,7 @@
 
 pub mod analysis;
 pub mod cache;
+pub mod entity;
 pub mod error;
 pub mod ir;
 pub mod lower;

@@ -15,7 +15,6 @@ use crate::passes::{optimize, PipelineReport};
 use crate::regalloc::{allocate, linearize, Allocation};
 use simt_core::ProcessorConfig;
 use simt_isa::{Instruction, KernelBuilder, Opcode, Program};
-use std::collections::HashSet;
 
 /// How hard to optimize before emission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,8 +22,10 @@ pub enum OptLevel {
     /// Straight lowering of the IR as written (the baseline the pass
     /// pipeline is measured against).
     None,
-    /// The full pipeline: constant folding, strength reduction, CSE,
-    /// DCE, iterated to a fixpoint.
+    /// The full pipeline, [`crate::passes::optimize`]: constant
+    /// folding, strength reduction, LICM, CSE, store-to-load forwarding,
+    /// `mad` fusion and DCE iterated to a fixpoint, then the load/store
+    /// schedule.
     Full,
 }
 
@@ -74,19 +75,18 @@ pub fn compile(
     };
     debug_assert!(k.validate().is_ok(), "passes broke the IR:\n{k}");
 
-    let materialized = select_materialized(&k);
     let lin = linearize(&k);
     let alloc = allocate(
         &k,
         &lin,
-        &materialized,
+        &select_materialized(&k),
         config.regs_per_thread,
         config.predicates,
     )?;
 
     let mut b = KernelBuilder::new();
     let mut source_map = Vec::new();
-    emit_region(&k, k.body(), &mut b, &alloc, &materialized, &mut source_map)?;
+    emit_region(&k, k.body(), &mut b, &alloc, &mut source_map)?;
     b.exit();
     source_map.push(None);
     let program = b.build()?;
@@ -138,23 +138,25 @@ fn inline_slot(k: &Kernel, inst: &Inst) -> Option<usize> {
 /// Constants that must be materialized with `movi` (some use is not an
 /// immediate position), plus every non-constant word value. Carried
 /// values are read by the back-edge copies, so constants referenced by
-/// a carried list need a register too.
-fn select_materialized(k: &Kernel) -> HashSet<ValueId> {
-    let mut mat = HashSet::new();
+/// a carried list need a register too. A list, not a set: a constant
+/// appears once per use that needs it, and the allocator — which gives
+/// a register to exactly the word values named here — does not care.
+fn select_materialized(k: &Kernel) -> Vec<ValueId> {
+    let mut mat = Vec::new();
     k.for_each_inst(|v, inst| {
         if inst.op.ty() == Ty::Word && !matches!(inst.op, Op::Const(_)) {
-            mat.insert(v);
+            mat.push(v);
         }
         let slot = inline_slot(k, inst);
         for (i, &a) in inst.args.iter().enumerate() {
             if k.as_const(a).is_some() && slot != Some(i) {
-                mat.insert(a);
+                mat.push(a);
             }
         }
         if let Some(cs) = &inst.carried {
             for &c in cs {
                 if k.as_const(c).is_some() {
-                    mat.insert(c);
+                    mat.push(c);
                 }
             }
         }
@@ -164,12 +166,13 @@ fn select_materialized(k: &Kernel) -> HashSet<ValueId> {
 
 /// True if lowering the region would emit at least one instruction
 /// (loops around nothing are skipped — the builder rejects empty loop
-/// bodies, and the hardware has nothing to repeat).
-fn region_emits(k: &Kernel, region: &[ValueId], mat: &HashSet<ValueId>) -> bool {
+/// bodies, and the hardware has nothing to repeat). A constant emits
+/// its `movi` exactly when the allocator gave it a register.
+fn region_emits(k: &Kernel, region: &[ValueId], alloc: &Allocation) -> bool {
     region.iter().any(|&v| {
         let inst = k.inst(v);
         match &inst.op {
-            Op::Const(_) => mat.contains(&v),
+            Op::Const(_) => alloc.reg.get(v).is_some(),
             // Params and results are register names, not instructions;
             // a loop with carried values still emits its back-edge
             // copies, which `emit_region` accounts for separately.
@@ -177,7 +180,7 @@ fn region_emits(k: &Kernel, region: &[ValueId], mat: &HashSet<ValueId>) -> bool 
             Op::Loop(_) => inst
                 .body
                 .as_ref()
-                .is_some_and(|body| region_emits(k, body, mat)),
+                .is_some_and(|body| region_emits(k, body, alloc)),
             _ => true,
         }
     })
@@ -225,7 +228,6 @@ fn emit_region(
     region: &[ValueId],
     b: &mut KernelBuilder,
     alloc: &Allocation,
-    mat: &HashSet<ValueId>,
     src: &mut Vec<Option<u32>>,
 ) -> Result<(), CompileError> {
     for &v in region {
@@ -233,7 +235,7 @@ fn emit_region(
         if let Op::Loop(count) = inst.op {
             let body = inst.body.as_ref().expect("validated loop body");
             let params = k.loop_params(v);
-            let scratch = alloc.loop_scratch.get(&v).copied();
+            let scratch = alloc.loop_scratch.get(v);
 
             // Entry copies: parameter registers take their initial
             // values. Coalesced slots vanish (dst == src); the rest run
@@ -252,22 +254,22 @@ fn emit_region(
 
             // Back-edge copies: non-coalesced carried slots rotate into
             // the parameter registers at the end of every iteration.
-            let carried = inst.carried.clone().unwrap_or_default();
+            let carried = inst.carried.as_deref().unwrap_or(&[]);
             let back: Vec<(u8, u8)> = params
                 .iter()
-                .zip(&carried)
+                .zip(carried)
                 .map(|(&p, &c)| Ok((reg(alloc, p)?, reg(alloc, c)?)))
                 .collect::<Result<_, CompileError>>()?;
             let back = sequence_copies(back, scratch, v)?;
 
-            if !region_emits(k, body, mat) && back.is_empty() {
+            if !region_emits(k, body, alloc) && back.is_empty() {
                 // Nothing repeats: the parameters keep their entry
                 // values, which is exactly the final state.
                 continue;
             }
             let open = b.begin_loop(count);
             src.push(Some(v.index() as u32));
-            emit_region(k, body, b, alloc, mat, src)?;
+            emit_region(k, body, b, alloc, src)?;
             for (d, s) in back {
                 b.emit_instruction(Instruction::new(Opcode::Mov).rd(d).ra(s));
                 src.push(Some(v.index() as u32));
@@ -275,7 +277,7 @@ fn emit_region(
             b.end_loop(open);
             continue;
         }
-        if let Some(mi) = build_instruction(k, v, alloc, mat)? {
+        if let Some(mi) = build_instruction(k, v, alloc)? {
             b.emit_instruction(mi);
             src.push(Some(v.index() as u32));
         }
@@ -284,14 +286,14 @@ fn emit_region(
 }
 
 fn reg(alloc: &Allocation, v: ValueId) -> Result<u8, CompileError> {
-    alloc.reg.get(&v).copied().ok_or(CompileError::Malformed {
+    alloc.reg.get(v).ok_or_else(|| CompileError::Malformed {
         value: v.index() as u32,
         detail: "value reached emission without a register".into(),
     })
 }
 
 fn pred(alloc: &Allocation, v: ValueId) -> Result<u8, CompileError> {
-    alloc.pred.get(&v).copied().ok_or(CompileError::Malformed {
+    alloc.pred.get(v).ok_or_else(|| CompileError::Malformed {
         value: v.index() as u32,
         detail: "predicate reached emission without a register".into(),
     })
@@ -364,7 +366,6 @@ fn build_instruction(
     k: &Kernel,
     v: ValueId,
     alloc: &Allocation,
-    mat: &HashSet<ValueId>,
 ) -> Result<Option<Instruction>, CompileError> {
     let inst = k.inst(v);
     let args = &inst.args;
@@ -372,14 +373,10 @@ fn build_instruction(
         // Params and results are names for registers the allocator has
         // already placed; they emit nothing themselves.
         Op::Param(_) | Op::Result(_) => return Ok(None),
-        Op::Const(c) => {
-            if !mat.contains(&v) {
-                return Ok(None);
-            }
-            Instruction::new(Opcode::Movi)
-                .rd(reg(alloc, v)?)
-                .imm(*c as u32)
-        }
+        Op::Const(c) => match alloc.reg.get(v) {
+            Some(r) => Instruction::new(Opcode::Movi).rd(r).imm(*c as u32),
+            None => return Ok(None),
+        },
         Op::Tid => Instruction::new(Opcode::Stid).rd(reg(alloc, v)?),
         Op::Ntid => Instruction::new(Opcode::Sntid).rd(reg(alloc, v)?),
         Op::Bin(b) => match inline_slot(k, inst) {
@@ -616,10 +613,13 @@ mod tests {
         b.store(tid, 0, acc);
         let k = b.finish();
         let tight = cfg().with_regs_per_thread(8);
-        match compile(&k, &tight, OptLevel::Full) {
-            Err(CompileError::OutOfRegisters { available, .. }) => assert_eq!(available, 7),
-            other => panic!("expected OutOfRegisters, got {other:?}"),
-        }
+        assert_eq!(
+            compile(&k, &tight, OptLevel::Full).unwrap_err(),
+            CompileError::OutOfRegisters {
+                needed: 8,
+                available: 7
+            }
+        );
         // A roomier file compiles the same kernel.
         assert!(compile(&k, &cfg().with_regs_per_thread(64), OptLevel::Full).is_ok());
     }

@@ -10,11 +10,20 @@
 //! semantics bit-for-bit (wrapping adds, the shifter's ≥32 behaviour,
 //! saturation), so folding can never change a kernel's output.
 
-use crate::ir::{BinOp, Kernel, Op, UnOp, ValueId};
+use crate::entity::{ValueMap, ValueSet};
+use crate::ir::{BinOp, Fnv, Kernel, Op, UnOp, ValueId};
 use crate::lower::{bin_opcode, un_opcode};
 use simt_core::alu::native;
 use simt_isa::Opcode;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+/// A `HashMap` for the two tables whose keys are *structural* (CSE's
+/// expression, store forwarding's address), hashed with the crate's
+/// [`Fnv`]: the keys are a few words the compiler built itself, so
+/// SipHash's flooding resistance buys nothing. A table keyed by a
+/// [`ValueId`] is a [`crate::entity`] map instead.
+type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv>>;
 
 /// Architectural thread ceiling (the ISA's 1024-thread limit), used as
 /// a sound over-approximation wherever a pass needs address ranges but
@@ -79,9 +88,23 @@ type Pass = fn(&mut Kernel) -> bool;
 /// Run the full pipeline to a fixpoint (bounded) and report per-pass
 /// statistics.
 pub fn optimize(k: &mut Kernel) -> PipelineReport {
+    // One count, carried from pass to pass: a pass that reports no
+    // change left every region as it found it.
+    let mut live = k.live_insts();
     let mut report = PipelineReport {
-        insts_before: k.live_insts(),
+        insts_before: live,
         ..Default::default()
+    };
+    let mut run = |k: &mut Kernel, name: &'static str, pass: Pass| {
+        let changed = pass(k);
+        let stats = PassStats {
+            pass: name,
+            insts_before: live,
+            insts_after: if changed { k.live_insts() } else { live },
+            changed,
+        };
+        live = stats.insts_after;
+        stats
     };
     let passes: &[(&'static str, Pass)] = &[
         ("const-fold", const_fold),
@@ -95,15 +118,9 @@ pub fn optimize(k: &mut Kernel) -> PipelineReport {
     for _round in 0..8 {
         let mut any = false;
         for &(name, pass) in passes {
-            let before = k.live_insts();
-            let changed = pass(k);
-            report.passes.push(PassStats {
-                pass: name,
-                insts_before: before,
-                insts_after: k.live_insts(),
-                changed,
-            });
-            any |= changed;
+            let stats = run(k, name, pass);
+            any |= stats.changed;
+            report.passes.push(stats);
         }
         if !any {
             break;
@@ -112,15 +129,9 @@ pub fn optimize(k: &mut Kernel) -> PipelineReport {
     // The load/store schedule runs once, after the rewriting passes
     // settle: it only reorders, so nothing upstream can profit from
     // re-running on its output.
-    let before = k.live_insts();
-    let changed = schedule_mem(k);
-    report.passes.push(PassStats {
-        pass: "ls-sched",
-        insts_before: before,
-        insts_after: k.live_insts(),
-        changed,
-    });
-    report.insts_after = k.live_insts();
+    let stats = run(k, "ls-sched", schedule_mem);
+    report.insts_after = stats.insts_after;
+    report.passes.push(stats);
     report
 }
 
@@ -145,22 +156,37 @@ pub(crate) fn eval_un(op: UnOp, a: u32) -> u32 {
 /// shifts by zero). Guarded instructions are left alone: a guard is a
 /// write mask, and masked lanes must keep seeing no write.
 pub fn const_fold(k: &mut Kernel) -> bool {
-    let mut replace: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut replace = ValueMap::new(k.insts().len());
     let mut changed = false;
-    let root = k.body().to_vec();
+    let root = std::mem::take(k.raw_body_mut());
     fold_region(k, &root, &mut replace, &mut changed);
+    *k.raw_body_mut() = root;
     changed
 }
 
-fn rewrite_args(k: &mut Kernel, v: ValueId, replace: &HashMap<ValueId, ValueId>) {
+/// Lift a loop's body region out of the arena, so a pass can walk it
+/// while rewriting the instructions it names (the caller puts it back).
+/// `None`, and the kernel untouched, for anything but a loop.
+fn take_body(k: &mut Kernel, v: ValueId) -> Option<Vec<ValueId>> {
+    k.inst(v).body.as_ref()?;
+    k.inst_mut(v).body.take()
+}
+
+fn rewrite_args(k: &mut Kernel, v: ValueId, replace: &ValueMap<ValueId>) {
+    let inst = k.inst(v);
+    let stale = inst.args.iter().any(|&a| replace.get(a).is_some())
+        || inst.guard.is_some_and(|g| replace.get(g.pred).is_some());
+    if !stale {
+        return;
+    }
     let inst = k.inst_mut(v);
     for a in inst.args.iter_mut() {
-        if let Some(&r) = replace.get(a) {
+        if let Some(r) = replace.get(*a) {
             *a = r;
         }
     }
     if let Some(g) = &mut inst.guard {
-        if let Some(&r) = replace.get(&g.pred) {
+        if let Some(r) = replace.get(g.pred) {
             g.pred = r;
         }
     }
@@ -169,10 +195,10 @@ fn rewrite_args(k: &mut Kernel, v: ValueId, replace: &HashMap<ValueId, ValueId>)
 /// Apply a replacement map to a loop's carried list. Carried values are
 /// defined *inside* the body, so this must run after the body walk has
 /// populated `replace` — unlike args, which are rewritten on entry.
-fn rewrite_carried(k: &mut Kernel, v: ValueId, replace: &HashMap<ValueId, ValueId>) {
+fn rewrite_carried(k: &mut Kernel, v: ValueId, replace: &ValueMap<ValueId>) {
     if let Some(cs) = &mut k.inst_mut(v).carried {
         for c in cs.iter_mut() {
-            if let Some(&r) = replace.get(c) {
+            if let Some(r) = replace.get(*c) {
                 *c = r;
             }
         }
@@ -182,12 +208,12 @@ fn rewrite_carried(k: &mut Kernel, v: ValueId, replace: &HashMap<ValueId, ValueI
 fn fold_region(
     k: &mut Kernel,
     region: &[ValueId],
-    replace: &mut HashMap<ValueId, ValueId>,
+    replace: &mut ValueMap<ValueId>,
     changed: &mut bool,
 ) {
     for &v in region {
         rewrite_args(k, v, replace);
-        if let Some(body) = k.inst_mut(v).body.take() {
+        if let Some(body) = take_body(k, v) {
             fold_region(k, &body, replace, changed);
             k.inst_mut(v).body = Some(body);
             rewrite_carried(k, v, replace);
@@ -197,29 +223,32 @@ fn fold_region(
         // either away would make inactive lanes observe a value they
         // never computed (their register keeps its prior contents), so
         // masked instructions are left exactly as written.
-        if k.inst(v).guard.is_some() || k.inst(v).scale.is_some() {
+        let inst = k.inst(v);
+        if inst.guard.is_some() || inst.scale.is_some() {
             continue;
         }
-        let (op, args) = {
-            let i = k.inst(v);
-            (i.op.clone(), i.args.clone())
-        };
-        let consts: Vec<Option<i32>> = args.iter().map(|&a| k.as_const(a)).collect();
-        let all = |c: &[Option<i32>]| c.iter().all(|x| x.is_some());
+        // Non-loop arity is at most 3; nothing below matches more.
+        let (op, args) = (inst.op, inst.args.as_slice());
+        let mut consts = [None; 3];
+        if args.len() > consts.len() {
+            continue;
+        }
+        for (c, &a) in consts.iter_mut().zip(args) {
+            *c = k.as_const(a);
+        }
+        let consts = &consts[..args.len()];
         // Full evaluation.
-        let folded: Option<u32> = match (&op, consts.as_slice()) {
-            (Op::Bin(b), [Some(x), Some(y)]) if all(&consts) => {
-                Some(eval_bin(*b, *x as u32, *y as u32))
-            }
-            (Op::Un(u), [Some(x)]) => Some(eval_un(*u, *x as u32)),
+        let folded: Option<u32> = match (op, consts) {
+            (Op::Bin(b), [Some(x), Some(y)]) => Some(eval_bin(b, *x as u32, *y as u32)),
+            (Op::Un(u), [Some(x)]) => Some(eval_un(u, *x as u32)),
             (Op::Mad, [Some(x), Some(y), Some(z)]) => {
                 Some(native(Opcode::MadLo, *x as u32, *y as u32, *z as u32, 0))
             }
             (Op::MulShr(s), [Some(x), Some(y)]) => {
-                Some(native(Opcode::MulShr, *x as u32, *y as u32, 0, *s))
+                Some(native(Opcode::MulShr, *x as u32, *y as u32, 0, s))
             }
             (Op::ShAdd(s), [Some(x), Some(y)]) => {
-                Some(native(Opcode::ShAdd, *x as u32, *y as u32, 0, *s))
+                Some(native(Opcode::ShAdd, *x as u32, *y as u32, 0, s))
             }
             _ => None,
         };
@@ -231,7 +260,7 @@ fn fold_region(
             continue;
         }
         // Algebraic identities aliasing the result to an operand.
-        let alias: Option<ValueId> = match (&op, consts.as_slice()) {
+        let alias: Option<ValueId> = match (op, consts) {
             (Op::Bin(BinOp::Add), [_, Some(0)]) | (Op::Bin(BinOp::Sub), [_, Some(0)]) => {
                 Some(args[0])
             }
@@ -258,7 +287,7 @@ fn fold_region(
         }
         // Annihilators producing a fresh constant.
         let zero = matches!(
-            (&op, consts.as_slice()),
+            (op, consts),
             (Op::Bin(BinOp::Mul), [_, Some(0)])
                 | (Op::Bin(BinOp::Mul), [Some(0), _])
                 | (Op::Bin(BinOp::And), [_, Some(0)])
@@ -286,13 +315,12 @@ fn fold_region(
 pub fn strength_reduce(k: &mut Kernel) -> bool {
     let mut changed = false;
     let mut new_consts: Vec<(i32, ValueId)> = Vec::new();
-    let root = k.body().to_vec();
+    let mut root = std::mem::take(k.raw_body_mut());
     reduce_region(k, &root, &mut new_consts, &mut changed);
     // Materialized shift-amount constants dominate everything from the
     // top of the root region.
-    for (i, (_, v)) in new_consts.iter().enumerate() {
-        k.raw_body_mut().insert(i, *v);
-    }
+    root.splice(0..0, new_consts.iter().map(|&(_, v)| v));
+    *k.raw_body_mut() = root;
     changed
 }
 
@@ -312,30 +340,29 @@ fn reduce_region(
     changed: &mut bool,
 ) {
     for &v in region {
-        if let Some(body) = k.inst_mut(v).body.take() {
+        if let Some(body) = take_body(k, v) {
             reduce_region(k, &body, pool, changed);
             k.inst_mut(v).body = Some(body);
             continue;
         }
-        let (op, args) = {
-            let i = k.inst(v);
-            (i.op.clone(), i.args.clone())
-        };
-        match op {
+        let inst = k.inst(v);
+        match inst.op {
             // mul by 2^k -> shl by k (the in-place rewrite keeps any
             // scale/guard attributes, so masking semantics are intact).
             Op::Bin(BinOp::Mul) => {
-                let (x, c) = match (k.as_const(args[0]), k.as_const(args[1])) {
-                    (_, Some(c)) => (args[0], Some(c)),
-                    (Some(c), _) => (args[1], Some(c)),
-                    _ => (args[0], None),
+                let (a, b) = (inst.args[0], inst.args[1]);
+                let (x, c) = match (k.as_const(a), k.as_const(b)) {
+                    (_, Some(c)) => (a, Some(c)),
+                    (Some(c), _) => (b, Some(c)),
+                    _ => (a, None),
                 };
                 if let Some(c) = c {
                     if c > 1 && (c as u32).is_power_of_two() {
                         let sh = strength_const(k, pool, c.trailing_zeros() as i32);
                         let inst = k.inst_mut(v);
                         inst.op = Op::Bin(BinOp::Shl);
-                        inst.args = vec![x, sh];
+                        inst.args.clear();
+                        inst.args.extend([x, sh]);
                         *changed = true;
                     }
                 }
@@ -345,8 +372,7 @@ fn reduce_region(
             // leaves inactive lanes with a different base register, so
             // folding it would change the address those lanes access.
             Op::Load(off) | Op::Store(off) => {
-                let base = args[0];
-                let base_inst = k.inst(base);
+                let base_inst = k.inst(inst.args[0]);
                 if base_inst.guard.is_some() || base_inst.scale.is_some() {
                     continue;
                 }
@@ -379,40 +405,49 @@ fn reduce_region(
 
 // ---- common-subexpression elimination ---------------------------------
 
-/// Value-numbering key: op, operands and thread scale.
-type CseKey = (Op, Vec<ValueId>, Option<u8>);
+/// Value-numbering key: op, operands and thread scale. A pure op has at
+/// most three operands; the unused slots hold [`NO_OPERAND`].
+type CseKey = (Op, [ValueId; 3], Option<u8>);
+
+/// Pads a [`CseKey`]'s operand array (no arena is this large).
+const NO_OPERAND: ValueId = ValueId(u32::MAX);
 
 /// Dominator-scoped value numbering over pure, guard-free instructions:
 /// two instructions with the same op, operands and thread scale compute
 /// the same value, so later ones alias the first. Memory operations are
 /// never merged.
 pub fn cse(k: &mut Kernel) -> bool {
-    let mut scopes: Vec<HashMap<CseKey, ValueId>> = vec![HashMap::new()];
-    let mut replace: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut scopes: Vec<FnvMap<CseKey, ValueId>> = Vec::new();
+    let mut replace = ValueMap::new(k.insts().len());
     let mut changed = false;
 
+    /// Walk one region in a scope of its own, sized for it up front.
     fn walk(
         k: &mut Kernel,
         region: &[ValueId],
-        scopes: &mut Vec<HashMap<CseKey, ValueId>>,
-        replace: &mut HashMap<ValueId, ValueId>,
+        scopes: &mut Vec<FnvMap<CseKey, ValueId>>,
+        replace: &mut ValueMap<ValueId>,
         changed: &mut bool,
     ) {
+        scopes.push(FnvMap::with_capacity_and_hasher(
+            region.len(),
+            Default::default(),
+        ));
         for &v in region {
             rewrite_args(k, v, replace);
-            if let Some(body) = k.inst_mut(v).body.take() {
-                scopes.push(HashMap::new());
+            if let Some(body) = take_body(k, v) {
                 walk(k, &body, scopes, replace, changed);
-                scopes.pop();
                 k.inst_mut(v).body = Some(body);
                 rewrite_carried(k, v, replace);
                 continue;
             }
             let inst = k.inst(v);
-            if !inst.op.is_pure() || inst.guard.is_some() {
+            let mut operands = [NO_OPERAND; 3];
+            if !inst.op.is_pure() || inst.guard.is_some() || inst.args.len() > operands.len() {
                 continue;
             }
-            let key = (inst.op.clone(), inst.args.clone(), inst.scale);
+            operands[..inst.args.len()].copy_from_slice(&inst.args);
+            let key = (inst.op, operands, inst.scale);
             if let Some(&prior) = scopes.iter().rev().find_map(|s| s.get(&key)) {
                 replace.insert(v, prior);
                 *changed = true;
@@ -420,17 +455,19 @@ pub fn cse(k: &mut Kernel) -> bool {
                 scopes.last_mut().expect("scope stack").insert(key, v);
             }
         }
+        scopes.pop();
     }
 
-    let root = k.body().to_vec();
+    let root = std::mem::take(k.raw_body_mut());
     walk(k, &root, &mut scopes, &mut replace, &mut changed);
+    *k.raw_body_mut() = root;
     changed
 }
 
 // ---- store-to-load forwarding -----------------------------------------
 
 /// Forwarding state: `(base value, offset)` → last value stored there.
-type AvailMap = HashMap<(ValueId, u32), ValueId>;
+type AvailMap = FnvMap<(ValueId, u32), ValueId>;
 
 /// Invalidate every entry a store to `(base, off)` may clobber. Two
 /// accesses with the same base alias exactly when their offsets match;
@@ -467,24 +504,24 @@ fn region_store_keys(k: &Kernel, region: &[ValueId], keys: &mut Vec<(ValueId, u3
 /// a later load broadcasts, which per-lane forwarding would not
 /// reproduce.
 pub fn forward_stores(k: &mut Kernel) -> bool {
-    let mut replace: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut replace = ValueMap::new(k.insts().len());
     let mut changed = false;
 
     fn walk(
         k: &mut Kernel,
         region: &[ValueId],
         avail: &mut AvailMap,
-        replace: &mut HashMap<ValueId, ValueId>,
+        replace: &mut ValueMap<ValueId>,
         changed: &mut bool,
     ) {
         for &v in region {
             rewrite_args(k, v, replace);
-            if let Some(body) = k.inst_mut(v).body.take() {
+            if let Some(body) = take_body(k, v) {
                 // A loop body re-executes: values stored before the loop
                 // are only safe to forward inside it when the body never
                 // clobbers them — start the body with an empty map and
                 // kill parent entries the body stores over.
-                let mut inner = AvailMap::new();
+                let mut inner = AvailMap::default();
                 walk(k, &body, &mut inner, replace, changed);
                 let mut keys = Vec::new();
                 region_store_keys(k, &body, &mut keys);
@@ -517,9 +554,15 @@ pub fn forward_stores(k: &mut Kernel) -> bool {
         }
     }
 
-    let root = k.body().to_vec();
-    let mut avail = AvailMap::new();
-    walk(k, &root, &mut avail, &mut replace, &mut changed);
+    let root = std::mem::take(k.raw_body_mut());
+    walk(
+        k,
+        &root,
+        &mut AvailMap::default(),
+        &mut replace,
+        &mut changed,
+    );
+    *k.raw_body_mut() = root;
     changed
 }
 
@@ -535,17 +578,18 @@ pub fn forward_stores(k: &mut Kernel) -> bool {
 pub fn mad_fuse(k: &mut Kernel) -> bool {
     // Global use counts (args + guards + carried lists) decide
     // single-use multiplies.
-    let mut uses: HashMap<ValueId, usize> = HashMap::new();
+    let mut uses: ValueMap<usize> = ValueMap::new(k.insts().len());
     k.for_each_inst(|_, inst| {
+        let mut count = |a: ValueId| uses.insert(a, uses.get(a).unwrap_or(0) + 1);
         for &a in &inst.args {
-            *uses.entry(a).or_default() += 1;
+            count(a);
         }
         if let Some(g) = inst.guard {
-            *uses.entry(g.pred).or_default() += 1;
+            count(g.pred);
         }
         if let Some(cs) = &inst.carried {
             for &c in cs {
-                *uses.entry(c).or_default() += 1;
+                count(c);
             }
         }
     });
@@ -564,7 +608,7 @@ pub fn mad_fuse(k: &mut Kernel) -> bool {
             let fusible = mi.op == Op::Bin(BinOp::Mul)
                 && mi.guard.is_none()
                 && mi.scale.is_none()
-                && uses.get(&m) == Some(&1)
+                && uses.get(m) == Some(1)
                 && k.as_const(mi.args[0]).is_none()
                 && k.as_const(mi.args[1]).is_none()
                 && k.as_const(other).is_none();
@@ -579,7 +623,8 @@ pub fn mad_fuse(k: &mut Kernel) -> bool {
     for (v, args) in rewrites {
         let inst = k.inst_mut(v);
         inst.op = Op::Mad;
-        inst.args = args.to_vec();
+        inst.args.clear();
+        inst.args.extend(args);
     }
     changed
 }
@@ -600,7 +645,7 @@ pub fn elide_stores(k: &mut Kernel, dead: &[(usize, usize)], threads: usize) -> 
 
     // Pre-order index of every instruction (matches execution order:
     // a loop body sits at its header's position, repeated).
-    let mut index: HashMap<ValueId, usize> = HashMap::new();
+    let mut index = ValueMap::new(k.insts().len());
     let mut loads: Vec<(usize, Option<(usize, usize)>)> = Vec::new();
     {
         let mut i = 0usize;
@@ -613,9 +658,8 @@ pub fn elide_stores(k: &mut Kernel, dead: &[(usize, usize)], threads: usize) -> 
         });
     }
 
-    let root = k.body().to_vec();
     let mut remove: Vec<ValueId> = Vec::new();
-    for &v in &root {
+    for &v in k.body() {
         let inst = k.inst(v);
         let Op::Store(off) = inst.op else { continue };
         let Some(range) = access_range(k, inst.args[0], off, threads) else {
@@ -624,7 +668,7 @@ pub fn elide_stores(k: &mut Kernel, dead: &[(usize, usize)], threads: usize) -> 
         if !dead.iter().any(|&(lo, hi)| lo <= range.0 && range.1 <= hi) {
             continue;
         }
-        let pos = index[&v];
+        let pos = index[v];
         let read_later = loads
             .iter()
             .any(|&(p, r)| p > pos && r.is_none_or(|r| ranges_intersect(r, range)));
@@ -647,8 +691,6 @@ pub fn elide_stores(k: &mut Kernel, dead: &[(usize, usize)], threads: usize) -> 
 /// block-parameter machinery — params, initial values and carried
 /// values — so the three lists stay index-aligned.
 pub fn dce(k: &mut Kernel) -> bool {
-    use std::collections::HashSet;
-
     fn effectful(k: &Kernel, v: ValueId) -> bool {
         let inst = k.inst(v);
         match &inst.op {
@@ -666,13 +708,13 @@ pub fn dce(k: &mut Kernel) -> bool {
     // for iterations past the first, so the loop (and with it the
     // params/inits/carried lists) must be traced, not just kept.
     let mut work: Vec<ValueId> = Vec::new();
-    let mut owner: HashMap<ValueId, ValueId> = HashMap::new(); // param -> loop
+    let mut owner = ValueMap::new(k.insts().len()); // param -> loop
     fn seed(
         k: &Kernel,
         region: &[ValueId],
         stack: &mut Vec<ValueId>,
         work: &mut Vec<ValueId>,
-        owner: &mut HashMap<ValueId, ValueId>,
+        owner: &mut ValueMap<ValueId>,
     ) {
         for &v in region {
             let inst = k.inst(v);
@@ -699,7 +741,7 @@ pub fn dce(k: &mut Kernel) -> bool {
     // Marking a loop pulls in its initial values (args), carried values
     // and block parameters; marking a param pulls in its owning loop;
     // marking a result pulls in the loop through its arg.
-    let mut marked: HashSet<ValueId> = HashSet::new();
+    let mut marked = ValueSet::new(k.insts().len());
     while let Some(v) = work.pop() {
         if !marked.insert(v) {
             continue;
@@ -716,34 +758,31 @@ pub fn dce(k: &mut Kernel) -> bool {
             work.extend(k.loop_params(v));
         }
         if matches!(inst.op, Op::Param(_)) {
-            if let Some(&l) = owner.get(&v) {
+            if let Some(l) = owner.get(v) {
                 work.push(l);
             }
         }
     }
 
-    // Sweep phase: rebuild regions keeping marked or effectful nodes.
-    fn sweep(k: &mut Kernel, region: Vec<ValueId>, marked: &HashSet<ValueId>) -> Vec<ValueId> {
-        let mut out = Vec::with_capacity(region.len());
-        for v in region {
-            let keep = marked.contains(&v) || effectful(k, v);
-            if !keep {
-                continue;
+    // Sweep phase: keep the marked or effectful nodes of every region,
+    // in place; true if any node went.
+    fn sweep(k: &mut Kernel, region: &mut Vec<ValueId>, marked: &ValueSet) -> bool {
+        let before = region.len();
+        region.retain(|&v| marked.contains(v) || effectful(k, v));
+        let mut removed = region.len() != before;
+        for &v in region.iter() {
+            if let Some(mut body) = take_body(k, v) {
+                removed |= sweep(k, &mut body, marked);
+                k.inst_mut(v).body = Some(body);
             }
-            if let Some(body) = k.inst_mut(v).body.take() {
-                let swept = sweep(k, body, marked);
-                k.inst_mut(v).body = Some(swept);
-            }
-            out.push(v);
         }
-        out
+        removed
     }
 
-    let before = k.live_insts();
-    let root = std::mem::take(k.raw_body_mut());
-    let root = sweep(k, root, &marked);
+    let mut root = std::mem::take(k.raw_body_mut());
+    let removed = sweep(k, &mut root, &marked);
     *k.raw_body_mut() = root;
-    k.live_insts() != before
+    removed
 }
 
 // ---- loop-invariant code motion ---------------------------------------
@@ -769,7 +808,7 @@ pub fn licm(k: &mut Kernel) -> bool {
 
 /// All values defined anywhere in a region tree (the loop body and its
 /// nested bodies).
-fn region_defs(k: &Kernel, region: &[ValueId], defs: &mut std::collections::HashSet<ValueId>) {
+fn region_defs(k: &Kernel, region: &[ValueId], defs: &mut ValueSet) {
     for &v in region {
         defs.insert(v);
         if let Some(body) = &k.inst(v).body {
@@ -806,7 +845,7 @@ fn region_store_ranges(k: &Kernel, region: &[ValueId]) -> Option<Vec<(usize, usi
 fn licm_region(k: &mut Kernel, region: Vec<ValueId>, changed: &mut bool) -> Vec<ValueId> {
     let mut out = Vec::with_capacity(region.len());
     for v in region {
-        let Some(body) = k.inst_mut(v).body.take() else {
+        let Some(body) = take_body(k, v) else {
             out.push(v);
             continue;
         };
@@ -814,7 +853,7 @@ fn licm_region(k: &mut Kernel, region: Vec<ValueId>, changed: &mut bool) -> Vec<
         // hoist again right below.
         let mut body = licm_region(k, body, changed);
 
-        let mut defined = std::collections::HashSet::new();
+        let mut defined = ValueSet::new(k.insts().len());
         region_defs(k, &body, &mut defined);
         let store_ranges = region_store_ranges(k, &body);
 
@@ -827,7 +866,7 @@ fn licm_region(k: &mut Kernel, region: Vec<ValueId>, changed: &mut bool) -> Vec<
                 let still_in_body = remaining.len() + (body.len() - i - 1);
                 if still_in_body >= 1 && hoistable(k, bv, &defined, &store_ranges) {
                     out.push(bv);
-                    defined.remove(&bv);
+                    defined.remove(bv);
                     hoisted_any = true;
                     *changed = true;
                 } else {
@@ -849,14 +888,14 @@ fn licm_region(k: &mut Kernel, region: Vec<ValueId>, changed: &mut bool) -> Vec<
 fn hoistable(
     k: &Kernel,
     v: ValueId,
-    defined: &std::collections::HashSet<ValueId>,
+    defined: &ValueSet,
     store_ranges: &Option<Vec<(usize, usize)>>,
 ) -> bool {
     let inst = k.inst(v);
     if inst.guard.is_some() || inst.scale.is_some() {
         return false; // masked: executes differently per lane
     }
-    if inst.args.iter().any(|a| defined.contains(a)) {
+    if inst.args.iter().any(|&a| defined.contains(a)) {
         return false; // depends on per-iteration state
     }
     match &inst.op {
@@ -937,7 +976,7 @@ fn schedule_region(k: &mut Kernel, region: Vec<ValueId>, changed: &mut bool) -> 
     let mut order = region;
     // Recurse into loop bodies first.
     for &v in &order {
-        if let Some(body) = k.inst_mut(v).body.take() {
+        if let Some(body) = take_body(k, v) {
             let body = schedule_region(k, body, changed);
             k.inst_mut(v).body = Some(body);
         }

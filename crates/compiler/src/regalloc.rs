@@ -35,9 +35,9 @@
 //! rotation is such a sequence), with a scratch register reserved per
 //! loop only when the back-edge permutation contains a genuine cycle.
 
+use crate::entity::{ValueMap, ValueSet};
 use crate::error::CompileError;
 use crate::ir::{Kernel, Op, Ty, ValueId};
-use std::collections::{HashMap, HashSet};
 
 /// The kernel linearized into emission order, with loop extents.
 #[derive(Debug, Default)]
@@ -45,7 +45,7 @@ pub struct Linear {
     /// Every instruction (including loop headers) in emission order.
     pub order: Vec<ValueId>,
     /// Position of each instruction in `order`.
-    pub pos: HashMap<ValueId, usize>,
+    pub pos: ValueMap<usize>,
     /// `(header, first body pos, last body pos)` per loop, outermost
     /// first.
     pub loops: Vec<(ValueId, usize, usize)>,
@@ -53,7 +53,13 @@ pub struct Linear {
 
 /// Flatten the region tree into emission order.
 pub fn linearize(k: &Kernel) -> Linear {
-    let mut lin = Linear::default();
+    // The arena bounds what the regions can reach.
+    let arena = k.insts().len();
+    let mut lin = Linear {
+        order: Vec::with_capacity(arena),
+        pos: ValueMap::new(arena),
+        loops: Vec::new(),
+    };
     fn walk(k: &Kernel, region: &[ValueId], lin: &mut Linear) {
         for &v in region {
             lin.pos.insert(v, lin.order.len());
@@ -76,29 +82,29 @@ pub fn linearize(k: &Kernel) -> Linear {
 #[derive(Debug, Default)]
 pub struct Allocation {
     /// General-purpose register per word value.
-    pub reg: HashMap<ValueId, u8>,
+    pub reg: ValueMap<u8>,
     /// Predicate register (0..=3) per predicate value.
-    pub pred: HashMap<ValueId, u8>,
+    pub pred: ValueMap<u8>,
     /// Registers used, as a count including r0 (what
     /// `regs_per_thread` must cover).
     pub regs_used: usize,
     /// Scratch register per loop whose back-edge copies form a cyclic
     /// permutation (a register swap needs a temporary); live through
     /// the whole loop.
-    pub loop_scratch: HashMap<ValueId, u8>,
+    pub loop_scratch: ValueMap<u8>,
 }
 
 /// Union-find over values, tracking whether a class already contains a
 /// block parameter (classes never merge two parameters).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Classes {
-    parent: HashMap<ValueId, ValueId>,
-    has_param: HashSet<ValueId>,
+    parent: ValueMap<ValueId>,
+    has_param: ValueSet,
 }
 
 impl Classes {
     fn find(&mut self, v: ValueId) -> ValueId {
-        let p = *self.parent.get(&v).unwrap_or(&v);
+        let p = self.parent.get(v).unwrap_or(v);
         if p == v {
             return v;
         }
@@ -113,7 +119,7 @@ impl Classes {
         let rb = self.find(b);
         if ra != rb {
             self.parent.insert(rb, ra);
-            if self.has_param.contains(&rb) {
+            if self.has_param.contains(rb) {
                 self.has_param.insert(ra);
             }
         }
@@ -121,52 +127,45 @@ impl Classes {
 
     fn class_has_param(&mut self, v: ValueId) -> bool {
         let r = self.find(v);
-        self.has_param.contains(&r)
+        self.has_param.contains(r)
     }
 }
 
-/// Compute the live-range end of `def` given all its use positions,
-/// extending through any loop that contains a use but not the
-/// definition.
-fn range_end(def_pos: usize, uses: &[usize], loops: &[(ValueId, usize, usize)]) -> usize {
-    let mut end = def_pos;
-    for &u in uses {
-        let mut e = u;
-        // Outermost loop that contains the use but started after the
-        // definition: the value must survive every iteration of it.
-        for &(_, start, last) in loops {
-            if start > def_pos && (start..=last).contains(&u) {
-                e = e.max(last);
-                break; // loops are outermost-first; the first hit is widest
-            }
-        }
-        end = end.max(e);
-    }
-    end
+/// Where the live range of a value defined at `def_pos` must reach for
+/// a use at `use_pos`: the use itself, or the end of the outermost loop
+/// that contains the use but started after the definition — the value
+/// must survive every iteration of it.
+fn use_end(def_pos: usize, use_pos: usize, loops: &[(ValueId, usize, usize)]) -> usize {
+    loops
+        .iter()
+        // Loops are outermost-first; the first hit is widest.
+        .find(|&&(_, start, last)| start > def_pos && (start..=last).contains(&use_pos))
+        .map_or(use_pos, |&(_, _, last)| use_pos.max(last))
 }
 
 /// Per-loop block-parameter metadata gathered for coalescing.
 #[derive(Debug)]
-struct LoopMeta {
+struct LoopMeta<'k> {
     header: ValueId,
     header_pos: usize,
     last: usize,
     params: Vec<ValueId>,
-    inits: Vec<ValueId>,
-    carried: Vec<ValueId>,
+    inits: &'k [ValueId],
+    carried: &'k [ValueId],
+    /// The back-edge copies need a scratch register.
+    cyclic: bool,
 }
 
 /// True when the loop's param-to-param back-edge copies form at least
 /// one cyclic permutation (e.g. a swap `carried = [p1, p0]`), which
 /// needs a scratch register to sequence.
-fn backedge_has_cycle(meta: &LoopMeta) -> bool {
+fn backedge_has_cycle(params: &[ValueId], carried: &[ValueId]) -> bool {
     // map: param index i receives param index j on the back edge.
-    let src_of: Vec<Option<usize>> = meta
-        .carried
+    let src_of: Vec<Option<usize>> = carried
         .iter()
-        .map(|c| meta.params.iter().position(|p| p == c))
+        .map(|c| params.iter().position(|p| p == c))
         .collect();
-    let n = meta.params.len();
+    let n = params.len();
     // Walk the "receives-from" edges; a node revisited while still on
     // the current path closes a cycle. (Not a permutation: one param
     // may feed several slots, so paths can merge — finished nodes are
@@ -199,75 +198,133 @@ fn backedge_has_cycle(meta: &LoopMeta) -> bool {
     false
 }
 
+/// One register bank under linear scan: which registers are free, and
+/// the live ranges holding the rest.
+struct Bank {
+    /// Bit `r` set = register `r` is free (r0..r254, p0..p3).
+    free: [u64; 4],
+    /// `(range end, register)` of every occupied register.
+    active: Vec<(usize, u8)>,
+}
+
+/// Mark register `r` free in a [`Bank`]'s mask.
+fn release(free: &mut [u64; 4], r: usize) {
+    free[r / 64] |= 1 << (r % 64);
+}
+
+impl Bank {
+    /// A bank of `count` free registers numbered from `first`.
+    fn new(first: usize, count: usize) -> Self {
+        let mut free = [0; 4];
+        for r in first..first + count {
+            release(&mut free, r);
+        }
+        Bank {
+            free,
+            active: Vec::new(),
+        }
+    }
+
+    /// Free the registers whose ranges ended strictly before `pos`.
+    fn expire(&mut self, pos: usize) {
+        let free = &mut self.free;
+        self.active.retain(|&(end, r)| {
+            if end < pos {
+                release(free, r as usize);
+            }
+            end >= pos
+        });
+    }
+
+    /// Occupy the **lowest-numbered** free register until `end` — the
+    /// allocator's register-choice policy; `None` when the bank is full.
+    fn take(&mut self, end: usize) -> Option<u8> {
+        let word = self.free.iter().position(|&w| w != 0)?;
+        let bit = self.free[word].trailing_zeros();
+        self.free[word] &= !(1 << bit);
+        let r = (word * 64) as u8 + bit as u8;
+        self.active.push((end, r));
+        Some(r)
+    }
+}
+
 /// Allocate hardware registers for every value that `materialized` says
 /// needs one (predicates always need one). `word_regs` is the total
 /// register-file size per thread (r0 included but reserved);
 /// `pred_available` is false for builds without predicate support.
+/// `materialized` may be any collection of ids — a `HashSet`, a slice,
+/// with repeats — and an id that names no instruction of `k` is ignored.
 ///
 /// Loop block parameters are coalesced with their initial, carried and
 /// result values where sound (see the module docs); each coalescing
 /// class occupies a single register whose live interval covers every
 /// member.
-pub fn allocate(
+pub fn allocate<'a>(
     k: &Kernel,
     lin: &Linear,
-    materialized: &HashSet<ValueId>,
+    materialized: impl IntoIterator<Item = &'a ValueId>,
     word_regs: usize,
     pred_available: bool,
 ) -> Result<Allocation, CompileError> {
+    let arena = k.insts().len();
+    let mut needs_reg = ValueSet::new(arena);
+    for &v in materialized {
+        // The caller's ids are unchecked: one outside the arena can name
+        // nothing the scan below visits.
+        if v.index() < arena {
+            needs_reg.insert(v);
+        }
+    }
+
     // Loop metadata, in traversal order (outermost first).
     let metas: Vec<LoopMeta> = lin
         .loops
         .iter()
         .map(|&(header, _, last)| {
             let inst = k.inst(header);
+            let params = k.loop_params(header);
+            let carried = inst.carried.as_deref().unwrap_or(&[]);
             LoopMeta {
                 header,
-                header_pos: lin.pos[&header],
+                header_pos: lin.pos[header],
                 last,
-                params: k.loop_params(header),
-                inits: inst.args.clone(),
-                carried: inst.carried.clone().unwrap_or_default(),
+                cyclic: backedge_has_cycle(&params, carried),
+                params,
+                inits: &inst.args,
+                carried,
             }
         })
         .collect();
 
-    // Results per (loop, index).
-    let mut results: HashMap<(ValueId, u32), Vec<ValueId>> = HashMap::new();
-    for &v in &lin.order {
-        if let Op::Result(idx) = k.inst(v).op {
-            results.entry((k.inst(v).args[0], idx)).or_default().push(v);
-        }
+    // Per value, folded over its use positions (args + guards + carried
+    // values, which the back-edge copies read at the end of the loop
+    // body): the last one, and the live-range end — extended through
+    // any loop that contains a use but not the definition.
+    let mut last_use: ValueMap<usize> = ValueMap::new(arena);
+    let mut ends: ValueMap<usize> = ValueMap::new(arena);
+    for (p, &v) in lin.order.iter().enumerate() {
+        ends.insert(v, p);
     }
-
-    // Collect use positions per value (args + guards + carried values,
-    // which the back-edge copies read at the end of the loop body).
-    let mut uses: HashMap<ValueId, Vec<usize>> = HashMap::new();
+    let mut note_use = |a: ValueId, p: usize| {
+        // A value placed in no region has no range to extend.
+        let Some(def) = lin.pos.get(a) else { return };
+        last_use.insert(a, last_use.get(a).map_or(p, |l| l.max(p)));
+        ends.insert(a, ends[a].max(use_end(def, p, &lin.loops)));
+    };
     for (p, &v) in lin.order.iter().enumerate() {
         let inst = k.inst(v);
         for &a in &inst.args {
-            uses.entry(a).or_default().push(p);
+            note_use(a, p);
         }
         if let Some(g) = inst.guard {
-            uses.entry(g.pred).or_default().push(p);
+            note_use(g.pred, p);
         }
     }
     for meta in &metas {
-        for &c in &meta.carried {
-            uses.entry(c).or_default().push(meta.last);
+        for &c in meta.carried {
+            note_use(c, meta.last);
         }
     }
-
-    let empty: Vec<usize> = Vec::new();
-    let mut ends: HashMap<ValueId, usize> = lin
-        .order
-        .iter()
-        .map(|&v| {
-            let def = lin.pos[&v];
-            let us = uses.get(&v).unwrap_or(&empty);
-            (v, range_end(def, us, &lin.loops))
-        })
-        .collect();
 
     // Initial values stay live until every block parameter of their
     // loop has a register. Parameters are allocated at the body's
@@ -280,9 +337,9 @@ pub fn allocate(
     // entry-copy sources (coalesced slots excepted, and those copies
     // vanish), so entry sets sequence without a scratch register.
     for meta in &metas {
-        for &init in &meta.inits {
-            if let Some(e) = ends.get_mut(&init) {
-                *e = (*e).max(meta.header_pos + meta.params.len());
+        for &init in meta.inits {
+            if let Some(e) = ends.get(init) {
+                ends.insert(init, e.max(meta.header_pos + meta.params.len()));
             }
         }
     }
@@ -297,15 +354,27 @@ pub fn allocate(
     // and coalesce the outer parameter straight into the inner
     // parameter's class, whose entry copy then clobbers the outer
     // parameter every time the inner loop runs.
-    let mut classes = Classes::default();
+    let mut classes = Classes {
+        parent: ValueMap::new(arena),
+        has_param: ValueSet::new(arena),
+    };
+    let mut param_last: ValueMap<usize> = ValueMap::new(arena);
     for meta in &metas {
-        for (i, &p) in meta.params.iter().enumerate() {
-            let root = classes.find(p);
-            classes.has_param.insert(root);
-            if let Some(rs) = results.get(&(meta.header, i as u32)) {
-                for &r in rs {
-                    classes.union(p, r);
-                }
+        for &p in &meta.params {
+            classes.has_param.insert(p);
+            param_last.insert(p, meta.last);
+        }
+    }
+    for &v in &lin.order {
+        let inst = k.inst(v);
+        if let Op::Result(idx) = inst.op {
+            // Block parameters lead their loop's body, in index order.
+            let body = k.inst(inst.args[0]).body.as_deref().unwrap_or(&[]);
+            let param = body
+                .get(idx as usize)
+                .filter(|&&p| classes.has_param.contains(p));
+            if let Some(&p) = param {
+                classes.union(p, v);
             }
         }
     }
@@ -331,17 +400,11 @@ pub fn allocate(
                     .any(|&(_, start, last)| start > d && (start..=last).contains(&meta.header_pos))
             };
             let init_ok = !classes.class_has_param(init)
-                && uses
-                    .get(&init)
-                    .unwrap_or(&empty)
-                    .iter()
-                    .all(|&u| u <= meta.header_pos)
-                && lin.pos.get(&init).is_some_and(|&d| d < meta.header_pos)
-                && !lin
+                && last_use.get(init).is_none_or(|u| u <= meta.header_pos)
+                && lin
                     .pos
-                    .get(&init)
-                    .copied()
-                    .is_some_and(reentered_without_redef);
+                    .get(init)
+                    .is_some_and(|d| d < meta.header_pos && !reentered_without_redef(d));
             if init_ok {
                 classes.union(p, init);
             }
@@ -352,16 +415,16 @@ pub fn allocate(
             // register readable until the copies run, so its own slot
             // must not coalesce over it.
             let c = meta.carried[i];
-            let c_pos = lin.pos.get(&c).copied();
             let feeds_other_slot = meta
                 .carried
                 .iter()
                 .enumerate()
                 .any(|(j, &cc)| j != i && cc == p);
             let carried_ok = !classes.class_has_param(c)
-                && c_pos.is_some_and(|d| d > meta.header_pos && d <= meta.last)
                 && !feeds_other_slot
-                && c_pos.is_some_and(|d| uses.get(&p).unwrap_or(&empty).iter().all(|&u| u <= d));
+                && lin.pos.get(c).is_some_and(|d| {
+                    d > meta.header_pos && d <= meta.last && last_use.get(p).is_none_or(|u| u <= d)
+                });
             if carried_ok {
                 classes.union(p, c);
             }
@@ -371,121 +434,76 @@ pub fn allocate(
     // Class live intervals: a parameter's register stays occupied to
     // the end of its loop (the next iteration reads it at the top), and
     // the class end covers every member.
-    let mut class_end: HashMap<ValueId, usize> = HashMap::new();
-    let mut param_last: HashMap<ValueId, usize> = HashMap::new();
-    for meta in &metas {
-        for &p in &meta.params {
-            param_last.insert(p, meta.last);
-        }
-    }
+    let mut class_end: ValueMap<usize> = ValueMap::new(arena);
     for &v in &lin.order {
         let root = classes.find(v);
-        let mut end = ends[&v];
-        if let Some(&l) = param_last.get(&v) {
-            end = end.max(l);
-        }
-        let e = class_end.entry(root).or_insert(end);
-        *e = (*e).max(end);
+        let end = ends[v].max(param_last.get(v).unwrap_or(0));
+        class_end.insert(root, class_end.get(root).map_or(end, |e| e.max(end)));
     }
 
-    // Loops whose back-edge permutation needs a scratch register.
-    let scratch_loops: HashMap<usize, ValueId> = metas
-        .iter()
-        .filter(|m| backedge_has_cycle(m))
-        .map(|m| (m.header_pos, m.header))
-        .collect();
-
-    let mut alloc = Allocation::default();
+    let mut alloc = Allocation {
+        reg: ValueMap::new(arena),
+        pred: ValueMap::new(arena),
+        loop_scratch: ValueMap::new(arena),
+        regs_used: 0,
+    };
 
     // General-purpose registers: r1..=min(word_regs-1, 254).
     let hi = word_regs.min(255).saturating_sub(1);
-    let mut free: Vec<u8> = (1..=hi as u8).rev().collect();
-    let mut active: Vec<(usize, u8, ValueId)> = Vec::new(); // (end, reg, value)
-    let mut class_reg: HashMap<ValueId, u8> = HashMap::new();
-
-    // Predicates: p0..p3 (none if the build lacks predicate support).
-    let mut pfree: Vec<u8> = if pred_available {
-        vec![3, 2, 1, 0]
-    } else {
-        vec![]
+    let mut words = Bank::new(1, hi);
+    let mut class_reg: ValueMap<u8> = ValueMap::new(arena);
+    let take_word = |words: &mut Bank, end: usize| {
+        words.take(end).ok_or(CompileError::OutOfRegisters {
+            needed: words.active.len() + 1,
+            available: hi,
+        })
     };
-    let mut pactive: Vec<(usize, u8, ValueId)> = Vec::new();
+
+    // Predicates: p0..p3 (a build without predicate support fails on
+    // the first predicate value instead).
+    let mut preds = Bank::new(0, 4);
+
+    // Loops are met in the order `metas` lists them.
+    let mut next_loop = metas.iter().peekable();
 
     for (p, &v) in lin.order.iter().enumerate() {
-        // Expire ranges that ended strictly before this position.
-        active.retain(|&(end, r, _)| {
-            if end < p {
-                free.push(r);
-                false
-            } else {
-                true
-            }
-        });
-        pactive.retain(|&(end, r, _)| {
-            if end < p {
-                pfree.push(r);
-                false
-            } else {
-                true
-            }
-        });
-
-        let take_reg = |free: &mut Vec<u8>,
-                        active: &mut Vec<(usize, u8, ValueId)>,
-                        end: usize,
-                        v: ValueId|
-         -> Result<u8, CompileError> {
-            free.sort_unstable_by(|a, b| b.cmp(a)); // lowest register last
-            let Some(r) = free.pop() else {
-                return Err(CompileError::OutOfRegisters {
-                    needed: active.len() + 1,
-                    available: hi,
-                });
-            };
-            active.push((end, r, v));
-            Ok(r)
-        };
+        words.expire(p);
+        preds.expire(p);
 
         // A loop with a cyclic back-edge permutation reserves a scratch
         // register for the copy sequencer, live through the loop.
-        if let Some(&header) = scratch_loops.get(&p) {
-            let last = metas
-                .iter()
-                .find(|m| m.header == header)
-                .map(|m| m.last)
-                .unwrap_or(p);
-            let r = take_reg(&mut free, &mut active, last, header)?;
-            alloc.regs_used = alloc.regs_used.max(r as usize + 1);
-            alloc.loop_scratch.insert(header, r);
+        if let Some(meta) = next_loop.next_if(|m| m.header == v) {
+            if meta.cyclic {
+                let r = take_word(&mut words, meta.last)?;
+                alloc.regs_used = alloc.regs_used.max(r as usize + 1);
+                alloc.loop_scratch.insert(v, r);
+            }
         }
 
         let inst = k.inst(v);
         match inst.op.ty() {
-            Ty::Word if materialized.contains(&v) => {
+            Ty::Word if needs_reg.contains(v) => {
                 let root = classes.find(v);
-                if let Some(&r) = class_reg.get(&root) {
+                let r = match class_reg.get(root) {
                     // The class already owns a register; this member
                     // simply reads/writes it in place.
-                    alloc.reg.insert(v, r);
-                } else {
-                    let end = class_end.get(&root).copied().unwrap_or(ends[&v]);
-                    let r = take_reg(&mut free, &mut active, end, v)?;
-                    class_reg.insert(root, r);
-                    alloc.regs_used = alloc.regs_used.max(r as usize + 1);
-                    alloc.reg.insert(v, r);
-                }
+                    Some(r) => r,
+                    None => {
+                        let r = take_word(&mut words, class_end[root])?;
+                        class_reg.insert(root, r);
+                        alloc.regs_used = alloc.regs_used.max(r as usize + 1);
+                        r
+                    }
+                };
+                alloc.reg.insert(v, r);
             }
             Ty::Pred => {
                 if !pred_available {
                     return Err(CompileError::PredicatesDisabled);
                 }
-                pfree.sort_unstable_by(|a, b| b.cmp(a));
-                let Some(r) = pfree.pop() else {
-                    return Err(CompileError::OutOfPredicates {
-                        needed: pactive.len() + 1,
-                    });
-                };
-                pactive.push((ends[&v], r, v));
+                let r = preds.take(ends[v]).ok_or(CompileError::OutOfPredicates {
+                    needed: preds.active.len() + 1,
+                })?;
                 alloc.pred.insert(v, r);
             }
             _ => {}
@@ -498,6 +516,7 @@ pub fn allocate(
 mod tests {
     use super::*;
     use crate::ir::{IrBuilder, Op};
+    use std::collections::HashSet;
 
     fn materialized_all(k: &Kernel) -> HashSet<ValueId> {
         let mut m = HashSet::new();
@@ -507,6 +526,13 @@ mod tests {
             }
         });
         m
+    }
+
+    /// Loops the allocator reserved a back-edge scratch register for.
+    fn scratch_count(k: &Kernel, a: &Allocation) -> usize {
+        let mut n = 0;
+        k.for_each_inst(|v, _| n += a.loop_scratch.get(v).is_some() as usize);
+        n
     }
 
     #[test]
@@ -540,10 +566,113 @@ mod tests {
         let k = b.finish();
         let lin = linearize(&k);
         let m = materialized_all(&k);
-        match allocate(&k, &lin, &m, 4, false) {
-            Err(CompileError::OutOfRegisters { available, .. }) => assert_eq!(available, 3),
-            other => panic!("expected OutOfRegisters, got {other:?}"),
+        // tid and two loads fill r1..r3; the third load is the fourth
+        // value live at once.
+        assert_eq!(
+            allocate(&k, &lin, &m, 4, false).unwrap_err(),
+            CompileError::OutOfRegisters {
+                needed: 4,
+                available: 3
+            }
+        );
+    }
+
+    #[test]
+    fn the_lowest_free_register_is_always_chosen() {
+        // Fresh file: r1, r2, r3, r4 in definition order.
+        let mut b = IrBuilder::new("policy");
+        let tid = b.tid();
+        let x = b.load(tid, 0);
+        let y = b.load(tid, 1);
+        let z = b.load(tid, 2);
+        b.store(tid, 8, x); // x's last use: r2 expires after this
+        let w = b.load(tid, 3); // r2 is free again, and so are r5..r15
+        let u = b.load(tid, 4); // r2 is taken: the next lowest is r5
+        for (off, v) in [y, z, w, u].into_iter().enumerate() {
+            b.store(tid, 16 + off as u32, v);
         }
+        let k = b.finish();
+        let a = allocate(&k, &linearize(&k), &materialized_all(&k), 16, false).unwrap();
+        assert_eq!([a.reg[tid], a.reg[x], a.reg[y], a.reg[z]], [1, 2, 3, 4]);
+        assert_eq!(
+            a.reg[w], 2,
+            "an expired low register beats a fresh high one"
+        );
+        assert_eq!(a.reg[u], 5);
+        assert_eq!(a.regs_used, 6);
+    }
+
+    #[test]
+    fn the_lowest_free_predicate_is_always_chosen() {
+        let mut b = IrBuilder::new("ppolicy");
+        let tid = b.tid();
+        let c = b.iconst(1);
+        let ps: Vec<_> = (0..3)
+            .map(|_| b.cmp(crate::ir::CmpOp::Lt, tid, c))
+            .collect();
+        let s0 = b.select(tid, c, ps[0]); // p0's last use
+        let q = b.cmp(crate::ir::CmpOp::Ge, tid, c); // p0 is free again, and so is p3
+        let r = b.cmp(crate::ir::CmpOp::Ne, tid, c); // p0 is taken: p3
+        let mut acc = s0;
+        for p in [ps[1], ps[2], q, r] {
+            acc = b.select(acc, c, p);
+        }
+        b.store(tid, 0, acc);
+        let k = b.finish();
+        let a = allocate(&k, &linearize(&k), &materialized_all(&k), 16, true).unwrap();
+        assert_eq!([a.pred[ps[0]], a.pred[ps[1]], a.pred[ps[2]]], [0, 1, 2]);
+        assert_eq!(a.pred[q], 0, "an expired p0 beats a fresh p3");
+        assert_eq!(a.pred[r], 3);
+    }
+
+    #[test]
+    fn a_loop_takes_its_scratch_register_before_anything_inside_it() {
+        // The swap loop of `swap_permutations_reserve_a_scratch_register`
+        // with a body-local value: the scratch register is claimed at
+        // the header, so it sits below every register the body takes.
+        let mut b = IrBuilder::new("swap");
+        let tid = b.tid();
+        let a0 = b.iconst(1);
+        let b0 = b.iconst(2);
+        let p = b.begin_loop_carried(3, &[a0, b0]);
+        let x = b.load(tid, 5);
+        b.store(tid, 0, x);
+        b.store(tid, 1, p[0]);
+        let r = b.end_loop_carried(&[p[1], p[0]]);
+        b.store(tid, 64, r[0]);
+        b.store(tid, 128, r[1]);
+        let k = b.finish();
+        let lin = linearize(&k);
+        let a = allocate(&k, &lin, &materialized_all(&k), 16, false).unwrap();
+        let header = lin.loops[0].0;
+        // tid, and the two seeds the params coalesce with, came first.
+        assert_eq!([a.reg[tid], a.reg[p[0]], a.reg[p[1]]], [1, 2, 3]);
+        assert_eq!(a.loop_scratch.get(header), Some(4));
+        assert_eq!(a.reg[x], 5);
+    }
+
+    #[test]
+    fn stray_materialized_ids_are_ignored_not_indexed() {
+        // `allocate` is public and its id collection is the caller's:
+        // an id past the arena, an arena entry in no region, a repeat —
+        // none names a value the scan visits, none may panic.
+        let mut b = IrBuilder::new("stray");
+        let tid = b.tid();
+        let x = b.load(tid, 0);
+        b.store(tid, 8, x);
+        let mut k = b.finish();
+        let orphan = k.append_inst(Op::Const(99), vec![]);
+        let lin = linearize(&k);
+        let clean = allocate(&k, &lin, &[tid, x], 16, false).unwrap();
+        let past_arena = ValueId::from_raw(k.insts().len() as u32 + 7);
+        let stray = [tid, x, x, orphan, past_arena, ValueId::from_raw(u32::MAX)];
+        let a = allocate(&k, &lin, &stray, 16, false).unwrap();
+        assert_eq!(a.reg.get(orphan), None);
+        assert_eq!(
+            (a.reg, a.pred, a.regs_used),
+            (clean.reg, clean.pred, clean.regs_used)
+        );
+        assert_eq!(linearize(&k).pos.get(past_arena), None);
     }
 
     #[test]
@@ -561,13 +690,13 @@ mod tests {
         let m = materialized_all(&k);
         let a = allocate(&k, &lin, &m, 16, false).unwrap();
         // bias, x and y must coexist: three registers minimum.
-        let rb = a.reg[&bias];
+        let rb = a.reg[bias];
         let (_, start, last) = lin.loops[0];
         // No value defined inside the loop may share bias's register.
         for p in start..=last {
             let v = lin.order[p];
             if k.inst(v).op.ty() == Ty::Word {
-                assert_ne!(a.reg[&v], rb, "loop-local value reused a live register");
+                assert_ne!(a.reg[v], rb, "loop-local value reused a live register");
             }
         }
     }
@@ -584,7 +713,7 @@ mod tests {
         let lin = linearize(&k);
         let m = materialized_all(&k);
         let a = allocate(&k, &lin, &m, 16, true).unwrap();
-        assert_eq!(a.pred[&p], 0);
+        assert_eq!(a.pred[p], 0);
         let e = allocate(&k, &lin, &m, 16, false).unwrap_err();
         assert_eq!(e, CompileError::PredicatesDisabled);
     }
@@ -628,11 +757,11 @@ mod tests {
         let lin = linearize(&k);
         let m = materialized_all(&k);
         let a = allocate(&k, &lin, &m, 16, false).unwrap();
-        let acc = a.reg[&p[0]];
-        assert_eq!(a.reg[&zero], acc, "init must coalesce");
-        assert_eq!(a.reg[&next], acc, "carried update must coalesce");
-        assert_eq!(a.reg[&r[0]], acc, "result must coalesce");
-        assert!(a.loop_scratch.is_empty());
+        let acc = a.reg[p[0]];
+        assert_eq!(a.reg[zero], acc, "init must coalesce");
+        assert_eq!(a.reg[next], acc, "carried update must coalesce");
+        assert_eq!(a.reg[r[0]], acc, "result must coalesce");
+        assert_eq!(scratch_count(&k, &a), 0);
     }
 
     #[test]
@@ -654,7 +783,7 @@ mod tests {
         let m = materialized_all(&k);
         let a = allocate(&k, &lin, &m, 16, false).unwrap();
         assert_ne!(
-            a.reg[&next], a.reg[&p[0]],
+            a.reg[next], a.reg[p[0]],
             "coalescing would clobber the param before its store"
         );
     }
@@ -676,10 +805,7 @@ mod tests {
         let lin = linearize(&k);
         let m = materialized_all(&k);
         let a = allocate(&k, &lin, &m, 16, false).unwrap();
-        assert_ne!(
-            a.reg[&seed], a.reg[&p[0]],
-            "init must keep its own register"
-        );
+        assert_ne!(a.reg[seed], a.reg[p[0]], "init must keep its own register");
     }
 
     #[test]
@@ -698,7 +824,7 @@ mod tests {
         let lin = linearize(&k);
         let m = materialized_all(&k);
         let a = allocate(&k, &lin, &m, 16, false).unwrap();
-        assert_eq!(a.loop_scratch.len(), 1, "swap needs one scratch register");
+        assert_eq!(scratch_count(&k, &a), 1, "swap needs one scratch register");
         // The state-rotation *chain* (x2=x1, x1=x0) needs none.
         let mut b = IrBuilder::new("chain");
         let tid = b.tid();
@@ -712,7 +838,7 @@ mod tests {
         let lin = linearize(&k);
         let m = materialized_all(&k);
         let a = allocate(&k, &lin, &m, 16, false).unwrap();
-        assert!(a.loop_scratch.is_empty(), "chains sequence without scratch");
+        assert_eq!(scratch_count(&k, &a), 0, "chains sequence without scratch");
     }
 
     #[test]
@@ -728,7 +854,7 @@ mod tests {
         let mut m = materialized_all(&k);
         m.remove(&c);
         let a = allocate(&k, &lin, &m, 16, false).unwrap();
-        assert!(!a.reg.contains_key(&c));
+        assert_eq!(a.reg.get(c), None);
         assert_eq!(a.regs_used, 3); // r0 reserved, tid=r1, y=r2
         assert_eq!(k.inst(c).op, Op::Const(3));
     }
