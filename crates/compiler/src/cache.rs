@@ -30,6 +30,7 @@ use simt_core::{DecodedProgram, ProcessorConfig};
 use simt_isa::{IsaError, Program};
 use simt_profile::{CacheTier, Event, EventRing};
 use std::collections::{HashMap, HashSet};
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -281,9 +282,9 @@ impl CompileCache {
         asm: &str,
         config: &ProcessorConfig,
     ) -> Result<(Arc<DecodedProgram>, bool), IsaError> {
-        let mut h = Fnv::new();
+        let mut h = Fnv::default();
         h.write_u8(ASM_NAMESPACE);
-        h.write_bytes(asm.as_bytes());
+        h.write(asm.as_bytes());
         hash_config(&mut h, config);
         let key = h.finish();
         self.lookup(

@@ -846,10 +846,10 @@ impl Kernel {
             .as_ref()
             .map_err(Clone::clone)?;
         let state = *self.identity.keyed[opt_full as usize].get_or_init(|| {
-            let mut h = Fnv::new();
+            let mut h = Fnv::default();
             h.write_u8(crate::cache::IR_NAMESPACE);
             h.write_u8(opt_full as u8);
-            h.write_bytes(canon);
+            h.write(canon);
             h.finish()
         });
         Ok((canon, Fnv(state)))
@@ -859,8 +859,8 @@ impl Kernel {
     /// [`crate::CompileCache`] key. Deterministic across processes
     /// (FNV-1a over [`Kernel::canonical_bytes`]).
     pub fn content_hash(&self, config: &ProcessorConfig) -> u64 {
-        let mut h = Fnv::new();
-        h.write_bytes(&self.canonical_bytes(config));
+        let mut h = Fnv::default();
+        h.write(&self.canonical_bytes(config));
         h.finish()
     }
 }
@@ -1156,14 +1156,20 @@ fn put(out: &mut Vec<u8>, v: u32) {
 pub(crate) struct Fnv(u64);
 
 impl Default for Fnv {
+    /// The FNV-1a offset basis.
     fn default() -> Self {
-        Fnv::new()
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
 }
 
+/// `write` and `finish` are the trait's; the fixed-width writes below
+/// stay inherent so a key's bytes are little-endian on every host (the
+/// trait's defaults feed native-endian bytes).
 impl Hasher for Fnv {
     fn write(&mut self, bytes: &[u8]) {
-        self.write_bytes(bytes);
+        for &b in bytes {
+            self.write_u8(b);
+        }
     }
 
     fn finish(&self) -> u64 {
@@ -1172,10 +1178,6 @@ impl Hasher for Fnv {
 }
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
     pub(crate) fn write_u8(&mut self, b: u8) {
         self.0 ^= b as u64;
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
@@ -1185,16 +1187,6 @@ impl Fnv {
         for b in v.to_le_bytes() {
             self.write_u8(b);
         }
-    }
-
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u8(b);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -31,6 +31,9 @@
 //! * [`lower`] — instruction selection (immediate forms for constant
 //!   operands) and emission of a [`simt_isa::Program`] through the
 //!   existing [`simt_isa::KernelBuilder`].
+//! * [`entity`] — the **dense side tables** every stage above keeps its
+//!   per-value facts in: a `Vec`-backed map and a bit-set indexed by
+//!   [`ValueId`] (Cranelift's `SecondaryMap`/`EntitySet`), not hash maps.
 //! * [`cache`] — a **content-addressed [`CompileCache`]**: hash of
 //!   (IR or assembly source, [`ProcessorConfig`], opt level) →
 //!   compiled program, shared across a device pool so repeated launches

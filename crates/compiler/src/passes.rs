@@ -11,7 +11,7 @@
 //! saturation), so folding can never change a kernel's output.
 
 use crate::entity::{ValueMap, ValueSet};
-use crate::ir::{BinOp, Fnv, Kernel, Op, UnOp, ValueId};
+use crate::ir::{BinOp, Fnv, IrGuard, Kernel, Op, UnOp, ValueId};
 use crate::lower::{bin_opcode, un_opcode};
 use simt_core::alu::native;
 use simt_isa::Opcode;
@@ -172,22 +172,18 @@ fn take_body(k: &mut Kernel, v: ValueId) -> Option<Vec<ValueId>> {
     k.inst_mut(v).body.take()
 }
 
+/// Apply a replacement map to an instruction's operands and guard.
+/// `inst_mut` detaches the kernel's identity memo, so it is taken only
+/// for a slot that really changes.
 fn rewrite_args(k: &mut Kernel, v: ValueId, replace: &ValueMap<ValueId>) {
-    let inst = k.inst(v);
-    let stale = inst.args.iter().any(|&a| replace.get(a).is_some())
-        || inst.guard.is_some_and(|g| replace.get(g.pred).is_some());
-    if !stale {
-        return;
-    }
-    let inst = k.inst_mut(v);
-    for a in inst.args.iter_mut() {
-        if let Some(r) = replace.get(*a) {
-            *a = r;
+    for i in 0..k.inst(v).args.len() {
+        if let Some(r) = replace.get(k.inst(v).args[i]) {
+            k.inst_mut(v).args[i] = r;
         }
     }
-    if let Some(g) = &mut inst.guard {
-        if let Some(r) = replace.get(g.pred) {
-            g.pred = r;
+    if let Some(g) = k.inst(v).guard {
+        if let Some(pred) = replace.get(g.pred) {
+            k.inst_mut(v).guard = Some(IrGuard { pred, ..g });
         }
     }
 }
@@ -223,16 +219,13 @@ fn fold_region(
         // either away would make inactive lanes observe a value they
         // never computed (their register keeps its prior contents), so
         // masked instructions are left exactly as written.
+        // Non-loop arity is at most 3, and nothing below matches more.
         let inst = k.inst(v);
-        if inst.guard.is_some() || inst.scale.is_some() {
+        if inst.guard.is_some() || inst.scale.is_some() || inst.args.len() > 3 {
             continue;
         }
-        // Non-loop arity is at most 3; nothing below matches more.
         let (op, args) = (inst.op, inst.args.as_slice());
         let mut consts = [None; 3];
-        if args.len() > consts.len() {
-            continue;
-        }
         for (c, &a) in consts.iter_mut().zip(args) {
             *c = k.as_const(a);
         }
@@ -361,8 +354,7 @@ fn reduce_region(
                         let sh = strength_const(k, pool, c.trailing_zeros() as i32);
                         let inst = k.inst_mut(v);
                         inst.op = Op::Bin(BinOp::Shl);
-                        inst.args.clear();
-                        inst.args.extend([x, sh]);
+                        inst.args = vec![x, sh];
                         *changed = true;
                     }
                 }
@@ -429,10 +421,8 @@ pub fn cse(k: &mut Kernel) -> bool {
         replace: &mut ValueMap<ValueId>,
         changed: &mut bool,
     ) {
-        scopes.push(FnvMap::with_capacity_and_hasher(
-            region.len(),
-            Default::default(),
-        ));
+        let scope = FnvMap::with_capacity_and_hasher(region.len(), Default::default());
+        scopes.push(scope);
         for &v in region {
             rewrite_args(k, v, replace);
             if let Some(body) = take_body(k, v) {
@@ -623,8 +613,7 @@ pub fn mad_fuse(k: &mut Kernel) -> bool {
     for (v, args) in rewrites {
         let inst = k.inst_mut(v);
         inst.op = Op::Mad;
-        inst.args.clear();
-        inst.args.extend(args);
+        inst.args = args.to_vec();
     }
     changed
 }

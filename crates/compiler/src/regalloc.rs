@@ -53,12 +53,9 @@ pub struct Linear {
 
 /// Flatten the region tree into emission order.
 pub fn linearize(k: &Kernel) -> Linear {
-    // The arena bounds what the regions can reach.
-    let arena = k.insts().len();
     let mut lin = Linear {
-        order: Vec::with_capacity(arena),
-        pos: ValueMap::new(arena),
-        loops: Vec::new(),
+        pos: ValueMap::new(k.insts().len()),
+        ..Default::default()
     };
     fn walk(k: &Kernel, region: &[ValueId], lin: &mut Linear) {
         for &v in region {
@@ -96,7 +93,6 @@ pub struct Allocation {
 
 /// Union-find over values, tracking whether a class already contains a
 /// block parameter (classes never merge two parameters).
-#[derive(Debug)]
 struct Classes {
     parent: ValueMap<ValueId>,
     has_param: ValueSet,
@@ -144,7 +140,6 @@ fn use_end(def_pos: usize, use_pos: usize, loops: &[(ValueId, usize, usize)]) ->
 }
 
 /// Per-loop block-parameter metadata gathered for coalescing.
-#[derive(Debug)]
 struct LoopMeta<'k> {
     header: ValueId,
     header_pos: usize,
@@ -152,20 +147,19 @@ struct LoopMeta<'k> {
     params: Vec<ValueId>,
     inits: &'k [ValueId],
     carried: &'k [ValueId],
-    /// The back-edge copies need a scratch register.
-    cyclic: bool,
 }
 
 /// True when the loop's param-to-param back-edge copies form at least
 /// one cyclic permutation (e.g. a swap `carried = [p1, p0]`), which
 /// needs a scratch register to sequence.
-fn backedge_has_cycle(params: &[ValueId], carried: &[ValueId]) -> bool {
+fn backedge_has_cycle(meta: &LoopMeta) -> bool {
     // map: param index i receives param index j on the back edge.
-    let src_of: Vec<Option<usize>> = carried
+    let src_of: Vec<Option<usize>> = meta
+        .carried
         .iter()
-        .map(|c| params.iter().position(|p| p == c))
+        .map(|c| meta.params.iter().position(|p| p == c))
         .collect();
-    let n = params.len();
+    let n = meta.params.len();
     // Walk the "receives-from" edges; a node revisited while still on
     // the current path closes a cycle. (Not a permutation: one param
     // may feed several slots, so paths can merge — finished nodes are
@@ -282,16 +276,13 @@ pub fn allocate<'a>(
         .iter()
         .map(|&(header, _, last)| {
             let inst = k.inst(header);
-            let params = k.loop_params(header);
-            let carried = inst.carried.as_deref().unwrap_or(&[]);
             LoopMeta {
                 header,
                 header_pos: lin.pos[header],
                 last,
-                cyclic: backedge_has_cycle(&params, carried),
-                params,
+                params: k.loop_params(header),
                 inits: &inst.args,
-                carried,
+                carried: inst.carried.as_deref().unwrap_or(&[]),
             }
         })
         .collect();
@@ -472,12 +463,11 @@ pub fn allocate<'a>(
 
         // A loop with a cyclic back-edge permutation reserves a scratch
         // register for the copy sequencer, live through the loop.
-        if let Some(meta) = next_loop.next_if(|m| m.header == v) {
-            if meta.cyclic {
-                let r = take_word(&mut words, meta.last)?;
-                alloc.regs_used = alloc.regs_used.max(r as usize + 1);
-                alloc.loop_scratch.insert(v, r);
-            }
+        let header = next_loop.next_if(|m| m.header == v);
+        if let Some(meta) = header.filter(|m| backedge_has_cycle(m)) {
+            let r = take_word(&mut words, meta.last)?;
+            alloc.regs_used = alloc.regs_used.max(r as usize + 1);
+            alloc.loop_scratch.insert(v, r);
         }
 
         let inst = k.inst(v);
