@@ -388,6 +388,167 @@ mod tests {
         )
     }
 
+    // ---- the write-back contract -------------------------------------
+    //
+    // What a launch may do to the stream buffer, stated by the rule the
+    // launch path was first written with: seed a fresh processor's
+    // shared memory from `buffer[..shared_words]`, apply the inline
+    // inputs, run, and copy the *whole* shared image back. However the
+    // device moves less than that, the buffer must end up the same.
+
+    /// A 64-thread kernel on the small build (1024 shared words).
+    fn asm_spec(name: &str, asm: &str, inputs: Vec<(usize, Vec<u32>)>) -> LaunchSpec {
+        LaunchSpec {
+            name: name.into(),
+            config: ProcessorConfig::small(),
+            source: KernelSource::Asm(asm.into()),
+            inputs,
+            out_off: 0,
+            out_len: 0,
+            expected: Vec::new(),
+        }
+    }
+
+    /// Store shapes: unit-stride, scattered, colliding, guarded (some
+    /// lanes off, all lanes off), scaled, store-free, at the last words
+    /// of shared memory, and with inline inputs (read, and not read).
+    fn contract_kernels() -> Vec<LaunchSpec> {
+        let k = |name, asm| asm_spec(name, asm, Vec::new());
+        vec![
+            k(
+                "unit_stride",
+                "  stid r1\n  lds r2, [r1+0]\n  addi r2, r2, 1\n  sts [r1+64], r2\n  exit",
+            ),
+            k(
+                "scattered",
+                "  stid r1\n  muli r2, r1, 13\n  sts [r2+5], r1\n  exit",
+            ),
+            k(
+                "colliding",
+                "  stid r1\n  movi r2, 300\n  sts [r2+0], r1\n  exit",
+            ),
+            k(
+                "guarded_odd_lanes",
+                "  stid r1\n  andi r2, r1, 1\n  movi r3, 0\n  setp.ne p1, r2, r3\n  @p1 sts [r1+200], r1\n  exit",
+            ),
+            k(
+                "guarded_all_off",
+                "  stid r1\n  movi r2, 0\n  setp.lt p0, r1, r2\n  @p0 sts [r1+0], r2\n  exit",
+            ),
+            k(
+                "scaled",
+                "  stid r1\n  muli r15, r1, 3\n  sts.t2 [r1+500], r15\n  exit",
+            ),
+            k("store_free", "  stid r1\n  lds r7, [r1+10]\n  exit"),
+            k("last_words", "  stid r1\n  sts [r1+960], r1\n  exit"),
+            asm_spec(
+                "inline_inputs_read",
+                "  stid r1\n  lds r2, [r1+700]\n  shli r2, r2, 1\n  sts [r1+100], r2\n  exit",
+                vec![(700, (1..=64).collect()), (40, vec![0xAAAA, 0xBBBB])],
+            ),
+            asm_spec(
+                "inline_inputs_only",
+                "  stid r1\n  exit",
+                vec![(1020, vec![1, 2, 3, 4]), (0, vec![9])],
+            ),
+        ]
+    }
+
+    /// A non-zero word everywhere, different at every index.
+    fn pattern(len: usize, salt: u32) -> Vec<u32> {
+        (0..len as u32)
+            .map(|i| (i ^ salt).wrapping_mul(2654435761) | 1)
+            .collect()
+    }
+
+    /// The buffer a launch must leave, by the full-copy rule.
+    fn full_copy_rule(spec: &LaunchSpec, buffer: &[u32]) -> Vec<u32> {
+        let shared_words = spec.config.shared_words.min(buffer.len());
+        let mut cpu = Processor::new(spec.config.clone()).unwrap();
+        cpu.shared_mut()
+            .load_words(0, &buffer[..shared_words])
+            .unwrap();
+        for (off, words) in &spec.inputs {
+            cpu.shared_mut().load_words(*off, words).unwrap();
+        }
+        let program = spec.source.compile(&spec.config).unwrap();
+        cpu.load_program(&program).unwrap();
+        cpu.run(RunOptions::default()).unwrap();
+        let mut want = buffer.to_vec();
+        want[..shared_words].copy_from_slice(&cpu.shared().as_slice()[..shared_words]);
+        want
+    }
+
+    #[test]
+    fn write_back_equals_the_full_copy_rule() {
+        // shared_words (1024) below, equal to and above the buffer.
+        for buffer_words in [4096usize, 1024, 512] {
+            // One device per size: its one cached build serves every
+            // launch, each on top of what the last one left behind.
+            let mut d = device();
+            let mut buffer = pattern(buffer_words, buffer_words as u32);
+            let kernels = contract_kernels();
+            for (round, spec) in kernels.iter().chain(kernels.iter().rev()).enumerate() {
+                let want = full_copy_rule(spec, &buffer);
+                let out = d.run_launch(spec, &mut buffer).unwrap();
+                assert_eq!(out.cache_hit, round > 0, "{}", spec.name);
+                assert!(
+                    buffer == want,
+                    "{} on a {buffer_words}-word buffer: first difference at word {:?}",
+                    spec.name,
+                    buffer.iter().zip(&want).position(|(a, b)| a != b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn failed_launches_leave_the_buffer_bit_identical() {
+        // Over budget only for the long kernel; every other one here
+        // runs for a few hundred clocks.
+        let mut d = Device::new(
+            0,
+            DeviceConfig::default(),
+            3_000,
+            Arc::new(CompileCache::new()),
+            None,
+        );
+        // Both store (and write registers and a predicate) before
+        // failing: lanes 0..40 of the scattered store land before lane
+        // 40 leaves the memory; the spin outlives the budget.
+        let trapping = asm_spec(
+            "trapping",
+            "  stid r1\n  sts [r1+0], r1\n  setp.eq p2, r1, r1\n  muli r15, r1, 25\n  sts [r15+24], r1\n  exit",
+            vec![(600, vec![7; 8])],
+        );
+        let over_budget = asm_spec(
+            "over_budget",
+            "  stid r1\n  sts [r1+128], r1\n  setp.eq p3, r1, r1\n  loop 2000, end\n  addi r14, r14, 1\n end:\n  exit",
+            vec![(900, vec![5; 4])],
+        );
+        let good = &contract_kernels()[0];
+        for buffer_words in [4096usize, 1024] {
+            let mut buffer = pattern(buffer_words, 77);
+            for _ in 0..2 {
+                let before = buffer.clone();
+                match d.run_launch(&trapping, &mut buffer) {
+                    Err(RuntimeError::Exec { kernel, .. }) => assert_eq!(kernel, "trapping"),
+                    other => panic!("expected Exec, got {other:?}"),
+                }
+                assert!(buffer == before, "a trapped launch must not write back");
+                match d.run_launch(&over_budget, &mut buffer) {
+                    Err(RuntimeError::Timeout { kernel, .. }) => assert_eq!(kernel, "over_budget"),
+                    other => panic!("expected Timeout, got {other:?}"),
+                }
+                assert!(buffer == before, "a killed launch must not write back");
+                // And nothing of either survives into the next launch.
+                let want = full_copy_rule(good, &buffer);
+                d.run_launch(good, &mut buffer).unwrap();
+                assert!(buffer == want, "a good launch after two failed ones");
+            }
+        }
+    }
+
     #[test]
     fn copy_cost_matches_link_model() {
         let d = device();
