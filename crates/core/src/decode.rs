@@ -172,6 +172,8 @@ pub struct DecodedProgram {
     config: ProcessorConfig,
     /// What [`validate_program`] says of `program` under `config`.
     validity: Result<(), LoadError>,
+    /// See [`DecodedProgram::footprint`].
+    footprint: (usize, bool),
 }
 
 impl DecodedProgram {
@@ -182,13 +184,19 @@ impl DecodedProgram {
     /// [`Processor::load_decoded`](crate::Processor::load_decoded)
     /// returns instead of loading it.
     pub fn decode(program: Arc<Program>, config: &ProcessorConfig) -> Self {
-        let uops = program
+        let uops: Vec<Uop> = program
             .instructions()
             .iter()
             .map(|i| Uop::decode(i, config))
             .collect();
+        let footprint = uops.iter().fold((0, false), |(regs, preds), u| {
+            let named = u.rd.max(u.ra).max(u.rb).max(u.rc) as usize + 1;
+            let sets_pred = u.pred_bit != 0 && u.opcode != Opcode::Selp;
+            (regs.max(named), preds | sets_pred)
+        });
         DecodedProgram {
             uops,
+            footprint,
             validity: validate_program(&program, config),
             program,
             config: config.clone(),
@@ -199,6 +207,15 @@ impl DecodedProgram {
     /// [`DecodedProgram::config`], computed once at decode time.
     pub(crate) fn validity(&self) -> &Result<(), LoadError> {
         &self.validity
+    }
+
+    /// The register-file state a run of this program can dirty: one
+    /// past the highest register index any µop names (dead fields decode
+    /// to 0, so a field that names nothing counts as `r0`), and whether
+    /// any µop writes a predicate. Registers are stored register-major, so the first
+    /// component bounds a *prefix* of the file.
+    pub(crate) fn footprint(&self) -> (usize, bool) {
+        self.footprint
     }
 
     /// The source program.

@@ -10,6 +10,12 @@
 //! issues one instruction across every thread, so the simulator's inner
 //! loops walk one register of all threads — a contiguous column here
 //! (see `docs/SIMULATOR.md`, "Register-file layout").
+//!
+//! Register-major also makes "the registers a program names" a
+//! contiguous *prefix* of the storage, so the file remembers how many
+//! leading columns may be non-zero and a reset zeroes only those: every
+//! host write raises the mark, and the run loop raises it once per run
+//! from the decoded program's footprint.
 
 use crate::config::ProcessorConfig;
 use simt_isa::SP_COUNT;
@@ -24,6 +30,10 @@ pub struct RegisterFile {
     data: Vec<u32>,
     /// Per-thread predicate registers p0..p3, one nibble per thread.
     preds: Vec<u8>,
+    /// Columns `dirty_regs..` are all zero.
+    dirty_regs: usize,
+    /// When false, every predicate nibble is zero.
+    dirty_preds: bool,
 }
 
 impl RegisterFile {
@@ -34,6 +44,8 @@ impl RegisterFile {
             threads: config.threads,
             data: vec![0; config.threads * config.regs_per_thread],
             preds: vec![0; config.threads],
+            dirty_regs: 0,
+            dirty_preds: false,
         }
     }
 
@@ -65,14 +77,27 @@ impl RegisterFile {
 
     fn column_mut(&mut self, reg: u8) -> &mut [u32] {
         let base = self.index(0, reg);
+        self.touch(reg as usize + 1, false);
         &mut self.data[base..][..self.threads]
     }
 
+    /// Record that registers `0..regs` (clamped to the file) and, if
+    /// `preds`, the predicates may be written from now on: what
+    /// [`RegisterFile::clear`] will have to zero.
+    #[inline]
+    pub(crate) fn touch(&mut self, regs: usize, preds: bool) {
+        self.dirty_regs = self.dirty_regs.max(regs.min(self.regs_per_thread));
+        self.dirty_preds |= preds;
+    }
+
     /// Zero every register and predicate in place (power-on state, no
-    /// reallocation).
+    /// reallocation): only the columns something may have written.
     pub(crate) fn clear(&mut self) {
-        self.data.fill(0);
-        self.preds.fill(0);
+        self.data[..self.dirty_regs * self.threads].fill(0);
+        if self.dirty_preds {
+            self.preds.fill(0);
+        }
+        (self.dirty_regs, self.dirty_preds) = (0, false);
     }
 
     /// Read a register.
@@ -86,6 +111,7 @@ impl RegisterFile {
     pub fn write(&mut self, thread: usize, reg: u8, value: u32) {
         let i = self.index(thread, reg);
         self.data[i] = value;
+        self.touch(reg as usize + 1, false);
     }
 
     /// Read a predicate register.
@@ -97,6 +123,7 @@ impl RegisterFile {
     /// Write a predicate register.
     #[inline]
     pub fn write_pred(&mut self, thread: usize, pred: usize, value: bool) {
+        self.dirty_preds = true;
         let bit = 1u8 << (pred & 3);
         if value {
             self.preds[thread] |= bit;
@@ -134,7 +161,9 @@ impl RegisterFile {
     /// Split borrow of the raw register and predicate arrays plus the
     /// column stride, for the simulator's column kernels (`data` is
     /// `[reg][thread]` register-major, one column of `threads` words
-    /// per register; `preds` one nibble-in-a-byte per thread).
+    /// per register; `preds` one nibble-in-a-byte per thread). Writes
+    /// through it are not seen by the dirty marks: the run loop
+    /// [`RegisterFile::touch`]es the program's footprint first.
     pub(crate) fn split_mut(&mut self) -> (&mut [u32], &mut [u8], usize) {
         (&mut self.data, &mut self.preds, self.threads)
     }
@@ -159,6 +188,7 @@ impl RegisterFile {
         assert_eq!(preds.len(), self.preds.len());
         self.data.copy_from_slice(data);
         self.preds.copy_from_slice(preds);
+        self.touch(self.regs_per_thread, true);
     }
 }
 

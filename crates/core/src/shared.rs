@@ -10,10 +10,23 @@
 //! read-address mux in 4 clocks (4 threads per clock), and writes through
 //! the 16:1 write muxes one thread per clock. Dynamic thread scaling
 //! shortens both by shrinking the row count.
+//!
+//! # The written extent
+//!
+//! The memory is *seeded* with an image
+//! ([`Processor::reset_seeded`](crate::Processor::reset_seeded); a plain
+//! reset seeds the empty image) and from then on keeps one extent `[lo, hi)`
+//! covering every word written since, by the host or by a store. The
+//! invariant every writer maintains: **outside the extent, memory equals
+//! the seed image** — the image's words below its length, zero above.
+//! A host that seeded the memory from a buffer therefore has only the
+//! extent to copy back, and the next seed has only the words past its
+//! own image to zero.
 
 use crate::error::ExecError;
 use serde::{Deserialize, Serialize};
 use simt_isa::{SHARED_READ_PORTS, SP_COUNT};
+use std::ops::Range;
 
 /// Cycle-level access statistics of the memory system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,6 +64,12 @@ impl SharedMemStats {
 pub struct SharedMemory {
     data: Vec<u32>,
     stats: SharedMemStats,
+    /// Words written since the last seed lie in `written` (empty:
+    /// `start == end`).
+    written: Range<usize>,
+    /// Length of the last seed image: outside `written`, words at or
+    /// above it are zero.
+    seeded: usize,
 }
 
 impl SharedMemory {
@@ -59,6 +78,8 @@ impl SharedMemory {
         SharedMemory {
             data: vec![0; words],
             stats: SharedMemStats::default(),
+            written: 0..0,
+            seeded: 0,
         }
     }
 
@@ -77,17 +98,47 @@ impl SharedMemory {
         self.stats = SharedMemStats::default();
     }
 
-    /// Zero contents and statistics in place (power-on state, no
-    /// reallocation).
-    pub(crate) fn clear(&mut self) {
-        self.data.fill(0);
+    /// Make the contents `image` followed by zeros, reset the
+    /// statistics and empty the written extent — in place, one copy of
+    /// the image, and zeroing only the words past it that the previous
+    /// image or a write since may have left non-zero. Seeding the empty
+    /// image is the power-on state.
+    pub(crate) fn seed(&mut self, image: &[u32]) -> Result<(), ExecError> {
+        let head = self.host_range(0, image.len())?;
+        let stale = self.seeded.max(self.written.end);
+        self.data[head].copy_from_slice(image);
+        if let Some(tail) = self.data.get_mut(image.len()..stale) {
+            tail.fill(0);
+        }
         self.reset_stats();
+        (self.written, self.seeded) = (0..0, image.len());
+        Ok(())
+    }
+
+    /// The extent covering every word written since the last seed (see
+    /// the module doc); empty when nothing was.
+    pub fn written(&self) -> Range<usize> {
+        self.written.clone()
+    }
+
+    /// Widen the written extent to cover `words` (in bounds; an empty
+    /// range, whatever its ends, covers nothing).
+    #[inline]
+    fn mark_written(&mut self, words: Range<usize>) {
+        if words.is_empty() {
+            return;
+        }
+        self.written = if self.written.is_empty() {
+            words
+        } else {
+            self.written.start.min(words.start)..self.written.end.max(words.end)
+        };
     }
 
     /// The in-bounds word range `offset..offset + len`, or the trap a
     /// host access outside the array reports (`addr` is the last word
     /// asked for, saturated when `offset + len` overflows).
-    fn host_range(&self, offset: usize, len: usize) -> Result<std::ops::Range<usize>, ExecError> {
+    fn host_range(&self, offset: usize, len: usize) -> Result<Range<usize>, ExecError> {
         match offset.checked_add(len) {
             Some(end) if end <= self.data.len() => Ok(offset..end),
             end => Err(ExecError::SharedOutOfBounds {
@@ -102,7 +153,8 @@ impl SharedMemory {
     /// Host-side bulk write starting at word `offset`.
     pub fn load_words(&mut self, offset: usize, words: &[u32]) -> Result<(), ExecError> {
         let range = self.host_range(offset, words.len())?;
-        self.data[range].copy_from_slice(words);
+        self.data[range.clone()].copy_from_slice(words);
+        self.mark_written(range);
         Ok(())
     }
 
@@ -142,6 +194,7 @@ impl SharedMemory {
             Some(slot) => {
                 *slot = value;
                 self.stats.writes += 1;
+                self.mark_written(addr..addr + 1);
                 Ok(())
             }
             None => Err(ExecError::SharedOutOfBounds {
@@ -197,7 +250,7 @@ impl SharedMemory {
     }
 
     /// Mutable slice view for the simulator's `sts` column kernel, which
-    /// counts its writes itself (see [`SharedMemory::bump_writes`]).
+    /// reports what it wrote itself (see [`SharedMemory::note_writes`]).
     pub(crate) fn as_mut_slice(&mut self) -> &mut [u32] {
         &mut self.data
     }
@@ -210,9 +263,10 @@ impl SharedMemory {
     }
 
     /// Account `n` word writes performed through
-    /// [`SharedMemory::as_mut_slice`].
-    pub(crate) fn bump_writes(&mut self, n: u64) {
+    /// [`SharedMemory::as_mut_slice`], all of them inside `words`.
+    pub(crate) fn note_writes(&mut self, n: u64, words: Range<usize>) {
         self.stats.writes += n;
+        self.mark_written(words);
     }
 }
 

@@ -43,6 +43,7 @@ use crate::shared::SharedMemory;
 use crate::stats::ExecStats;
 use simt_isa::{CycleClass, Guard, Instruction, Opcode, Program};
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Execution mode selector.
@@ -214,10 +215,24 @@ impl Processor {
 
     /// Reset architectural state (registers, predicates, shared memory
     /// and its statistics) to power-on zeros, keeping the loaded program
-    /// and its decode. Zeroes in place — no reallocation.
+    /// and its decode. Zeroes in place — no reallocation — and only what
+    /// was written since the last reset (`docs/SIMULATOR.md`, "What a
+    /// reset costs").
     pub fn reset(&mut self) {
+        self.reset_seeded(&[])
+            .expect("the empty image fits any memory");
+    }
+
+    /// [`Processor::reset`], with shared memory starting as `image`
+    /// followed by zeros instead of all zeros — one copy, where a reset
+    /// and a [`SharedMemory::load_words`] would clear the memory and then
+    /// overwrite it. The image is the *seed*: it is not part of
+    /// [`SharedMemory::written`]. Fails, changing nothing, when the image
+    /// is longer than the memory.
+    pub fn reset_seeded(&mut self, image: &[u32]) -> Result<(), ExecError> {
+        self.shared.seed(image)?;
         self.regfile.clear();
-        self.shared.clear();
+        Ok(())
     }
 
     /// Snapshot the full architectural state (registers, predicates,
@@ -367,6 +382,10 @@ impl Processor {
     ) -> Result<ExecStats, ExecError> {
         let uops = decoded.uops();
         self.shared.reset_stats();
+        // The column kernels write registers through raw slices: tell
+        // the file up front what this program can dirty.
+        let (regs, preds) = decoded.footprint();
+        self.regfile.touch(regs, preds);
         let mut stats = ExecStats {
             cycles: FETCH_PIPELINE_DEPTH,
             fill_cycles: FETCH_PIPELINE_DEPTH,
@@ -1041,8 +1060,9 @@ fn gather(
 
 /// `sts`, lane by lane and in thread order: `data[a[t] + imm] =
 /// values[t]` on guard-passing lanes, stopping at the first
-/// out-of-bounds one. Returns the words written and that lane's
-/// `(thread, addr)`, if any. Out of line for [`gather`]'s reason.
+/// out-of-bounds one. Returns the words written, the extent they lie in
+/// and that lane's `(thread, addr)`, if any. Out of line for
+/// [`gather`]'s reason.
 #[inline(never)]
 fn scatter(
     data: &mut [u32],
@@ -1050,19 +1070,20 @@ fn scatter(
     values: &[u32],
     p: &[u8],
     u: &Uop,
-) -> (u64, Option<(usize, usize)>) {
-    let mut writes = 0u64;
+) -> (u64, Range<usize>, Option<(usize, usize)>) {
+    let (mut writes, mut lo, mut hi) = (0u64, usize::MAX, 0);
     for (thread, ((&a, &value), &p)) in a.iter().zip(values).zip(p).enumerate() {
         if u.guard_passes(p) {
             let addr = a.wrapping_add(u.imm) as usize;
             match data.get_mut(addr) {
                 Some(slot) => *slot = value,
-                None => return (writes, Some((thread, addr))),
+                None => return (writes, lo..hi, Some((thread, addr))),
             }
+            (lo, hi) = (lo.min(addr), hi.max(addr + 1));
             writes += 1;
         }
     }
-    (writes, None)
+    (writes, lo..hi, None)
 }
 
 impl ColumnKernel<'_> {
@@ -1216,12 +1237,12 @@ impl ColumnKernel<'_> {
         if u.guard_and == 0 {
             if let Some(first) = unit_stride(a, u.imm, size) {
                 data[first..][..active].copy_from_slice(values);
-                shared.bump_writes(active as u64);
+                shared.note_writes(active as u64, first..first + active);
                 return Ok(());
             }
         }
-        let (writes, trap) = scatter(data, a, values, p, &u);
-        shared.bump_writes(writes);
+        let (writes, extent, trap) = scatter(data, a, values, p, &u);
+        shared.note_writes(writes, extent);
         trap.map_or(Ok(()), |(thread, addr)| {
             Err(ExecError::SharedOutOfBounds {
                 pc,

@@ -8,8 +8,12 @@
 //!    configuration and compile every launch through the pool-wide
 //!    content-addressed compile cache. Instantiation is the only
 //!    compile cost the graph ever pays; replays are pure cache hits.
-//! 2. [`Runtime::replay`] — execute the DAG against a fresh graph
-//!    buffer, walking a deterministic topological order and *placing*
+//! 2. [`Runtime::replay`] — execute the DAG against a fresh, zeroed
+//!    graph buffer of as many words as the graph can address (the
+//!    largest copy-window end and `min(shared_words, memory_words)` of
+//!    its launches, fixed at instantiation and raised by
+//!    [`GraphExec::set_copy_in`]; never more than the device buffer),
+//!    walking a deterministic topological order and *placing*
 //!    each ready node on the least-loaded device engine of the pool's
 //!    shared virtual timeline (launches on compute engines, copies on
 //!    DMA engines — the same dispatch rule stream commands use). The
@@ -18,6 +22,12 @@
 //!
 //! Replays are parameterizable: [`GraphExec::set_copy_in`] swaps a
 //! copy-in node's payload between replays — new data, zero recompiles.
+//!
+//! What a replay copies: each copy-in's payload into the buffer, each
+//! copy-out's window out of it into the result, and per launch what
+//! [`pool`] says a launch copies. Besides the buffer it allocates one
+//! end cycle per node, the placement trace, the output list and the
+//! copy-out payloads (`tests/alloc_replay.rs` counts them).
 
 use crate::scheduler::{Origin, Retired};
 use crate::stats::CommandKind;
@@ -25,7 +35,6 @@ use crate::{pool, Runtime, RuntimeError};
 use simt_core::ExecStats;
 use simt_graph::{ExecGraph, GraphOp, NodeId};
 use simt_profile::Event;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// An instantiated graph: validated against the pool and pre-compiled
@@ -34,6 +43,10 @@ use std::time::Instant;
 pub struct GraphExec {
     graph: ExecGraph,
     memory_words: usize,
+    /// Words of graph buffer a replay allocates: no node addresses a
+    /// word at or past it (the largest copy-window end, and each
+    /// launch's `min(shared_words, memory_words)`).
+    extent: usize,
 }
 
 impl GraphExec {
@@ -44,7 +57,8 @@ impl GraphExec {
 
     /// Replace a copy-in node's payload for subsequent replays (buffer
     /// re-binding without recompiling). The new payload must stay inside
-    /// the graph buffer.
+    /// the device buffer (`memory_words`); one reaching past what the
+    /// graph addressed so far grows the replay buffer with it.
     pub fn set_copy_in(&mut self, node: NodeId, data: Vec<u32>) -> Result<(), RuntimeError> {
         let dst = match self.graph.nodes().get(node.index()).map(|n| &n.op) {
             Some(GraphOp::CopyIn { dst, .. }) => *dst,
@@ -61,7 +75,8 @@ impl GraphExec {
                 )))
             }
         };
-        check_window(dst, data.len(), self.memory_words)?;
+        let end = check_window(dst, data.len(), self.memory_words)?;
+        self.extent = self.extent.max(end);
         assert!(self.graph.set_copy_in(node, data), "checked copy-in node");
         Ok(())
     }
@@ -120,21 +135,21 @@ impl GraphReplay {
     }
 }
 
-/// Does the copy window `[off, off + len)` fit a buffer of
-/// `memory_words` words?
+/// The end `off + len` of the copy window `[off, off + len)`, if it
+/// fits a buffer of `memory_words` words.
 pub(crate) fn check_window(
     off: usize,
     len: usize,
     memory_words: usize,
-) -> Result<(), RuntimeError> {
-    if off.checked_add(len).is_none_or(|end| end > memory_words) {
-        return Err(RuntimeError::CopyOutOfBounds {
+) -> Result<usize, RuntimeError> {
+    match off.checked_add(len) {
+        Some(end) if end <= memory_words => Ok(end),
+        _ => Err(RuntimeError::CopyOutOfBounds {
             offset: off,
             len,
             memory_words,
-        });
+        }),
     }
-    Ok(())
 }
 
 impl Runtime {
@@ -147,18 +162,22 @@ impl Runtime {
     /// cache) instead of re-deriving it.
     pub fn instantiate(&self, graph: ExecGraph) -> Result<GraphExec, RuntimeError> {
         let memory_words = self.config().device.memory_words;
+        let mut extent = 0;
         for node in graph.nodes() {
-            match &node.op {
+            let end = match &node.op {
                 GraphOp::CopyIn { dst, data } => check_window(*dst, data.len(), memory_words)?,
                 GraphOp::CopyOut { src, len } => check_window(*src, *len, memory_words)?,
                 GraphOp::Launch(spec) => {
                     pool::resolve(self.compile_cache(), spec)?;
+                    spec.config.shared_words.min(memory_words)
                 }
-            }
+            };
+            extent = extent.max(end);
         }
         Ok(GraphExec {
             graph,
             memory_words,
+            extent,
         })
     }
 
@@ -170,9 +189,14 @@ impl Runtime {
     /// affinity, so independent branches land on different devices.
     pub fn replay(&self, exec: &GraphExec) -> Result<GraphReplay, RuntimeError> {
         let mut device = self.replay_device.lock().unwrap();
-        let mut buffer = vec![0u32; exec.memory_words];
-        let mut ends: HashMap<NodeId, u64> = HashMap::new();
-        let mut replay = GraphReplay::default();
+        let mut buffer = vec![0u32; exec.extent];
+        // End cycle per node, by `NodeId::index()`; a dependency comes
+        // earlier in the topological order, so its slot is filled.
+        let mut ends = vec![0u64; exec.graph.len()];
+        let mut replay = GraphReplay {
+            placements: Vec::with_capacity(exec.graph.len()),
+            ..Default::default()
+        };
         let mut span = (u64::MAX, 0u64);
         for &id in exec.graph.topo_order() {
             // A replay spans many nodes of host-side work; honor a
@@ -186,18 +210,18 @@ impl Runtime {
                 return Err(RuntimeError::Shutdown);
             }
             let node = exec.graph.node(id);
-            let ready = node.deps.iter().map(|d| ends[d]).max().unwrap_or(0);
+            let ready = node.deps.iter().map(|d| ends[d.index()]).max().unwrap_or(0);
             let t0 = Instant::now();
             let (kind, cycles, words, launch) = match &node.op {
                 GraphOp::CopyIn { dst, data } => {
-                    check_window(*dst, data.len(), buffer.len())?;
-                    buffer[*dst..dst + data.len()].copy_from_slice(data);
+                    let end = check_window(*dst, data.len(), buffer.len())?;
+                    buffer[*dst..end].copy_from_slice(data);
                     let cycles = device.copy_cycles(data.len());
                     (CommandKind::CopyIn, cycles, data.len(), None)
                 }
                 GraphOp::CopyOut { src, len } => {
-                    check_window(*src, *len, buffer.len())?;
-                    replay.outputs.push((id, buffer[*src..src + len].to_vec()));
+                    let end = check_window(*src, *len, buffer.len())?;
+                    replay.outputs.push((id, buffer[*src..end].to_vec()));
                     (CommandKind::CopyOut, device.copy_cycles(*len), *len, None)
                 }
                 GraphOp::Launch(spec) => {
@@ -220,7 +244,7 @@ impl Runtime {
                 wall: t0.elapsed(),
                 launch,
             });
-            ends.insert(id, end);
+            ends[id.index()] = end;
             span = (span.0.min(start), span.1.max(end));
             replay.placements.push(NodePlacement {
                 node: id,

@@ -7,6 +7,18 @@
 //! compatible configurations reuse the same instance — the scheduler's
 //! "batch compatible launches onto the same device" fast path.
 //!
+//! What a launch copies (`Device::run_launch`, the one path streams,
+//! graph replays and chaos retries share): **in**, the first
+//! `min(shared_words, buffer.len())` words of the stream buffer, once —
+//! the copy is the reset (`Processor::reset_seeded`), which otherwise
+//! zeroes only the register columns and memory words the build's last
+//! launch dirtied — then the spec's inline inputs; **out**, after a run
+//! that neither trapped nor overran the watchdog budget, the one extent
+//! of shared memory written since the seed (inline inputs and stores),
+//! clipped to those same words. A launch that stores one word writes one
+//! word back; a failed launch writes nothing back and still returns its
+//! build to the cache.
+//!
 //! Next to the per-device processor cache sits the pool-wide,
 //! content-addressed [`CompileCache`]: every launch resolves its
 //! [`KernelSource`] (text assembly or `simt-compiler` IR) through it,
@@ -275,12 +287,11 @@ impl Device {
     }
 
     /// Fetch a processor for `config`, reusing a cached build when the
-    /// configuration matches (reset to power-on state either way).
+    /// configuration matches — in whatever state its last launch left
+    /// it: [`Device::execute`] resets it as it seeds it.
     fn processor(&mut self, config: &ProcessorConfig) -> Result<(Processor, bool), RuntimeError> {
         if let Some(i) = self.cache.iter().position(|p| p.config() == config) {
-            let mut p = self.cache.remove(i);
-            p.reset();
-            return Ok((p, true));
+            return Ok((self.cache.remove(i), true));
         }
         let p = Processor::new(config.clone()).map_err(|e| RuntimeError::Config(e.to_string()))?;
         Ok((p, false))
@@ -293,8 +304,9 @@ impl Device {
 
     /// Execute one launch against the stream's device buffer: the
     /// processor's shared memory is seeded from the buffer, inline spec
-    /// inputs are applied on top, the kernel runs to `exit`, and the
-    /// shared image is written back so later copies and launches see it.
+    /// inputs are applied on top, the kernel runs to `exit`, and what it
+    /// wrote is written back so later copies and launches see it. The
+    /// build goes back into the cache however the launch ends.
     pub(crate) fn run_launch(
         &mut self,
         spec: &LaunchSpec,
@@ -302,14 +314,34 @@ impl Device {
     ) -> Result<LaunchOutcome, RuntimeError> {
         let (decoded, compile_hit) = resolve(&self.compile_cache, spec)?;
         let (mut proc, cache_hit) = self.processor(&spec.config)?;
+        let stats = self.execute(&mut proc, spec, decoded, buffer);
+        self.retire(proc);
+        Ok(LaunchOutcome {
+            stats: stats?,
+            cache_hit,
+            compile_hit,
+        })
+    }
+
+    /// [`Device::run_launch`] on a given build. One seed, one write-back:
+    /// the reset *is* the copy of `buffer[..shared_words]` into shared
+    /// memory (`Processor::reset_seeded`), and only the extent written
+    /// since — inline inputs and stores — is copied back, the rest of the
+    /// shared image being the buffer's own words still.
+    fn execute(
+        &self,
+        proc: &mut Processor,
+        spec: &LaunchSpec,
+        decoded: Arc<DecodedProgram>,
+        buffer: &mut [u32],
+    ) -> Result<ExecStats, RuntimeError> {
         let exec_err = |e: String| RuntimeError::Exec {
             kernel: spec.name.clone(),
             device: self.id,
             detail: e,
         };
         let shared_words = spec.config.shared_words.min(buffer.len());
-        proc.shared_mut()
-            .load_words(0, &buffer[..shared_words])
+        proc.reset_seeded(&buffer[..shared_words])
             .map_err(|e| exec_err(e.to_string()))?;
         for (off, words) in &spec.inputs {
             proc.shared_mut()
@@ -356,20 +388,16 @@ impl Device {
         // write-back, so a retried or poisoned command leaves the
         // buffer bit-exact with the fault-free history).
         if stats.cycles > self.watchdog_cycle_budget {
-            self.retire(proc);
             return Err(RuntimeError::Timeout {
                 kernel: spec.name.clone(),
                 device: self.id,
                 budget_cycles: self.watchdog_cycle_budget,
             });
         }
-        buffer[..shared_words].copy_from_slice(&proc.shared().as_slice()[..shared_words]);
-        self.retire(proc);
-        Ok(LaunchOutcome {
-            stats,
-            cache_hit,
-            compile_hit,
-        })
+        let written = proc.shared().written();
+        let written = written.start.min(shared_words)..written.end.min(shared_words);
+        buffer[written.clone()].copy_from_slice(&proc.shared().as_slice()[written]);
+        Ok(stats)
     }
 }
 
@@ -624,6 +652,33 @@ mod tests {
             Err(RuntimeError::Compile(e)) => assert!(e.contains("register"), "{e}"),
             other => panic!("expected Compile error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_failed_launch_keeps_its_processor_build() {
+        let mut d = device();
+        let mut buffer = pattern(1024, 3);
+        let good = &contract_kernels()[0];
+        assert!(!d.run_launch(good, &mut buffer).unwrap().cache_hit);
+        // A trap mid-store, then a program the build rejects at load
+        // (r40 on a 16-register build): neither drops the build.
+        let trapping = asm_spec(
+            "trapping",
+            "  stid r1\n  muli r15, r1, 25\n  sts [r15+24], r1\n  exit",
+            Vec::new(),
+        );
+        let unloadable = asm_spec("unloadable", "  movi r40, 1\n  exit", Vec::new());
+        for (bad, variant) in [(&trapping, "Exec"), (&unloadable, "Load")] {
+            let before = buffer.clone();
+            let err = d.run_launch(bad, &mut buffer).unwrap_err();
+            assert!(format!("{err:?}").starts_with(variant), "{err:?}");
+            assert!(buffer == before, "{}", bad.name);
+            let want = full_copy_rule(good, &buffer);
+            let out = d.run_launch(good, &mut buffer).unwrap();
+            assert!(out.cache_hit, "the launch after {} rebuilt", bad.name);
+            assert!(buffer == want, "the launch after {}", bad.name);
+        }
+        assert_eq!(d.cache.len(), 1);
     }
 
     #[test]

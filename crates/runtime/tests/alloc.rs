@@ -3,42 +3,14 @@
 //! A test binary of its own: the counting allocator is process-global,
 //! so nothing else may run beside the one test.
 
+#[path = "common/counting.rs"]
+mod counting;
+
+use counting::ALLOCATIONS;
 use simt_kernels::workload::int_vector;
 use simt_kernels::LaunchSpec;
 use simt_runtime::{Runtime, RuntimeConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator, counting every allocation request.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a side
-// effect that touches no memory the allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout` (above).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with this `layout`; the
-        // caller guarantees `new_size` is valid for it.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use std::sync::atomic::Ordering;
 
 /// Allocations made — by the submitting thread and the worker alike —
 /// while `launches` warm launches of one kernel drain from a backlog

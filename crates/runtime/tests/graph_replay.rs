@@ -417,3 +417,138 @@ proptest! {
         prop_assert!(common::per_stream_ordering_holds(&common::placements(&rt)));
     }
 }
+
+// ---- the replay buffer's extent: what a graph can address ----------
+
+#[test]
+fn a_longer_copy_in_payload_grows_the_replay_buffer() {
+    let rt = Runtime::new(RuntimeConfig::with_devices(1));
+    let memory_words = rt.config().device.memory_words;
+    // Four words in, sixteen out: at instantiation nothing reaches past
+    // word 16.
+    let mut b = GraphBuilder::new();
+    let cin = b.copy_in(0, vec![1, 2, 3, 4], &[]);
+    let cout = b.copy_out(0, 16, &[cin]);
+    let mut exec = rt.instantiate(b.finish().unwrap()).unwrap();
+    let mut want = vec![0u32; 16];
+    want[..4].copy_from_slice(&[1, 2, 3, 4]);
+    assert_eq!(rt.replay(&exec).unwrap().output(cout).unwrap(), want);
+
+    // Longer than the original, inside the copy-out window: every word
+    // arrives.
+    let sixteen: Vec<u32> = (100..116).collect();
+    exec.set_copy_in(cin, sixteen.clone()).unwrap();
+    assert_eq!(rt.replay(&exec).unwrap().output(cout).unwrap(), sixteen);
+
+    // Longer than anything the graph addressed at instantiation, still
+    // inside the device buffer: legal, and the window shows its sixteen
+    // words of it — not a `CopyOutOfBounds` from a buffer sized earlier,
+    // nothing truncated, nothing zero-padded.
+    let long: Vec<u32> = (0..4000).map(|i| i * 7 + 1).collect();
+    exec.set_copy_in(cin, long.clone()).unwrap();
+    assert_eq!(rt.replay(&exec).unwrap().output(cout).unwrap(), &long[..16]);
+    exec.set_copy_in(cin, vec![9; memory_words]).unwrap();
+    assert_eq!(rt.replay(&exec).unwrap().output(cout).unwrap(), [9; 16]);
+    // And shrinking again leaves no stale words behind it.
+    exec.set_copy_in(cin, vec![5]).unwrap();
+    want.fill(0);
+    want[0] = 5;
+    assert_eq!(rt.replay(&exec).unwrap().output(cout).unwrap(), want);
+
+    // One word past the device buffer is still refused, and the graph
+    // keeps the payload it had.
+    assert_eq!(
+        exec.set_copy_in(cin, vec![0; memory_words + 1]),
+        Err(RuntimeError::CopyOutOfBounds {
+            offset: 0,
+            len: memory_words + 1,
+            memory_words
+        })
+    );
+    assert_eq!(rt.replay(&exec).unwrap().output(cout).unwrap(), want);
+}
+
+#[test]
+fn windows_that_overflow_usize_are_typed_errors_on_both_paths() {
+    let rt = Runtime::new(RuntimeConfig::with_devices(1));
+    let memory_words = rt.config().device.memory_words;
+    let oob = |offset, len| RuntimeError::CopyOutOfBounds {
+        offset,
+        len,
+        memory_words,
+    };
+    // Replay path: refused at instantiation, no wrapped `dst + len`.
+    let mut b = GraphBuilder::new();
+    b.copy_in(usize::MAX - 1, vec![1, 2, 3], &[]);
+    let err = rt.instantiate(b.finish().unwrap()).unwrap_err();
+    assert_eq!(err, oob(usize::MAX - 1, 3));
+    let mut b = GraphBuilder::new();
+    b.copy_out(usize::MAX, 2, &[]);
+    let err = rt.instantiate(b.finish().unwrap()).unwrap_err();
+    assert_eq!(err, oob(usize::MAX, 2));
+    // An empty window at the very end is the largest legal one; a word
+    // more through `set_copy_in` is not.
+    let mut b = GraphBuilder::new();
+    let edge = b.copy_in(memory_words, Vec::new(), &[]);
+    let mut exec = rt.instantiate(b.finish().unwrap()).unwrap();
+    assert_eq!(exec.set_copy_in(edge, vec![1]), Err(oob(memory_words, 1)));
+    assert!(rt.replay(&exec).unwrap().outputs.is_empty());
+
+    // Eager path: the same windows resolve their handles with the same
+    // error.
+    let s = rt.stream();
+    let out = s.copy_out(usize::MAX, 2);
+    assert_eq!(out.wait(), Err(oob(usize::MAX, 2)));
+    let rt = Runtime::new(RuntimeConfig::with_devices(1));
+    rt.stream().copy_in(usize::MAX - 1, &[1, 2, 3]);
+    assert_eq!(rt.synchronize(), Err(oob(usize::MAX - 1, 3)));
+}
+
+#[test]
+fn a_launch_wider_than_the_device_buffer_sees_the_documented_min() {
+    // 1024 shared words against a 512-word device buffer: the launch is
+    // seeded from, and written back to, the 512 words there are.
+    let mut cfg = RuntimeConfig::with_devices(1);
+    cfg.device.memory_words = 512;
+    let spec = LaunchSpec {
+        name: "wide".into(),
+        config: simt_core::ProcessorConfig::small(),
+        source: simt_kernels::KernelSource::Asm(
+            "  stid r1\n  lds r2, [r1+0]\n  addi r2, r2, 1\n  sts [r1+64], r2\n  sts [r1+600], r2\n  exit"
+                .into(),
+        ),
+        inputs: Vec::new(),
+        out_off: 64,
+        out_len: 64,
+        expected: (1..=64).collect(),
+    };
+    assert!(spec.config.shared_words > cfg.device.memory_words);
+    let input: Vec<u32> = (0..64).collect();
+
+    let rt = Runtime::new(cfg.clone());
+    let s = rt.stream();
+    s.copy_in(0, &input);
+    s.launch(spec.clone());
+    let eager = s.copy_out(0, 512);
+    rt.synchronize().unwrap();
+    let eager = eager.wait().unwrap();
+    assert_eq!(&eager[64..128], spec.expected.as_slice());
+    assert!(eager[128..].iter().all(|&w| w == 0));
+
+    let rt = Runtime::new(cfg);
+    let mut b = GraphBuilder::new();
+    let cin = b.copy_in(0, input, &[]);
+    let l = b.launch(spec, &[cin]);
+    let cout = b.copy_out(0, 512, &[l]);
+    let exec = rt.instantiate(b.finish().unwrap()).unwrap();
+    for _ in 0..2 {
+        assert_eq!(rt.replay(&exec).unwrap().output(cout).unwrap(), eager);
+    }
+    // The buffer is what bounds a copy, whatever the launches declare.
+    let mut b = GraphBuilder::new();
+    b.copy_out(500, 13, &[]);
+    assert!(matches!(
+        rt.instantiate(b.finish().unwrap()),
+        Err(RuntimeError::CopyOutOfBounds { .. })
+    ));
+}
