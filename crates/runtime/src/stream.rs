@@ -258,3 +258,82 @@ impl Stream {
         self.shared.end_capture(self.id)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::Slot;
+    use std::sync::{Arc, Barrier};
+
+    // ---- the completion-cell contract --------------------------------
+    //
+    // What `LaunchHandle`, `CopyHandle` and `Event` rely on, whatever
+    // the cell does to wake (or not wake) anybody.
+
+    #[test]
+    fn a_value_set_before_the_wait_is_returned_at_once() {
+        let slot = Slot::new();
+        assert_eq!(slot.try_get(), None);
+        slot.set(7u64);
+        assert_eq!(slot.try_get(), Some(7));
+        assert_eq!(slot.wait(), 7);
+        assert_eq!(slot.wait(), 7, "a cell can be read any number of times");
+    }
+
+    #[test]
+    fn one_set_releases_every_waiter() {
+        const WAITERS: usize = 8;
+        let slot = Arc::new(Slot::new());
+        let ready = Arc::new(Barrier::new(WAITERS + 1));
+        let waiters: Vec<_> = (0..WAITERS)
+            .map(|_| {
+                let (slot, ready) = (Arc::clone(&slot), Arc::clone(&ready));
+                std::thread::spawn(move || {
+                    ready.wait();
+                    slot.wait()
+                })
+            })
+            .collect();
+        // Every waiter is at least on its way into `wait`; whether it
+        // got there before or after the `set`, it must come back.
+        ready.wait();
+        slot.set(41u64);
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), 41);
+        }
+    }
+
+    #[test]
+    fn the_second_set_loses_and_still_returns() {
+        let slot = Slot::new();
+        slot.set(1u64);
+        slot.set(2);
+        assert_eq!(slot.try_get(), Some(1));
+        assert_eq!(slot.wait(), 1);
+    }
+
+    #[test]
+    fn a_long_hand_off_between_two_threads_finishes() {
+        // Thread A sets cell i and waits on cell i of the other lane;
+        // thread B does the mirror image. Each of the 2 × 10 000 waits
+        // races its `set`: one lost wake-up and the test never ends
+        // (CI runs it under a timeout).
+        const CELLS: usize = 10_000;
+        let lane =
+            || -> Arc<Vec<Slot<usize>>> { Arc::new((0..CELLS).map(|_| Slot::new()).collect()) };
+        let (ping, pong) = (lane(), lane());
+        let echo = {
+            let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
+            std::thread::spawn(move || {
+                for i in 0..CELLS {
+                    let v = ping[i].wait();
+                    pong[i].set(v + 1);
+                }
+            })
+        };
+        for i in 0..CELLS {
+            ping[i].set(i);
+            assert_eq!(pong[i].wait(), i + 1);
+        }
+        echo.join().unwrap();
+    }
+}

@@ -552,3 +552,60 @@ fn a_launch_wider_than_the_device_buffer_sees_the_documented_min() {
         Err(RuntimeError::CopyOutOfBounds { .. })
     ));
 }
+
+#[test]
+fn a_replay_that_traps_books_exactly_the_nodes_it_executed() {
+    // copy-in → launch → launch (traps) → copy-out: the replay stops at
+    // the third node with the device's typed error, and the books hold
+    // the two nodes that ran — no more (the copy-out never happened), no
+    // fewer (they did occupy their engines).
+    let kernel = |name: &str, asm: &str| LaunchSpec {
+        name: name.into(),
+        config: simt_core::ProcessorConfig::small(),
+        source: simt_kernels::KernelSource::Asm(asm.into()),
+        inputs: Vec::new(),
+        out_off: 0,
+        out_len: 0,
+        expected: Vec::new(),
+    };
+    let good = kernel(
+        "good",
+        "  stid r1\n  lds r2, [r1+0]\n  addi r2, r2, 1\n  sts [r1+64], r2\n  exit",
+    );
+    // Lane 40 stores to word 1024 of a 1024-word shared memory.
+    let trapping = kernel(
+        "trapping",
+        "  stid r1\n  muli r15, r1, 25\n  sts [r15+24], r1\n  exit",
+    );
+    let rt = Runtime::new(RuntimeConfig::with_devices(2));
+    let mut b = GraphBuilder::new();
+    let cin = b.copy_in(0, (0..64).collect(), &[]);
+    let first = b.launch(good, &[cin]);
+    let second = b.launch(trapping, &[first]);
+    b.copy_out(64, 64, &[second]);
+    let exec = rt.instantiate(b.finish().unwrap()).unwrap();
+    match rt.replay(&exec) {
+        Err(RuntimeError::Exec { kernel, .. }) => assert_eq!(kernel, "trapping"),
+        other => panic!("expected a typed device trap, got {other:?}"),
+    }
+    let stats = rt.stats();
+    let total = |f: fn(&simt_runtime::DeviceStats) -> u64| stats.devices.iter().map(f).sum::<u64>();
+    assert_eq!(total(|d| d.placements), 2);
+    assert_eq!((total(|d| d.copies), total(|d| d.launches)), (1, 1));
+    assert!(stats.streams.is_empty() && stats.makespan_cycles > 0);
+    // The ring says the same: two graph nodes placed, no replay done.
+    let events = rt.flight().unwrap().events;
+    let placed: Vec<u64> = events
+        .iter()
+        .filter_map(|r| match r.event {
+            simt_profile::Event::Placed {
+                stream: None, seq, ..
+            } => Some(seq),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(placed, [cin.index() as u64, first.index() as u64]);
+    assert!(!events
+        .iter()
+        .any(|r| matches!(r.event, simt_profile::Event::GraphReplayDone { .. })));
+}
