@@ -11,11 +11,12 @@
 //!
 //! The cache is thread-safe and cheap to share (`Arc<CompileCache>`
 //! across a device pool); hit/miss counters feed the runtime's
-//! statistics. A hit compares the stored source material against the
-//! request, so a 64-bit key collision degrades to a one-off compile
-//! instead of returning the wrong program, and the map lock is never
-//! held across a compile (per-key pending tracking serializes only
-//! same-key callers).
+//! statistics, and every lookup says what it did by value (a
+//! [`Lookup`]) — the cache writes to no log of its own. A hit compares
+//! the stored source material against the request, so a 64-bit key
+//! collision degrades to a one-off compile instead of returning the
+//! wrong program, and the map lock is never held across a compile
+//! (per-key pending tracking serializes only same-key callers).
 //!
 //! What an IR lookup needs from the kernel — the validation verdict,
 //! the canonical bytes and the hash state after them — is memoized in
@@ -26,9 +27,9 @@
 use crate::error::CompileError;
 use crate::ir::{hash_config, Fnv, Kernel};
 use crate::lower::{compile, OptLevel};
+use crate::passes::PassStats;
 use simt_core::{DecodedProgram, ProcessorConfig};
 use simt_isa::{IsaError, Program};
-use simt_profile::{CacheTier, Event, EventRing};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,10 +74,27 @@ impl PartialEq for SourceMaterial {
 pub(crate) const IR_NAMESPACE: u8 = 0x1A;
 const ASM_NAMESPACE: u8 = 0x2B;
 
+/// What one lookup did, beside the program it returned. The caller owns
+/// the report: the runtime writes it into its event ring next to the
+/// launch it belongs to.
+#[derive(Debug)]
+pub struct Lookup {
+    /// Name the artifact was compiled under — the kernel's name, or an
+    /// `asm#<hash>` label for assembly sources. Shared with the cache
+    /// entry, so a hit allocates nothing.
+    pub label: Arc<str>,
+    /// Whether the artifact was already resident: a compile hit and a
+    /// decode hit (the decode rides the entry), or a miss of both.
+    pub hit: bool,
+    /// Every pass invocation of the compile this lookup ran, in
+    /// execution order; empty on a hit and for assembly sources.
+    pub passes: Vec<PassStats>,
+}
+
 #[derive(Debug)]
 struct Entry {
     /// Name the artifact was compiled under — what lookups of this
-    /// entry are recorded as, shared so a hit allocates nothing.
+    /// entry are reported as, shared so a hit allocates nothing.
     label: Arc<str>,
     material: SourceMaterial,
     config: ProcessorConfig,
@@ -115,14 +133,12 @@ pub struct CompileCache {
     evictions: AtomicU64,
     decode_hits: AtomicU64,
     decode_misses: AtomicU64,
-    /// Optional event sink (see [`CompileCache::with_events`]).
-    events: Option<Arc<EventRing>>,
 }
 
 /// Outcome of claiming a key under the lock.
 enum Claim {
-    /// Resident artifact.
-    Hit(Arc<DecodedProgram>),
+    /// Resident artifact, and the label it is reported under.
+    Hit(Arc<DecodedProgram>, Arc<str>),
     /// This thread owns the compile for the key.
     Owned,
     /// The key is resident but the material differs (hash collision):
@@ -148,34 +164,8 @@ impl CompileCache {
         cache
     }
 
-    /// Attach an event ring: every compile- and decode-cache lookup
-    /// then records one [`Event::CacheLookup`], and on a
-    /// [detailed](EventRing::detailed) ring every fresh IR compile also
-    /// records one [`Event::PassRun`] per pipeline pass invocation.
-    pub fn with_events(mut self, events: Arc<EventRing>) -> Self {
-        self.events = Some(events);
-        self
-    }
-
-    /// Record a lookup outcome when a ring is attached (one branch on
-    /// `None` otherwise). `kernel` is an entry's shared label, so this
-    /// allocates nothing — it may run under the map lock.
-    fn note(&self, kernel: &Arc<str>, tier: CacheTier, hit: bool) {
-        if let Some(ring) = &self.events {
-            ring.record(Event::CacheLookup {
-                kernel: Arc::clone(kernel),
-                tier,
-                hit,
-                decoded: true,
-            });
-        }
-    }
-
     /// Claim `key` under the lock: hit, collision, or take ownership of
     /// the compile (waiting out any other thread already compiling it).
-    /// Hits are recorded here, under the lock, so a hit's compile and
-    /// decode outcomes stay adjacent; misses by the caller once it has a
-    /// label.
     fn claim(&self, key: u64, material: &SourceMaterial, config: &ProcessorConfig) -> Claim {
         let mut inner = self.inner.lock().unwrap();
         loop {
@@ -186,9 +176,7 @@ impl CompileCache {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                    self.note(&e.label, CacheTier::Compile, true);
-                    self.note(&e.label, CacheTier::Decode, true);
-                    return Claim::Hit(Arc::clone(&e.decoded));
+                    return Claim::Hit(Arc::clone(&e.decoded), Arc::clone(&e.label));
                 }
                 return Claim::Collision;
             }
@@ -224,9 +212,10 @@ impl CompileCache {
         self.ready.notify_all();
     }
 
-    /// Compile an IR kernel (or return the cached artifact, flagged
-    /// `true`), predecoded for `config` — the form
-    /// `simt_core::Processor::load_decoded` consumes directly. Concurrent
+    /// Compile an IR kernel (or return the cached artifact, reported a
+    /// hit), predecoded for `config` — the form
+    /// `simt_core::Processor::load_decoded` consumes directly; a fresh
+    /// compile also reports the pass runs it made. Concurrent
     /// launches of the same kernel compile exactly once — later callers
     /// wait for the first, and unrelated keys compile in parallel (the
     /// map lock is not held across a compile). The decode is cached with
@@ -237,7 +226,7 @@ impl CompileCache {
         kernel: &Kernel,
         config: &ProcessorConfig,
         opt: OptLevel,
-    ) -> Result<(Arc<DecodedProgram>, bool), CompileError> {
+    ) -> Result<(Arc<DecodedProgram>, Lookup), CompileError> {
         // The kernel's identity memo carries everything derived from
         // the IR alone (validation verdict, canonical bytes, hash state
         // after them); a warm lookup hashes only the configuration on
@@ -255,33 +244,19 @@ impl CompileCache {
             material,
             config,
             || kernel.name.as_str().into(),
-            || {
-                let compiled = compile(kernel, config, opt)?;
-                if let Some(ring) = &self.events {
-                    for ps in &compiled.report.passes {
-                        ring.detail(|| Event::PassRun {
-                            kernel: kernel.name.clone(),
-                            pass: ps.pass.to_string(),
-                            insts_before: ps.insts_before,
-                            insts_after: ps.insts_after,
-                            changed: ps.changed,
-                        });
-                    }
-                }
-                Ok(compiled.program)
-            },
+            || compile(kernel, config, opt).map(|c| (c.program, c.report.passes)),
         )
     }
 
-    /// Assemble a text kernel (or return the cached artifact, flagged
-    /// `true`), keyed by the source bytes and configuration and
+    /// Assemble a text kernel (or return the cached artifact, reported a
+    /// hit), keyed by the source bytes and configuration and
     /// predecoded for `config` (see
     /// [`CompileCache::get_or_compile_decoded`]).
     pub fn get_or_assemble_decoded(
         &self,
         asm: &str,
         config: &ProcessorConfig,
-    ) -> Result<(Arc<DecodedProgram>, bool), IsaError> {
+    ) -> Result<(Arc<DecodedProgram>, Lookup), IsaError> {
         let mut h = Fnv::default();
         h.write_u8(ASM_NAMESPACE);
         h.write(asm.as_bytes());
@@ -294,32 +269,31 @@ impl CompileCache {
             // Assembly sources carry no kernel name; label by content
             // hash.
             || format!("asm#{key:016x}").into(),
-            || simt_isa::assemble(asm),
+            || simt_isa::assemble(asm).map(|program| (program, Vec::new())),
         )
     }
 
     /// Resolve `key`: the resident artifact, or `build` it — cached
     /// when this thread owns the key, as a correct one-off (the
-    /// resident entry left alone) on a keyspace collision. A miss is
-    /// recorded here, outside the map lock: `label` allocates.
+    /// resident entry left alone) on a keyspace collision. `label`
+    /// allocates, so it runs on a miss only, outside the map lock.
     fn lookup<E>(
         &self,
         key: u64,
         material: SourceMaterial,
         config: &ProcessorConfig,
         label: impl FnOnce() -> Arc<str>,
-        build: impl FnOnce() -> Result<Program, E>,
-    ) -> Result<(Arc<DecodedProgram>, bool), E> {
+        build: impl FnOnce() -> Result<(Program, Vec<PassStats>), E>,
+    ) -> Result<(Arc<DecodedProgram>, Lookup), E> {
+        let report = |label, hit, passes| Lookup { label, hit, passes };
         let owned = match self.claim(key, &material, config) {
-            Claim::Hit(d) => return Ok((d, true)),
+            Claim::Hit(decoded, label) => return Ok((decoded, report(label, true, Vec::new()))),
             Claim::Owned => true,
             Claim::Collision => false,
         };
-        let label = label();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.note(&label, CacheTier::Compile, false);
-        let program = match build() {
-            Ok(p) => Arc::new(p),
+        let (program, passes) = match build() {
+            Ok(built) => built,
             Err(e) => {
                 if owned {
                     self.settle(key, None);
@@ -328,11 +302,11 @@ impl CompileCache {
             }
         };
         self.decode_misses.fetch_add(1, Ordering::Relaxed);
-        self.note(&label, CacheTier::Decode, false);
-        let decoded = Arc::new(DecodedProgram::decode(program, config));
+        let label = label();
+        let decoded = Arc::new(DecodedProgram::decode(Arc::new(program), config));
         if owned {
             let entry = Entry {
-                label,
+                label: Arc::clone(&label),
                 material,
                 config: config.clone(),
                 decoded: Arc::clone(&decoded),
@@ -340,7 +314,7 @@ impl CompileCache {
             };
             self.settle(key, Some(entry));
         }
-        Ok((decoded, false))
+        Ok((decoded, report(label, false, passes)))
     }
 
     /// Cache hits so far.
@@ -401,6 +375,21 @@ mod tests {
     use super::*;
     use crate::ir::{IrBuilder, Op, ValueId};
 
+    /// The program and whether it was resident.
+    fn parts((decoded, lookup): (Arc<DecodedProgram>, Lookup)) -> (Arc<DecodedProgram>, bool) {
+        (decoded, lookup.hit)
+    }
+
+    /// [`parts`] of an IR lookup that succeeds.
+    fn get(
+        cache: &CompileCache,
+        kernel: &Kernel,
+        config: &ProcessorConfig,
+        opt: OptLevel,
+    ) -> (Arc<DecodedProgram>, bool) {
+        parts(cache.get_or_compile_decoded(kernel, config, opt).unwrap())
+    }
+
     fn kernel(mul: i32) -> Kernel {
         let mut b = IrBuilder::new("k");
         let tid = b.tid();
@@ -416,12 +405,8 @@ mod tests {
         let cache = CompileCache::new();
         let cfg = ProcessorConfig::small();
         let k = kernel(3);
-        let (p1, hit1) = cache
-            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-            .unwrap();
-        let (p2, hit2) = cache
-            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-            .unwrap();
+        let (p1, hit1) = get(&cache, &k, &cfg, OptLevel::Full);
+        let (p2, hit2) = get(&cache, &k, &cfg, OptLevel::Full);
         assert!(Arc::ptr_eq(&p1, &p2));
         assert!(!hit1);
         assert!(hit2);
@@ -456,8 +441,8 @@ mod tests {
         let cache = CompileCache::new();
         let cfg = ProcessorConfig::small();
         let src = "  stid r1\n  sts [r1+0], r1\n  exit";
-        let (p1, hit1) = cache.get_or_assemble_decoded(src, &cfg).unwrap();
-        let (p2, hit2) = cache.get_or_assemble_decoded(src, &cfg).unwrap();
+        let (p1, hit1) = parts(cache.get_or_assemble_decoded(src, &cfg).unwrap());
+        let (p2, hit2) = parts(cache.get_or_assemble_decoded(src, &cfg).unwrap());
         assert!(Arc::ptr_eq(&p1, &p2));
         assert!(!hit1);
         assert!(hit2);
@@ -478,12 +463,8 @@ mod tests {
         let mut k2 = kernel(3);
         let garbage = k2.append_inst(crate::ir::Op::Const(99), vec![]);
         let _ = garbage; // never placed in a region
-        let (_, hit1) = cache
-            .get_or_compile_decoded(&k1, &cfg, OptLevel::Full)
-            .unwrap();
-        let (_, hit2) = cache
-            .get_or_compile_decoded(&k2, &cfg, OptLevel::Full)
-            .unwrap();
+        let (_, hit1) = get(&cache, &k1, &cfg, OptLevel::Full);
+        let (_, hit2) = get(&cache, &k2, &cfg, OptLevel::Full);
         assert!(!hit1);
         assert!(hit2, "garbage-only difference must still hit");
         assert_eq!(cache.len(), 1);
@@ -540,24 +521,18 @@ mod tests {
             .unwrap();
         assert_eq!((cache.len(), cache.evictions()), (2, 0));
         // Touch kernel(1) so kernel(2) is the LRU entry.
-        let (_, hit) = cache
-            .get_or_compile_decoded(&kernel(1), &cfg, OptLevel::Full)
-            .unwrap();
+        let (_, hit) = get(&cache, &kernel(1), &cfg, OptLevel::Full);
         assert!(hit);
         // A third artifact pushes out kernel(2), not kernel(1).
         cache
             .get_or_compile_decoded(&kernel(3), &cfg, OptLevel::Full)
             .unwrap();
         assert_eq!((cache.len(), cache.evictions()), (2, 1));
-        let (_, hit1) = cache
-            .get_or_compile_decoded(&kernel(1), &cfg, OptLevel::Full)
-            .unwrap();
+        let (_, hit1) = get(&cache, &kernel(1), &cfg, OptLevel::Full);
         assert!(hit1, "recently-used artifact survived the eviction");
         // kernel(2) was evicted: compiling it again is a miss (and in
         // turn evicts the now-coldest kernel(3)).
-        let (_, hit2) = cache
-            .get_or_compile_decoded(&kernel(2), &cfg, OptLevel::Full)
-            .unwrap();
+        let (_, hit2) = get(&cache, &kernel(2), &cfg, OptLevel::Full);
         assert!(!hit2, "evicted artifact must recompile");
         assert_eq!(cache.evictions(), 2);
         assert_eq!(cache.len(), 2);
@@ -582,23 +557,17 @@ mod tests {
         let cfg = ProcessorConfig::small();
         let k = kernel(3);
         // Fresh compile: the decode rides the new entry (a miss).
-        let (d1, hit1) = cache
-            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-            .unwrap();
+        let (d1, hit1) = get(&cache, &k, &cfg, OptLevel::Full);
         assert!(!hit1);
         assert_eq!((cache.decode_hits(), cache.decode_misses()), (0, 1));
         // Repeat: compile hit AND decode hit — the same Arc comes back.
-        let (d2, hit2) = cache
-            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-            .unwrap();
+        let (d2, hit2) = get(&cache, &k, &cfg, OptLevel::Full);
         assert!(hit2);
         assert!(Arc::ptr_eq(&d1, &d2));
         assert_eq!((cache.decode_hits(), cache.decode_misses()), (1, 1));
         assert_eq!(d1.config(), &cfg);
         // Every later lookup of the entry shares the one program too.
-        let (d3, hit3) = cache
-            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-            .unwrap();
+        let (d3, hit3) = get(&cache, &k, &cfg, OptLevel::Full);
         assert!(hit3);
         assert!(Arc::ptr_eq(d1.program(), d3.program()));
         assert_eq!((cache.decode_hits(), cache.decode_misses()), (2, 1));
@@ -664,16 +633,12 @@ mod tests {
         ];
         let cache = CompileCache::new();
         let k = kernel(3);
-        let (_, hit) = cache
-            .get_or_compile_decoded(&k, &base, OptLevel::Full)
-            .unwrap();
+        let (_, hit) = get(&cache, &k, &base, OptLevel::Full);
         assert!(!hit);
         let mut cpu = simt_core::Processor::new(base.clone()).unwrap();
         for (field, cfg) in &variants {
             cfg.validate().unwrap();
-            let (d, hit) = cache
-                .get_or_compile_decoded(&k, cfg, OptLevel::Full)
-                .unwrap();
+            let (d, hit) = get(&cache, &k, cfg, OptLevel::Full);
             assert!(!hit, "{field} must split the cache");
             assert_eq!(
                 cpu.load_decoded(d),
@@ -681,72 +646,51 @@ mod tests {
                 "{field}"
             );
         }
-        let (_, hit) = cache
-            .get_or_compile_decoded(&k, &base, OptLevel::Full)
-            .unwrap();
+        let (_, hit) = get(&cache, &k, &base, OptLevel::Full);
         assert!(hit, "the base artifact is still cached");
         assert_eq!(cache.len(), variants.len() + 1);
     }
 
     #[test]
-    fn event_ring_sees_hits_misses_decodes_and_passes() {
-        let lookups = |ring: &EventRing, tier: CacheTier, hit: bool| {
-            ring.events()
-                .iter()
-                .filter(|e| {
-                    matches!(e, Event::CacheLookup { tier: t, hit: h, .. }
-                        if *t == tier && *h == hit)
-                })
-                .count()
-        };
-        let passes = |ring: &EventRing| {
-            ring.events()
-                .iter()
-                .filter(|e| matches!(e, Event::PassRun { .. }))
-                .count()
-        };
+    fn a_lookup_reports_hits_misses_labels_and_passes_by_value() {
         let cfg = ProcessorConfig::small();
-        for detailed in [false, true] {
-            let ring = Arc::new(EventRing::new(256, detailed));
-            let cache = CompileCache::new().with_events(Arc::clone(&ring));
-            let k = kernel(3);
-            // Fresh decoded compile: miss + passes + decode miss.
-            cache
-                .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-                .unwrap();
-            // Repeat: hit + decode hit.
-            cache
-                .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-                .unwrap();
-            // Assembly miss, labelled by content hash.
-            cache
-                .get_or_assemble_decoded("  stid r1\n  exit", &cfg)
-                .unwrap();
-            assert_eq!(lookups(&ring, CacheTier::Compile, false), 2);
-            assert_eq!(lookups(&ring, CacheTier::Compile, true), 1);
-            assert_eq!(lookups(&ring, CacheTier::Decode, false), 2);
-            assert_eq!(lookups(&ring, CacheTier::Decode, true), 1);
-            // Pass runs cost allocations: detailed rings only.
-            assert_eq!(passes(&ring) > 0, detailed);
-            // IR lookups carry the kernel name; asm ones a hash label;
-            // every lookup asks for the decode.
-            let labels: Vec<(String, bool)> = ring
-                .events()
-                .iter()
-                .filter_map(|e| match e {
-                    Event::CacheLookup {
-                        kernel,
-                        tier: CacheTier::Compile,
-                        decoded,
-                        ..
-                    } => Some((kernel.to_string(), *decoded)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(labels[0], ("k".to_string(), true));
-            assert_eq!(labels[1], ("k".to_string(), true));
-            assert!(labels[2].0.starts_with("asm#") && labels[2].1);
-        }
+        let cache = CompileCache::new();
+        let k = kernel(3);
+        // Fresh compile: a miss carrying the pipeline's pass report,
+        // labelled by the kernel's name.
+        let (program, fresh) = cache
+            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+            .unwrap();
+        assert!(!fresh.hit);
+        assert_eq!(&*fresh.label, "k");
+        let want = compile(&k, &cfg, OptLevel::Full).unwrap().report.passes;
+        assert!(!want.is_empty());
+        let row = |p: &PassStats| (p.pass, p.insts_before, p.insts_after, p.changed);
+        assert_eq!(
+            fresh.passes.iter().map(row).collect::<Vec<_>>(),
+            want.iter().map(row).collect::<Vec<_>>()
+        );
+        // Repeat: a hit of the same artifact — same shared label — that
+        // ran no pass.
+        let (same, again) = cache
+            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
+            .unwrap();
+        assert!(again.hit && again.passes.is_empty());
+        assert!(Arc::ptr_eq(&same, &program));
+        assert!(Arc::ptr_eq(&again.label, &fresh.label));
+        // An unoptimized compile runs no pipeline.
+        let (_, o0) = cache
+            .get_or_compile_decoded(&k, &cfg, OptLevel::None)
+            .unwrap();
+        assert!(!o0.hit && o0.passes.is_empty());
+        // Assembly: a miss labelled by content hash, no passes.
+        let (_, asm) = cache
+            .get_or_assemble_decoded("  stid r1\n  exit", &cfg)
+            .unwrap();
+        assert!(!asm.hit && asm.passes.is_empty());
+        assert!(asm.label.starts_with("asm#"));
+        assert_eq!((cache.hits(), cache.misses()), (1, 3));
+        assert_eq!((cache.decode_hits(), cache.decode_misses()), (1, 3));
     }
 
     /// A looped, carried kernel every optimizing pass has something to
@@ -821,20 +765,20 @@ mod tests {
             let original = pass_fodder();
             let mut clone = original.clone();
             // Fills the cell the two share.
-            let (before, _) = cache.get_or_compile_decoded(&clone, &cfg, opt).unwrap();
+            let (before, _) = get(&cache, &clone, &cfg, opt);
             pass(&mut clone);
             assert!(
                 clone.canonical_bytes(&cfg) != original.canonical_bytes(&cfg),
                 "{name} found nothing to rewrite in the fixture"
             );
-            let (after, hit) = cache.get_or_compile_decoded(&clone, &cfg, opt).unwrap();
+            let (after, hit) = get(&cache, &clone, &cfg, opt);
             assert!(!hit, "{name}: the rewritten clone hit its old entry");
             assert_eq!(
                 **after.program(),
                 compile(&clone, &cfg, opt).unwrap().program,
                 "{name}"
             );
-            let (again, hit) = cache.get_or_compile_decoded(&original, &cfg, opt).unwrap();
+            let (again, hit) = get(&cache, &original, &cfg, opt);
             assert!(hit, "{name}: the untouched original lost its entry");
             assert!(Arc::ptr_eq(&again, &before), "{name}");
         }
@@ -872,9 +816,7 @@ mod tests {
         for edit in edits {
             let mut m = k.clone();
             edit(&mut m, tid);
-            let (p, hit) = cache
-                .get_or_compile_decoded(&m, &cfg, OptLevel::Full)
-                .unwrap();
+            let (p, hit) = get(&cache, &m, &cfg, OptLevel::Full);
             assert!(!hit);
             assert_eq!(
                 **p.program(),
@@ -884,17 +826,13 @@ mod tests {
         // A stitched kernel is built from its parts' arenas, not their
         // memos.
         let fused = crate::stitch::concat_kernels("kk", &[&k, &k]);
-        let (p, hit) = cache
-            .get_or_compile_decoded(&fused, &cfg, OptLevel::Full)
-            .unwrap();
+        let (p, hit) = get(&cache, &fused, &cfg, OptLevel::Full);
         assert!(!hit);
         assert_eq!(
             **p.program(),
             compile(&fused, &cfg, OptLevel::Full).unwrap().program
         );
-        let (_, hit) = cache
-            .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-            .unwrap();
+        let (_, hit) = get(&cache, &k, &cfg, OptLevel::Full);
         assert!(hit, "the parts keep their own entry");
     }
 
@@ -912,9 +850,7 @@ mod tests {
             .get_or_compile_decoded(&first, &small, OptLevel::Full)
             .unwrap();
         assert_eq!(fills() - base, 1);
-        let (_, hit) = cache
-            .get_or_compile_decoded(&second, &small, OptLevel::Full)
-            .unwrap();
+        let (_, hit) = get(&cache, &second, &small, OptLevel::Full);
         assert!(hit);
         // The memo is IR-only: another configuration, another opt level
         // and the spec itself all reuse it.
@@ -924,17 +860,13 @@ mod tests {
         cache
             .get_or_compile_decoded(&second, &small, OptLevel::None)
             .unwrap();
-        let (_, hit) = cache
-            .get_or_compile_decoded(&spec, &wide, OptLevel::Full)
-            .unwrap();
+        let (_, hit) = get(&cache, &spec, &wide, OptLevel::Full);
         assert!(hit);
         assert_eq!(fills() - base, 1, "one validate + canonicalize in all");
         assert_eq!((cache.hits(), cache.misses()), (2, 3));
         // An equal kernel built separately has its own memo, and still
         // hits by content.
-        let (_, hit) = cache
-            .get_or_compile_decoded(&kernel(3), &small, OptLevel::Full)
-            .unwrap();
+        let (_, hit) = get(&cache, &kernel(3), &small, OptLevel::Full);
         assert!(hit);
         assert_eq!(fills() - base, 2);
     }
@@ -944,9 +876,7 @@ mod tests {
         let cache = CompileCache::new();
         let cfg = ProcessorConfig::small();
         let (resident, victim) = (kernel(3), kernel(4));
-        let (resident_program, _) = cache
-            .get_or_compile_decoded(&resident, &cfg, OptLevel::Full)
-            .unwrap();
+        let (resident_program, _) = get(&cache, &resident, &cfg, OptLevel::Full);
         // Re-file the resident entry under the key the victim hashes to.
         let (_, mut h) = victim.cache_identity(true).unwrap();
         hash_config(&mut h, &cfg);
@@ -956,9 +886,7 @@ mod tests {
             inner.map.insert(h.finish(), entry);
         }
         for _ in 0..2 {
-            let (d, hit) = cache
-                .get_or_compile_decoded(&victim, &cfg, OptLevel::Full)
-                .unwrap();
+            let (d, hit) = get(&cache, &victim, &cfg, OptLevel::Full);
             assert!(!hit);
             assert_eq!(
                 **d.program(),

@@ -78,7 +78,7 @@ pub mod passes;
 pub mod regalloc;
 pub mod stitch;
 
-pub use cache::CompileCache;
+pub use cache::{CompileCache, Lookup};
 pub use error::CompileError;
 pub use ir::{BinOp, CmpOp, IrBuilder, Kernel, Op, Ty, UnOp, ValueId};
 pub use lower::{compile, CompiledKernel, OptLevel};

@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn capture_is_the_newest_window_and_round_trips() {
-        let ring = EventRing::new(8, false);
+        let mut ring = EventRing::new(8, false);
         for device in 0..6 {
             ring.record(Event::DeviceReset { device });
         }
@@ -82,7 +82,7 @@ mod tests {
 
     #[test]
     fn no_ring_or_no_window_dumps_empty() {
-        let ring = EventRing::new(8, false);
+        let mut ring = EventRing::new(8, false);
         ring.record(Event::Pause);
         for dump in [
             FlightDump::capture(None, 4),

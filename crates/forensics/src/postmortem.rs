@@ -204,7 +204,7 @@ mod tests {
     use simt_profile::{CommandKind, EventRing};
 
     fn dump_with_gauges() -> FlightDump {
-        let r = EventRing::new(16, false);
+        let mut r = EventRing::new(16, false);
         r.record(Event::Enqueue {
             stream: 0,
             kind: CommandKind::Launch,

@@ -2,10 +2,11 @@
 //! ring, and the exporters that read it.
 //!
 //! Every layer that changes state — the stream scheduler and graph
-//! replayer in `simt-runtime`, the compile cache and pass pipeline in
-//! `simt-compiler` — writes each transition down once, as an
-//! [`Event`], into one [`EventRing`] shared behind an `Arc`. Everything
-//! else is a view of that ring:
+//! replayer in `simt-runtime`, and through them the compile cache and
+//! pass pipeline of `simt-compiler`, which report what they did by
+//! value — has each transition written down once, as an [`Event`], in
+//! one [`EventRing`] the runtime keeps behind its scheduler lock.
+//! Everything else is a view of that ring:
 //!
 //! * the **trace** of a profiled runtime is all of it —
 //!   [`chrome::chrome_trace`] renders a Chrome trace-event JSON string
@@ -25,8 +26,8 @@
 //! per-PC histograms only with [`ProfileConfig::per_pc`].
 //!
 //! The crate is deliberately leaf-level: it depends only on the
-//! vendored `serde`, so `simt-compiler`, `simt-forensics` and
-//! `simt-runtime` can all report through it without dependency cycles.
+//! vendored `serde`, so `simt-forensics` and `simt-runtime` can both
+//! build on it without dependency cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,8 +54,7 @@ pub mod labels {
 }
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Opt-in profiling configuration.
 ///
@@ -299,22 +299,30 @@ pub struct Record {
 /// A bounded wrap-around event ring: it keeps the newest
 /// [`capacity`](EventRing::capacity) records and counts the rest.
 ///
-/// Producers call [`EventRing::record`] concurrently from any thread:
-/// one `fetch_add` reserves a sequence number, and the record goes into
-/// slot `seq % capacity` through that slot's mutex — uncontended unless
-/// one writer laps another by a full ring, and never held across
-/// anything but the store. Nothing on the record path allocates.
+/// Plain single-owner data: [`EventRing::record`] takes `&mut self`,
+/// bumps a counter and stores into slot `seq % capacity` — no atomic,
+/// no lock of its own. Whoever owns the ring orders its writers (the
+/// runtime keeps it behind the scheduler mutex, which already orders
+/// every transition it records), and a reader that must not hold that
+/// owner up takes a [`Clone`], which copies the surviving records only.
+/// The storage is reserved up front, so nothing on the record path
+/// allocates.
+#[derive(Clone)]
 pub struct EventRing {
-    head: AtomicU64,
-    slots: Box<[Mutex<Option<Record>>]>,
+    /// Records ever made — the next sequence number.
+    head: u64,
+    /// The newest `min(head, capacity)` records; `seq` sits at
+    /// `seq % capacity`.
+    slots: Vec<Record>,
+    capacity: usize,
     detailed: bool,
 }
 
 impl std::fmt::Debug for EventRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventRing")
-            .field("capacity", &self.capacity())
-            .field("recorded", &self.recorded())
+            .field("capacity", &self.capacity)
+            .field("recorded", &self.head)
             .field("detailed", &self.detailed)
             .finish()
     }
@@ -331,21 +339,24 @@ impl EventRing {
     pub fn new(capacity: usize, detailed: bool) -> Self {
         assert!(capacity > 0, "event ring capacity must be non-zero");
         EventRing {
-            head: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            head: 0,
+            slots: Vec::with_capacity(capacity),
+            capacity,
             detailed,
         }
     }
 
-    /// Record one event; returns its global sequence number.
-    pub fn record(&self, event: Event) -> u64 {
-        // Relaxed: the counter publishes nothing by itself; the record
-        // travels through the slot mutex.
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let mut slot = self.slot(seq);
-        // A writer lapped by a full ring must not bury the newer record.
-        if slot.as_ref().is_none_or(|old| old.seq < seq) {
-            *slot = Some(Record { seq, event });
+    /// Record one event; returns its sequence number — the owner's
+    /// order of `record` calls.
+    pub fn record(&mut self, event: Event) -> u64 {
+        let seq = self.head;
+        self.head += 1;
+        let record = Record { seq, event };
+        if self.slots.len() < self.capacity {
+            self.slots.push(record);
+        } else {
+            let slot = self.index(seq);
+            self.slots[slot] = record;
         }
         seq
     }
@@ -358,7 +369,7 @@ impl EventRing {
 
     /// Record `build()` on a [detailed](EventRing::detailed) ring; one
     /// branch, and `build` never runs, otherwise.
-    pub fn detail(&self, build: impl FnOnce() -> Event) {
+    pub fn detail(&mut self, build: impl FnOnce() -> Event) {
         if self.detailed {
             self.record(build());
         }
@@ -366,36 +377,32 @@ impl EventRing {
 
     /// Total events ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.head
     }
 
     /// Ring capacity in records.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Records lost to overwriting: everything recorded beyond the
     /// newest `capacity`.
     pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
+        self.head.saturating_sub(self.capacity as u64)
     }
 
-    /// The newest `n` surviving records, ascending by sequence number.
-    ///
-    /// Taken concurrently with writers this is a best-effort snapshot
-    /// (a reserved but not yet stored record is skipped); taken at
-    /// quiesce it is exactly the last `min(n, recorded, capacity)`.
+    /// The newest `n` surviving records, ascending by sequence number:
+    /// exactly the last `min(n, recorded, capacity)`.
     pub fn last(&self, n: usize) -> Vec<Record> {
-        let head = self.recorded();
         let window = n.min(self.slots.len()) as u64;
-        (head.saturating_sub(window)..head)
-            .filter_map(|seq| self.slot(seq).as_ref().filter(|r| r.seq == seq).cloned())
+        (self.head - window..self.head)
+            .map(|seq| self.slots[self.index(seq)].clone())
             .collect()
     }
 
     /// Every surviving record, ascending by sequence number.
     pub fn records(&self) -> Vec<Record> {
-        self.last(self.slots.len())
+        self.last(self.capacity)
     }
 
     /// Every surviving event, in record order.
@@ -403,17 +410,14 @@ impl EventRing {
         self.records().into_iter().map(|r| r.event).collect()
     }
 
-    fn slot(&self, seq: u64) -> std::sync::MutexGuard<'_, Option<Record>> {
-        self.slots[(seq % self.slots.len() as u64) as usize]
-            .lock()
-            .expect("no code path panics while holding a slot")
+    fn index(&self, seq: u64) -> usize {
+        (seq % self.capacity as u64) as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
 
     fn placed(seq: u64) -> Event {
         Event::Placed {
@@ -431,7 +435,7 @@ mod tests {
 
     #[test]
     fn record_order_is_reservation_order() {
-        let ring = EventRing::new(8, false);
+        let mut ring = EventRing::new(8, false);
         for seq in 0..5 {
             assert_eq!(ring.record(placed(seq)), seq);
         }
@@ -443,30 +447,27 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_writers_lapping_the_ring_leave_the_newest_window() {
-        const WRITERS: u64 = 4;
-        const EACH: u64 = 500;
-        let ring = EventRing::new(64, false);
-        let start = Barrier::new(WRITERS as usize);
-        std::thread::scope(|scope| {
-            for w in 0..WRITERS {
-                let (ring, start) = (&ring, &start);
-                scope.spawn(move || {
-                    // All writers released together, so they contend
-                    // for the same few slots lap after lap.
-                    start.wait();
-                    for i in 0..EACH {
-                        ring.record(placed(w * EACH + i));
-                    }
-                });
+    fn lapping_the_ring_leaves_the_newest_window() {
+        let mut ring = EventRing::new(64, false);
+        for seq in 0..2000 {
+            ring.record(placed(seq));
+            // Whole or lapped, the survivors are the newest sequence
+            // numbers, ascending, each in its own slot.
+            let recorded = seq + 1;
+            assert_eq!(ring.recorded(), recorded);
+            assert_eq!(ring.dropped(), recorded.saturating_sub(64));
+            if recorded % 97 == 0 || recorded == 64 || recorded == 65 {
+                let seqs: Vec<u64> = ring.records().iter().map(|r| r.seq).collect();
+                assert_eq!(seqs, (ring.dropped()..recorded).collect::<Vec<_>>());
+                assert_eq!(ring.last(3), ring.records()[seqs.len() - 3..]);
             }
-        });
-        let total = WRITERS * EACH;
-        assert_eq!(ring.recorded(), total);
-        assert_eq!(ring.dropped(), total - 64);
-        // The survivors are exactly the newest 64 sequence numbers.
-        let seqs: Vec<u64> = ring.records().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, (total - 64..total).collect::<Vec<_>>());
+        }
+        assert_eq!(ring.events()[0], placed(2000 - 64));
+        // A snapshot is a ring of its own.
+        let snapshot = ring.clone();
+        ring.record(placed(2000));
+        assert_eq!(snapshot.recorded(), 2000);
+        assert_eq!(snapshot.last(1)[0].event, placed(1999));
     }
 
     #[test]
@@ -478,17 +479,17 @@ mod tests {
             insts_after: 8,
             changed: true,
         };
-        let plain = EventRing::new(4, false);
+        let mut plain = EventRing::new(4, false);
         plain.detail(|| unreachable!("never built on a plain ring"));
         assert_eq!(plain.recorded(), 0);
-        let detailed = EventRing::new(4, true);
+        let mut detailed = EventRing::new(4, true);
         detailed.detail(pass);
         assert_eq!(detailed.events(), vec![pass()]);
     }
 
     #[test]
     fn records_roundtrip_through_serde() {
-        let ring = EventRing::new(8, true);
+        let mut ring = EventRing::new(8, true);
         ring.record(Event::Pause);
         ring.record(placed(7));
         ring.record(Event::CacheLookup {

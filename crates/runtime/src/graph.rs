@@ -26,15 +26,20 @@
 //! What a replay copies: each copy-in's payload into the buffer, each
 //! copy-out's window out of it into the result, and per launch what
 //! [`pool`] says a launch copies. Besides the buffer it allocates one
-//! end cycle per node, the placement trace, the output list and the
+//! state per node, the placement trace, the output list and the
 //! copy-out payloads (`tests/alloc_replay.rs` counts them).
+//!
+//! A replay executes on the caller's thread, outside the scheduler
+//! lock, and then *books* itself in one acquisition: every executed
+//! node retires through the path stream commands take, in topological
+//! order, and the replay's span is recorded. A replay cut short — a
+//! trap, a bad window, a shutdown — books the nodes it did execute.
 
 use crate::scheduler::{Origin, Retired};
 use crate::stats::CommandKind;
 use crate::{pool, Runtime, RuntimeError};
 use simt_core::ExecStats;
 use simt_graph::{ExecGraph, GraphOp, NodeId};
-use simt_profile::Event;
 use std::time::Instant;
 
 /// An instantiated graph: validated against the pool and pre-compiled
@@ -162,22 +167,24 @@ impl Runtime {
     /// cache) instead of re-deriving it.
     pub fn instantiate(&self, graph: ExecGraph) -> Result<GraphExec, RuntimeError> {
         let memory_words = self.config().device.memory_words;
-        let mut extent = 0;
-        for node in graph.nodes() {
+        let mut lookups = Vec::new();
+        let extent = graph.nodes().iter().try_fold(0, |extent: usize, node| {
             let end = match &node.op {
                 GraphOp::CopyIn { dst, data } => check_window(*dst, data.len(), memory_words)?,
                 GraphOp::CopyOut { src, len } => check_window(*src, *len, memory_words)?,
                 GraphOp::Launch(spec) => {
-                    pool::resolve(self.compile_cache(), spec)?;
+                    lookups.push(pool::resolve(self.compile_cache(), spec)?.1);
                     spec.config.shared_words.min(memory_words)
                 }
             };
-            extent = extent.max(end);
-        }
+            Ok(extent.max(end))
+        });
+        // Whatever was looked up before a node was rejected happened.
+        self.shared.record_lookups(&lookups);
         Ok(GraphExec {
             graph,
             memory_words,
-            extent,
+            extent: extent?,
         })
     }
 
@@ -190,15 +197,14 @@ impl Runtime {
     pub fn replay(&self, exec: &GraphExec) -> Result<GraphReplay, RuntimeError> {
         let mut device = self.replay_device.lock().unwrap();
         let mut buffer = vec![0u32; exec.extent];
-        // End cycle per node, by `NodeId::index()`; a dependency comes
-        // earlier in the topological order, so its slot is filled.
-        let mut ends = vec![0u64; exec.graph.len()];
+        let order = exec.graph.topo_order();
+        let mut nodes: Vec<NodeState> = order.iter().map(|_| NodeState::default()).collect();
         let mut replay = GraphReplay {
-            placements: Vec::with_capacity(exec.graph.len()),
+            placements: Vec::with_capacity(order.len()),
             ..Default::default()
         };
-        let mut span = (u64::MAX, 0u64);
-        for &id in exec.graph.topo_order() {
+        // Execute, outside the scheduler lock, until a node fails.
+        let executed = order.iter().try_for_each(|&id| {
             // A replay spans many nodes of host-side work; honor a
             // concurrent `Runtime::shutdown` between nodes so the
             // caller's handle resolves instead of racing the drop.
@@ -209,10 +215,8 @@ impl Runtime {
             {
                 return Err(RuntimeError::Shutdown);
             }
-            let node = exec.graph.node(id);
-            let ready = node.deps.iter().map(|d| ends[d.index()]).max().unwrap_or(0);
             let t0 = Instant::now();
-            let (kind, cycles, words, launch) = match &node.op {
+            let (kind, cycles, words, launch) = match &exec.graph.node(id).op {
                 GraphOp::CopyIn { dst, data } => {
                     let end = check_window(*dst, data.len(), buffer.len())?;
                     buffer[*dst..end].copy_from_slice(data);
@@ -227,7 +231,7 @@ impl Runtime {
                 GraphOp::Launch(spec) => {
                     let outcome = device.run_launch(spec, &mut buffer)?;
                     replay.compute.merge(&outcome.stats);
-                    if outcome.compile_hit {
+                    if outcome.lookup.hit {
                         replay.compile_hits += 1;
                     }
                     let launch = self.shared.launched(&mut device, &spec.name, outcome);
@@ -235,8 +239,10 @@ impl Runtime {
                     (CommandKind::Launch, cycles, 0, Some(launch))
                 }
             };
-            let (placed, start, end) = self.shared.retire_graph_node(&Retired {
-                origin: Origin::Graph { ready },
+            nodes[id.index()].run = Some(Retired {
+                // Ready when its dependencies end, known once they are
+                // booked.
+                origin: Origin::Graph { ready: 0 },
                 seq: id.index() as u64,
                 kind,
                 cycles,
@@ -244,24 +250,43 @@ impl Runtime {
                 wall: t0.elapsed(),
                 launch,
             });
-            ends[id.index()] = end;
+            Ok(())
+        });
+        // Book what ran, in one acquisition. A dependency comes earlier
+        // in the topological order, so its end is filled in.
+        let mut state = self.shared.lock();
+        let mut span = (u64::MAX, 0u64);
+        for &id in order {
+            let Some(mut run) = nodes[id.index()].run.take() else {
+                break;
+            };
+            let deps = exec.graph.node(id).deps.iter();
+            let ready = deps.map(|d| nodes[d.index()].end).max().unwrap_or(0);
+            run.origin = Origin::Graph { ready };
+            let (placed, start, end) = self.shared.retire(&mut state, &run);
+            nodes[id.index()].end = end;
             span = (span.0.min(start), span.1.max(end));
             replay.placements.push(NodePlacement {
                 node: id,
-                kind,
+                kind: run.kind,
                 device: placed,
                 start,
                 end,
             });
         }
+        executed?;
         replay.span_cycles = span.1.saturating_sub(span.0);
-        if let Some(m) = &self.shared.metrics {
-            m.record_graph_span(replay.span_cycles);
-        }
-        self.shared.record(Event::GraphReplayDone {
-            nodes: replay.placements.len(),
-            span_cycles: replay.span_cycles,
-        });
+        self.shared
+            .replay_done(&mut state, replay.placements.len(), replay.span_cycles);
         Ok(replay)
     }
+}
+
+/// One node of a replay in flight, by `NodeId::index()`: what it did,
+/// from its execution until it is booked, then the virtual cycle it
+/// ended at.
+#[derive(Default)]
+struct NodeState {
+    run: Option<Retired>,
+    end: u64,
 }

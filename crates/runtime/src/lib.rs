@@ -184,6 +184,13 @@ pub enum RuntimeError {
     Capture(String),
     /// Execution-graph instantiation or replay rejected the graph.
     Graph(String),
+    /// A device id the pool does not have.
+    DeviceOutOfRange {
+        /// The requested device.
+        device: usize,
+        /// Devices in the pool.
+        devices: usize,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -240,6 +247,9 @@ impl fmt::Display for RuntimeError {
             ),
             RuntimeError::Capture(e) => write!(f, "stream capture: {e}"),
             RuntimeError::Graph(e) => write!(f, "graph: {e}"),
+            RuntimeError::DeviceOutOfRange { device, devices } => {
+                write!(f, "device{device} out of range for a {devices}-device pool")
+            }
         }
     }
 }
@@ -277,16 +287,10 @@ impl Runtime {
     pub fn new(cfg: RuntimeConfig) -> Self {
         assert!(cfg.devices >= 1, "a pool needs at least one device");
         let shared = Arc::new(Shared::new(cfg.clone()));
-        let mut compile_cache = match cfg.compile_cache_capacity {
+        let compile_cache = Arc::new(match cfg.compile_cache_capacity {
             Some(cap) => CompileCache::with_capacity(cap),
             None => CompileCache::new(),
-        };
-        // The event ring lives on the scheduler; the compile cache
-        // reports its lookups and pass runs into the same one.
-        if let Some(ring) = &shared.events {
-            compile_cache = compile_cache.with_events(Arc::clone(ring));
-        }
-        let compile_cache = Arc::new(compile_cache);
+        });
         let pc_sink = cfg
             .profile
             .as_ref()
@@ -392,17 +396,15 @@ impl Runtime {
     /// Readmit `device` into the placement pool: health back to
     /// [`DeviceHealth::Healthy`], fault counter cleared. When the
     /// device is the chaos plan's sticky-failure target the sticky
-    /// fault retires too — the reset models a replaced part.
-    ///
-    /// # Panics
-    /// If `device` is out of range for the pool.
-    pub fn reset_device(&self, device: usize) {
-        assert!(
-            device < self.config().devices,
-            "device{device} out of range for a {}-device pool",
-            self.config().devices
-        );
+    /// fault retires too — the reset models a replaced part. A device
+    /// the pool does not have is a typed error.
+    pub fn reset_device(&self, device: usize) -> Result<(), RuntimeError> {
+        let devices = self.config().devices;
+        if device >= devices {
+            return Err(RuntimeError::DeviceOutOfRange { device, devices });
+        }
         self.shared.reset_device(device);
+        Ok(())
     }
 
     /// Postmortem bundles assembled automatically for quarantined
@@ -433,14 +435,17 @@ impl Runtime {
     }
 
     /// The trace, when the runtime was built with a [`ProfileConfig`]
-    /// (`None` otherwise): the pool's event ring, holding at least the
-    /// newest [`ProfileConfig::events`] transitions in full detail.
-    /// Snapshot it with [`EventRing::events`] and export it with
+    /// (`None` otherwise): a snapshot of the pool's event ring, holding
+    /// at least the newest [`ProfileConfig::events`] transitions in
+    /// full detail. The snapshot is the caller's own — it clones the
+    /// surviving records while holding the scheduler lock, so take it
+    /// once and read it ([`EventRing::events`], [`EventRing::records`],
+    /// [`EventRing::dropped`]) as often as needed; export it with
     /// [`simt_profile::chrome::chrome_trace`] or
     /// [`simt_profile::summary::summarize`].
-    pub fn tracer(&self) -> Option<&Arc<EventRing>> {
-        let profiled = self.config().profile.is_some();
-        self.shared.events.as_ref().filter(|_| profiled)
+    pub fn tracer(&self) -> Option<EventRing> {
+        self.config().profile.as_ref()?;
+        self.shared.with_events(|ring| ring.cloned())
     }
 
     /// Snapshot the always-on pool metrics (`None` iff the runtime was
@@ -513,7 +518,14 @@ impl Runtime {
     /// automatically.
     pub fn flight(&self) -> Option<FlightDump> {
         let capacity = self.config().flight_capacity;
-        (capacity > 0).then(|| FlightDump::capture(self.shared.events.as_deref(), capacity))
+        (capacity > 0).then(|| self.flight_window())
+    }
+
+    /// The newest `flight_capacity` records of the event ring.
+    fn flight_window(&self) -> FlightDump {
+        let capacity = self.config().flight_capacity;
+        self.shared
+            .with_events(|ring| FlightDump::capture(ring, capacity))
     }
 
     /// Assemble a [`PostmortemReport`]: the health walk, the full
@@ -536,8 +548,7 @@ impl Runtime {
                 finding: finding.label(),
             });
         }
-        let flight =
-            FlightDump::capture(self.shared.events.as_deref(), self.config().flight_capacity);
+        let flight = self.flight_window();
         let timelines = gauge_timelines(&flight);
         let hotspots = self.hotspots();
         Some(PostmortemReport {

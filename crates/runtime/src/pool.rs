@@ -27,7 +27,7 @@
 
 use crate::RuntimeError;
 use simt_chaos::{ChaosConfig, RecoveryConfig};
-use simt_compiler::{CompileCache, OptLevel};
+use simt_compiler::{CompileCache, Lookup, OptLevel};
 use simt_core::{DecodedProgram, ExecStats, PcProfile, Processor, ProcessorConfig, RunOptions};
 use simt_isa::Program;
 use simt_kernels::{KernelSource, LaunchSpec};
@@ -203,20 +203,20 @@ pub(crate) struct LaunchOutcome {
     pub stats: ExecStats,
     /// Whether a cached processor build was reused.
     pub cache_hit: bool,
-    /// Whether the compiled program came out of the pool's
-    /// content-addressed [`CompileCache`].
-    pub compile_hit: bool,
+    /// What the pool's content-addressed [`CompileCache`] did to
+    /// resolve the kernel; the scheduler records it when the launch
+    /// retires.
+    pub lookup: Lookup,
 }
 
 /// Resolve a launch's kernel source through the pool's compile cache,
 /// in *predecoded* form: the simulator's µop decode rides the cached
 /// artifact, so repeated stream launches and graph replays skip
-/// re-decoding (the cache's `decode_hits` counter tracks this). The
-/// flag is whether the artifact was already resident.
+/// re-decoding (the cache's `decode_hits` counter tracks this).
 pub(crate) fn resolve(
     cache: &CompileCache,
     spec: &LaunchSpec,
-) -> Result<(Arc<DecodedProgram>, bool), RuntimeError> {
+) -> Result<(Arc<DecodedProgram>, Lookup), RuntimeError> {
     match &spec.source {
         KernelSource::Asm(asm) => cache
             .get_or_assemble_decoded(asm, &spec.config)
@@ -312,14 +312,14 @@ impl Device {
         spec: &LaunchSpec,
         buffer: &mut [u32],
     ) -> Result<LaunchOutcome, RuntimeError> {
-        let (decoded, compile_hit) = resolve(&self.compile_cache, spec)?;
+        let (decoded, lookup) = resolve(&self.compile_cache, spec)?;
         let (mut proc, cache_hit) = self.processor(&spec.config)?;
         let stats = self.execute(&mut proc, spec, decoded, buffer);
         self.retire(proc);
         Ok(LaunchOutcome {
             stats: stats?,
             cache_hit,
-            compile_hit,
+            lookup,
         })
     }
 
@@ -599,7 +599,7 @@ mod tests {
         let out = d.run_launch(&spec, &mut buffer).unwrap();
         assert!(out.stats.cycles > 0);
         assert!(!out.cache_hit);
-        assert!(!out.compile_hit, "first launch must compile");
+        assert!(!out.lookup.hit, "first launch must compile");
         assert_eq!(
             &buffer[spec.out_off..spec.out_off + spec.out_len],
             spec.expected.as_slice()
@@ -607,7 +607,7 @@ mod tests {
         // Same config again: cached build and cached compile.
         let again = d.run_launch(&spec, &mut buffer).unwrap();
         assert!(again.cache_hit);
-        assert!(again.compile_hit);
+        assert!(again.lookup.hit);
         assert_eq!(again.stats.cycles, out.stats.cycles);
     }
 
@@ -622,14 +622,14 @@ mod tests {
         let spec = LaunchSpec::saxpy_ir(3, &x, &y);
         let mut buffer = vec![0u32; 16384];
         let first = d0.run_launch(&spec, &mut buffer).unwrap();
-        assert!(!first.compile_hit);
+        assert!(!first.lookup.hit);
         assert_eq!(
             &buffer[spec.out_off..spec.out_off + spec.out_len],
             spec.expected.as_slice()
         );
         // A *different* device reuses the pool-wide compiled artifact.
         let second = d1.run_launch(&spec, &mut buffer).unwrap();
-        assert!(second.compile_hit);
+        assert!(second.lookup.hit);
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
     }
 

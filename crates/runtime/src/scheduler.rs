@@ -41,9 +41,10 @@
 //!   [`StreamStats`]) — plain integers under the lock it already holds;
 //! * **where and when** is one [`Event::Placed`] in the pool's one
 //!   [`EventRing`] (every other transition is one
-//!   [`simt_profile::Event`] there too) — the trace of a profiled pool
-//!   and the black box of every pool are both views of it, and so are
-//!   per-stream order and cross-stream overlap;
+//!   [`simt_profile::Event`] there too) — plain data behind the same
+//!   lock, so ring order *is* lock order; the trace of a profiled pool
+//!   and the black box of every pool are both snapshots of it, and so
+//!   are per-stream order and cross-stream overlap;
 //! * **distributions and watermarks** — the latency histograms, the
 //!   queue-depth and outstanding gauges — go into the metrics registry,
 //!   because they cannot be rebuilt later. So do the fault-recovery
@@ -54,6 +55,31 @@
 //! instruction, thread-op and per-device busy-cycle counters from them
 //! under the same lock, beside the makespan and the engine clocks — a
 //! counter kept twice is a counter that can disagree with itself.
+//!
+//! ## What the critical section may do
+//!
+//! The scheduler lock is the launch path's one contended resource, so
+//! what runs under it obeys one rule: **no system call unless a thread
+//! is known to be waiting, and no synchronisation of its own for data
+//! the lock already orders.**
+//!
+//! * The event ring has no atomics and no locks: `SchedState` owns
+//!   it, and `record` is a counter bump and a slot store. Producers
+//!   that work outside the lock report *by value*: the compile cache
+//!   returns what a lookup did, the thread that ran the launch hands it
+//!   to `retire`, and `retire` writes `CacheLookup{Compile}`, the
+//!   `PassRun`s (detailed rings only) and `CacheLookup{Decode}`
+//!   directly before that launch's `Placed`. (A launch that fails
+//!   records `Failed` and no lookup; the cache's counters still count
+//!   it.) Readers take a snapshot under the lock — `Runtime::tracer`,
+//!   `flight`, `postmortem` — and a `Health` finding, recorded from
+//!   outside, takes the lock to do it: cold paths all.
+//! * A completion cell (`stream::Slot`, behind every launch
+//!   handle, copy handle and event) counts its waiters and wakes only
+//!   when there are some; worker wakes name a parked worker; `idle` is
+//!   signalled on the one transition its waiters test.
+//! * A graph replay executes outside the lock and books itself — every
+//!   node's `retire`, then `GraphReplayDone` — in one acquisition.
 //!
 //! ## Wake protocol
 //!
@@ -112,13 +138,14 @@ use crate::stats::{CommandKind, DeviceStats, RuntimeStats, StreamStats};
 use crate::stream::Command;
 use crate::RuntimeError;
 use simt_chaos::{DeviceHealth, FaultKind, FaultPlan, PlannedFault};
+use simt_compiler::Lookup;
 use simt_core::ExecStats;
 use simt_graph::{ExecGraph, GraphNode, GraphOp, NodeId};
 use simt_metrics::{names as metric, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
-use simt_profile::{labels, Event, EventRing};
+use simt_profile::{labels, CacheTier, Event, EventRing};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One queued command with its recovery bookkeeping: the attempt
@@ -215,11 +242,6 @@ impl PoolMetrics {
             registry,
         }
     }
-
-    /// Record the modeled critical-path span of one graph replay.
-    pub(crate) fn record_graph_span(&self, span_cycles: u64) {
-        self.graph_span.record(span_cycles);
-    }
 }
 
 /// An in-progress stream capture: commands of participating streams are
@@ -284,9 +306,24 @@ pub(crate) struct SchedState {
     /// (`Runtime` assembles a `postmortem("device-quarantined")`
     /// bundle for each at the next synchronization point).
     pending_quarantines: Vec<usize>,
+    /// The pool's event ring: the newest
+    /// `max(flight_capacity, profile.events)` transitions, detailed iff
+    /// profiling is on. `None` iff both the black box
+    /// ([`RuntimeConfig::flight_capacity`] zero) and the profiler are
+    /// off. Plain data: this lock orders its writers.
+    events: Option<EventRing>,
 }
 
 impl SchedState {
+    /// Record one transition (one branch on `None` when the pool has
+    /// no ring; eager `event` construction stays cheap — ids, cycles
+    /// and already-computed gauge values).
+    fn record(&mut self, event: Event) {
+        if let Some(ring) = &mut self.events {
+            ring.record(event);
+        }
+    }
+
     /// The modeled makespan: the latest point any stream's completion
     /// chain or any engine clock has reached.
     fn makespan(&self) -> u64 {
@@ -337,12 +374,6 @@ pub(crate) struct Shared {
     /// `synchronize` waits here for quiescence.
     idle: Condvar,
     pub(crate) shutdown: AtomicBool,
-    /// The pool's event ring: the newest
-    /// `max(flight_capacity, profile.events)` transitions, detailed iff
-    /// profiling is on. `None` iff both the black box
-    /// ([`RuntimeConfig::flight_capacity`] zero) and the profiler are
-    /// off.
-    pub(crate) events: Option<Arc<EventRing>>,
     /// Always-on pool metrics (`Some` unless [`RuntimeConfig::metrics`]
     /// was switched off to measure the disabled path).
     pub(crate) metrics: Option<PoolMetrics>,
@@ -455,8 +486,7 @@ impl Shared {
         let cfg_metrics = cfg.metrics;
         let trace = cfg.profile.as_ref().map_or(0, |p| p.events);
         let capacity = cfg.flight_capacity.max(trace);
-        let events =
-            (capacity > 0).then(|| Arc::new(EventRing::new(capacity, cfg.profile.is_some())));
+        let events = (capacity > 0).then(|| EventRing::new(capacity, cfg.profile.is_some()));
         let plan = cfg.chaos.as_ref().map(FaultPlan::new);
         Shared {
             cfg,
@@ -477,24 +507,37 @@ impl Shared {
                 device_faults: vec![0; d],
                 sticky_disabled: false,
                 pending_quarantines: Vec::new(),
+                events,
             }),
             work: (0..d).map(|_| Condvar::new()).collect(),
             idle: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            events,
             metrics: cfg_metrics.then(PoolMetrics::new),
             plan,
             started: Instant::now(),
         }
     }
 
-    /// Record one transition (one branch on `None` when the pool has
-    /// no ring; eager `event` construction stays cheap — ids, cycles
-    /// and already-computed gauge values).
+    /// Record one transition from outside the scheduler (a health
+    /// finding): takes the lock, as every reader and writer of the
+    /// ring does.
     pub(crate) fn record(&self, event: Event) {
-        if let Some(ring) = &self.events {
-            ring.record(event);
+        self.state.lock().unwrap().record(event);
+    }
+
+    /// Record what `instantiate`'s compile-cache lookups did, in order,
+    /// in one acquisition.
+    pub(crate) fn record_lookups(&self, lookups: &[Lookup]) {
+        if let Some(ring) = &mut self.state.lock().unwrap().events {
+            lookups.iter().for_each(|l| record_lookup(ring, l));
         }
+    }
+
+    /// Read the event ring (`None` iff the pool has none) under the
+    /// scheduler lock: what `view` copies out is a consistent snapshot,
+    /// and the pool waits while it does.
+    pub(crate) fn with_events<R>(&self, view: impl FnOnce(Option<&EventRing>) -> R) -> R {
+        view(self.state.lock().unwrap().events.as_ref())
     }
 
     /// The launch half of a [`Retired`] command, resolved by the thread
@@ -506,10 +549,9 @@ impl Shared {
         kernel: &str,
         outcome: LaunchOutcome,
     ) -> Launched {
-        let detailed = self.events.as_ref().is_some_and(|ring| ring.detailed());
         Launched {
             outcome,
-            kernel: detailed.then(|| kernel.into()),
+            kernel: self.cfg.profile.is_some().then(|| kernel.into()),
             kernel_cycles: self
                 .metrics
                 .as_ref()
@@ -580,14 +622,14 @@ impl Shared {
     pub(crate) fn pause(&self) {
         let mut state = self.state.lock().unwrap();
         state.paused = true;
-        self.record(Event::Pause);
+        state.record(Event::Pause);
     }
 
     /// Release paused workers.
     pub(crate) fn resume(&self) {
         let mut state = self.state.lock().unwrap();
         state.paused = false;
-        self.record(Event::Resume);
+        state.record(Event::Resume);
         let sleepers = std::mem::take(&mut state.parked);
         drop(state);
         for w in sleepers {
@@ -762,7 +804,7 @@ impl Shared {
         st.queue.push_back(Pending::first(seq, cmd));
         state.outstanding += 1;
         let st = &state.streams[stream];
-        let depth = st.queue.len() as u64;
+        let (depth, at) = (st.queue.len() as u64, st.vdone);
         let outstanding = state.outstanding as u64;
         if let Some(m) = &self.metrics {
             if let Some(sm) = &st.metrics {
@@ -770,12 +812,12 @@ impl Shared {
             }
             m.outstanding.set(outstanding);
         }
-        self.record(Event::Enqueue {
+        state.record(Event::Enqueue {
             stream,
             kind,
             depth,
             outstanding,
-            at: st.vdone,
+            at,
         });
         // Wake a worker only for a command that made its stream
         // claimable: a busy stream is rescanned by the worker running
@@ -870,7 +912,7 @@ impl Shared {
             snap.push_counter(metric::DEVICE_FAULTS, &labels::device(d), f);
         }
         // Only a trace can be partial: the black box laps by design.
-        let trace = self.events.as_ref().filter(|ring| ring.detailed());
+        let trace = state.events.as_ref().filter(|ring| ring.detailed());
         snap.push_counter(
             metric::TRACER_DROPPED,
             "",
@@ -918,7 +960,7 @@ impl Shared {
         {
             state.sticky_disabled = true;
         }
-        self.record(Event::DeviceReset { device });
+        state.record(Event::DeviceReset { device });
     }
 
     /// Current per-device health states.
@@ -933,10 +975,20 @@ impl Shared {
         std::mem::take(&mut self.state.lock().unwrap().pending_quarantines)
     }
 
-    /// Retire one graph-replay node through the path stream commands
-    /// take. Returns `(device, start, end)` in virtual cycles.
-    pub(crate) fn retire_graph_node(&self, node: &Retired) -> (usize, u64, u64) {
-        self.retire(&mut self.state.lock().unwrap(), node)
+    /// Take the scheduler lock to book one graph replay: each executed
+    /// node's [`Shared::retire`], then [`Shared::replay_done`], in one
+    /// acquisition.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, SchedState> {
+        self.state.lock().unwrap()
+    }
+
+    /// A graph replay ran to its end: record its modeled critical-path
+    /// span.
+    pub(crate) fn replay_done(&self, state: &mut SchedState, nodes: usize, span_cycles: u64) {
+        if let Some(m) = &self.metrics {
+            m.graph_span.record(span_cycles);
+        }
+        state.record(Event::GraphReplayDone { nodes, span_cycles });
     }
 
     /// The one way an executed copy or launch reaches the books:
@@ -945,11 +997,12 @@ impl Shared {
     /// it into the placement device's accounting — and, for a stream
     /// command, the stream's and the outstanding count — record its
     /// latency samples and one [`Event::Placed`] (see "Who owns which
-    /// fact" in the module doc). Returns `(device, start, end)` in
+    /// fact" in the module doc), a launch's directly behind what its
+    /// compile-cache lookup did. Returns `(device, start, end)` in
     /// virtual cycles; the caller resolves the command's handle
     /// afterwards, so a waiter that wakes on it finds all of this
     /// already written.
-    fn retire(&self, state: &mut SchedState, r: &Retired) -> (usize, u64, u64) {
+    pub(crate) fn retire(&self, state: &mut SchedState, r: &Retired) -> (usize, u64, u64) {
         let Retired {
             seq, kind, cycles, ..
         } = *r;
@@ -976,7 +1029,7 @@ impl Shared {
                 } else {
                     ds.cache_misses += 1;
                 }
-                if l.outcome.compile_hit {
+                if l.outcome.lookup.hit {
                     ds.compile_hits += 1;
                 } else {
                     ds.compile_misses += 1;
@@ -1023,17 +1076,22 @@ impl Shared {
             Origin::Stream { sid, .. } => Some(sid),
             Origin::Graph { .. } => None,
         };
-        self.record(Event::Placed {
-            stream,
-            seq,
-            kind,
-            device: p,
-            start,
-            end,
-            words: r.words,
-            instructions: launch.map_or(0, |l| l.outcome.stats.instructions),
-            kernel: launch.and_then(|l| l.kernel.clone()),
-        });
+        if let Some(ring) = &mut state.events {
+            if let Some(l) = launch {
+                record_lookup(ring, &l.outcome.lookup);
+            }
+            ring.record(Event::Placed {
+                stream,
+                seq,
+                kind,
+                device: p,
+                start,
+                end,
+                words: r.words,
+                instructions: launch.map_or(0, |l| l.outcome.stats.instructions),
+                kernel: launch.and_then(|l| l.kernel.clone()),
+            });
+        }
         if stream.is_some() {
             self.complete(state, 1);
         }
@@ -1057,7 +1115,7 @@ impl Shared {
         root: bool,
     ) {
         if root {
-            if let Some(ring) = &self.events {
+            if let Some(ring) = &mut state.events {
                 ring.record(Event::Failed {
                     stream: sid,
                     kind: cmd.kind(),
@@ -1118,7 +1176,7 @@ impl Shared {
                     let kind = cmd.kind();
                     let at = st.vdone;
                     state.stream_stats[sid].commands += 1;
-                    self.record(Event::Placed {
+                    state.record(Event::Placed {
                         stream: Some(sid),
                         seq,
                         kind,
@@ -1185,7 +1243,7 @@ impl Shared {
                     }
                     st.busy = true;
                     state.scan_from[d] = sid + 1;
-                    self.record(Event::Batch {
+                    state.record(Event::Batch {
                         stream: sid,
                         device: d,
                         commands: batch.len() as u64,
@@ -1259,7 +1317,7 @@ impl Shared {
                                 m.failovers.inc();
                             }
                         }
-                        self.record(Event::Retry {
+                        state.record(Event::Retry {
                             stream: sid,
                             device,
                             attempt,
@@ -1305,7 +1363,7 @@ impl Shared {
             }
         }
         let st = &state.streams[sid];
-        let depth = st.queue.len() as u64;
+        let (depth, at) = (st.queue.len() as u64, st.vdone);
         let outstanding = state.outstanding as u64;
         if let Some(m) = &self.metrics {
             m.outstanding.set(outstanding);
@@ -1313,13 +1371,13 @@ impl Shared {
                 sm.depth.set(depth);
             }
         }
-        self.record(Event::Publish {
+        state.record(Event::Publish {
             stream: sid,
             device: d,
             commands: resolved,
             depth,
             outstanding,
-            at: st.vdone,
+            at,
         });
         state.streams[sid].buffer = Some(buffer);
         state.streams[sid].busy = false;
@@ -1364,7 +1422,7 @@ impl Shared {
             if let Some(m) = &self.metrics {
                 m.quarantines.inc();
             }
-            self.record(Event::Quarantine { device, faults });
+            state.record(Event::Quarantine { device, faults });
         }
         if let Some(m) = &self.metrics {
             if injected {
@@ -1376,7 +1434,7 @@ impl Shared {
                 m.timeouts.inc();
             }
         }
-        if let Some(ring) = &self.events {
+        if let Some(ring) = &mut state.events {
             ring.record(Event::Fault {
                 stream: sid,
                 device,
@@ -1386,6 +1444,30 @@ impl Shared {
             });
         }
     }
+}
+
+/// Write down what one compile-cache lookup did: the compile tier's
+/// outcome, on a detailed ring the pass runs of a fresh compile, then
+/// the decode tier's.
+fn record_lookup(ring: &mut EventRing, lookup: &Lookup) {
+    let label = &lookup.label;
+    let tier = |tier| Event::CacheLookup {
+        kernel: Arc::clone(label),
+        tier,
+        hit: lookup.hit,
+        decoded: true,
+    };
+    ring.record(tier(CacheTier::Compile));
+    for ps in &lookup.passes {
+        ring.detail(|| Event::PassRun {
+            kernel: label.to_string(),
+            pass: ps.pass.to_string(),
+            insts_before: ps.insts_before,
+            insts_after: ps.insts_after,
+            changed: ps.changed,
+        });
+    }
+    ring.record(tier(CacheTier::Decode));
 }
 
 /// Least-loaded engine pick: the device whose engine can start this

@@ -18,39 +18,64 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// A write-once completion cell shared between a handle (or an
 /// [`Event`]'s clones) and the worker that resolves it. The first `set`
-/// wins; later ones only wake waiters.
+/// wins.
+///
+/// `set` runs under the scheduler lock (twice per job, plus once per
+/// event signal) and a condvar notify is a system call whether or not
+/// anyone listens, so the cell counts its waiters under its own mutex
+/// and `set` notifies — after the unlock — only when the count was
+/// non-zero. No wake-up is lost: a waiter raises the count under the
+/// mutex before `Condvar::wait` releases it, so a `set` that read zero
+/// stored its value before that waiter looked.
 #[derive(Debug)]
 pub(crate) struct Slot<T> {
-    value: Mutex<Option<T>>,
+    state: Mutex<SlotState<T>>,
     cond: Condvar,
+}
+
+#[derive(Debug)]
+struct SlotState<T> {
+    value: Option<T>,
+    /// Threads inside [`Slot::wait`]'s loop.
+    waiters: usize,
 }
 
 impl<T: Clone> Slot<T> {
     pub(crate) fn new() -> Self {
         Slot {
-            value: Mutex::new(None),
+            state: Mutex::new(SlotState {
+                value: None,
+                waiters: 0,
+            }),
             cond: Condvar::new(),
         }
     }
 
     pub(crate) fn set(&self, v: T) {
-        let mut g = self.value.lock().unwrap();
-        if g.is_none() {
-            *g = Some(v);
+        let waiters = {
+            let mut g = self.state.lock().unwrap();
+            g.value.get_or_insert(v);
+            g.waiters
+        };
+        if waiters > 0 {
+            self.cond.notify_all();
         }
-        self.cond.notify_all();
     }
 
     pub(crate) fn wait(&self) -> T {
-        let mut g = self.value.lock().unwrap();
-        while g.is_none() {
-            g = self.cond.wait(g).unwrap();
+        let mut g = self.state.lock().unwrap();
+        if g.value.is_none() {
+            g.waiters += 1;
+            while g.value.is_none() {
+                g = self.cond.wait(g).unwrap();
+            }
+            g.waiters -= 1;
         }
-        g.as_ref().unwrap().clone()
+        g.value.clone().expect("the loop above saw a value")
     }
 
     pub(crate) fn try_get(&self) -> Option<T> {
-        self.value.lock().unwrap().clone()
+        self.state.lock().unwrap().value.clone()
     }
 }
 

@@ -293,7 +293,7 @@ fn sticky_device_failure_quarantines_within_the_fault_budget() {
 
     // Readmission: health clears, the sticky fault retires with the
     // reset (a replaced part), and the device takes placements again.
-    rt.reset_device(1);
+    rt.reset_device(1).unwrap();
     assert_eq!(
         rt.device_health(),
         vec![DeviceHealth::Healthy, DeviceHealth::Healthy]
@@ -397,4 +397,29 @@ fn wrapping_inline_input_offset_is_an_exec_error_not_a_hang() {
     done_rx
         .recv_timeout(std::time::Duration::from_secs(60))
         .expect("the launch must resolve and synchronize() must return");
+}
+
+#[test]
+fn resetting_a_device_the_pool_does_not_have_is_a_typed_error() {
+    let rt = Runtime::new(RuntimeConfig::with_devices(2));
+    assert_eq!(rt.reset_device(1), Ok(()));
+    for device in [2, usize::MAX] {
+        let err = rt.reset_device(device).unwrap_err();
+        assert_eq!(err, RuntimeError::DeviceOutOfRange { device, devices: 2 });
+        assert!(err.to_string().contains("2-device pool"), "{err}");
+    }
+    // Only the reset that happened is in the ring, and the pool works.
+    let resets: Vec<usize> = rt
+        .flight()
+        .unwrap()
+        .events
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::DeviceReset { device } => Some(device),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(resets, [1]);
+    let s = rt.stream();
+    run_saxpy_jobs(&rt, &s, 2).expect("the pool is untouched");
 }

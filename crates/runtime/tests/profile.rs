@@ -403,3 +403,82 @@ fn iir_ir_per_pc_profile_attributes_cycles_to_the_loop_body() {
     assert!(plain.pc_profiles().is_empty());
     assert!(plain.tracer().is_none());
 }
+
+#[test]
+fn every_launchs_lookups_sit_directly_before_its_placement() {
+    // Two workers draining four streams while the caller replays a
+    // graph: whichever thread ran a launch, the ring shows
+    // `CacheLookup{Compile}` [`PassRun`…] `CacheLookup{Decode}` and then
+    // that launch's `Placed`, with nothing in between — and no lookup
+    // anywhere else.
+    const JOBS: u64 = 48;
+    let cfg = RuntimeConfig::with_devices(2).with_profile(ProfileConfig::default());
+    let rt = Runtime::new(cfg);
+    let p = Pipeline::saxpy_scale_sum(3, 2, &int_vector(64, 1), &int_vector(64, 2), 0);
+    let exec = rt.instantiate(pipeline_graph(&p).0).unwrap();
+    let instantiated = rt.tracer().unwrap().events().len();
+    assert!(instantiated > 0, "instantiation looked its launches up");
+
+    let streams: Vec<_> = (0..4).map(|_| rt.stream()).collect();
+    let mut launches = 0;
+    for i in 0..JOBS {
+        for (k, s) in streams.iter().enumerate() {
+            let (x, y) = (int_vector(64, i + 1), int_vector(64, i + 2));
+            // A handful of distinct kernels, so misses (with their pass
+            // runs) keep arriving among the hits.
+            let a = 2 + ((i as i32 + k as i32) % 5);
+            let (spec, inputs) = LaunchSpec::saxpy_ir(a, &x, &y).detach_inputs();
+            for (off, words) in &inputs {
+                s.copy_in(*off, words);
+            }
+            let (off, len) = (spec.out_off, spec.out_len);
+            s.launch(spec);
+            s.copy_out(off, len);
+            launches += 1;
+        }
+        if i % 8 == 0 {
+            let replay = rt.replay(&exec).unwrap();
+            let is_launch = |p: &&simt_runtime::NodePlacement| p.kind == CommandKind::Launch;
+            launches += replay.placements.iter().filter(is_launch).count() as u64;
+        }
+    }
+    rt.synchronize().unwrap();
+
+    let tracer = rt.tracer().unwrap();
+    assert_eq!(tracer.dropped(), 0);
+    let events = &tracer.events()[instantiated..];
+    let lookup = |at: usize, want: CacheTier| match &events[at] {
+        Event::CacheLookup {
+            kernel, tier, hit, ..
+        } if *tier == want => (kernel.clone(), *hit),
+        other => panic!("event {at}: expected a {want:?} lookup, found {other:?}"),
+    };
+    let mut placed = 0;
+    for (at, e) in events.iter().enumerate() {
+        if !matches!(
+            e,
+            Event::Placed {
+                kind: CommandKind::Launch,
+                ..
+            }
+        ) {
+            continue;
+        }
+        placed += 1;
+        let (label, hit) = lookup(at - 1, CacheTier::Decode);
+        let mut first = at - 2;
+        while let Event::PassRun { kernel, .. } = &events[first] {
+            assert!(!hit, "a hit ran no pass");
+            assert_eq!(**kernel, *label);
+            first -= 1;
+        }
+        assert_eq!(lookup(first, CacheTier::Compile), (label, hit));
+        assert!(hit || at - first > 2, "a fresh compile shows its passes");
+    }
+    assert_eq!(placed, launches);
+    let lookups = events
+        .iter()
+        .filter(|e| matches!(e, Event::CacheLookup { .. }))
+        .count();
+    assert_eq!(lookups as u64, 2 * launches);
+}
