@@ -1,4 +1,5 @@
-//! The always-on event ring adds no allocation to a warm launch.
+//! Neither always-on sink — the event ring, the metrics — adds an
+//! allocation to a warm launch.
 //!
 //! A test binary of its own: the counting allocator is process-global,
 //! so nothing else may run beside the one test.
@@ -21,7 +22,7 @@ fn warm_launch_allocations(cfg: RuntimeConfig, launches: usize) -> u64 {
     let s = rt.stream();
     let spec = LaunchSpec::saxpy_ir(3, &int_vector(64, 1), &int_vector(64, 2));
     // Warm everything a first launch fills: compile and decode cache,
-    // the device's processor build, its kernel-histogram handle.
+    // the device's processor build, the kernel's launch-cycle metric.
     s.launch(spec.clone());
     rt.synchronize().unwrap();
     rt.pause();
@@ -37,13 +38,20 @@ fn warm_launch_allocations(cfg: RuntimeConfig, launches: usize) -> u64 {
 #[test]
 fn the_event_ring_adds_no_allocation_to_a_warm_launch() {
     const LAUNCHES: usize = 64;
-    let with_ring = warm_launch_allocations(RuntimeConfig::default(), LAUNCHES);
-    let without =
+    let default = warm_launch_allocations(RuntimeConfig::default(), LAUNCHES);
+    let without_ring =
         warm_launch_allocations(RuntimeConfig::default().with_flight_capacity(0), LAUNCHES);
-    assert!(without > 0, "the counter is live");
+    let without_metrics =
+        warm_launch_allocations(RuntimeConfig::default().with_metrics(false), LAUNCHES);
+    assert!(without_ring > 0, "the counter is live");
     assert_eq!(
-        with_ring, without,
-        "{LAUNCHES} warm launches: {with_ring} allocations with the default \
-         black box, {without} with none"
+        default, without_ring,
+        "{LAUNCHES} warm launches: {default} allocations with the default \
+         black box, {without_ring} with none"
+    );
+    assert_eq!(
+        default, without_metrics,
+        "{LAUNCHES} warm launches: {default} allocations with the default \
+         metrics, {without_metrics} with none"
     );
 }

@@ -3,6 +3,7 @@
 //! with CUDA-style sticky stream errors, and the sticky-device →
 //! quarantine → readmission lifecycle.
 
+use simt_kernels::pipeline::Pipeline;
 use simt_kernels::workload::int_vector;
 use simt_kernels::LaunchSpec;
 use simt_metrics::names;
@@ -11,6 +12,8 @@ use simt_runtime::{
     ChaosConfig, DeviceHealth, GraphBuilder, RecoveryConfig, Runtime, RuntimeConfig, RuntimeError,
     Stream,
 };
+
+mod common;
 
 /// Submit `n` saxpy jobs (copy-in inputs, launch, copy-out result) on
 /// one stream and return the copy-out handles' payloads after a full
@@ -397,6 +400,81 @@ fn wrapping_inline_input_offset_is_an_exec_error_not_a_hang() {
     done_rx
         .recv_timeout(std::time::Duration::from_secs(60))
         .expect("the launch must resolve and synchronize() must return");
+}
+
+/// Every metric row a faulted run writes, pinned byte for byte: one
+/// device and a backlog built under pause, so the claim order — and
+/// with it every fault decision, retry, backoff and placement — is a
+/// pure function of the submitted work. The plan injects transient
+/// launch faults, copy faults and hung kernels into a stream of copies
+/// and launches (one of them assembly), so the run retries, recovers,
+/// times out and gives up; beside it a stream only copies and one
+/// enqueues nothing (its rows are all zero). Then a graph is
+/// instantiated and replayed twice.
+#[test]
+fn chaos_run_metrics_match_the_golden_files() {
+    let chaos = ChaosConfig::new(7)
+        .with_transient_launch_rate(0.25)
+        .with_hung_kernel_rate(0.25)
+        .with_copy_fault_rate(0.15);
+    let cfg = RuntimeConfig {
+        devices: 1,
+        ..RuntimeConfig::default()
+    }
+    .with_chaos(chaos)
+    .with_recovery(RecoveryConfig {
+        max_attempts: 3,
+        watchdog_cycle_budget: 5_000,
+        ..RecoveryConfig::default()
+    });
+    let rt = Runtime::new(cfg);
+    let jobs = rt.stream();
+    let copies = rt.stream();
+    let _idle = rt.stream();
+    rt.pause();
+    for i in 0..8u64 {
+        let x = int_vector(64, i + 1);
+        let y = int_vector(64, 2 * i + 1);
+        let spec = if i == 3 {
+            LaunchSpec::saxpy(2, &x, &y)
+        } else {
+            LaunchSpec::saxpy_ir(3, &x, &y)
+        };
+        jobs.copy_in(4000, &[i as u32; 16]);
+        jobs.launch(spec);
+        jobs.copy_out(4000, 16);
+        copies.copy_in(100 * i as usize, &[7; 24]);
+    }
+    copies.copy_out(0, 128);
+    rt.resume();
+    // The plan makes some command give up: the pool reports it.
+    assert!(rt.synchronize().is_err());
+
+    let p = Pipeline::saxpy_scale_sum(3, 2, &int_vector(64, 1), &int_vector(64, 2), 0);
+    let mut b = GraphBuilder::new();
+    let mut prev: Vec<_> = p
+        .inputs
+        .iter()
+        .map(|(dst, words)| b.copy_in(*dst, words.clone(), &[]))
+        .collect();
+    for stage in &p.stages {
+        prev = vec![b.launch(stage.clone(), &prev)];
+    }
+    b.copy_out(p.out_off, p.out_len, &prev);
+    let exec = rt.instantiate(b.finish().unwrap()).unwrap();
+    for _ in 0..2 {
+        assert_eq!(rt.replay(&exec).unwrap().outputs[0].1, p.expected);
+    }
+
+    let snap = rt.metrics_snapshot().expect("metrics are on by default");
+    common::assert_golden(
+        "metrics_chaos_snapshot.json",
+        &serde_json::to_string_pretty(&snap).unwrap(),
+    );
+    common::assert_golden(
+        "metrics_chaos.prom",
+        &simt_metrics::prometheus::render(&snap),
+    );
 }
 
 #[test]
