@@ -881,9 +881,7 @@ fn table1() {
     println!("\npaper:     GPGPU 7038/24534/99/32, SP 371/1337/4/2, Mul+Sft 145/424/0/2,");
     println!("           Logic 83/424/0/0, Inst 275/651/3/0, Shared 133/233/64*/0");
     println!("(*the paper's Shared M20K row is inconsistent with its own total;");
-    println!(
-        "  our 32-block replica model reproduces the 99-block device total — see EXPERIMENTS.md)\n"
-    );
+    println!("  our 32-block replica model reproduces the 99-block device total, 16*4 + 3 + 32)\n");
 }
 
 fn registers() {

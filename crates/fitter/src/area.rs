@@ -220,8 +220,8 @@ fn inst_area(cfg: &ProcessorConfig) -> ModuleArea {
 ///
 /// Note: the paper's Shared row lists 64 M20K, which is inconsistent
 /// with its own GPGPU total (16·4 + 3 + 64 = 131 ≠ 99); the replica
-/// model below reproduces the total exactly (64 + 3 + 32 = 99). See
-/// EXPERIMENTS.md.
+/// model below reproduces the total exactly (64 + 3 + 32 = 99), which
+/// `tests/experiments.rs::t1_resource_rows` pins.
 fn shared_area(cfg: &ProcessorConfig) -> ModuleArea {
     let addr_bits = (cfg.shared_words.max(2) as f64).log2().ceil() as usize;
     let replicas = simt_isa::SHARED_READ_PORTS;

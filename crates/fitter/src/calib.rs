@@ -4,8 +4,9 @@
 //! congestion, seed noise, worst-slack coupling, hard-block ceilings) are
 //! structural; these constants pin the mechanism strengths to the paper's
 //! anchor measurements. The reported megahertz then *emerge* from running
-//! the compile pipeline — they are asserted within tolerance bands in
-//! EXPERIMENTS.md, never copied into results.
+//! the compile pipeline — they are asserted within tolerance bands by
+//! `tests/experiments.rs` (the anchor list is `bench-e2e/README.md`'s
+//! `anchor_err_pct` entry), never copied into results.
 
 /// Natural logic utilization of an unconstrained compile — plenty of
 /// placement freedom, so routing quality is nominal (§5: the

@@ -277,7 +277,7 @@ mod tests {
         s.push_gauge(names::QUEUE_DEPTH, "stream1", 0.0);
         s.push_gauge(names::STREAM_VDONE_CYCLES, "stream0", 10_000.0);
         s.push_gauge(names::STREAM_VDONE_CYCLES, "stream1", 9_800.0);
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for _ in 0..10 {
             h.record(100);
         }

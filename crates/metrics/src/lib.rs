@@ -2,30 +2,30 @@
 //!
 //! Where `simt-profile` answers *what happened on this run* (opt-in,
 //! bounded, per-event), this crate answers *how is the pool doing*
-//! (always-on, aggregated, constant-memory). Three primitives, all
-//! lock-free on the record path:
+//! (always-on, aggregated, constant-memory). It owns no state of the
+//! pool's: the runtime keeps its counters and high watermarks as plain
+//! integers and its distributions as [`Histogram`]s, beside its other
+//! books and behind the lock that already orders them, and writes
+//! them out as a [`MetricsSnapshot`] when asked.
 //!
-//! * [`Counter`] — a monotonic relaxed-atomic counter;
-//! * [`Gauge`] — a last-written value plus its **high watermark**
-//!   (queue depths, outstanding commands);
-//! * [`Histogram`] — a log₂-bucketed distribution over **modeled
-//!   cycles**. Next to the bucket counts it keeps a small lock-free
-//!   table of exact `(value, count)` pairs: modeled latencies are
-//!   deterministic and low-cardinality, so in practice every recorded
-//!   value is retained exactly and p50/p90/p99/max are **exact**
-//!   (nearest-rank over the true multiset, asserted against brute-force
-//!   percentiles in tests). If a histogram ever sees more than
-//!   [`VALUE_SLOTS`] distinct values, percentiles degrade to log₂
-//!   bucket upper bounds and the snapshot is flagged `exact = false`.
+//! A [`Histogram`] is a log₂-bucketed distribution over **modeled
+//! cycles**, plain data recorded through `&mut self`. Next to the
+//! bucket counts it keeps the first [`VALUE_SLOTS`] distinct values
+//! exactly, with their multiplicities: modeled latencies are
+//! deterministic and low-cardinality, so in practice every recorded
+//! value is retained and p50/p90/p99/max are **exact** (nearest-rank
+//! over the true multiset, asserted against brute-force percentiles in
+//! tests). Past that table, percentiles degrade to log₂ bucket upper
+//! bounds and the snapshot is flagged `exact = false`.
 //!
-//! A [`Registry`] names metrics with a `(name, label)` pair — the label
+//! Every row is named by a `(name, label)` pair ([`names`]) — the label
 //! scheme is shared with the tracer's track names (`kernel` labels are
 //! `LaunchSpec::name`s, device and stream labels match the Chrome-trace
 //! process/thread names), so a hot metric cross-references directly
-//! into a trace. Snapshots ([`MetricsSnapshot`]) are deterministic
-//! (sorted by name then label) and export as serde JSON or Prometheus
-//! text ([`prometheus::render`]). A [`HealthMonitor`] walks a snapshot
-//! and flags stalls, starvation and tracer drops as typed
+//! into a trace. Snapshots are deterministic (sorted by name then
+//! label) and export as serde JSON or Prometheus text
+//! ([`prometheus::render`]). A [`HealthMonitor`] walks a snapshot and
+//! flags stalls, starvation and tracer drops as typed
 //! [`HealthFinding`]s.
 //!
 //! Nothing in this crate reads a wall clock.
@@ -41,10 +41,6 @@ pub use health::{HealthConfig, HealthFinding, HealthMonitor, HealthReport};
 pub use snapshot::{
     CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, ValueCount,
 };
-
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
 
 /// Well-known metric names: the vocabulary the runtime records under
 /// and the health monitor reads back. Labels: per-kernel metrics use
@@ -126,76 +122,12 @@ pub mod names {
     pub const DEVICE_FAULTS: &str = "device_faults_total";
 }
 
-/// A monotonic counter (relaxed atomics; `add` is one `fetch_add`).
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A zeroed counter (const, so counters can live in statics).
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Relaxed);
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Relaxed)
-    }
-}
-
-/// A gauge: the last value [`Gauge::set`] wrote, plus the highest value
-/// ever written (the **high watermark** — queue-depth peaks survive the
-/// queue draining).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-    watermark: AtomicU64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Self {
-        Gauge {
-            value: AtomicU64::new(0),
-            watermark: AtomicU64::new(0),
-        }
-    }
-
-    /// Set the current value; the watermark only ever rises.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Relaxed);
-        self.watermark.fetch_max(v, Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Relaxed)
-    }
-
-    /// Highest value ever set.
-    pub fn watermark(&self) -> u64 {
-        self.watermark.load(Relaxed)
-    }
-}
-
 /// Number of log₂ buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`.
 pub const BUCKET_COUNT: usize = 65;
 
 /// Capacity of a histogram's exact-value table: the most distinct
-/// values one live histogram retains exactly.
+/// values one histogram retains exactly.
 pub const VALUE_SLOTS: usize = 64;
 
 /// The log₂ bucket a value falls in.
@@ -219,23 +151,22 @@ pub fn bucket_ceil(i: usize) -> u64 {
 }
 
 /// A log₂-bucketed histogram over modeled cycles with an exact-value
-/// side table (see the crate docs for the exactness contract). All
-/// recording is lock-free: bucket counts, count/sum/min/max and the
-/// open-addressed value table use relaxed atomics only.
+/// side table (see the crate docs for the exactness contract). Plain
+/// data: its owner orders the writes.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKET_COUNT],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    /// Open-addressed value table: `keys[i]` holds `value + 1` (0 =
-    /// empty) and `key_counts[i]` its multiplicity.
-    keys: [AtomicU64; VALUE_SLOTS],
-    key_counts: [AtomicU64; VALUE_SLOTS],
-    /// Samples whose value could not be retained exactly (table full,
-    /// or the unrepresentable `u64::MAX`).
-    overflow: AtomicU64,
+    buckets: [u64; BUCKET_COUNT],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    /// The first [`VALUE_SLOTS`] distinct values in arrival order, with
+    /// their multiplicities; a slot with count 0 and every slot after
+    /// it are free.
+    values: [ValueCount; VALUE_SLOTS],
+    /// Samples not retained in `values`: the table was full, or the
+    /// sample was `u64::MAX` (which the snapshot format never lists).
+    overflow: u64,
 }
 
 impl Default for Histogram {
@@ -248,164 +179,59 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: [const { AtomicU64::new(0) }; BUCKET_COUNT],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            keys: [const { AtomicU64::new(0) }; VALUE_SLOTS],
-            key_counts: [const { AtomicU64::new(0) }; VALUE_SLOTS],
-            overflow: AtomicU64::new(0),
+            buckets: [0; BUCKET_COUNT],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            values: [ValueCount { value: 0, count: 0 }; VALUE_SLOTS],
+            overflow: 0,
         }
     }
 
     /// Record one sample.
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
-        self.sum.fetch_add(v, Relaxed);
-        self.min.fetch_min(v, Relaxed);
-        self.max.fetch_max(v, Relaxed);
-        let key = v.wrapping_add(1);
-        if key == 0 {
-            // u64::MAX would collide with the empty sentinel.
-            self.overflow.fetch_add(1, Relaxed);
-            return;
-        }
-        // Linear probe from a multiplicative hash of the value.
-        let h = (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
-        for i in 0..VALUE_SLOTS {
-            let slot = (h + i) % VALUE_SLOTS;
-            let cur = self.keys[slot].load(Relaxed);
-            if cur == key {
-                self.key_counts[slot].fetch_add(1, Relaxed);
-                return;
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        // Slots fill in order, so the first slot that holds `v` or is
+        // free is where `v` belongs.
+        match self
+            .values
+            .iter_mut()
+            .find(|s| s.value == v || s.count == 0)
+        {
+            Some(slot) if v != u64::MAX => {
+                slot.value = v;
+                slot.count += 1;
             }
-            if cur == 0 {
-                match self.keys[slot].compare_exchange(0, key, Relaxed, Relaxed) {
-                    Ok(_) => {
-                        self.key_counts[slot].fetch_add(1, Relaxed);
-                        return;
-                    }
-                    Err(actual) if actual == key => {
-                        self.key_counts[slot].fetch_add(1, Relaxed);
-                        return;
-                    }
-                    Err(_) => continue,
-                }
-            }
+            _ => self.overflow += 1,
         }
-        self.overflow.fetch_add(1, Relaxed);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Relaxed)
     }
 
     /// Snapshot into plain data (deterministic: the value table is
     /// sorted by value regardless of record order).
     pub fn snapshot(&self, name: &str, label: &str) -> HistogramSnapshot {
-        let count = self.count();
-        let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Relaxed)).collect();
-        let mut values: Vec<ValueCount> = Vec::new();
-        for i in 0..VALUE_SLOTS {
-            let key = self.keys[i].load(Relaxed);
-            let n = self.key_counts[i].load(Relaxed);
-            if key != 0 && n > 0 {
-                values.push(ValueCount {
-                    value: key - 1,
-                    count: n,
-                });
-            }
-        }
+        let mut values: Vec<ValueCount> = self
+            .values
+            .iter()
+            .filter(|s| s.count > 0)
+            .copied()
+            .collect();
         values.sort_unstable_by_key(|vc| vc.value);
-        let overflow = self.overflow.load(Relaxed);
         HistogramSnapshot::from_parts(
             name.to_string(),
             label.to_string(),
-            count,
-            self.sum.load(Relaxed),
-            if count == 0 {
-                0
-            } else {
-                self.min.load(Relaxed)
-            },
-            self.max.load(Relaxed),
-            buckets,
+            self.count,
+            self.sum,
+            if self.count == 0 { 0 } else { self.min },
+            self.max,
+            self.buckets.to_vec(),
             values,
-            overflow,
+            self.overflow,
         )
-    }
-}
-
-/// A pool-wide metric registry: get-or-create metrics by
-/// `(name, label)`. Creation takes a mutex; recording through the
-/// returned [`Arc`] is lock-free, so hot paths cache the handle.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<(String, String), Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<(String, String), Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<(String, String), Arc<Histogram>>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get or create the counter `name{label}`.
-    pub fn counter(&self, name: &str, label: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap();
-        Arc::clone(
-            map.entry((name.to_string(), label.to_string()))
-                .or_default(),
-        )
-    }
-
-    /// Get or create the gauge `name{label}`.
-    pub fn gauge(&self, name: &str, label: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap();
-        Arc::clone(
-            map.entry((name.to_string(), label.to_string()))
-                .or_default(),
-        )
-    }
-
-    /// Get or create the histogram `name{label}`.
-    pub fn histogram(&self, name: &str, label: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap();
-        Arc::clone(
-            map.entry((name.to_string(), label.to_string()))
-                .or_default(),
-        )
-    }
-
-    /// Snapshot every metric, sorted by `(name, label)` — two
-    /// registries fed the same samples snapshot identically no matter
-    /// the record order.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new();
-        for ((name, label), c) in self.counters.lock().unwrap().iter() {
-            snap.counters.push(CounterSnapshot {
-                name: name.clone(),
-                label: label.clone(),
-                value: c.get(),
-            });
-        }
-        for ((name, label), g) in self.gauges.lock().unwrap().iter() {
-            snap.gauges.push(GaugeSnapshot {
-                name: name.clone(),
-                label: label.clone(),
-                value: g.get() as f64,
-                watermark: g.watermark() as f64,
-            });
-        }
-        for ((name, label), h) in self.histograms.lock().unwrap().iter() {
-            snap.histograms.push(h.snapshot(name, label));
-        }
-        snap
     }
 }
 
@@ -415,15 +241,13 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_do_what_they_say() {
-        let c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        let g = Gauge::new();
-        g.set(7);
-        g.set(3);
-        assert_eq!(g.get(), 3);
-        assert_eq!(g.watermark(), 7);
+        let mut snap = MetricsSnapshot::new();
+        snap.push_counter(names::LAUNCHES, "", 10);
+        snap.push_watermark_gauge(names::QUEUE_DEPTH, "stream0", 3, 7);
+        assert_eq!(snap.counter(names::LAUNCHES, "").unwrap().value, 10);
+        let g = snap.gauge(names::QUEUE_DEPTH, "stream0").unwrap();
+        assert_eq!(g.value, 3.0);
+        assert_eq!(g.watermark, 7.0);
     }
 
     #[test]
@@ -443,7 +267,7 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_are_exact_against_brute_force() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         let samples = [130u64, 12, 900, 12, 130, 7, 7, 7, 2048, 12];
         for &v in &samples {
             h.record(v);
@@ -469,7 +293,7 @@ mod tests {
 
     #[test]
     fn histogram_degrades_gracefully_past_the_value_table() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         // More distinct values than the table holds.
         for v in 0..(VALUE_SLOTS as u64 + 40) {
             h.record(v * 3 + 1);
@@ -489,26 +313,6 @@ mod tests {
         assert!(
             p50 >= sorted[rank50 - 1],
             "bucket ceiling bounds the true p50"
-        );
-    }
-
-    #[test]
-    fn registry_interns_by_name_and_label() {
-        let r = Registry::new();
-        let a = r.counter(names::LAUNCHES, "");
-        let b = r.counter(names::LAUNCHES, "");
-        a.inc();
-        b.inc();
-        assert_eq!(r.counter(names::LAUNCHES, "").get(), 2);
-        r.histogram(names::LAUNCH_CYCLES, "saxpy").record(100);
-        r.gauge(names::QUEUE_DEPTH, "stream0").set(5);
-        let snap = r.snapshot();
-        assert_eq!(snap.counters.len(), 1);
-        assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.gauges.len(), 1);
-        assert_eq!(
-            snap.histogram(names::LAUNCH_CYCLES, "saxpy").unwrap().count,
-            1
         );
     }
 }

@@ -107,18 +107,20 @@ pub fn render(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{names, Histogram, Registry};
+    use crate::{names, Histogram, MetricsSnapshot};
 
     #[test]
     fn renders_all_three_metric_kinds() {
-        let r = Registry::new();
-        r.counter(names::LAUNCHES, "").add(12);
-        r.gauge(names::QUEUE_DEPTH, "stream0").set(3);
-        let h = r.histogram(names::LAUNCH_CYCLES, "saxpy");
+        let mut snap = MetricsSnapshot::new();
+        snap.push_counter(names::LAUNCHES, "", 12);
+        snap.push_watermark_gauge(names::QUEUE_DEPTH, "stream0", 3, 3);
+        let mut h = Histogram::new();
         h.record(100);
         h.record(130);
         h.record(900);
-        let text = render(&r.snapshot());
+        snap.histograms
+            .push(h.snapshot(names::LAUNCH_CYCLES, "saxpy"));
+        let text = render(&snap);
         assert!(text.contains("# TYPE simt_launches_total counter"));
         assert!(text.contains("simt_launches_total 12"));
         assert!(text.contains("simt_stream_queue_depth{label=\"stream0\"} 3"));
@@ -131,11 +133,11 @@ mod tests {
 
     #[test]
     fn buckets_are_cumulative_and_bounded_by_count() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in [1u64, 2, 4, 8, 16, 16, 1000] {
             h.record(v);
         }
-        let mut snap = crate::MetricsSnapshot::new();
+        let mut snap = MetricsSnapshot::new();
         snap.histograms.push(h.snapshot("launch_cycles", ""));
         let text = render(&snap);
         let mut prev = 0u64;
@@ -153,9 +155,9 @@ mod tests {
 
     #[test]
     fn hostile_labels_are_escaped() {
-        let r = Registry::new();
-        r.counter("launches_total", "evil\"name\nwith\\stuff").inc();
-        let text = render(&r.snapshot());
+        let mut snap = MetricsSnapshot::new();
+        snap.push_counter("launches_total", "evil\"name\nwith\\stuff", 1);
+        let text = render(&snap);
         assert!(text.contains("label=\"evil\\\"name\\nwith\\\\stuff\""));
     }
 }

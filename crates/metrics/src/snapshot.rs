@@ -1,6 +1,6 @@
-//! Plain-data snapshots of a [`Registry`](crate::Registry): what the
-//! exporters serialize, what the health monitor reads, and what the
-//! regression gate diffs. Everything here is deterministic given the
+//! Plain-data snapshots of the pool's metrics: what the exporters
+//! serialize, what the health monitor reads, and what the regression
+//! gate diffs. Everything here is deterministic given the
 //! recorded samples — collections are sorted by `(name, label)` and
 //! percentiles are integer nearest-rank, so two runs that recorded the
 //! same multisets serialize byte-identically.
@@ -204,8 +204,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// A full, deterministic snapshot of every metric in a registry (plus
-/// whatever derived entries the runtime pushes in before export).
+/// A full, deterministic snapshot of every metric row, as the runtime
+/// writes it out.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// All counters, sorted by `(name, label)`.
@@ -249,6 +249,17 @@ impl MetricsSnapshot {
             label: label.to_string(),
             value,
             watermark: value,
+        });
+    }
+
+    /// Append a gauge entry that remembers the highest value it ever
+    /// had (queue depths, outstanding commands).
+    pub fn push_watermark_gauge(&mut self, name: &str, label: &str, value: u64, watermark: u64) {
+        self.gauges.push(GaugeSnapshot {
+            name: name.to_string(),
+            label: label.to_string(),
+            value: value as f64,
+            watermark: watermark as f64,
         });
     }
 
@@ -297,7 +308,7 @@ mod tests {
     use super::*;
 
     fn hist_of(name: &str, label: &str, samples: &[u64]) -> HistogramSnapshot {
-        let h = crate::Histogram::new();
+        let mut h = crate::Histogram::new();
         for &v in samples {
             h.record(v);
         }

@@ -2,11 +2,11 @@
 //! `simt-core/tests/prop_profile.rs`: histogram invariants hold for
 //! arbitrary sample multisets, merging is exact and associative, and
 //! snapshots are a pure function of the recorded multiset (record
-//! order, interleaving and thread count never show through).
+//! order never shows through).
 
 use proptest::prelude::*;
 use simt_metrics::{
-    bucket_ceil, bucket_index, Histogram, HistogramSnapshot, Registry, BUCKET_COUNT,
+    bucket_ceil, bucket_index, Histogram, HistogramSnapshot, MetricsSnapshot, BUCKET_COUNT,
 };
 
 /// Sample vectors that exercise all regimes: empty, small exact sets,
@@ -35,11 +35,15 @@ fn arb_samples() -> impl Strategy<Value = Vec<u64>> {
 }
 
 fn snapshot_of(samples: &[u64]) -> HistogramSnapshot {
-    let h = Histogram::new();
+    snapshot_named("launch_cycles", "prop", samples)
+}
+
+fn snapshot_named(name: &str, label: &str, samples: &[u64]) -> HistogramSnapshot {
+    let mut h = Histogram::new();
     for &v in samples {
         h.record(v);
     }
-    h.snapshot("launch_cycles", "prop")
+    h.snapshot(name, label)
 }
 
 /// Brute-force nearest-rank percentile over the raw samples.
@@ -142,31 +146,14 @@ proptest! {
     }
 
     /// A snapshot is a pure function of the recorded multiset: record
-    /// order doesn't matter, and recording through a registry from
-    /// several threads yields the same snapshot as serial recording.
+    /// order doesn't matter.
     #[test]
-    fn snapshot_is_order_and_thread_independent(samples in arb_samples()) {
+    fn snapshot_is_order_independent(samples in arb_samples()) {
         let serial = snapshot_of(&samples);
 
         let mut reversed: Vec<u64> = samples.clone();
         reversed.reverse();
-        prop_assert_eq!(snapshot_of(&reversed), serial.clone());
-
-        let registry = Registry::new();
-        let h = registry.histogram("launch_cycles", "prop");
-        std::thread::scope(|scope| {
-            for chunk in samples.chunks(samples.len().div_ceil(4).max(1)) {
-                let h = std::sync::Arc::clone(&h);
-                scope.spawn(move || {
-                    for &v in chunk {
-                        h.record(v);
-                    }
-                });
-            }
-        });
-        let snap = registry.snapshot();
-        prop_assert_eq!(snap.histograms.len(), 1);
-        prop_assert_eq!(snap.histograms[0].clone(), serial);
+        prop_assert_eq!(snapshot_of(&reversed), serial);
     }
 
     /// JSON export is lossless: a snapshot round-trips through the
@@ -174,17 +161,13 @@ proptest! {
     #[test]
     fn snapshot_round_trips_through_serde(a in arb_samples(), b in arb_samples()) {
         use serde::{Deserialize, Serialize};
-        let registry = Registry::new();
-        for &v in &a {
-            registry.histogram("launch_cycles", "k0").record(v);
-        }
-        for &v in &b {
-            registry.histogram("stream_copy_cycles", "stream1").record(v);
-        }
-        registry.counter("launches_total", "").add(a.len() as u64);
-        registry.gauge("stream_queue_depth", "stream1").set(b.len() as u64);
-        let snap = registry.snapshot();
-        let back = simt_metrics::MetricsSnapshot::from_value(&snap.to_value()).unwrap();
+        let mut snap = MetricsSnapshot::new();
+        snap.push_counter("launches_total", "", a.len() as u64);
+        snap.push_gauge("stream_queue_depth", "stream1", b.len() as f64);
+        snap.histograms.push(snapshot_named("launch_cycles", "k0", &a));
+        snap.histograms.push(snapshot_named("stream_copy_cycles", "stream1", &b));
+        snap.sort();
+        let back = MetricsSnapshot::from_value(&snap.to_value()).unwrap();
         prop_assert_eq!(back, snap);
     }
 }

@@ -35,11 +35,12 @@
 //! order, and the replay's span is recorded. A replay cut short — a
 //! trap, a bad window, a shutdown — books the nodes it did execute.
 
-use crate::scheduler::{Origin, Retired};
+use crate::scheduler::{Launched, Origin, Retired};
 use crate::stats::CommandKind;
 use crate::{pool, Runtime, RuntimeError};
 use simt_core::ExecStats;
 use simt_graph::{ExecGraph, GraphOp, NodeId};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// An instantiated graph: validated against the pool and pre-compiled
@@ -234,9 +235,14 @@ impl Runtime {
                     if outcome.lookup.hit {
                         replay.compile_hits += 1;
                     }
-                    let launch = self.shared.launched(&mut device, &spec.name, outcome);
-                    let cycles = launch.outcome.stats.cycles;
-                    (CommandKind::Launch, cycles, 0, Some(launch))
+                    let cycles = outcome.stats.cycles;
+                    let name = Cow::Borrowed(spec.name.as_str());
+                    (
+                        CommandKind::Launch,
+                        cycles,
+                        0,
+                        Some(Launched { outcome, name }),
+                    )
                 }
             };
             nodes[id.index()].run = Some(Retired {
@@ -286,7 +292,7 @@ impl Runtime {
 /// from its execution until it is booked, then the virtual cycle it
 /// ended at.
 #[derive(Default)]
-struct NodeState {
-    run: Option<Retired>,
+struct NodeState<'a> {
+    run: Option<Retired<'a>>,
     end: u64,
 }

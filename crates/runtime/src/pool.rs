@@ -31,7 +31,7 @@ use simt_compiler::{CompileCache, Lookup, OptLevel};
 use simt_core::{DecodedProgram, ExecStats, PcProfile, Processor, ProcessorConfig, RunOptions};
 use simt_isa::Program;
 use simt_kernels::{KernelSource, LaunchSpec};
-use simt_metrics::{names as metric, HealthConfig, Histogram, Registry};
+use simt_metrics::HealthConfig;
 use simt_profile::ProfileConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -98,8 +98,8 @@ pub struct RuntimeConfig {
     pub profile: Option<ProfileConfig>,
     /// Always-on pool metrics (counters, watermark gauges, modeled-cycle
     /// latency histograms — `simt-metrics`). On by default: the record
-    /// path is a few relaxed atomics per *retired command*, not per
-    /// instruction. The off switch exists so the disabled-path cost can
+    /// path is a few plain integer writes under the scheduler lock per
+    /// *retired command*, not per instruction. The off switch exists so the disabled-path cost can
     /// be measured (`bench-e2e --trace 1`:
     /// `metrics.overhead_ns_per_launch`).
     pub metrics: bool,
@@ -243,9 +243,6 @@ pub(crate) struct Device {
     /// Pool-wide per-PC profile sink (`Some` only when the runtime was
     /// built with [`ProfileConfig::per_pc`]).
     pc_sink: Option<Arc<PcSink>>,
-    /// Launch-cycle histograms this device has retired launches into,
-    /// by kernel name (see [`Device::kernel_cycles`]).
-    kernel_cycles: HashMap<String, Arc<Histogram>>,
 }
 
 impl Device {
@@ -263,22 +260,7 @@ impl Device {
             cache: Vec::new(),
             compile_cache,
             pc_sink,
-            kernel_cycles: HashMap::new(),
         }
-    }
-
-    /// The pool's launch-cycle histogram for `kernel`. The registry is
-    /// asked once per kernel name and device; afterwards this is a
-    /// borrowed-key map hit — no label allocation, no registry lock —
-    /// so a retired launch records through a handle.
-    pub(crate) fn kernel_cycles(&mut self, registry: &Registry, kernel: &str) -> Arc<Histogram> {
-        if let Some(h) = self.kernel_cycles.get(kernel) {
-            return Arc::clone(h);
-        }
-        let h = registry.histogram(metric::LAUNCH_CYCLES, kernel);
-        self.kernel_cycles
-            .insert(kernel.to_string(), Arc::clone(&h));
-        h
     }
 
     /// Modeled clocks for moving `words` over the host link.

@@ -45,16 +45,23 @@
 //!   lock, so ring order *is* lock order; the trace of a profiled pool
 //!   and the black box of every pool are both snapshots of it, and so
 //!   are per-stream order and cross-stream overlap;
-//! * **distributions and watermarks** — the latency histograms, the
-//!   queue-depth and outstanding gauges — go into the metrics registry,
-//!   because they cannot be rebuilt later. So do the fault-recovery
-//!   counters, which have no book.
+//! * **distributions, watermarks and fault counters** — the latency
+//!   histograms, the queue-depth and outstanding high watermarks, the
+//!   fault-recovery counters — are books too, because nothing can
+//!   rebuild them later (a bounded ring cannot rebuild a distribution):
+//!   plain integers and `simt_metrics::Histogram`s in `MetricBooks`
+//!   (`None` iff metrics are off) and `StreamState`, under the same
+//!   lock.
 //!
 //! Everything else is computed when somebody asks: `stats()` clones the
-//! books, and `metrics_snapshot()` derives the launch, copy,
-//! instruction, thread-op and per-device busy-cycle counters from them
-//! under the same lock, beside the makespan and the engine clocks — a
-//! counter kept twice is a counter that can disagree with itself.
+//! books, and `metrics_snapshot()` writes the metric books out and
+//! derives the launch, copy, instruction, thread-op and per-device
+//! busy-cycle counters from the others under the same lock, beside the
+//! makespan and the engine clocks — a counter kept twice is a counter
+//! that can disagree with itself. A row exists exactly when its book
+//! does: every stream's from `add_stream`, the pool-wide ones from pool
+//! creation, a kernel's from its first retired launch, a fault
+//! family's from its first injected fault.
 //!
 //! ## What the critical section may do
 //!
@@ -74,6 +81,12 @@
 //!   it.) Readers take a snapshot under the lock — `Runtime::tracer`,
 //!   `flight`, `postmortem` — and a `Health` finding, recorded from
 //!   outside, takes the lock to do it: cold paths all.
+//! * The metric books have no atomics and no locks either: a histogram
+//!   `record` is a few integer stores, a counter a `+= 1`, a watermark
+//!   a `max`. A retired launch finds its kernel's row by the name it
+//!   brings along — moved out of the stream command's consumed spec,
+//!   or borrowed from the replayed graph's — so a warm launch or replay
+//!   allocates nothing for them.
 //! * A completion cell (`stream::Slot`, behind every launch
 //!   handle, copy handle and event) counts its waiters and wakes only
 //!   when there are some; worker wakes name a parked worker; `idle` is
@@ -141,9 +154,10 @@ use simt_chaos::{DeviceHealth, FaultKind, FaultPlan, PlannedFault};
 use simt_compiler::Lookup;
 use simt_core::ExecStats;
 use simt_graph::{ExecGraph, GraphNode, GraphOp, NodeId};
-use simt_metrics::{names as metric, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+use simt_metrics::{names as metric, Histogram, MetricsSnapshot};
 use simt_profile::{labels, CacheTier, Event, EventRing};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -190,58 +204,36 @@ pub(crate) struct StreamState {
     poisoned: Option<RuntimeError>,
     /// Virtual time at which the stream's last completed command ended.
     vdone: u64,
-    /// The stream's metric handles, cached at creation so the hot paths
-    /// never take the registry lock (`None` iff metrics are off).
-    metrics: Option<StreamMetrics>,
+    /// The deepest the queue has been.
+    depth_watermark: u64,
+    /// Modeled cycles per launch and per copy retired on this stream
+    /// (recorded iff metrics are on).
+    launch_cycles: Histogram,
+    copy_cycles: Histogram,
 }
 
-/// Cached per-stream metric handles.
-pub(crate) struct StreamMetrics {
-    /// Modeled cycles per launch retired on this stream.
-    launch_cycles: Arc<Histogram>,
-    /// Modeled cycles per copy retired on this stream.
-    copy_cycles: Arc<Histogram>,
-    /// Queue depth (watermark = deepest backlog ever).
-    depth: Arc<Gauge>,
-}
-
-/// Pool-wide metric handles, cached at pool creation. The registry
-/// itself is reachable for label-keyed metrics (per-kernel histograms);
-/// everything on the per-command path goes through these `Arc`s. Only
-/// what the books cannot answer lives here — see "Who owns which fact"
-/// in the module doc.
-pub(crate) struct PoolMetrics {
-    pub(crate) registry: Arc<Registry>,
-    outstanding: Arc<Gauge>,
-    graph_span: Arc<Histogram>,
+/// The facts only the metrics keep — see "Who owns which fact" in the
+/// module doc. Plain data in [`SchedState`], `None` iff metrics are
+/// off; the per-stream distributions live in [`StreamState`].
+#[derive(Default)]
+struct MetricBooks {
+    /// Modeled cycles per launch, by `LaunchSpec::name`: a row from the
+    /// kernel's first retired launch.
+    launch_cycles: HashMap<String, Histogram>,
+    graph_span: Histogram,
+    /// Modeled backoff cycles charged per retry.
+    retry_backoff: Histogram,
+    /// The most commands ever queued or in flight at once.
+    outstanding_watermark: u64,
     /// Fault-recovery counters (all zero on fault-free pools).
-    retries: Arc<Counter>,
-    failovers: Arc<Counter>,
-    recovered: Arc<Counter>,
-    terminal_failures: Arc<Counter>,
-    timeouts: Arc<Counter>,
-    quarantines: Arc<Counter>,
-    /// Modeled backoff cycles charged per retry (retry-latency
-    /// percentiles come from here).
-    retry_backoff: Arc<Histogram>,
-}
-
-impl PoolMetrics {
-    fn new() -> Self {
-        let registry = Arc::new(Registry::new());
-        PoolMetrics {
-            outstanding: registry.gauge(metric::OUTSTANDING, ""),
-            graph_span: registry.histogram(metric::GRAPH_SPAN_CYCLES, ""),
-            retries: registry.counter(metric::RETRIES, ""),
-            failovers: registry.counter(metric::FAILOVERS, ""),
-            recovered: registry.counter(metric::RECOVERED, ""),
-            terminal_failures: registry.counter(metric::TERMINAL_FAILURES, ""),
-            timeouts: registry.counter(metric::TIMEOUTS, ""),
-            quarantines: registry.counter(metric::QUARANTINES, ""),
-            retry_backoff: registry.histogram(metric::RETRY_BACKOFF_CYCLES, ""),
-            registry,
-        }
-    }
+    retries: u64,
+    failovers: u64,
+    recovered: u64,
+    terminal_failures: u64,
+    timeouts: u64,
+    quarantines: u64,
+    /// Injected faults by family: a row from the family's first fault.
+    faults_injected: BTreeMap<&'static str, u64>,
 }
 
 /// An in-progress stream capture: commands of participating streams are
@@ -312,6 +304,9 @@ pub(crate) struct SchedState {
     /// ([`RuntimeConfig::flight_capacity`] zero) and the profiler are
     /// off. Plain data: this lock orders its writers.
     events: Option<EventRing>,
+    /// `None` iff [`RuntimeConfig::metrics`] was switched off to
+    /// measure the disabled path.
+    metrics: Option<MetricBooks>,
 }
 
 impl SchedState {
@@ -374,9 +369,6 @@ pub(crate) struct Shared {
     /// `synchronize` waits here for quiescence.
     idle: Condvar,
     pub(crate) shutdown: AtomicBool,
-    /// Always-on pool metrics (`Some` unless [`RuntimeConfig::metrics`]
-    /// was switched off to measure the disabled path).
-    pub(crate) metrics: Option<PoolMetrics>,
     /// Compiled fault-injection oracle (`Some` iff the pool was
     /// configured with [`RuntimeConfig::with_chaos`]).
     plan: Option<FaultPlan>,
@@ -400,20 +392,16 @@ pub(crate) enum Origin {
 }
 
 /// What a launch adds to a [`Retired`] command.
-pub(crate) struct Launched {
+pub(crate) struct Launched<'a> {
     pub(crate) outcome: LaunchOutcome,
-    /// Kernel name, on a detailed (profiled) ring: it costs an
-    /// allocation.
-    pub(crate) kernel: Option<Arc<str>>,
-    /// The kernel-labelled launch-cycle histogram (`Some` iff metrics
-    /// are on), resolved by the executing thread before it took the
-    /// scheduler lock.
-    pub(crate) kernel_cycles: Option<Arc<Histogram>>,
+    /// `LaunchSpec::name`: moved out of a stream command's spec, which
+    /// the launch consumed, or borrowed from a replayed graph's.
+    pub(crate) name: Cow<'a, str>,
 }
 
 /// One executed copy or launch on its way to the virtual timeline:
 /// everything [`Shared::retire`] places, accounts and records.
-pub(crate) struct Retired {
+pub(crate) struct Retired<'a> {
     pub(crate) origin: Origin,
     /// Sequence number within the stream, or node index within the
     /// graph.
@@ -426,7 +414,7 @@ pub(crate) struct Retired {
     /// Host time spent executing.
     pub(crate) wall: Duration,
     /// `Some` iff the command is a launch.
-    pub(crate) launch: Option<Launched>,
+    pub(crate) launch: Option<Launched<'a>>,
 }
 
 /// The handle a retired stream command resolves.
@@ -443,7 +431,7 @@ enum Sink {
 
 /// One executed command, ready to publish.
 enum Done {
-    Retired(Retired, Sink),
+    Retired(Retired<'static>, Sink),
     Failed {
         error: RuntimeError,
         cmd: Command,
@@ -483,10 +471,10 @@ struct Finished {
 impl Shared {
     pub(crate) fn new(cfg: RuntimeConfig) -> Self {
         let d = cfg.devices;
-        let cfg_metrics = cfg.metrics;
         let trace = cfg.profile.as_ref().map_or(0, |p| p.events);
         let capacity = cfg.flight_capacity.max(trace);
         let events = (capacity > 0).then(|| EventRing::new(capacity, cfg.profile.is_some()));
+        let metrics = cfg.metrics.then(MetricBooks::default);
         let plan = cfg.chaos.as_ref().map(FaultPlan::new);
         Shared {
             cfg,
@@ -508,11 +496,11 @@ impl Shared {
                 sticky_disabled: false,
                 pending_quarantines: Vec::new(),
                 events,
+                metrics,
             }),
             work: (0..d).map(|_| Condvar::new()).collect(),
             idle: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            metrics: cfg_metrics.then(PoolMetrics::new),
             plan,
             started: Instant::now(),
         }
@@ -538,25 +526,6 @@ impl Shared {
     /// and the pool waits while it does.
     pub(crate) fn with_events<R>(&self, view: impl FnOnce(Option<&EventRing>) -> R) -> R {
         view(self.state.lock().unwrap().events.as_ref())
-    }
-
-    /// The launch half of a [`Retired`] command, resolved by the thread
-    /// that ran `kernel` on `device` before it takes the scheduler
-    /// lock.
-    pub(crate) fn launched(
-        &self,
-        device: &mut Device,
-        kernel: &str,
-        outcome: LaunchOutcome,
-    ) -> Launched {
-        Launched {
-            outcome,
-            kernel: self.cfg.profile.is_some().then(|| kernel.into()),
-            kernel_cycles: self
-                .metrics
-                .as_ref()
-                .map(|m| device.kernel_cycles(&m.registry, kernel)),
-        }
     }
 
     /// Wake every sleeping worker so it observes the shutdown flag.
@@ -593,14 +562,6 @@ impl Shared {
     pub(crate) fn add_stream(&self) -> usize {
         let mut state = self.state.lock().unwrap();
         let id = state.streams.len();
-        let metrics = self.metrics.as_ref().map(|m| {
-            let label = labels::stream(id);
-            StreamMetrics {
-                launch_cycles: m.registry.histogram(metric::STREAM_LAUNCH_CYCLES, &label),
-                copy_cycles: m.registry.histogram(metric::STREAM_COPY_CYCLES, &label),
-                depth: m.registry.gauge(metric::QUEUE_DEPTH, &label),
-            }
-        });
         state.streams.push(StreamState {
             queue: VecDeque::new(),
             next_seq: 0,
@@ -608,7 +569,9 @@ impl Shared {
             busy: false,
             poisoned: None,
             vdone: 0,
-            metrics,
+            depth_watermark: 0,
+            launch_cycles: Histogram::new(),
+            copy_cycles: Histogram::new(),
         });
         state.stream_stats.push(StreamStats::default());
         id
@@ -802,15 +765,12 @@ impl Shared {
         }
         let kind = cmd.kind();
         st.queue.push_back(Pending::first(seq, cmd));
-        state.outstanding += 1;
-        let st = &state.streams[stream];
         let (depth, at) = (st.queue.len() as u64, st.vdone);
+        st.depth_watermark = st.depth_watermark.max(depth);
+        state.outstanding += 1;
         let outstanding = state.outstanding as u64;
-        if let Some(m) = &self.metrics {
-            if let Some(sm) = &st.metrics {
-                sm.depth.set(depth);
-            }
-            m.outstanding.set(outstanding);
+        if let Some(m) = &mut state.metrics {
+            m.outstanding_watermark = m.outstanding_watermark.max(outstanding);
         }
         state.record(Event::Enqueue {
             stream,
@@ -857,23 +817,52 @@ impl Shared {
         }
     }
 
-    /// Snapshot the pool metrics (`None` iff metrics are off): refresh
-    /// the live gauges under the scheduler lock, snapshot the registry,
-    /// then append what is derived from the scheduler's own state — the
-    /// work counters off the books, the virtual timeline (makespan,
-    /// per-engine clocks, per-stream frontiers), device health — and
-    /// the trace's drop counter. Sorted, so byte-deterministic given
-    /// the recorded samples.
+    /// Snapshot the pool metrics (`None` iff metrics are off): write out
+    /// the metric books under the scheduler lock, beside what is derived
+    /// from the scheduler's other state — the work counters off the
+    /// books, the virtual timeline (makespan, per-engine clocks,
+    /// per-stream frontiers), device health — and the trace's drop
+    /// counter. Sorted, so byte-deterministic given the recorded
+    /// samples.
     pub(crate) fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        let m = self.metrics.as_ref()?;
         let state = self.state.lock().unwrap();
-        m.outstanding.set(state.outstanding as u64);
-        for st in &state.streams {
-            if let Some(sm) = &st.metrics {
-                sm.depth.set(st.queue.len() as u64);
-            }
+        let m = state.metrics.as_ref()?;
+        let mut snap = MetricsSnapshot::new();
+        let outstanding = state.outstanding as u64;
+        let watermark = m.outstanding_watermark.max(outstanding);
+        snap.push_watermark_gauge(metric::OUTSTANDING, "", outstanding, watermark);
+        for (name, value) in [
+            (metric::RETRIES, m.retries),
+            (metric::FAILOVERS, m.failovers),
+            (metric::RECOVERED, m.recovered),
+            (metric::TERMINAL_FAILURES, m.terminal_failures),
+            (metric::TIMEOUTS, m.timeouts),
+            (metric::QUARANTINES, m.quarantines),
+        ] {
+            snap.push_counter(name, "", value);
         }
-        let mut snap = m.registry.snapshot();
+        for (family, &n) in &m.faults_injected {
+            snap.push_counter(metric::FAULTS_INJECTED, family, n);
+        }
+        snap.histograms.extend([
+            m.graph_span.snapshot(metric::GRAPH_SPAN_CYCLES, ""),
+            m.retry_backoff.snapshot(metric::RETRY_BACKOFF_CYCLES, ""),
+        ]);
+        let kernels = m.launch_cycles.iter();
+        snap.histograms
+            .extend(kernels.map(|(kernel, h)| h.snapshot(metric::LAUNCH_CYCLES, kernel)));
+        for (sid, st) in state.streams.iter().enumerate() {
+            let label = labels::stream(sid);
+            snap.histograms.extend([
+                st.launch_cycles
+                    .snapshot(metric::STREAM_LAUNCH_CYCLES, &label),
+                st.copy_cycles.snapshot(metric::STREAM_COPY_CYCLES, &label),
+            ]);
+            let depth = st.queue.len() as u64;
+            let watermark = st.depth_watermark.max(depth);
+            snap.push_watermark_gauge(metric::QUEUE_DEPTH, &label, depth, watermark);
+            snap.push_gauge(metric::STREAM_VDONE_CYCLES, &label, st.vdone as f64);
+        }
         let books = &state.device_stats;
         let total = |f: fn(&DeviceStats) -> u64| books.iter().map(f).sum();
         snap.push_counter(metric::LAUNCHES, "", total(|d| d.launches));
@@ -893,13 +882,6 @@ impl Shared {
         }
         for (d, &v) in state.vcopy.iter().enumerate() {
             snap.push_gauge(metric::DEVICE_COPY_CYCLES, &labels::device(d), v as f64);
-        }
-        for (sid, st) in state.streams.iter().enumerate() {
-            snap.push_gauge(
-                metric::STREAM_VDONE_CYCLES,
-                &labels::stream(sid),
-                st.vdone as f64,
-            );
         }
         for (d, h) in state.device_health.iter().enumerate() {
             snap.push_gauge(
@@ -985,7 +967,7 @@ impl Shared {
     /// A graph replay ran to its end: record its modeled critical-path
     /// span.
     pub(crate) fn replay_done(&self, state: &mut SchedState, nodes: usize, span_cycles: u64) {
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &mut state.metrics {
             m.graph_span.record(span_cycles);
         }
         state.record(Event::GraphReplayDone { nodes, span_cycles });
@@ -1056,19 +1038,23 @@ impl Shared {
                 }
             }
         }
-        if let Some(m) = &self.metrics {
-            if let Some(h) = launch.and_then(|l| l.kernel_cycles.as_ref()) {
-                h.record(cycles);
+        if let Some(m) = &mut state.metrics {
+            if let Some(l) = launch {
+                match m.launch_cycles.get_mut(&*l.name) {
+                    Some(h) => h.record(cycles),
+                    None => m
+                        .launch_cycles
+                        .entry(l.name.to_string())
+                        .or_default()
+                        .record(cycles),
+                }
             }
             if let Origin::Stream { sid, faulted, .. } = r.origin {
-                if faulted {
-                    m.recovered.inc();
-                }
-                if let Some(sm) = &state.streams[sid].metrics {
-                    match launch {
-                        Some(_) => sm.launch_cycles.record(cycles),
-                        None => sm.copy_cycles.record(cycles),
-                    }
+                m.recovered += u64::from(faulted);
+                let st = &mut state.streams[sid];
+                match launch {
+                    Some(_) => st.launch_cycles.record(cycles),
+                    None => st.copy_cycles.record(cycles),
                 }
             }
         }
@@ -1089,7 +1075,9 @@ impl Shared {
                 end,
                 words: r.words,
                 instructions: launch.map_or(0, |l| l.outcome.stats.instructions),
-                kernel: launch.and_then(|l| l.kernel.clone()),
+                kernel: launch
+                    .filter(|_| ring.detailed())
+                    .map(|l| Arc::from(&*l.name)),
             });
         }
         if stream.is_some() {
@@ -1238,9 +1226,6 @@ impl Shared {
                             break;
                         }
                     }
-                    if let Some(sm) = &st.metrics {
-                        sm.depth.set(st.queue.len() as u64);
-                    }
                     st.busy = true;
                     state.scan_from[d] = sid + 1;
                     state.record(Event::Batch {
@@ -1310,12 +1295,10 @@ impl Shared {
                         // blamed device.
                         let backoff = self.cfg.recovery.backoff_cycles(attempt);
                         state.streams[sid].vdone += backoff;
-                        if let Some(m) = &self.metrics {
-                            m.retries.inc();
+                        if let Some(m) = &mut state.metrics {
+                            m.retries += 1;
                             m.retry_backoff.record(backoff);
-                            if self.cfg.devices > 1 {
-                                m.failovers.inc();
-                            }
+                            m.failovers += u64::from(self.cfg.devices > 1);
                         }
                         state.record(Event::Retry {
                             stream: sid,
@@ -1333,8 +1316,8 @@ impl Shared {
                         // its last fault's typed error and the stream
                         // picks up the sticky poison.
                         resolved += 1;
-                        if let Some(m) = &self.metrics {
-                            m.terminal_failures.inc();
+                        if let Some(m) = &mut state.metrics {
+                            m.terminal_failures += 1;
                         }
                         self.fail(state, sid, pending.cmd, &error, true);
                     }
@@ -1362,15 +1345,10 @@ impl Shared {
                 self.fail(state, sid, p.cmd, &sticky, false);
             }
         }
-        let st = &state.streams[sid];
+        let st = &mut state.streams[sid];
         let (depth, at) = (st.queue.len() as u64, st.vdone);
+        st.depth_watermark = st.depth_watermark.max(depth);
         let outstanding = state.outstanding as u64;
-        if let Some(m) = &self.metrics {
-            m.outstanding.set(outstanding);
-            if let Some(sm) = &st.metrics {
-                sm.depth.set(depth);
-            }
-        }
         state.record(Event::Publish {
             stream: sid,
             device: d,
@@ -1419,20 +1397,16 @@ impl Shared {
         state.device_health[device] = now;
         if now != was && now == DeviceHealth::Quarantined {
             state.pending_quarantines.push(device);
-            if let Some(m) = &self.metrics {
-                m.quarantines.inc();
+            if let Some(m) = &mut state.metrics {
+                m.quarantines += 1;
             }
             state.record(Event::Quarantine { device, faults });
         }
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &mut state.metrics {
             if injected {
-                m.registry
-                    .counter(metric::FAULTS_INJECTED, kind.label())
-                    .inc();
+                *m.faults_injected.entry(kind.label()).or_default() += 1;
             }
-            if matches!(kind, FaultKind::HungKernel) {
-                m.timeouts.inc();
-            }
+            m.timeouts += u64::from(matches!(kind, FaultKind::HungKernel));
         }
         if let Some(ring) = &mut state.events {
             ring.record(Event::Fault {
@@ -1670,8 +1644,11 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                 }
                 Command::Launch { spec, sink } => match device.run_launch(&spec, &mut buffer) {
                     Ok(outcome) => {
-                        let launch = shared.launched(&mut device, &spec.name, outcome);
-                        let cycles = launch.outcome.stats.cycles;
+                        let cycles = outcome.stats.cycles;
+                        let launch = Launched {
+                            outcome,
+                            name: Cow::Owned(spec.name),
+                        };
                         let sink = Sink::Launch(sink);
                         done.push(retired(CommandKind::Launch, cycles, 0, Some(launch), sink));
                     }

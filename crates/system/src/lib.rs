@@ -30,6 +30,7 @@ use simt_core::{
     ConfigError, ExecError, ExecStats, LoadError, Processor, ProcessorConfig, RunOptions,
 };
 use simt_isa::Program;
+use std::fmt;
 
 /// Configuration of a multi-core system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,6 +82,44 @@ impl SystemStats {
         self.cycles as f64 / (fmax_mhz * 1e6)
     }
 }
+
+/// Why [`System::transfer`] moved nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TransferError {
+    /// An endpoint names a core the system does not have.
+    CoreOutOfRange {
+        /// The requested core index.
+        core: usize,
+        /// Cores in the system.
+        cores: usize,
+    },
+    /// Source and destination are the same core.
+    SameCore {
+        /// The core named twice.
+        core: usize,
+        /// Cores in the system.
+        cores: usize,
+    },
+    /// A window fell outside a core's shared memory.
+    Memory(ExecError),
+}
+
+impl fmt::Display for TransferError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TransferError::CoreOutOfRange { core, cores } => {
+                write!(f, "core {core} out of range for a {cores}-core system")
+            }
+            TransferError::SameCore { core, cores } => write!(
+                f,
+                "transfer endpoints must differ: core {core} named twice ({cores}-core system)"
+            ),
+            TransferError::Memory(e) => write!(f, "transfer window: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for TransferError {}
 
 /// A multi-core SIMT system.
 #[derive(Debug)]
@@ -225,7 +264,9 @@ impl System {
 
     /// Move `len` words from `src` core's shared memory at `src_off` to
     /// `dst` core's at `dst_off`, and account the interconnect clocks:
-    /// `latency + ceil(len / width)`.
+    /// `latency + ceil(len / width)`. A core the system does not have,
+    /// `src == dst`, or a window outside shared memory is a typed error
+    /// that moves nothing.
     pub fn transfer(
         &mut self,
         src: usize,
@@ -233,14 +274,22 @@ impl System {
         dst: usize,
         dst_off: usize,
         len: usize,
-    ) -> Result<u64, ExecError> {
-        assert!(
-            src < self.cores.len() && dst < self.cores.len(),
-            "core index"
-        );
-        assert_ne!(src, dst, "transfer endpoints must differ");
-        let words = self.cores[src].shared().read_words(src_off, len)?;
-        self.cores[dst].shared_mut().load_words(dst_off, &words)?;
+    ) -> Result<u64, TransferError> {
+        let cores = self.cores.len();
+        if let Some(&core) = [src, dst].iter().find(|&&c| c >= cores) {
+            return Err(TransferError::CoreOutOfRange { core, cores });
+        }
+        if src == dst {
+            return Err(TransferError::SameCore { core: src, cores });
+        }
+        let words = self.cores[src]
+            .shared()
+            .read_words(src_off, len)
+            .map_err(TransferError::Memory)?;
+        self.cores[dst]
+            .shared_mut()
+            .load_words(dst_off, &words)
+            .map_err(TransferError::Memory)?;
         let clocks = self.config.link_latency + (len.div_ceil(self.config.link_width_words)) as u64;
         self.stats.transfer_cycles += clocks;
         self.stats.cycles += clocks;
@@ -367,10 +416,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "endpoints must differ")]
     fn self_transfer_rejected() {
         let mut sys = small_system(2);
-        let _ = sys.transfer(0, 0, 0, 64, 4);
+        let err = sys.transfer(0, 0, 0, 64, 4).unwrap_err();
+        assert_eq!(err, TransferError::SameCore { core: 0, cores: 2 });
+        assert!(err.to_string().contains("endpoints must differ"), "{err}");
+        assert_eq!(sys.stats().transfers, 0);
+    }
+
+    #[test]
+    fn out_of_range_cores_are_a_typed_error() {
+        let mut sys = small_system(2);
+        for (src, dst, core) in [(2, 0, 2), (0, 5, 5), (usize::MAX, 1, usize::MAX)] {
+            let err = sys.transfer(src, 0, dst, 0, 4).unwrap_err();
+            assert_eq!(err, TransferError::CoreOutOfRange { core, cores: 2 });
+            assert!(err.to_string().contains("2-core system"), "{err}");
+        }
+        assert_eq!(sys.stats().transfers, 0);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The experiment suite: every table/figure anchor from EXPERIMENTS.md,
-//! asserted end-to-end through the public APIs.
+//! The experiment suite: every table/figure anchor of the paper (the
+//! list is `bench-e2e/README.md`'s `anchor_err_pct` entry), asserted
+//! end-to-end through the public APIs.
 
 use fpga_fabric::Device;
 use fpga_fitter::{best_of, compile, seed_sweep, CompileOptions, DesignVariant};
