@@ -218,8 +218,9 @@ pub(crate) struct StreamState {
 #[derive(Default)]
 struct MetricBooks {
     /// Modeled cycles per launch, by `LaunchSpec::name`: a row from the
-    /// kernel's first retired launch.
-    launch_cycles: HashMap<String, Histogram>,
+    /// kernel's first retired launch. Boxed, so the table's spare
+    /// capacity costs a pointer per slot, not a histogram.
+    launch_cycles: HashMap<String, Box<Histogram>>,
     graph_span: Histogram,
     /// Modeled backoff cycles charged per retry.
     retry_backoff: Histogram,
