@@ -237,12 +237,8 @@ impl Runtime {
                     }
                     let cycles = outcome.stats.cycles;
                     let name = Cow::Borrowed(spec.name.as_str());
-                    (
-                        CommandKind::Launch,
-                        cycles,
-                        0,
-                        Some(Launched { outcome, name }),
-                    )
+                    let launch = Launched { outcome, name };
+                    (CommandKind::Launch, cycles, 0, Some(launch))
                 }
             };
             nodes[id.index()].run = Some(Retired {

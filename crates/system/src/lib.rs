@@ -265,8 +265,8 @@ impl System {
     /// Move `len` words from `src` core's shared memory at `src_off` to
     /// `dst` core's at `dst_off`, and account the interconnect clocks:
     /// `latency + ceil(len / width)`. A core the system does not have,
-    /// `src == dst`, or a window outside shared memory is a typed error
-    /// that moves nothing.
+    /// `src == dst`, or a window outside shared memory is a typed error,
+    /// and no clock is accounted for it.
     pub fn transfer(
         &mut self,
         src: usize,
