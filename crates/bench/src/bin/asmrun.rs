@@ -3,13 +3,15 @@
 //! ```sh
 //! cargo run -p simt-bench --bin asmrun -- kernel.s \
 //!     [--threads N] [--regs N] [--shared WORDS] [--predicates] \
-//!     [--trace] [--dump OFF..END] [--cycle-accurate]
+//!     [--trace] [--dump OFF..END]
 //! ```
 //!
 //! Prints execution statistics and, with `--dump`, a window of shared
-//! memory; `--trace` prints the instruction-issue transcript.
+//! memory; `--trace` prints the instruction-issue transcript. Every run
+//! is cycle-accurate: the counter hardware is stepped once per
+//! instruction of the program and checked against the closed form.
 
-use simt_core::{ExecMode, Processor, ProcessorConfig, RunOptions};
+use simt_core::{Processor, ProcessorConfig, RunOptions};
 use simt_isa::disasm::format_instruction;
 
 fn fail(msg: &str) -> ! {
@@ -20,13 +22,12 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        fail("usage: asmrun FILE.s [--threads N] [--regs N] [--shared WORDS] [--predicates] [--trace] [--dump OFF..END] [--cycle-accurate]");
+        fail("usage: asmrun FILE.s [--threads N] [--regs N] [--shared WORDS] [--predicates] [--trace] [--dump OFF..END]");
     }
     let mut file = None;
     let mut cfg = ProcessorConfig::default().with_threads(64);
     let mut trace = false;
     let mut dump: Option<(usize, usize)> = None;
-    let mut mode = ExecMode::Functional;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -41,7 +42,6 @@ fn main() {
             "--shared" => cfg.shared_words = next_num("--shared"),
             "--predicates" => cfg.predicates = true,
             "--trace" => trace = true,
-            "--cycle-accurate" => mode = ExecMode::CycleAccurate,
             "--dump" => {
                 let spec = it.next().unwrap_or_else(|| fail("--dump needs OFF..END"));
                 let (a, b) = spec
@@ -72,10 +72,7 @@ fn main() {
         fail(&format!("load failed: {e}"));
     }
 
-    let opts = RunOptions {
-        mode,
-        ..Default::default()
-    };
+    let opts = RunOptions::cycle_accurate();
     if trace {
         match cpu.run_traced(opts) {
             Ok((stats, entries)) => {

@@ -1467,7 +1467,7 @@ fn postmortem() {
     use simt_profile::ProfileConfig;
     use simt_runtime::{HealthConfig, HealthFinding, Runtime, RuntimeConfig};
 
-    println!("== simt-forensics: injected stall -> postmortem bundle ==");
+    println!("== simt-runtime: injected stall -> postmortem bundle ==");
     let cfg = RuntimeConfig::default() // 2 devices
         .with_profile(ProfileConfig::full())
         .with_health(HealthConfig {
@@ -1907,7 +1907,7 @@ const ATTRIBUTABLE_WORKLOADS: &[&str] = &["saxpy", "fir", "matmul_ir", "iir_ir"]
 /// carrying a `name` field (plus `:{label}` when a non-empty label
 /// rides along), so leaf paths in `CHECK_REPORT.json` name their
 /// workloads: `rows/2/dyn_instrs` becomes `rows/2:fir/dyn_instrs`,
-/// which is what [`simt_forensics::CheckReport::implicated_workloads`]
+/// which is what [`simt_bench::report::CheckReport::implicated_workloads`]
 /// matches against.
 fn annotate_leaf_path(current: &serde::Value, path: &str) -> String {
     let field = |entries: &[(String, serde::Value)], key: &str| {
@@ -1951,8 +1951,8 @@ fn leaf_delta(
     artifact: &str,
     current: &serde::Value,
     f: &simt_bench::check::Finding,
-) -> simt_forensics::LeafDelta {
-    simt_forensics::LeafDelta {
+) -> simt_bench::report::LeafDelta {
+    simt_bench::report::LeafDelta {
         path: format!("{artifact}:/{}", annotate_leaf_path(current, &f.path)),
         class: format!("{:?}", f.class),
         baseline: f.baseline.parse().unwrap_or(0.0),
@@ -1967,8 +1967,8 @@ fn leaf_delta(
 /// bundle), the optimizer's pass ledger, and per-node spans of a
 /// graph replay on the virtual timeline — so a reviewer can see
 /// whether a regression scales with parallelism or is a fixed cost.
-fn attribute_workload(workload: &str) -> simt_forensics::WorkloadAttribution {
-    use simt_forensics::{NodeSpan, PassDelta, ShapeProfile, WorkloadAttribution};
+fn attribute_workload(workload: &str) -> simt_bench::report::WorkloadAttribution {
+    use simt_bench::report::{NodeSpan, PassDelta, ShapeProfile, WorkloadAttribution};
     use simt_kernels::workload::{int_vector, lowpass_taps, q15_signal};
     use simt_kernels::{iir, LaunchSpec};
     use simt_profile::{Event, ProfileConfig};
@@ -2085,14 +2085,14 @@ fn attribute_workload(workload: &str) -> simt_forensics::WorkloadAttribution {
 /// nonzero if any *exact-class* (modeled) leaf moved. Throughput-class
 /// (placement-dependent) deviations are reported but never enforced.
 /// On failure the gate re-profiles the implicated workloads and writes
-/// `CHECK_REPORT.json` (a [`simt_forensics::CheckReport`]) into the
+/// `CHECK_REPORT.json` (a [`simt_bench::report::CheckReport`]) into the
 /// working directory, so the exit-1 names where the cycles moved.
 /// `--inject` doubles every exact-class cycle leaf of the fresh
 /// artifacts first — the self-test proving the gate trips and the
 /// report attributes, asserted on the report before the exit.
 fn check(inject: bool) {
     use simt_bench::check::{compare, inject_cycle_regression};
-    use simt_forensics::{CheckReport, LeafDelta, CHECK_REPORT_SCHEMA_VERSION};
+    use simt_bench::report::{CheckReport, LeafDelta, CHECK_REPORT_SCHEMA_VERSION};
 
     let scratch = std::env::temp_dir().join(format!("simt-tables-check-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create scratch dir");

@@ -1,9 +1,10 @@
-//! Shared helpers for the `tables` binary, and the artifact gate behind
-//! `tables --check`.
+//! Shared helpers for the `tables` binary, the artifact gate behind
+//! `tables --check`, and the attribution report it writes on failure.
 
 #![forbid(unsafe_code)]
 
 pub mod check;
+pub mod report;
 
 use fpga_fabric::Device;
 use fpga_fitter::{best_of, seed_sweep, CompileOptions, CompileReport};

@@ -5,8 +5,8 @@
 //! where the cycles live — so an exit-1 comes with a *where*, not just
 //! a diff.
 
-use crate::PcHotspot;
 use serde::{Deserialize, Serialize};
+use simt_runtime::PcHotspot;
 
 /// One baseline-vs-current leaf difference out of the artifact walk.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -57,9 +57,16 @@ pub enum LoadError {
     NoTerminator,
     /// A branch, call or loop targets an address outside the program.
     BadTarget { pc: usize, target: usize },
-    /// A pre-decoded program was built for a different processor
-    /// configuration (decodes bake in the thread count and timing).
+    /// A pre-decoded program or a snapshot was built for a different
+    /// processor configuration (decodes bake in the thread count and
+    /// timing).
     ConfigMismatch,
+    /// A snapshot's register array is not this register file's size.
+    SnapshotRegs { len: usize, expected: usize },
+    /// A snapshot's predicate array is not one nibble per thread.
+    SnapshotPreds { len: usize, expected: usize },
+    /// A snapshot's shared memory is larger than this build's.
+    SnapshotShared { len: usize, capacity: usize },
 }
 
 impl fmt::Display for LoadError {
@@ -88,6 +95,15 @@ impl fmt::Display for LoadError {
             }
             LoadError::ConfigMismatch => {
                 write!(f, "decoded program was built for a different configuration")
+            }
+            LoadError::SnapshotRegs { len, expected } => {
+                write!(f, "snapshot has {len} register words, not {expected}")
+            }
+            LoadError::SnapshotPreds { len, expected } => {
+                write!(f, "snapshot has {len} predicate nibbles, not {expected}")
+            }
+            LoadError::SnapshotShared { len, capacity } => {
+                write!(f, "snapshot has {len} shared words, the memory {capacity}")
             }
         }
     }

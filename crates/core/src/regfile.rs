@@ -182,10 +182,9 @@ impl RegisterFile {
     }
 
     /// Restore the raw arrays (snapshot restore; register-major like
-    /// [`RegisterFile::raw`], lengths must match).
+    /// [`RegisterFile::raw`], lengths must match — `Processor::restore`
+    /// checks them first).
     pub(crate) fn restore_raw(&mut self, data: &[u32], preds: &[u8]) {
-        assert_eq!(data.len(), self.data.len());
-        assert_eq!(preds.len(), self.preds.len());
         self.data.copy_from_slice(data);
         self.preds.copy_from_slice(preds);
         self.touch(self.regs_per_thread, true);

@@ -1,13 +1,16 @@
 //! The streaming multiprocessor: one SM of 16 SPs executing in lockstep
-//! (§2–§3). Two execution modes share one semantic core:
+//! (§2–§3). There is one run loop per interpreter, and it accounts
+//! clocks with the closed-form counter arithmetic of
+//! [`InstructionTiming`]. The two execution modes differ only before it
+//! starts:
 //!
-//! * **Functional** — computes results one register column at a time and
-//!   accounts clocks with the closed-form counter arithmetic of
-//!   [`InstructionTiming`].
-//! * **CycleAccurate** — additionally steps the
-//!   [`PipelineControl`] counter
-//!   hardware clock by clock for every instruction and cross-checks it
-//!   against the closed form (a property the tests also pin).
+//! * **Functional** — runs the loop.
+//! * **CycleAccurate** — first steps the [`PipelineControl`] counter
+//!   hardware clock by clock once per µop of the loaded program and
+//!   checks each count against the closed form, then runs the same loop.
+//!   A µop's clocks depend only on its cycle class and active-thread
+//!   count, both fixed at decode, so one check per µop covers every
+//!   dynamic issue of it.
 //!
 //! Both modes produce identical results and identical [`ExecStats`].
 //!
@@ -16,11 +19,11 @@
 //!
 //! * the **predecoded** fast path ([`Processor::run`]) executes the
 //!   cached [`DecodedProgram`] µops with per-opcode column kernels,
-//!   monomorphized over (trace on/off × mode) so the hot loop carries
-//!   no trace or cross-check branches. Its lanes are **native**: host
-//!   arithmetic ([`crate::alu::native`]) written straight into the `rd`
-//!   column, and unit-stride or broadcast `lds`/`sts` address columns
-//!   moved as one block;
+//!   monomorphized over (trace on/off × per-PC profile on/off) so the
+//!   hot loop carries no trace or profile branches. Its lanes are
+//!   **native**: host arithmetic ([`crate::alu::native`]) written
+//!   straight into the `rd` column, and unit-stride or broadcast
+//!   `lds`/`sts` address columns moved as one block;
 //! * the **reference** path ([`Processor::run_reference`]) interprets
 //!   the [`Program`] directly, re-extracting fields per dynamic
 //!   instruction the way the seed simulator did, one lane at a time
@@ -49,10 +52,12 @@ use std::sync::Arc;
 /// Execution mode selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Closed-form cycle accounting (fast).
+    /// Closed-form cycle accounting.
     Functional,
-    /// Clock-stepped counter hardware, cross-checked (slower, used by
-    /// verification tests and the cycle-model benches).
+    /// The same run, after stepping the counter hardware once per µop
+    /// of the loaded program and checking it against the closed form
+    /// (one pass over the program, used by verification tests and
+    /// `asmrun`).
     CycleAccurate,
 }
 
@@ -250,30 +255,49 @@ impl Processor {
     }
 
     /// Restore a snapshot taken from a processor with the same
-    /// configuration.
-    ///
-    /// # Panics
-    /// If the snapshot's configuration differs from this processor's.
-    pub fn restore(&mut self, snap: &Snapshot) {
-        assert_eq!(
-            snap.config, self.config,
-            "snapshot is from a different configuration"
-        );
+    /// configuration. A snapshot can be deserialized from anywhere, so
+    /// it is checked first, and a bad one is an error that leaves the
+    /// processor untouched: a different configuration, register or
+    /// predicate arrays that are not exactly this register file's size,
+    /// shared memory larger than this build's, or a program that fails
+    /// the checks [`Processor::load_program`] makes.
+    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), LoadError> {
+        if snap.config != self.config {
+            return Err(LoadError::ConfigMismatch);
+        }
+        let (regs, preds) = self.regfile.raw();
+        let (len, expected) = (snap.regs.len(), regs.len());
+        if len != expected {
+            return Err(LoadError::SnapshotRegs { len, expected });
+        }
+        let (len, expected) = (snap.preds.len(), preds.len());
+        if len != expected {
+            return Err(LoadError::SnapshotPreds { len, expected });
+        }
+        let (len, capacity) = (snap.shared.len(), self.config.shared_words);
+        if len > capacity {
+            return Err(LoadError::SnapshotShared { len, capacity });
+        }
+        let decoded = match &snap.program {
+            Some(p) => {
+                let decoded = DecodedProgram::decode(Arc::new(p.clone()), &self.config);
+                decoded.validity().clone()?;
+                Some(Arc::new(decoded))
+            }
+            None => None,
+        };
         self.regfile.restore_raw(&snap.regs, &snap.preds);
         self.shared = SharedMemory::new(self.config.shared_words);
         self.shared
             .load_words(0, &snap.shared)
-            .expect("snapshot memory fits by construction");
-        self.decoded = snap.program.as_ref().map(|p| {
-            // The snapshot came from a processor of this configuration,
-            // so the program re-validates by construction.
-            Arc::new(DecodedProgram::decode(Arc::new(p.clone()), &self.config))
-        });
+            .expect("the length was checked above");
+        self.decoded = decoded;
+        Ok(())
     }
 
     /// Execute the loaded program to `exit` (the predecoded fast path).
     pub fn run(&mut self, opts: RunOptions) -> Result<ExecStats, ExecError> {
-        self.run_inner(opts, &mut None)
+        self.run_dispatch(opts, &mut None, &mut None)
     }
 
     /// Execute with a per-instruction trace (issued PC, opcode, active
@@ -284,7 +308,7 @@ impl Processor {
         opts: RunOptions,
     ) -> Result<(ExecStats, Vec<TraceEntry>), ExecError> {
         let mut trace = Some(Vec::new());
-        let stats = self.run_inner(opts, &mut trace)?;
+        let stats = self.run_dispatch(opts, &mut trace, &mut None)?;
         Ok((stats, trace.unwrap()))
     }
 
@@ -322,14 +346,6 @@ impl Processor {
         Ok((stats, trace.unwrap()))
     }
 
-    fn run_inner(
-        &mut self,
-        opts: RunOptions,
-        trace: &mut Option<Vec<TraceEntry>>,
-    ) -> Result<ExecStats, ExecError> {
-        self.run_dispatch(opts, trace, &mut None)
-    }
-
     fn run_dispatch(
         &mut self,
         opts: RunOptions,
@@ -340,40 +356,22 @@ impl Processor {
             .decoded
             .clone()
             .expect("no program loaded — call load_program first");
-        // Monomorphize the run loop over (trace, profile, mode): the
-        // fast path carries no trace pushes, no per-PC counter updates
-        // and no counter-hardware stepping.
-        match (trace.is_some(), profile.is_some(), opts.mode) {
-            (false, false, ExecMode::Functional) => {
-                self.run_loop::<false, false, false>(&decoded, opts, trace, profile)
-            }
-            (true, false, ExecMode::Functional) => {
-                self.run_loop::<true, false, false>(&decoded, opts, trace, profile)
-            }
-            (false, false, ExecMode::CycleAccurate) => {
-                self.run_loop::<false, false, true>(&decoded, opts, trace, profile)
-            }
-            (true, false, ExecMode::CycleAccurate) => {
-                self.run_loop::<true, false, true>(&decoded, opts, trace, profile)
-            }
-            (false, true, ExecMode::Functional) => {
-                self.run_loop::<false, true, false>(&decoded, opts, trace, profile)
-            }
-            (true, true, ExecMode::Functional) => {
-                self.run_loop::<true, true, false>(&decoded, opts, trace, profile)
-            }
-            (false, true, ExecMode::CycleAccurate) => {
-                self.run_loop::<false, true, true>(&decoded, opts, trace, profile)
-            }
-            (true, true, ExecMode::CycleAccurate) => {
-                self.run_loop::<true, true, true>(&decoded, opts, trace, profile)
-            }
+        if opts.mode == ExecMode::CycleAccurate {
+            step_counter_hardware(&decoded);
+        }
+        // Monomorphize the run loop over (trace, profile): the fast path
+        // carries no trace pushes and no per-PC counter updates.
+        match (trace.is_some(), profile.is_some()) {
+            (false, false) => self.run_loop::<false, false>(&decoded, opts, trace, profile),
+            (true, false) => self.run_loop::<true, false>(&decoded, opts, trace, profile),
+            (false, true) => self.run_loop::<false, true>(&decoded, opts, trace, profile),
+            (true, true) => self.run_loop::<true, true>(&decoded, opts, trace, profile),
         }
     }
 
-    /// The predecoded run loop, monomorphized over trace capture,
-    /// per-PC profiling and cycle accuracy.
-    fn run_loop<const TRACED: bool, const PROFILED: bool, const CYCLE_ACCURATE: bool>(
+    /// The predecoded run loop, monomorphized over trace capture and
+    /// per-PC profiling.
+    fn run_loop<const TRACED: bool, const PROFILED: bool>(
         &mut self,
         decoded: &DecodedProgram,
         opts: RunOptions,
@@ -407,15 +405,8 @@ impl Processor {
             };
             let active = u.active as usize;
 
-            // ---- clock accounting (both modes agree; cycle-accurate
-            // additionally steps the counter hardware) ----
-            let clocks = if CYCLE_ACCURATE {
-                let stepped = PipelineControl::start(u.class, active).run_to_end();
-                debug_assert_eq!(stepped, u.clocks as u64);
-                stepped
-            } else {
-                u.clocks as u64
-            };
+            // ---- clock accounting ----
+            let clocks = u.clocks as u64;
             stats.cycles += clocks;
             stats.instructions += 1;
             match u.class {
@@ -650,12 +641,14 @@ impl Processor {
         opts: RunOptions,
         trace: &mut Option<Vec<TraceEntry>>,
     ) -> Result<ExecStats, ExecError> {
-        let program: Arc<Program> = Arc::clone(
-            self.decoded
-                .as_ref()
-                .expect("no program loaded — call load_program first")
-                .program(),
-        );
+        let decoded = self
+            .decoded
+            .as_ref()
+            .expect("no program loaded — call load_program first");
+        if opts.mode == ExecMode::CycleAccurate {
+            step_counter_hardware(decoded);
+        }
+        let program: Arc<Program> = Arc::clone(decoded.program());
         self.shared.reset_stats();
         let mut stats = ExecStats {
             cycles: FETCH_PIPELINE_DEPTH,
@@ -679,16 +672,8 @@ impl Processor {
             let active = InstructionTiming::scaled_threads(self.config.threads, instr.scale);
             let class = instr.opcode.cycle_class();
 
-            // ---- clock accounting (both modes agree; cycle-accurate
-            // additionally steps the counter hardware) ----
-            let clocks = match opts.mode {
-                ExecMode::Functional => InstructionTiming::cycles(class, active),
-                ExecMode::CycleAccurate => {
-                    let stepped = PipelineControl::start(class, active).run_to_end();
-                    debug_assert_eq!(stepped, InstructionTiming::cycles(class, active));
-                    stepped
-                }
-            };
+            // ---- clock accounting ----
+            let clocks = InstructionTiming::cycles(class, active);
             stats.cycles += clocks;
             stats.instructions += 1;
             match class {
@@ -923,6 +908,21 @@ impl Processor {
             }
         }
         Ok(())
+    }
+}
+
+/// The [`ExecMode::CycleAccurate`] check: step the counter hardware for
+/// every µop of `decoded` and assert its count equals the closed form
+/// the run loops charge. A µop's clocks are fixed at decode, so this
+/// covers every dynamic issue of it, in every build.
+fn step_counter_hardware(decoded: &DecodedProgram) {
+    for (pc, u) in decoded.uops().iter().enumerate() {
+        let stepped = PipelineControl::start(u.class, u.active as usize).run_to_end();
+        assert_eq!(
+            stepped,
+            InstructionTiming::cycles(u.class, u.active as usize),
+            "pc {pc}: counter hardware disagrees with the closed form"
+        );
     }
 }
 

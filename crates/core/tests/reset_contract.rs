@@ -179,16 +179,16 @@ fn reset_after_restoring_a_dirty_snapshot() {
 
     // Into a clean, long-lived processor — twice, with a run between.
     let mut cpu = Processor::new(small()).unwrap();
-    cpu.restore(&snap);
+    cpu.restore(&snap).unwrap();
     assert!(cpu.snapshot() == snap);
     assert_reset_is_power_on(&mut cpu, "restore of a dirty snapshot");
-    cpu.restore(&snap);
+    cpu.restore(&snap).unwrap();
     cpu.run(RunOptions::default()).unwrap();
     assert_reset_is_power_on(&mut cpu, "restore, then run");
     // Restoring a *clean* snapshot over dirty state is a reset of its own.
     let blank = Processor::new(small()).unwrap().snapshot();
-    cpu.restore(&snap);
-    cpu.restore(&blank);
+    cpu.restore(&snap).unwrap();
+    cpu.restore(&blank).unwrap();
     assert!(cpu.snapshot() == blank, "restore of a blank snapshot");
     assert_reset_is_power_on(&mut cpu, "restore of a blank snapshot");
 }

@@ -1,6 +1,6 @@
 //! Snapshot / restore: checkpointing reproduces execution exactly.
 
-use simt_core::{Processor, ProcessorConfig, RunOptions};
+use simt_core::{LoadError, Processor, ProcessorConfig, RunOptions, Snapshot};
 use simt_isa::assemble;
 
 #[test]
@@ -18,7 +18,7 @@ fn snapshot_restores_full_state() {
     assert_eq!(cpu.shared().as_slice()[5], 0);
 
     // Restore and verify the first kernel's world is back.
-    cpu.restore(&snap);
+    cpu.restore(&snap).unwrap();
     assert_eq!(cpu.shared().as_slice()[5], 35);
     assert_eq!(cpu.regfile().read(5, 2), 35);
     // The restored program is p1: running it again reproduces the state.
@@ -43,7 +43,7 @@ fn ab_experiment_from_common_checkpoint() {
     let doubled = cpu.shared().as_slice()[7];
 
     let mut cpu2 = Processor::new(ProcessorConfig::small()).unwrap();
-    cpu2.restore(&snap);
+    cpu2.restore(&snap).unwrap();
     let triple =
         assemble("  stid r1\n  lds r2, [r1+0]\n  muli r2, r2, 3\n  sts [r1+0], r2\n  exit")
             .unwrap();
@@ -67,13 +67,88 @@ fn snapshot_serializes() {
     assert_eq!(snap, back);
 }
 
-#[test]
-#[should_panic(expected = "different configuration")]
-fn mismatched_config_rejected() {
-    let cpu = Processor::new(ProcessorConfig::small()).unwrap();
+/// A processor with a program loaded and every kind of state written,
+/// and a good snapshot of it.
+fn ran() -> (Processor, Snapshot) {
+    let mut cpu = Processor::new(ProcessorConfig::small()).unwrap();
+    let p = assemble("  stid r1\n  movi r2, 8\n  setp.lt p1, r1, r2\n  sts [r1+0], r1\n  exit")
+        .unwrap();
+    cpu.load_program(&p).unwrap();
+    cpu.run(RunOptions::default()).unwrap();
     let snap = cpu.snapshot();
-    let mut other = Processor::new(ProcessorConfig::small().with_threads(16)).unwrap();
-    other.restore(&snap);
+    (cpu, snap)
+}
+
+/// Restoring `bad` over a dirty processor fails with `want` and
+/// changes nothing.
+fn assert_rejected(bad: &Snapshot, want: LoadError) {
+    let (mut cpu, before) = ran();
+    assert_eq!(cpu.restore(bad), Err(want));
+    assert!(cpu.snapshot() == before, "a rejected restore left a mark");
+}
+
+#[test]
+fn mismatched_config_rejected() {
+    let (_, mut snap) = ran();
+    snap.config = ProcessorConfig::small().with_threads(16);
+    assert_rejected(&snap, LoadError::ConfigMismatch);
+}
+
+#[test]
+fn wrong_length_registers_rejected() {
+    let (_, mut snap) = ran();
+    let expected = snap.regs.len();
+    snap.regs.pop();
+    assert_rejected(
+        &snap,
+        LoadError::SnapshotRegs {
+            len: expected - 1,
+            expected,
+        },
+    );
+}
+
+#[test]
+fn wrong_length_predicates_rejected() {
+    let (_, mut snap) = ran();
+    let expected = snap.preds.len();
+    snap.preds.push(0);
+    assert_rejected(
+        &snap,
+        LoadError::SnapshotPreds {
+            len: expected + 1,
+            expected,
+        },
+    );
+}
+
+#[test]
+fn oversize_shared_memory_rejected() {
+    let (_, mut snap) = ran();
+    let capacity = snap.shared.len();
+    snap.shared.push(7);
+    assert_rejected(
+        &snap,
+        LoadError::SnapshotShared {
+            len: capacity + 1,
+            capacity,
+        },
+    );
+}
+
+#[test]
+fn invalid_program_rejected() {
+    // `small()` has 16 registers per thread: r20 fails the load checks.
+    let (_, mut snap) = ran();
+    snap.program = Some(assemble("  movi r20, 1\n  exit").unwrap());
+    assert_rejected(
+        &snap,
+        LoadError::RegisterRange {
+            pc: 0,
+            reg: 20,
+            limit: 16,
+        },
+    );
 }
 
 #[test]
@@ -129,10 +204,10 @@ fn register_file_round_trips_at_every_row_shape() {
         );
         cpu.reset();
         assert!(state(&cpu).0.iter().flatten().all(|&v| v == 0) && !state(&cpu).1);
-        cpu.restore(&snap);
+        cpu.restore(&snap).unwrap();
         assert_eq!(state(&cpu), before, "{threads} threads");
         let mut fresh = Processor::new(config).unwrap();
-        fresh.restore(&snap);
+        fresh.restore(&snap).unwrap();
         assert_eq!(state(&fresh), before, "{threads} threads (fresh)");
     }
 }

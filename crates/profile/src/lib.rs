@@ -14,7 +14,8 @@
 //!   engine, one per stream) and [`summary::summarize`] folds it into a
 //!   flat serializable [`summary::TraceSummary`];
 //! * the **black box** of every runtime is its newest records — the
-//!   window `simt-forensics` bundles into a postmortem.
+//!   window `simt-runtime`'s `postmortem` module bundles into a
+//!   postmortem.
 //!
 //! Events carry **modeled cycles and sequence numbers only**, never
 //! host wall-clock, so what was recorded is a function of the work and
@@ -26,8 +27,8 @@
 //! per-PC histograms only with [`ProfileConfig::per_pc`].
 //!
 //! The crate is deliberately leaf-level: it depends only on the
-//! vendored `serde`, so `simt-forensics` and `simt-runtime` can both
-//! build on it without dependency cycles.
+//! vendored `serde`, so `simt-runtime` and the `tables` harness can
+//! both build on it without dependency cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -251,7 +252,7 @@ pub enum Event {
         device: usize,
         /// Attempt number that faulted (1 = first execution).
         attempt: u32,
-        /// Fault family label (see `simt_chaos::FaultKind::label`).
+        /// Fault family label (see `simt_runtime::FaultKind::label`).
         family: String,
         /// False for a real watchdog timeout.
         injected: bool,

@@ -1,10 +1,10 @@
-//! # simt-chaos — deterministic fault injection and recovery policy
+//! Deterministic fault injection and recovery policy.
 //!
 //! Production accelerator pools treat faults as the normal case:
 //! transient launch failures, wedged kernels, flaky copy engines and
 //! outright dead devices all have to be survived, not aborted on. This
-//! crate gives the `simt-runtime` scheduler that posture in a way that
-//! stays **testable**: every fault is decided by a pure hash over the
+//! module gives the scheduler that posture in a way that stays
+//! **testable**: every fault is decided by a pure hash over the
 //! fault-plan seed and the command's *stable identity* (stream id,
 //! per-stream sequence number, attempt number), never by wall-clock,
 //! thread interleaving or shared-RNG draw order. The same
@@ -16,8 +16,8 @@
 //!
 //! * [`ChaosConfig`] — seed + per-family rates, installed via
 //!   `RuntimeConfig::with_chaos`;
-//! * [`FaultPlan`] — the compiled decision oracle the scheduler
-//!   consults per command attempt;
+//! * `FaultPlan` — the compiled decision oracle the scheduler
+//!   consults per command attempt (crate-private);
 //! * [`FaultKind`] — the four injected fault families;
 //! * [`RecoveryConfig`] — watchdog budget, bounded retries with
 //!   modeled exponential backoff, and the per-device fault budget that
@@ -26,11 +26,10 @@
 //!
 //! The scheduler models injected faults as *dispatch* failures: the
 //! plan also picks the device the faulted attempt is blamed on
-//! ([`FaultPlan::decide`] returns a [`PlannedFault`] carrying it), so
+//! (`FaultPlan::decide` returns a `PlannedFault` carrying it), so
 //! per-device fault accounting and quarantine timing are as
 //! deterministic as the injections themselves.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The injected fault families.
@@ -85,6 +84,21 @@ impl DeviceHealth {
             DeviceHealth::Healthy => 0,
             DeviceHealth::Degraded => 1,
             DeviceHealth::Quarantined => 2,
+        }
+    }
+
+    /// The health a device at `self` moves to once its fault count
+    /// reaches `faults`: quarantined at `policy.quarantine_after`,
+    /// degraded at `policy.degrade_after`, otherwise unchanged. Faults
+    /// only accumulate until `Runtime::reset_device` clears both, so the
+    /// walk only goes `Healthy → Degraded → Quarantined`.
+    pub(crate) fn after_faults(self, faults: u64, policy: &RecoveryConfig) -> DeviceHealth {
+        if faults >= policy.quarantine_after {
+            DeviceHealth::Quarantined
+        } else if faults >= policy.degrade_after {
+            DeviceHealth::Degraded
+        } else {
+            self
         }
     }
 }
@@ -202,22 +216,27 @@ impl RecoveryConfig {
     /// the first retry is attempt 1). Exponential, capped.
     pub fn backoff_cycles(&self, attempt: u32) -> u64 {
         let shift = attempt.saturating_sub(1).min(63);
-        self.backoff_base_cycles
-            .saturating_shl(shift)
-            .min(self.backoff_cap_cycles)
+        let base = self.backoff_base_cycles;
+        // `base << shift`, saturated once the top set bit would reach bit 63.
+        let backoff = if shift < base.leading_zeros() {
+            base << shift
+        } else {
+            u64::MAX
+        };
+        backoff.min(self.backoff_cap_cycles)
     }
 }
 
 /// A fault the plan decided to inject into one command attempt: the
 /// family plus the device the attempt is blamed on (the pseudo-dispatch
-/// target — see the crate docs for why blame is plan-derived rather
+/// target — see the module docs for why blame is plan-derived rather
 /// than taken from the executing worker).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannedFault {
+pub(crate) struct PlannedFault {
     /// Fault family.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// Device the faulted attempt is charged to.
-    pub device: usize,
+    pub(crate) device: usize,
 }
 
 /// Domain-separation salts for the per-family draws.
@@ -238,7 +257,7 @@ fn mix(mut z: u64) -> u64 {
 /// consulted by the scheduler once per command attempt. Pure — two
 /// plans from the same config answer identically forever.
 #[derive(Debug, Clone)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     seed: u64,
     /// Per-family thresholds against a 32-bit draw.
     transient: u64,
@@ -254,7 +273,7 @@ fn threshold(rate: f64) -> u64 {
 
 impl FaultPlan {
     /// Compile `cfg` into a decision oracle.
-    pub fn new(cfg: &ChaosConfig) -> Self {
+    pub(crate) fn new(cfg: &ChaosConfig) -> Self {
         FaultPlan {
             seed: cfg.seed,
             transient: threshold(cfg.transient_launch_rate),
@@ -265,7 +284,7 @@ impl FaultPlan {
     }
 
     /// The configured sticky device failure, if any.
-    pub fn sticky(&self) -> Option<&StickyDevice> {
+    pub(crate) fn sticky(&self) -> Option<&StickyDevice> {
         self.sticky.as_ref()
     }
 
@@ -286,7 +305,7 @@ impl FaultPlan {
     /// The pseudo-dispatch device an attempt is blamed on: a
     /// deterministic pick over the pool, excluding `avoid` (the device
     /// the previous attempt failed on) when an alternative exists.
-    pub fn blame(
+    fn blame(
         &self,
         devices: usize,
         stream: u64,
@@ -315,7 +334,7 @@ impl FaultPlan {
     /// device is still in the placement pool (a quarantined or reset
     /// device receives no dispatches, so it stops faulting them).
     #[allow(clippy::too_many_arguments)]
-    pub fn decide(
+    pub(crate) fn decide(
         &self,
         stream: u64,
         seq: u64,
@@ -357,26 +376,6 @@ impl FaultPlan {
             });
         }
         None
-    }
-}
-
-/// `saturating_shl` does not exist on u64; local helper with shift
-/// clamping semantics (shift ≥ 64 saturates toward the cap by
-/// overflowing to max).
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        if self == 0 {
-            return 0;
-        }
-        if shift >= self.leading_zeros() {
-            u64::MAX
-        } else {
-            self << shift
-        }
     }
 }
 
@@ -487,11 +486,42 @@ mod tests {
         assert_eq!(r.backoff_cycles(2), 128);
         assert_eq!(r.backoff_cycles(3), 200);
         assert_eq!(r.backoff_cycles(63), 200);
+        let uncapped = RecoveryConfig {
+            backoff_base_cycles: 1 << 40,
+            backoff_cap_cycles: u64::MAX,
+            ..RecoveryConfig::default()
+        };
+        assert_eq!(uncapped.backoff_cycles(23), 1 << 62);
+        assert_eq!(uncapped.backoff_cycles(24), u64::MAX);
     }
 
     #[test]
     fn health_severity_is_ordered() {
         assert!(DeviceHealth::Healthy.severity() < DeviceHealth::Degraded.severity());
         assert!(DeviceHealth::Degraded.severity() < DeviceHealth::Quarantined.severity());
+    }
+
+    #[test]
+    fn health_walks_the_fault_budget() {
+        let policy = RecoveryConfig::default(); // degrade at 2, quarantine at 5
+        let mut health = DeviceHealth::Healthy;
+        let walk: Vec<DeviceHealth> = (1..=6)
+            .map(|faults| {
+                health = health.after_faults(faults, &policy);
+                health
+            })
+            .collect();
+        use DeviceHealth::*;
+        assert_eq!(
+            walk,
+            [
+                Healthy,
+                Degraded,
+                Degraded,
+                Degraded,
+                Quarantined,
+                Quarantined
+            ]
+        );
     }
 }

@@ -34,7 +34,12 @@
 //!   single kernels ([`fuse()`]), [`instantiate`](Runtime::instantiate)
 //!   through the pool-wide compile cache, and
 //!   [`replay`](Runtime::replay) with topological least-loaded
-//!   placement and parameterized re-launch.
+//!   placement and parameterized re-launch;
+//! * faults are survived, not aborted on: the [`chaos`] module injects
+//!   them from a seeded plan and holds the recovery policy (watchdog,
+//!   bounded retries, per-device quarantine), and the [`postmortem`]
+//!   module folds the event ring's black-box window and a metrics
+//!   snapshot into a deterministic [`PostmortemReport`].
 //!
 //! ## Quick example
 //!
@@ -56,13 +61,16 @@
 
 #![forbid(unsafe_code)]
 
+pub mod chaos;
 pub mod event;
 pub mod graph;
 pub mod pool;
+pub mod postmortem;
 pub mod scheduler;
 pub mod stats;
 pub mod stream;
 
+use postmortem::{gauge_timelines, POSTMORTEM_SCHEMA_VERSION};
 use scheduler::{worker_loop, Shared};
 use simt_compiler::CompileCache;
 use simt_core::PcProfile;
@@ -88,16 +96,11 @@ pub use simt_profile::{CacheTier, EventRing, ProfileConfig, Record};
 pub use simt_metrics::{HealthConfig, HealthFinding, HealthMonitor, HealthReport, MetricsSnapshot};
 // And the forensics vocabulary: the black-box window behind
 // Runtime::flight, postmortem bundles from Runtime::postmortem.
-pub use simt_forensics::{
-    gauge_timelines, FlightDump, GaugeTimeline, KernelHotspots, PcHotspot, PostmortemReport,
-    POSTMORTEM_SCHEMA_VERSION,
-};
+pub use postmortem::{FlightDump, GaugeTimeline, KernelHotspots, PcHotspot, PostmortemReport};
 // And the chaos vocabulary: configure with RuntimeConfig::with_chaos /
 // with_recovery, observe through Runtime::device_health and the typed
-// fault errors above.
-pub use simt_chaos::{
-    ChaosConfig, DeviceHealth, FaultKind, FaultPlan, PlannedFault, RecoveryConfig, StickyDevice,
-};
+// fault errors below.
+pub use chaos::{ChaosConfig, DeviceHealth, FaultKind, RecoveryConfig, StickyDevice};
 
 /// Anything that can go wrong inside the runtime. Cloneable (sticky
 /// stream errors fan out to every queued handle), so inner errors are
@@ -124,7 +127,7 @@ pub enum RuntimeError {
         detail: String,
     },
     /// The watchdog killed a launch that exceeded its modeled-cycle
-    /// budget ([`simt_chaos::RecoveryConfig::watchdog_cycle_budget`]).
+    /// budget ([`RecoveryConfig::watchdog_cycle_budget`]).
     Timeout {
         /// Kernel name.
         kernel: String,

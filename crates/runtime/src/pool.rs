@@ -25,8 +25,8 @@
 //! so a kernel is assembled/compiled exactly once per (source, config)
 //! no matter how many streams, devices or repeats launch it.
 
+use crate::chaos::{ChaosConfig, RecoveryConfig};
 use crate::RuntimeError;
-use simt_chaos::{ChaosConfig, RecoveryConfig};
 use simt_compiler::{CompileCache, Lookup, OptLevel};
 use simt_core::{DecodedProgram, ExecStats, PcProfile, Processor, ProcessorConfig, RunOptions};
 use simt_isa::Program;
@@ -105,7 +105,7 @@ pub struct RuntimeConfig {
     pub metrics: bool,
     /// Black-box window: the newest this-many events of the pool's
     /// event ring are always retained for postmortems
-    /// (`simt-forensics`). `0` disables it — and, with no `profile`
+    /// ([`crate::postmortem`]). `0` disables it — and, with no `profile`
     /// either, the ring itself. Like `metrics`, the off switch exists
     /// to measure the disabled path (`bench-e2e --trace 1`:
     /// `forensics.overhead_ns_per_launch`).
@@ -116,7 +116,7 @@ pub struct RuntimeConfig {
     /// deterministically.
     pub health: HealthConfig,
     /// Deterministic fault injection (`None` = no faults, the
-    /// default). See [`simt_chaos::ChaosConfig`]: every decision is a
+    /// default). See [`ChaosConfig`]: every decision is a
     /// pure hash over the seed and the command's stable identity, so a
     /// fixed config injects identically on every run.
     pub chaos: Option<ChaosConfig>,

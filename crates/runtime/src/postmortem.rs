@@ -1,15 +1,51 @@
 //! Postmortem bundles: everything the runtime knows at the moment of
 //! failure, folded into one deterministic, serializable report.
 //!
-//! A [`PostmortemReport`] is assembled by `Runtime::postmortem` when a
-//! health finding fires, a launch errors, or the caller asks. It is
-//! pure plain data — modeled cycles and sequence numbers only — so the
-//! same program and seed produce byte-identical reports.
+//! The black box of the scheduler is the pool's always-on
+//! [`EventRing`]: its decisions — enqueues, batch formation, device
+//! placements, pause/resume, compile/decode-cache outcomes, launch
+//! failures, health transitions — are recorded whether or not the
+//! opt-in profiler is. When something goes wrong (a
+//! [`HealthFinding`](simt_metrics::HealthFinding) fires, a launch
+//! errors, or the caller asks), [`Runtime::postmortem`] folds the ring's
+//! newest-N window ([`FlightDump`]) together with a full metrics
+//! snapshot into a [`PostmortemReport`] that explains *where* and *why*,
+//! not just *that*.
+//!
+//! A report is pure plain data — modeled cycles and sequence numbers
+//! only, no wall-clock values — so reports of a single-worker run over
+//! a pre-built backlog are byte-identical across runs.
+//!
+//! [`Runtime::postmortem`]: crate::Runtime::postmortem
 
-use crate::FlightDump;
 use serde::{Deserialize, Serialize};
 use simt_metrics::{names, HealthReport, MetricsSnapshot};
-use simt_profile::{labels, Event};
+use simt_profile::{labels, Event, EventRing, Record};
+
+/// Serializable black-box window of an [`EventRing`]: its newest
+/// records plus how much was recorded overall.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FlightDump {
+    /// Total events ever recorded (≥ `events.len()`).
+    pub recorded: u64,
+    /// Window size in records.
+    pub capacity: u64,
+    /// Surviving events, ascending by `seq`.
+    pub events: Vec<Record>,
+}
+
+impl FlightDump {
+    /// The newest `capacity` records of `ring`. A runtime without a
+    /// black box (`None`, or a window of zero) dumps empty.
+    pub(crate) fn capture(ring: Option<&EventRing>, capacity: usize) -> Self {
+        let ring = ring.filter(|_| capacity > 0);
+        FlightDump {
+            recorded: ring.map_or(0, EventRing::recorded),
+            capacity: capacity as u64,
+            events: ring.map_or_else(Vec::new, |r| r.last(capacity)),
+        }
+    }
+}
 
 /// One point of a gauge timeline, keyed by event-ring sequence
 /// number (the deterministic substitute for wall-clock time).
@@ -35,7 +71,7 @@ pub struct GaugeTimeline {
 /// Derive queue-depth and outstanding-command timelines from a flight
 /// dump: every `Enqueue`/`Publish` event carries the post-transition
 /// gauge values, so the dump *is* the timeline.
-pub fn gauge_timelines(dump: &FlightDump) -> Vec<GaugeTimeline> {
+pub(crate) fn gauge_timelines(dump: &FlightDump) -> Vec<GaugeTimeline> {
     use std::collections::BTreeMap;
     let mut series: BTreeMap<(String, String), Vec<GaugePoint>> = BTreeMap::new();
     let mut push = |name: &str, label: String, seq: u64, value: u64| {
@@ -127,7 +163,7 @@ pub struct PostmortemReport {
 }
 
 /// Current postmortem schema version.
-pub const POSTMORTEM_SCHEMA_VERSION: u32 = 2;
+pub(crate) const POSTMORTEM_SCHEMA_VERSION: u32 = 2;
 
 impl PostmortemReport {
     /// Human-readable rendering: what an operator reads before opening
@@ -201,7 +237,34 @@ impl PostmortemReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simt_profile::{CommandKind, EventRing};
+    use simt_profile::CommandKind;
+
+    #[test]
+    fn capture_is_the_newest_window_and_round_trips() {
+        let mut ring = EventRing::new(8, false);
+        for device in 0..6 {
+            ring.record(Event::DeviceReset { device });
+        }
+        let dump = FlightDump::capture(Some(&ring), 4);
+        assert_eq!((dump.recorded, dump.capacity), (6, 4));
+        let seqs: Vec<u64> = dump.events.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![2, 3, 4, 5]);
+        let back = FlightDump::from_value(&dump.to_value()).expect("round trip");
+        assert_eq!(back, dump);
+    }
+
+    #[test]
+    fn no_ring_or_no_window_dumps_empty() {
+        let mut ring = EventRing::new(8, false);
+        ring.record(Event::Pause);
+        for dump in [
+            FlightDump::capture(None, 4),
+            FlightDump::capture(Some(&ring), 0),
+        ] {
+            assert_eq!(dump.recorded, 0);
+            assert!(dump.events.is_empty());
+        }
+    }
 
     fn dump_with_gauges() -> FlightDump {
         let mut r = EventRing::new(16, false);

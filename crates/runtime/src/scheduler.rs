@@ -145,12 +145,12 @@
 //! transition of `outstanding` to zero — the only thing its waiters
 //! test.
 
+use crate::chaos::{DeviceHealth, FaultKind, FaultPlan, PlannedFault};
 use crate::graph::check_window;
 use crate::pool::{Device, LaunchOutcome, RuntimeConfig};
 use crate::stats::{CommandKind, DeviceStats, RuntimeStats, StreamStats};
 use crate::stream::Command;
 use crate::RuntimeError;
-use simt_chaos::{DeviceHealth, FaultKind, FaultPlan, PlannedFault};
 use simt_compiler::Lookup;
 use simt_core::ExecStats;
 use simt_graph::{ExecGraph, GraphNode, GraphOp, NodeId};
@@ -1388,13 +1388,7 @@ impl Shared {
         state.device_faults[device] += 1;
         let faults = state.device_faults[device];
         let was = state.device_health[device];
-        let now = if faults >= self.cfg.recovery.quarantine_after {
-            DeviceHealth::Quarantined
-        } else if faults >= self.cfg.recovery.degrade_after {
-            DeviceHealth::Degraded
-        } else {
-            was
-        };
+        let now = was.after_faults(faults, &self.cfg.recovery);
         state.device_health[device] = now;
         if now != was && now == DeviceHealth::Quarantined {
             state.pending_quarantines.push(device);

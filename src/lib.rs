@@ -6,16 +6,23 @@
 //!
 //! ## The crate graph, silicon to host
 //!
+//! An arrow points from a crate to the crates built on it; edges implied
+//! by a longer path are left out, and `simt-bench` builds on nearly
+//! everything.
+//!
 //! ```text
-//!   simt-isa ──────► simt-core ──────► simt-kernels ──► simt-graph
-//!      │                 │  │  │           │    ▲            │
-//!      │                 │  │  └► simt-compiler ┘            │
-//!      │                 │  └──────► simt-system ─┐          │
-//!      │                 ▼                        ▼          ▼
-//!      │   fpga-fabric ► fpga-fitter      simt-runtime ◄─────┘
-//!      │                     ▲            (streams, events, capture,
-//!      └─────────────────────┘             least-loaded scheduler,
-//!                                          graph replay, compile cache)
+//!   simt-isa ──► simt-core ──► simt-compiler ──► simt-kernels ──► simt-graph
+//!                    │                                                │
+//!                    ▼                                                ▼
+//!   fpga-fabric ─► fpga-fitter ──► simt-system    simt-profile ──► simt-runtime
+//!                    │                            simt-metrics ──► (streams, events,
+//!                    │                                              placement, graph
+//!                    │                                              replay, compile
+//!                    │                                              cache, chaos,
+//!                    │                                              postmortem)
+//!                    │                                                │
+//!                    │                                                ▼
+//!                    └─────────────────────────► simt-bench ◄──── simt-fuzzgen
 //! ```
 //!
 //! * [`simt_isa`] — the PTX-inspired 61-instruction ISA, assembler and
@@ -43,7 +50,9 @@
 //!   streams, events, async launches and modeled copies over a pool of
 //!   simulated devices, with least-loaded placement at dispatch, a
 //!   discrete-event virtual timeline, graph capture/instantiate/replay,
-//!   and a pool-wide LRU-bounded compile cache on the launch path.
+//!   a pool-wide LRU-bounded compile cache on the launch path, seeded
+//!   fault injection with recovery (`simt_runtime::chaos`) and
+//!   postmortem bundles (`simt_runtime::postmortem`).
 //! * [`simt_fuzzgen`] — random-IR differential fuzzing: seeded
 //!   generation of valid kernel IR, an every-path differential executor
 //!   (O0/O2 × reference/predecoded × functional/cycle-accurate ×
