@@ -8,12 +8,9 @@
 //!    configuration and compile every launch through the pool-wide
 //!    content-addressed compile cache. Instantiation is the only
 //!    compile cost the graph ever pays; replays are pure cache hits.
-//! 2. [`Runtime::replay`] — execute the DAG against a fresh, zeroed
-//!    graph buffer of as many words as the graph can address (the
-//!    largest copy-window end and `min(shared_words, memory_words)` of
-//!    its launches, fixed at instantiation and raised by
-//!    [`GraphExec::set_copy_in`]; never more than the device buffer),
-//!    walking a deterministic topological order and *placing*
+//! 2. [`Runtime::replay`] — execute the DAG against a zeroed device
+//!    buffer of `memory_words` words, walking a deterministic
+//!    topological order and *placing*
 //!    each ready node on the least-loaded device engine of the pool's
 //!    shared virtual timeline (launches on compute engines, copies on
 //!    DMA engines — the same dispatch rule stream commands use). The
@@ -23,10 +20,18 @@
 //! Replays are parameterizable: [`GraphExec::set_copy_in`] swaps a
 //! copy-in node's payload between replays — new data, zero recompiles.
 //!
+//! The replay buffer: the replay device keeps one device buffer beside
+//! it, behind the lock that serializes replays, allocated by the
+//! runtime's first replay. Every replay leaves it zeroed, whether it
+//! completes or fails: it zeroes only the buffer's live prefix, the
+//! words its copy-ins and write-backs reached, so a replay that touches
+//! 300 words clears 300, and the next replay starts from the same
+//! all-zero buffer a fresh runtime's first one does.
+//!
 //! What a replay copies: each copy-in's payload into the buffer, each
 //! copy-out's window out of it into the result, and per launch what
-//! [`pool`] says a launch copies. Besides the buffer it allocates one
-//! state per node, the placement trace, the output list and the
+//! [`pool`] says a launch copies. It allocates no buffer; it allocates
+//! one state per node, the placement trace, the output list and the
 //! copy-out payloads (`tests/alloc_replay.rs` counts them).
 //!
 //! A replay executes on the caller's thread, outside the scheduler
@@ -35,9 +40,10 @@
 //! order, and the replay's span is recorded. A replay cut short — a
 //! trap, a bad window, a shutdown — books the nodes it did execute.
 
+use crate::pool::{self, check_window, DeviceBuffer};
 use crate::scheduler::{Launched, Origin, Retired};
 use crate::stats::CommandKind;
-use crate::{pool, Runtime, RuntimeError};
+use crate::{Runtime, RuntimeError};
 use simt_core::ExecStats;
 use simt_graph::{ExecGraph, GraphOp, NodeId};
 use std::borrow::Cow;
@@ -49,10 +55,6 @@ use std::time::Instant;
 pub struct GraphExec {
     graph: ExecGraph,
     memory_words: usize,
-    /// Words of graph buffer a replay allocates: no node addresses a
-    /// word at or past it (the largest copy-window end, and each
-    /// launch's `min(shared_words, memory_words)`).
-    extent: usize,
 }
 
 impl GraphExec {
@@ -63,8 +65,7 @@ impl GraphExec {
 
     /// Replace a copy-in node's payload for subsequent replays (buffer
     /// re-binding without recompiling). The new payload must stay inside
-    /// the device buffer (`memory_words`); one reaching past what the
-    /// graph addressed so far grows the replay buffer with it.
+    /// the device buffer (`memory_words`).
     pub fn set_copy_in(&mut self, node: NodeId, data: Vec<u32>) -> Result<(), RuntimeError> {
         let dst = match self.graph.nodes().get(node.index()).map(|n| &n.op) {
             Some(GraphOp::CopyIn { dst, .. }) => *dst,
@@ -81,8 +82,7 @@ impl GraphExec {
                 )))
             }
         };
-        let end = check_window(dst, data.len(), self.memory_words)?;
-        self.extent = self.extent.max(end);
+        check_window(dst, data.len(), self.memory_words)?;
         assert!(self.graph.set_copy_in(node, data), "checked copy-in node");
         Ok(())
     }
@@ -141,23 +141,6 @@ impl GraphReplay {
     }
 }
 
-/// The end `off + len` of the copy window `[off, off + len)`, if it
-/// fits a buffer of `memory_words` words.
-pub(crate) fn check_window(
-    off: usize,
-    len: usize,
-    memory_words: usize,
-) -> Result<usize, RuntimeError> {
-    match off.checked_add(len) {
-        Some(end) if end <= memory_words => Ok(end),
-        _ => Err(RuntimeError::CopyOutOfBounds {
-            offset: off,
-            len,
-            memory_words,
-        }),
-    }
-}
-
 impl Runtime {
     /// Instantiate a graph: validate every copy window against the
     /// device buffer and compile every launch through the pool-wide
@@ -169,35 +152,34 @@ impl Runtime {
     pub fn instantiate(&self, graph: ExecGraph) -> Result<GraphExec, RuntimeError> {
         let memory_words = self.config().device.memory_words;
         let mut lookups = Vec::new();
-        let extent = graph.nodes().iter().try_fold(0, |extent: usize, node| {
-            let end = match &node.op {
-                GraphOp::CopyIn { dst, data } => check_window(*dst, data.len(), memory_words)?,
-                GraphOp::CopyOut { src, len } => check_window(*src, *len, memory_words)?,
-                GraphOp::Launch(spec) => {
-                    lookups.push(pool::resolve(self.compile_cache(), spec)?.1);
-                    spec.config.shared_words.min(memory_words)
-                }
-            };
-            Ok(extent.max(end))
+        let checked = graph.nodes().iter().try_for_each(|node| match &node.op {
+            GraphOp::CopyIn { dst, data } => check_window(*dst, data.len(), memory_words).map(drop),
+            GraphOp::CopyOut { src, len } => check_window(*src, *len, memory_words).map(drop),
+            GraphOp::Launch(spec) => {
+                lookups.push(pool::resolve(self.compile_cache(), spec)?.1);
+                Ok(())
+            }
         });
         // Whatever was looked up before a node was rejected happened.
         self.shared.record_lookups(&lookups);
+        checked?;
         Ok(GraphExec {
             graph,
             memory_words,
-            extent: extent?,
         })
     }
 
     /// Replay an instantiated graph: execute its nodes in deterministic
-    /// topological order against a fresh graph buffer, placing each
+    /// topological order against a zeroed device buffer, placing each
     /// node on the least-loaded engine of the pool's shared virtual
     /// timeline. Kernel results are bit-exact with eager stream
     /// execution of the same DAG; the placement breaks stream-device
     /// affinity, so independent branches land on different devices.
     pub fn replay(&self, exec: &GraphExec) -> Result<GraphReplay, RuntimeError> {
-        let mut device = self.replay_device.lock().unwrap();
-        let mut buffer = vec![0u32; exec.extent];
+        let mut replay_device = self.replay_device.lock().unwrap();
+        let (device, buffer) = &mut *replay_device;
+        let memory_words = self.config().device.memory_words;
+        let buffer = buffer.get_or_insert_with(|| DeviceBuffer::zeroed(memory_words));
         let order = exec.graph.topo_order();
         let mut nodes: Vec<NodeState> = order.iter().map(|_| NodeState::default()).collect();
         let mut replay = GraphReplay {
@@ -219,18 +201,18 @@ impl Runtime {
             let t0 = Instant::now();
             let (kind, cycles, words, launch) = match &exec.graph.node(id).op {
                 GraphOp::CopyIn { dst, data } => {
-                    let end = check_window(*dst, data.len(), buffer.len())?;
-                    buffer[*dst..end].copy_from_slice(data);
+                    buffer.copy_in(*dst, data)?;
                     let cycles = device.copy_cycles(data.len());
                     (CommandKind::CopyIn, cycles, data.len(), None)
                 }
                 GraphOp::CopyOut { src, len } => {
-                    let end = check_window(*src, *len, buffer.len())?;
-                    replay.outputs.push((id, buffer[*src..end].to_vec()));
+                    replay
+                        .outputs
+                        .push((id, buffer.window(*src, *len)?.to_vec()));
                     (CommandKind::CopyOut, device.copy_cycles(*len), *len, None)
                 }
                 GraphOp::Launch(spec) => {
-                    let outcome = device.run_launch(spec, &mut buffer)?;
+                    let outcome = device.run_launch(spec, buffer)?;
                     replay.compute.merge(&outcome.stats);
                     if outcome.lookup.hit {
                         replay.compile_hits += 1;
@@ -254,6 +236,8 @@ impl Runtime {
             });
             Ok(())
         });
+        // Success or not, hand the next replay a zeroed buffer.
+        buffer.clear();
         // Book what ran, in one acquisition. A dependency comes earlier
         // in the topological order, so its end is filled in.
         let mut state = self.shared.lock();

@@ -267,8 +267,10 @@ pub struct Runtime {
     shared: Arc<Shared>,
     compile_cache: Arc<CompileCache>,
     /// Execution context for graph replay (host-side; placement on the
-    /// pool's virtual timelines is separate — see [`Runtime::replay`]).
-    replay_device: Mutex<pool::Device>,
+    /// pool's virtual timelines is separate — see [`Runtime::replay`]):
+    /// the device, and the buffer every replay runs against, allocated
+    /// by the first.
+    replay_device: Mutex<(pool::Device, Option<pool::DeviceBuffer>)>,
     /// Pool-wide per-PC profile sink (`Some` only with
     /// [`ProfileConfig::per_pc`]).
     pc_sink: Option<Arc<pool::PcSink>>,
@@ -309,13 +311,14 @@ impl Runtime {
                 );
             }
         }
-        let replay_device = Mutex::new(pool::Device::new(
+        let replay_device = pool::Device::new(
             cfg.devices,
             cfg.device.clone(),
             cfg.recovery.watchdog_cycle_budget,
             Arc::clone(&compile_cache),
             pc_sink.clone(),
-        ));
+        );
+        let replay_device = Mutex::new((replay_device, None));
         let workers = (0..cfg.devices)
             .map(|d| {
                 let shared = Arc::clone(&shared);

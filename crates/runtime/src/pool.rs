@@ -7,17 +7,26 @@
 //! compatible configurations reuse the same instance — the scheduler's
 //! "batch compatible launches onto the same device" fast path.
 //!
+//! Every device buffer — a stream's, and the one graph replay reuses —
+//! is one type, `DeviceBuffer`: `memory_words` words and a *live* length
+//! with one invariant, every word at or past `live` is zero. A copy-in
+//! raises `live` to the end of its window, a launch's write-back to the
+//! end of what it wrote back; nothing else writes the buffer.
+//!
 //! What a launch copies (`Device::run_launch`, the one path streams,
 //! graph replays and chaos retries share): **in**, the first
-//! `min(shared_words, buffer.len())` words of the stream buffer, once —
-//! the copy is the reset (`Processor::reset_seeded`), which otherwise
-//! zeroes only the register columns and memory words the build's last
-//! launch dirtied — then the spec's inline inputs; **out**, after a run
-//! that neither trapped nor overran the watchdog budget, the one extent
-//! of shared memory written since the seed (inline inputs and stores),
-//! clipped to those same words. A launch that stores one word writes one
-//! word back; a failed launch writes nothing back and still returns its
-//! build to the cache.
+//! `min(shared_words, buffer.len(), live)` words of the buffer, once —
+//! the copy is the reset (`Processor::reset_seeded`), which zero-fills
+//! shared memory past the image and otherwise zeroes only the register
+//! columns and memory words the build's last launch dirtied, so the
+//! processor sees exactly the first `min(shared_words, buffer.len())`
+//! words — then the spec's inline inputs; **out**, after a run that
+//! neither trapped nor overran the watchdog budget, the one extent of
+//! shared memory written since the seed (inline inputs and stores),
+//! clipped to `min(shared_words, buffer.len())`. A launch into a buffer
+//! whose live prefix is 300 words copies 300 in, whatever its kernel
+//! declares; one that stores one word writes one word back; a failed
+//! launch writes nothing back and still returns its build to the cache.
 //!
 //! Next to the per-device processor cache sits the pool-wide,
 //! content-addressed [`CompileCache`]: every launch resolves its
@@ -227,6 +236,71 @@ pub(crate) fn resolve(
     }
 }
 
+/// The end `off + len` of the copy window `[off, off + len)`, if it
+/// fits a buffer of `memory_words` words.
+pub(crate) fn check_window(
+    off: usize,
+    len: usize,
+    memory_words: usize,
+) -> Result<usize, RuntimeError> {
+    match off.checked_add(len) {
+        Some(end) if end <= memory_words => Ok(end),
+        _ => Err(RuntimeError::CopyOutOfBounds {
+            offset: off,
+            len,
+            memory_words,
+        }),
+    }
+}
+
+/// A device buffer whose words at or past `live` are all zero (see the
+/// module doc). Reads see every word; writes go through
+/// [`DeviceBuffer::copy_in`], which keeps the invariant.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DeviceBuffer {
+    words: Vec<u32>,
+    live: usize,
+}
+
+impl DeviceBuffer {
+    /// `len` zero words.
+    pub(crate) fn zeroed(len: usize) -> Self {
+        DeviceBuffer {
+            words: vec![0; len],
+            live: 0,
+        }
+    }
+
+    /// Copy `data` into the window at `dst`, if it fits the buffer.
+    pub(crate) fn copy_in(&mut self, dst: usize, data: &[u32]) -> Result<(), RuntimeError> {
+        let end = check_window(dst, data.len(), self.words.len())?;
+        self.words[dst..end].copy_from_slice(data);
+        self.live = self.live.max(end);
+        Ok(())
+    }
+
+    /// The window `[src, src + len)`, if it fits the buffer.
+    pub(crate) fn window(&self, src: usize, len: usize) -> Result<&[u32], RuntimeError> {
+        let end = check_window(src, len, self.words.len())?;
+        Ok(&self.words[src..end])
+    }
+
+    /// Zero the live prefix: the buffer is as [`DeviceBuffer::zeroed`]
+    /// made it again.
+    pub(crate) fn clear(&mut self) {
+        self.words[..self.live].fill(0);
+        self.live = 0;
+    }
+}
+
+impl std::ops::Deref for DeviceBuffer {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.words
+    }
+}
+
 /// One simulated device.
 pub(crate) struct Device {
     /// Pool index.
@@ -284,15 +358,15 @@ impl Device {
         self.cache.truncate(PROCESSOR_CACHE);
     }
 
-    /// Execute one launch against the stream's device buffer: the
-    /// processor's shared memory is seeded from the buffer, inline spec
-    /// inputs are applied on top, the kernel runs to `exit`, and what it
-    /// wrote is written back so later copies and launches see it. The
-    /// build goes back into the cache however the launch ends.
+    /// Execute one launch against a device buffer: the processor's
+    /// shared memory is seeded from the buffer, inline spec inputs are
+    /// applied on top, the kernel runs to `exit`, and what it wrote is
+    /// written back so later copies and launches see it. The build goes
+    /// back into the cache however the launch ends.
     pub(crate) fn run_launch(
         &mut self,
         spec: &LaunchSpec,
-        buffer: &mut [u32],
+        buffer: &mut DeviceBuffer,
     ) -> Result<LaunchOutcome, RuntimeError> {
         let (decoded, lookup) = resolve(&self.compile_cache, spec)?;
         let (mut proc, cache_hit) = self.processor(&spec.config)?;
@@ -306,16 +380,17 @@ impl Device {
     }
 
     /// [`Device::run_launch`] on a given build. One seed, one write-back:
-    /// the reset *is* the copy of `buffer[..shared_words]` into shared
-    /// memory (`Processor::reset_seeded`), and only the extent written
-    /// since — inline inputs and stores — is copied back, the rest of the
-    /// shared image being the buffer's own words still.
+    /// the reset *is* the copy of the buffer's live words below
+    /// `shared_words` into shared memory (`Processor::reset_seeded`,
+    /// which zero-fills the rest, as the buffer is there), and only the
+    /// extent written since — inline inputs and stores — is copied back,
+    /// the rest of the shared image being the buffer's own words still.
     fn execute(
         &self,
         proc: &mut Processor,
         spec: &LaunchSpec,
         decoded: Arc<DecodedProgram>,
-        buffer: &mut [u32],
+        buffer: &mut DeviceBuffer,
     ) -> Result<ExecStats, RuntimeError> {
         let exec_err = |e: String| RuntimeError::Exec {
             kernel: spec.name.clone(),
@@ -323,7 +398,7 @@ impl Device {
             detail: e,
         };
         let shared_words = spec.config.shared_words.min(buffer.len());
-        proc.reset_seeded(&buffer[..shared_words])
+        proc.reset_seeded(&buffer.words[..shared_words.min(buffer.live)])
             .map_err(|e| exec_err(e.to_string()))?;
         for (off, words) in &spec.inputs {
             proc.shared_mut()
@@ -378,7 +453,9 @@ impl Device {
         }
         let written = proc.shared().written();
         let written = written.start.min(shared_words)..written.end.min(shared_words);
-        buffer[written.clone()].copy_from_slice(&proc.shared().as_slice()[written]);
+        buffer
+            .copy_in(written.start, &proc.shared().as_slice()[written])
+            .expect("the written extent is clipped to the buffer");
         Ok(stats)
     }
 }
@@ -471,6 +548,37 @@ mod tests {
             .collect()
     }
 
+    /// The buffers a contract runs over, `len` words each: patterned
+    /// throughout (`live` = `len`), and patterned below a `live` of 0,
+    /// 100 (under the small build's 1024 shared words) and 1500 (over
+    /// them) with a zero tail — those that fit.
+    fn buffers(len: usize, salt: u32) -> Vec<DeviceBuffer> {
+        [len, 0, 100, 1500]
+            .into_iter()
+            .filter(|&live| live <= len)
+            .map(|live| {
+                let mut buffer = DeviceBuffer::zeroed(len);
+                buffer.copy_in(0, &pattern(live, salt)).unwrap();
+                assert_eq!(buffer.live, live);
+                buffer
+            })
+            .collect()
+    }
+
+    /// The invariant every writer keeps: no non-zero word at or past
+    /// `live`.
+    fn assert_zero_tail(buffer: &DeviceBuffer) {
+        let stray = buffer.words[buffer.live..].iter().position(|&w| w != 0);
+        assert_eq!(stray, None, "non-zero past live = {}", buffer.live);
+    }
+
+    /// The full-copy rule states the buffer a launch leaves as words.
+    impl PartialEq<Vec<u32>> for DeviceBuffer {
+        fn eq(&self, words: &Vec<u32>) -> bool {
+            self.words == *words
+        }
+    }
+
     /// The buffer a launch must leave, by the full-copy rule.
     fn full_copy_rule(spec: &LaunchSpec, buffer: &[u32]) -> Vec<u32> {
         let shared_words = spec.config.shared_words.min(buffer.len());
@@ -493,21 +601,24 @@ mod tests {
     fn write_back_equals_the_full_copy_rule() {
         // shared_words (1024) below, equal to and above the buffer.
         for buffer_words in [4096usize, 1024, 512] {
-            // One device per size: its one cached build serves every
-            // launch, each on top of what the last one left behind.
-            let mut d = device();
-            let mut buffer = pattern(buffer_words, buffer_words as u32);
-            let kernels = contract_kernels();
-            for (round, spec) in kernels.iter().chain(kernels.iter().rev()).enumerate() {
-                let want = full_copy_rule(spec, &buffer);
-                let out = d.run_launch(spec, &mut buffer).unwrap();
-                assert_eq!(out.cache_hit, round > 0, "{}", spec.name);
-                assert!(
-                    buffer == want,
-                    "{} on a {buffer_words}-word buffer: first difference at word {:?}",
-                    spec.name,
-                    buffer.iter().zip(&want).position(|(a, b)| a != b)
-                );
+            for mut buffer in buffers(buffer_words, buffer_words as u32) {
+                // One device per buffer: its one cached build serves
+                // every launch, each on top of what the last one left
+                // behind.
+                let mut d = device();
+                let kernels = contract_kernels();
+                for (round, spec) in kernels.iter().chain(kernels.iter().rev()).enumerate() {
+                    let want = full_copy_rule(spec, &buffer);
+                    let out = d.run_launch(spec, &mut buffer).unwrap();
+                    assert_eq!(out.cache_hit, round > 0, "{}", spec.name);
+                    assert!(
+                        buffer == want,
+                        "{} on a {buffer_words}-word buffer: first difference at word {:?}",
+                        spec.name,
+                        buffer.iter().zip(&want).position(|(a, b)| a != b)
+                    );
+                    assert_zero_tail(&buffer);
+                }
             }
         }
     }
@@ -538,23 +649,27 @@ mod tests {
         );
         let good = &contract_kernels()[0];
         for buffer_words in [4096usize, 1024] {
-            let mut buffer = pattern(buffer_words, 77);
-            for _ in 0..2 {
-                let before = buffer.clone();
-                match d.run_launch(&trapping, &mut buffer) {
-                    Err(RuntimeError::Exec { kernel, .. }) => assert_eq!(kernel, "trapping"),
-                    other => panic!("expected Exec, got {other:?}"),
+            for mut buffer in buffers(buffer_words, 77) {
+                for _ in 0..2 {
+                    let before = buffer.clone();
+                    match d.run_launch(&trapping, &mut buffer) {
+                        Err(RuntimeError::Exec { kernel, .. }) => assert_eq!(kernel, "trapping"),
+                        other => panic!("expected Exec, got {other:?}"),
+                    }
+                    assert!(buffer == before, "a trapped launch must not write back");
+                    match d.run_launch(&over_budget, &mut buffer) {
+                        Err(RuntimeError::Timeout { kernel, .. }) => {
+                            assert_eq!(kernel, "over_budget")
+                        }
+                        other => panic!("expected Timeout, got {other:?}"),
+                    }
+                    assert!(buffer == before, "a killed launch must not write back");
+                    // And nothing of either survives into the next launch.
+                    let want = full_copy_rule(good, &buffer);
+                    d.run_launch(good, &mut buffer).unwrap();
+                    assert!(buffer == want, "a good launch after two failed ones");
+                    assert_zero_tail(&buffer);
                 }
-                assert!(buffer == before, "a trapped launch must not write back");
-                match d.run_launch(&over_budget, &mut buffer) {
-                    Err(RuntimeError::Timeout { kernel, .. }) => assert_eq!(kernel, "over_budget"),
-                    other => panic!("expected Timeout, got {other:?}"),
-                }
-                assert!(buffer == before, "a killed launch must not write back");
-                // And nothing of either survives into the next launch.
-                let want = full_copy_rule(good, &buffer);
-                d.run_launch(good, &mut buffer).unwrap();
-                assert!(buffer == want, "a good launch after two failed ones");
             }
         }
     }
@@ -574,9 +689,9 @@ mod tests {
         let y = int_vector(64, 2);
         // Detached inputs: place them in the buffer, not the spec.
         let (spec, inputs) = LaunchSpec::saxpy(3, &x, &y).detach_inputs();
-        let mut buffer = vec![0u32; 16384];
+        let mut buffer = DeviceBuffer::zeroed(16384);
         for (off, words) in &inputs {
-            buffer[*off..*off + words.len()].copy_from_slice(words);
+            buffer.copy_in(*off, words).unwrap();
         }
         let out = d.run_launch(&spec, &mut buffer).unwrap();
         assert!(out.stats.cycles > 0);
@@ -602,7 +717,7 @@ mod tests {
         let x = int_vector(64, 1);
         let y = int_vector(64, 2);
         let spec = LaunchSpec::saxpy_ir(3, &x, &y);
-        let mut buffer = vec![0u32; 16384];
+        let mut buffer = DeviceBuffer::zeroed(16384);
         let first = d0.run_launch(&spec, &mut buffer).unwrap();
         assert!(!first.lookup.hit);
         assert_eq!(
@@ -621,7 +736,7 @@ mod tests {
         let x = int_vector(16, 1);
         let mut spec = LaunchSpec::sum(&x);
         spec.source = simt_kernels::KernelSource::Asm("  bogus r1".into());
-        let mut buffer = vec![0u32; 16384];
+        let mut buffer = DeviceBuffer::zeroed(16384);
         match d.run_launch(&spec, &mut buffer) {
             Err(RuntimeError::Asm(_)) => {}
             other => panic!("expected Asm error, got {other:?}"),
@@ -638,10 +753,6 @@ mod tests {
 
     #[test]
     fn a_failed_launch_keeps_its_processor_build() {
-        let mut d = device();
-        let mut buffer = pattern(1024, 3);
-        let good = &contract_kernels()[0];
-        assert!(!d.run_launch(good, &mut buffer).unwrap().cache_hit);
         // A trap mid-store, then a program the build rejects at load
         // (r40 on a 16-register build): neither drops the build.
         let trapping = asm_spec(
@@ -650,17 +761,24 @@ mod tests {
             Vec::new(),
         );
         let unloadable = asm_spec("unloadable", "  movi r40, 1\n  exit", Vec::new());
-        for (bad, variant) in [(&trapping, "Exec"), (&unloadable, "Load")] {
-            let before = buffer.clone();
-            let err = d.run_launch(bad, &mut buffer).unwrap_err();
-            assert!(format!("{err:?}").starts_with(variant), "{err:?}");
-            assert!(buffer == before, "{}", bad.name);
-            let want = full_copy_rule(good, &buffer);
-            let out = d.run_launch(good, &mut buffer).unwrap();
-            assert!(out.cache_hit, "the launch after {} rebuilt", bad.name);
-            assert!(buffer == want, "the launch after {}", bad.name);
+        let good = &contract_kernels()[0];
+        for mut buffer in buffers(1024, 3) {
+            let mut d = device();
+            assert!(!d.run_launch(good, &mut buffer).unwrap().cache_hit);
+            assert_zero_tail(&buffer);
+            for (bad, variant) in [(&trapping, "Exec"), (&unloadable, "Load")] {
+                let before = buffer.clone();
+                let err = d.run_launch(bad, &mut buffer).unwrap_err();
+                assert!(format!("{err:?}").starts_with(variant), "{err:?}");
+                assert!(buffer == before, "{}", bad.name);
+                let want = full_copy_rule(good, &buffer);
+                let out = d.run_launch(good, &mut buffer).unwrap();
+                assert!(out.cache_hit, "the launch after {} rebuilt", bad.name);
+                assert!(buffer == want, "the launch after {}", bad.name);
+                assert_zero_tail(&buffer);
+            }
+            assert_eq!(d.cache.len(), 1);
         }
-        assert_eq!(d.cache.len(), 1);
     }
 
     #[test]
@@ -675,9 +793,9 @@ mod tests {
         let x = int_vector(64, 1);
         let y = int_vector(64, 2);
         let (spec, inputs) = LaunchSpec::saxpy(3, &x, &y).detach_inputs();
-        let mut buffer = vec![0u32; 16384];
+        let mut buffer = DeviceBuffer::zeroed(16384);
         for (off, words) in &inputs {
-            buffer[*off..*off + words.len()].copy_from_slice(words);
+            buffer.copy_in(*off, words).unwrap();
         }
         let before = buffer.clone();
         match d.run_launch(&spec, &mut buffer) {

@@ -146,8 +146,7 @@
 //! test.
 
 use crate::chaos::{DeviceHealth, FaultKind, FaultPlan, PlannedFault};
-use crate::graph::check_window;
-use crate::pool::{Device, LaunchOutcome, RuntimeConfig};
+use crate::pool::{Device, DeviceBuffer, LaunchOutcome, RuntimeConfig};
 use crate::stats::{CommandKind, DeviceStats, RuntimeStats, StreamStats};
 use crate::stream::Command;
 use crate::RuntimeError;
@@ -199,7 +198,7 @@ pub(crate) struct StreamState {
     queue: VecDeque<Pending>,
     next_seq: u64,
     /// The stream's device buffer; taken by a worker while a batch runs.
-    buffer: Option<Vec<u32>>,
+    buffer: Option<DeviceBuffer>,
     busy: bool,
     poisoned: Option<RuntimeError>,
     /// Virtual time at which the stream's last completed command ended.
@@ -466,7 +465,7 @@ struct Finished {
     /// The unexecuted tail of a batch cut short by a fault.
     requeue: Vec<Pending>,
     /// The stream's device buffer, returned with the batch.
-    buffer: Vec<u32>,
+    buffer: DeviceBuffer,
 }
 
 impl Shared {
@@ -566,7 +565,7 @@ impl Shared {
         state.streams.push(StreamState {
             queue: VecDeque::new(),
             next_seq: 0,
-            buffer: Some(vec![0u32; self.cfg.device.memory_words]),
+            buffer: Some(DeviceBuffer::zeroed(self.cfg.device.memory_words)),
             busy: false,
             poisoned: None,
             vdone: 0,
@@ -1603,7 +1602,7 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
             };
             match cmd {
                 Command::CopyIn { dst, data } => {
-                    if let Err(error) = check_window(dst, data.len(), buffer.len()) {
+                    if let Err(error) = buffer.copy_in(dst, &data) {
                         poison = Some(RuntimeError::StreamPoisoned { stream: sid });
                         done.push(Done::Failed {
                             error,
@@ -1614,7 +1613,6 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                         });
                         continue;
                     }
-                    buffer[dst..dst + data.len()].copy_from_slice(&data);
                     let cycles = device.copy_cycles(data.len());
                     done.push(retired(
                         CommandKind::CopyIn,
@@ -1625,15 +1623,17 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                     ));
                 }
                 Command::CopyOut { src, len, sink } => {
-                    if let Err(error) = check_window(src, len, buffer.len()) {
-                        poison = Some(RuntimeError::StreamPoisoned { stream: sid });
-                        done.push(Done::Failed {
-                            error,
-                            cmd: Command::CopyOut { src, len, sink },
-                        });
-                        continue;
-                    }
-                    let data = buffer[src..src + len].to_vec();
+                    let data = match buffer.window(src, len) {
+                        Ok(words) => words.to_vec(),
+                        Err(error) => {
+                            poison = Some(RuntimeError::StreamPoisoned { stream: sid });
+                            done.push(Done::Failed {
+                                error,
+                                cmd: Command::CopyOut { src, len, sink },
+                            });
+                            continue;
+                        }
+                    };
                     let (cycles, sink) = (device.copy_cycles(len), Sink::CopyOut(sink, data));
                     done.push(retired(CommandKind::CopyOut, cycles, len, None, sink));
                 }

@@ -418,10 +418,10 @@ proptest! {
     }
 }
 
-// ---- the replay buffer's extent: what a graph can address ----------
+// ---- the replay buffer: all of memory_words, zeroed for each replay --
 
 #[test]
-fn a_longer_copy_in_payload_grows_the_replay_buffer() {
+fn a_copy_in_payload_may_fill_the_whole_device_buffer() {
     let rt = Runtime::new(RuntimeConfig::with_devices(1));
     let memory_words = rt.config().device.memory_words;
     // Four words in, sixteen out: at instantiation nothing reaches past
@@ -608,4 +608,104 @@ fn a_replay_that_traps_books_exactly_the_nodes_it_executed() {
     assert!(!events
         .iter()
         .any(|r| matches!(r.event, simt_profile::Event::GraphReplayDone { .. })));
+}
+
+/// A kernel on the small build (64 threads, 1024 shared words).
+fn small_kernel(name: &str, asm: &str) -> LaunchSpec {
+    LaunchSpec {
+        name: name.into(),
+        config: simt_core::ProcessorConfig::small(),
+        source: simt_kernels::KernelSource::Asm(asm.into()),
+        inputs: Vec::new(),
+        out_off: 0,
+        out_len: 0,
+        expected: Vec::new(),
+    }
+}
+
+/// Three graphs that would see each other's words through a replay
+/// buffer left dirty: one copies in 4 000 words and launches over them,
+/// one launches over and copies out words it never wrote, and one
+/// copies in 3 000 words, then traps.
+fn graphs_that_share_a_buffer() -> [simt_runtime::ExecGraph; 3] {
+    let bump = || {
+        small_kernel(
+            "bump",
+            "  stid r1\n  lds r2, [r1+0]\n  addi r2, r2, 1\n  sts [r1+64], r2\n  exit",
+        )
+    };
+    let mut b = GraphBuilder::new();
+    let cin = b.copy_in(0, (0..4000).map(|i| i * 3 + 7).collect(), &[]);
+    let l = b.launch(bump(), &[cin]);
+    b.copy_out(0, 128, &[l]);
+    b.copy_out(3900, 100, &[l]);
+    let wide = b.finish().unwrap();
+
+    let mut b = GraphBuilder::new();
+    let l = b.launch(bump(), &[]);
+    b.copy_out(0, 4096, &[l]);
+    let unwritten = b.finish().unwrap();
+
+    let mut b = GraphBuilder::new();
+    let cin = b.copy_in(0, (0..3000).map(|i| i | 1).collect(), &[]);
+    // Lane 40 stores past the 1024 shared words.
+    let trap = small_kernel(
+        "trapping",
+        "  stid r1\n  sts [r1+0], r1\n  muli r15, r1, 25\n  sts [r15+24], r1\n  exit",
+    );
+    b.launch(trap, &[cin]);
+    let trapping = b.finish().unwrap();
+    [wide, unwritten, trapping]
+}
+
+type Outputs = Result<Vec<(NodeId, Vec<u32>)>, RuntimeError>;
+
+/// What replaying `graph` gives on a fresh two-device runtime.
+fn fresh_replay(graph: &simt_runtime::ExecGraph) -> Outputs {
+    let rt = Runtime::new(RuntimeConfig::with_devices(2));
+    let exec = rt.instantiate(graph.clone()).unwrap();
+    rt.replay(&exec).map(|r| r.outputs)
+}
+
+#[test]
+fn reusing_the_replay_buffer_leaves_nothing_behind() {
+    let graphs = graphs_that_share_a_buffer();
+    let fresh: Vec<Outputs> = graphs.iter().map(fresh_replay).collect();
+    // The oracle itself: the unwritten words read zero, and the trap is
+    // the device's typed error.
+    let unwritten = &fresh[1].as_ref().unwrap()[0].1;
+    assert!(unwritten[..64].iter().all(|&w| w == 0));
+    assert!(unwritten[64..128].iter().all(|&w| w == 1));
+    assert!(unwritten[128..].iter().all(|&w| w == 0));
+    assert!(matches!(fresh[2], Err(RuntimeError::Exec { .. })));
+
+    let rt = Runtime::new(RuntimeConfig::with_devices(2));
+    let execs: Vec<_> = graphs
+        .iter()
+        .map(|g| rt.instantiate(g.clone()).unwrap())
+        .collect();
+    // The two graphs alternate, with a trapping replay between them.
+    for (step, &g) in [0, 2, 1, 0, 1, 2, 0, 2, 1, 1, 0].iter().enumerate() {
+        let got = rt.replay(&execs[g]).map(|r| r.outputs);
+        assert_eq!(got, fresh[g], "step {step}: graph {g}");
+    }
+}
+
+#[test]
+fn concurrent_replays_each_see_a_clean_buffer() {
+    let [wide, unwritten, _] = graphs_that_share_a_buffer();
+    let rt = Runtime::new(RuntimeConfig::with_devices(2));
+    std::thread::scope(|scope| {
+        for graph in [&wide, &unwritten] {
+            let rt = &rt;
+            scope.spawn(move || {
+                let want = fresh_replay(graph);
+                let exec = rt.instantiate(graph.clone()).unwrap();
+                for round in 0..200 {
+                    let got = rt.replay(&exec).map(|r| r.outputs);
+                    assert_eq!(got, want, "round {round}");
+                }
+            });
+        }
+    });
 }
