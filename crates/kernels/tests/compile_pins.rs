@@ -3,15 +3,20 @@
 //! One row per kernel: FNV-1a over everything `compile` returns — the
 //! program image, `regs_used`, the source map and the per-pass report
 //! (or the typed error) — at both opt levels under two processor
-//! configurations, plus the kernel's content hash under each. The
-//! committed `tests/golden/compile_pins.txt` was generated before the
-//! compiler's side tables were re-laid-out, so a row that moves is a
+//! configurations, plus the kernel's content hash under each. After the
+//! four digests, each configuration gets O2's readable outcome:
+//! `len/regs/cycles` (program length, `regs_used`, and the cycles a
+//! `Processor` built for that configuration takes to run it) or the
+//! typed error. A digest moves whenever the pass report does; the
+//! readable columns say whether the code the machine runs moved too.
+//! The committed `tests/golden/compile_pins.txt` was generated before
+//! the compiler's side tables were re-laid-out, so a row that moves is a
 //! changed program, register choice or report, not a refactor.
 //! `BLESS=1 cargo test -p simt-kernels --test compile_pins` regenerates
 //! it after a *deliberate* change to what the compiler emits.
 
 use simt_compiler::{compile, fuse_kernels, Kernel, OptLevel};
-use simt_core::ProcessorConfig;
+use simt_core::{Processor, ProcessorConfig, RunOptions};
 use simt_kernels::pipeline::Pipeline;
 use simt_kernels::workload::{int_vector, lowpass_taps, q15_signal};
 use simt_kernels::{fir, iir, matmul, reduce, vector, KernelSource};
@@ -78,6 +83,28 @@ fn digest(k: &Kernel, cfg: &ProcessorConfig, opt: OptLevel) -> u64 {
     h.0
 }
 
+/// Modeled cycles of a program on a fresh core built for `cfg`: cycle
+/// counts depend on the instruction stream and the configuration, not
+/// on the data.
+fn run_cycles(program: &simt_isa::Program, cfg: &ProcessorConfig) -> u64 {
+    let mut cpu = Processor::new(cfg.clone()).expect("config validates");
+    cpu.load_program(program).expect("program loads");
+    cpu.run(RunOptions::default()).expect("program runs").cycles
+}
+
+/// O2's readable outcome: `len/regs/cycles`, or the typed error.
+fn o2_summary(k: &Kernel, cfg: &ProcessorConfig) -> String {
+    match compile(k, cfg, OptLevel::Full) {
+        Ok(out) => format!(
+            "{}/{}/{}",
+            out.program.len(),
+            out.regs_used,
+            run_cycles(&out.program, cfg)
+        ),
+        Err(e) => format!("{e:?}").replace(' ', ""),
+    }
+}
+
 fn row(out: &mut String, name: &str, k: &Kernel) {
     write!(out, "{name}").unwrap();
     for cfg in &configs() {
@@ -85,13 +112,17 @@ fn row(out: &mut String, name: &str, k: &Kernel) {
             write!(out, " {:016x}", digest(k, cfg, opt)).unwrap();
         }
     }
+    for cfg in &configs() {
+        write!(out, " {}", o2_summary(k, cfg)).unwrap();
+    }
     out.push('\n');
 }
 
 /// A pipeline's stages stitched the way `simt-graph`'s fusion pass does
-/// it: every non-final output window is a dead range.
-fn fused_row(out: &mut String, p: &Pipeline) {
-    let kernels: Vec<&Kernel> = p
+/// it: every non-final output window is a dead range. The row is named
+/// after the pipeline and a digest of the fusion report.
+fn fused(p: &Pipeline) -> (String, Kernel) {
+    let stages: Vec<&Kernel> = p
         .stages
         .iter()
         .map(|s| match &s.source {
@@ -103,7 +134,7 @@ fn fused_row(out: &mut String, p: &Pipeline) {
         .iter()
         .map(|s| (s.out_off, s.out_off + s.out_len))
         .collect();
-    let (k, r) = fuse_kernels(&p.name, &kernels, &dead, p.config.threads).expect("fusible");
+    let (k, r) = fuse_kernels(&p.name, &stages, &dead, p.config.threads).expect("fusible");
     let mut h = Fnv::new();
     for n in [
         r.parts,
@@ -115,49 +146,60 @@ fn fused_row(out: &mut String, p: &Pipeline) {
     ] {
         h.word(n as u64);
     }
-    row(out, &format!("fuse:{}:{:016x}", p.name, h.0), &k);
+    (format!("fuse:{}:{:016x}", p.name, h.0), k)
 }
 
-fn table() -> String {
-    let mut out = String::from("# kernel  O0@cfg0 O2@cfg0 O0@cfg1 O2@cfg1\n");
+/// Every IR frontend the runtime constructs, each under its row name.
+fn kernels() -> Vec<(String, Kernel)> {
+    let mut ks = Vec::new();
     // 1 and 0 hit the multiply identities, 8 the shift rewrite.
     for a in [-3, 0, 1, 7, 8, 1000] {
-        row(&mut out, &format!("saxpy_a{a}"), &vector::saxpy_ir(a));
+        ks.push((format!("saxpy_a{a}"), vector::saxpy_ir(a)));
     }
-    row(&mut out, "fma", &vector::fma_ir());
+    ks.push(("fma".into(), vector::fma_ir()));
     for n in [64, 256] {
-        row(&mut out, &format!("dot{n}"), &reduce::dot_ir(n));
-        row(&mut out, &format!("sum{n}"), &reduce::sum_ir(n));
+        ks.push((format!("dot{n}"), reduce::dot_ir(n)));
+        ks.push((format!("sum{n}"), reduce::sum_ir(n)));
     }
     for taps in 4..=32 {
-        row(&mut out, &format!("fir{taps}"), &fir::fir_ir(taps));
+        ks.push((format!("fir{taps}"), fir::fir_ir(taps)));
     }
     // bench-e2e's compile_cold shapes: 64-thread outputs, every inner
     // dimension it walks.
-    for (m, cols, ks) in [(8, 8, 29), (4, 16, 29), (16, 4, 29), (2, 32, 13)] {
-        for k in 4..4 + ks {
-            row(
-                &mut out,
-                &format!("matmul{m}x{k}x{cols}"),
-                &matmul::matmul_ir(m, k, cols),
-            );
+    for (m, cols, kn) in [(8, 8, 29), (4, 16, 29), (16, 4, 29), (2, 32, 13)] {
+        for k in 4..4 + kn {
+            ks.push((
+                format!("matmul{m}x{k}x{cols}"),
+                matmul::matmul_ir(m, k, cols),
+            ));
         }
     }
     for m in 2..=8 {
-        row(
-            &mut out,
-            &format!("iir64x{m}"),
-            &iir::iir_ir(64, m, iir::Biquad::lowpass()),
-        );
+        ks.push((
+            format!("iir64x{m}"),
+            iir::iir_ir(64, m, iir::Biquad::lowpass()),
+        ));
     }
     let n = 256;
     let v = |seed| int_vector(n, seed);
-    fused_row(&mut out, &Pipeline::saxpy_scale_sum(3, 2, &v(1), &v(2), 0));
-    fused_row(&mut out, &Pipeline::saxpy_dot(-5, &v(3), &v(4), &v(5), 0));
-    fused_row(
-        &mut out,
-        &Pipeline::fir_sum(&q15_signal(n + 15, 6), &lowpass_taps(16), n, 0),
+    ks.push(fused(&Pipeline::saxpy_scale_sum(3, 2, &v(1), &v(2), 0)));
+    ks.push(fused(&Pipeline::saxpy_dot(-5, &v(3), &v(4), &v(5), 0)));
+    ks.push(fused(&Pipeline::fir_sum(
+        &q15_signal(n + 15, 6),
+        &lowpass_taps(16),
+        n,
+        0,
+    )));
+    ks
+}
+
+fn table() -> String {
+    let mut out = String::from(
+        "# kernel  O0@cfg0 O2@cfg0 O0@cfg1 O2@cfg1  O2@cfg0 O2@cfg1 as len/regs/cycles\n",
     );
+    for (name, k) in kernels() {
+        row(&mut out, &name, &k);
+    }
     out
 }
 
