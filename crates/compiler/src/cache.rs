@@ -725,7 +725,7 @@ mod tests {
     fn mutating_a_clone_through_any_pass_leaves_the_shared_memo_behind() {
         use crate::passes;
         type Pass = (&'static str, fn(&mut Kernel));
-        let passes: [Pass; 10] = [
+        let passes: [Pass; 9] = [
             ("optimize", |k| {
                 passes::optimize(k);
             }),
@@ -752,9 +752,6 @@ mod tests {
             }),
             ("licm", |k| {
                 passes::licm(k);
-            }),
-            ("schedule_mem", |k| {
-                passes::schedule_mem(k);
             }),
         ];
         let cfg = ProcessorConfig::small();

@@ -19,8 +19,7 @@
 //!   into the barrel-replacement shifter and of address adds into
 //!   `lds`/`sts` offset fields, loop-invariant code motion out of
 //!   hardware-loop bodies, dominator-scoped CSE, store-to-load
-//!   forwarding, `mad` fusion, DCE), iterated to a fixpoint, then a
-//!   final **load/store schedule** for the cycle model — all with
+//!   forwarding, `mad` fusion, DCE), iterated to a fixpoint, with
 //!   per-pass before/after statistics ([`PipelineReport`]).
 //! * [`regalloc`] — **linear-scan register allocation** over SSA live
 //!   ranges, with loop-carried coalescing: each block parameter shares
@@ -83,8 +82,8 @@ pub use error::CompileError;
 pub use ir::{BinOp, CmpOp, IrBuilder, Kernel, Op, Ty, UnOp, ValueId};
 pub use lower::{compile, CompiledKernel, OptLevel};
 pub use passes::{
-    const_fold, cse, dce, elide_stores, forward_stores, licm, mad_fuse, optimize, schedule_mem,
-    strength_reduce, PassStats, PipelineReport,
+    const_fold, cse, dce, elide_stores, forward_stores, licm, mad_fuse, optimize, strength_reduce,
+    PassStats, PipelineReport,
 };
 pub use stitch::{concat_kernels, fuse_kernels, FuseReport};
 

@@ -1,8 +1,7 @@
 //! The optimization pipeline: constant folding, strength reduction,
 //! loop-invariant code motion, common-subexpression elimination,
-//! store-to-load forwarding, `mad` fusion, dead-code elimination and a
-//! final load/store schedule, with per-pass before/after instruction
-//! counts.
+//! store-to-load forwarding, `mad` fusion and dead-code elimination,
+//! with per-pass before/after instruction counts.
 //!
 //! Frontends are encouraged to emit clear, mechanical IR (explicit
 //! address arithmetic, one constant per use); these passes recover the
@@ -32,18 +31,6 @@ type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv>>;
 /// supersets of the real access sets and disjointness decided on them
 /// holds for any configuration.
 const MAX_THREADS: usize = 1024;
-
-/// Positions a load may climb toward its operands' definitions in the
-/// final schedule. Enough to put two ALU operations between a load and
-/// its first use (the depth the 16:4 read mux needs covering), small
-/// enough that load results never pile up on the spill-free register
-/// file.
-const MAX_LOAD_HOIST: usize = 3;
-
-/// Positions a store may sink to join the next store of its thread
-/// scale. Bounds the live-range extension of the stored value the same
-/// way [`MAX_LOAD_HOIST`] bounds load results.
-const MAX_STORE_SINK: usize = 4;
 
 /// Before/after instruction counts of one pass invocation.
 #[derive(Debug, Clone)]
@@ -126,12 +113,7 @@ pub fn optimize(k: &mut Kernel) -> PipelineReport {
             break;
         }
     }
-    // The load/store schedule runs once, after the rewriting passes
-    // settle: it only reorders, so nothing upstream can profit from
-    // re-running on its output.
-    let stats = run(k, "ls-sched", schedule_mem);
-    report.insts_after = stats.insts_after;
-    report.passes.push(stats);
+    report.insts_after = live;
     report
 }
 
@@ -908,146 +890,6 @@ fn hoistable(
     }
 }
 
-// ---- load/store scheduling --------------------------------------------
-
-/// Schedule memory operations for the §3.1 load/store cycle model
-/// within each region, without changing any dependence:
-///
-/// * **loads hoist** toward their operands' definitions, separating
-///   them from their first use (the 16:4 read mux serves a load row in
-///   bursts; issuing loads early is free here and keeps the schedule
-///   shaped for an implementation that overlaps the mux with ALU work);
-/// * **stores cluster**: a store sinks down to join the next store of
-///   the *same* dynamic thread scale, so `.tk`-scaled writeback rows
-///   (the reduction-tree pattern) issue back to back on the 16:1 write
-///   mux instead of interleaving with ALU traffic.
-///
-/// A load never crosses a store (and vice versa) unless the
-/// [`crate::analysis`] resolver proves their ranges disjoint at the
-/// architectural thread ceiling; loops are opaque barriers; stores
-/// never cross stores. Reordering therefore never changes results —
-/// the fixed-point property tests in `simt-kernels` pin this down.
-///
-/// Motion distance is bounded (`MAX_LOAD_HOIST` / `MAX_STORE_SINK`):
-/// every position an operation moves extends a live range on a register
-/// file with **no spill path**, so unbounded motion would trade cycles
-/// the model does not even charge for `OutOfRegisters` failures on
-/// kernels that previously compiled.
-pub fn schedule_mem(k: &mut Kernel) -> bool {
-    let mut changed = false;
-    let root = std::mem::take(k.raw_body_mut());
-    let root = schedule_region(k, root, &mut changed);
-    *k.raw_body_mut() = root;
-    changed
-}
-
-/// The half-open range a memory instruction may touch, at the thread
-/// ceiling; `None` = unknown ("may touch everything").
-fn mem_range(k: &Kernel, v: ValueId) -> Option<(usize, usize)> {
-    let inst = k.inst(v);
-    match inst.op {
-        Op::Load(off) | Op::Store(off) => {
-            crate::analysis::access_range(k, inst.args[0], off, MAX_THREADS)
-        }
-        _ => None,
-    }
-}
-
-/// Whether two memory instructions may alias (unknown ⇒ yes).
-fn may_alias(k: &Kernel, a: ValueId, b: ValueId) -> bool {
-    match (mem_range(k, a), mem_range(k, b)) {
-        (Some(ra), Some(rb)) => crate::analysis::ranges_intersect(ra, rb),
-        _ => true,
-    }
-}
-
-fn schedule_region(k: &mut Kernel, region: Vec<ValueId>, changed: &mut bool) -> Vec<ValueId> {
-    let mut order = region;
-    // Recurse into loop bodies first.
-    for &v in &order {
-        if let Some(body) = take_body(k, v) {
-            let body = schedule_region(k, body, changed);
-            k.inst_mut(v).body = Some(body);
-        }
-    }
-
-    // Phase A: hoist each load upward past instructions it does not
-    // depend on. Blockers: its own operands/guard, may-aliasing stores,
-    // loops (opaque memory effects), and block parameters (which must
-    // stay leading).
-    let mut i = 0;
-    while i < order.len() {
-        let v = order[i];
-        if matches!(k.inst(v).op, Op::Load(_)) {
-            let floor = i.saturating_sub(MAX_LOAD_HOIST);
-            let mut j = i;
-            while j > floor {
-                let u = order[j - 1];
-                let iu = k.inst(u);
-                let dep =
-                    k.inst(v).args.contains(&u) || k.inst(v).guard.is_some_and(|g| g.pred == u);
-                let barrier = match iu.op {
-                    Op::Loop(_) | Op::Param(_) => true,
-                    // Loads keep their relative order: crossing another
-                    // load separates nothing and would churn schedules.
-                    Op::Load(_) => true,
-                    Op::Store(_) => may_alias(k, v, u),
-                    _ => false,
-                };
-                if dep || barrier {
-                    break;
-                }
-                j -= 1;
-            }
-            if j < i {
-                let load = order.remove(i);
-                order.insert(j, load);
-                *changed = true;
-            }
-        }
-        i += 1;
-    }
-
-    // Phase B: sink each store down to join the next store of the same
-    // thread scale, when nothing in between depends on it. Stores never
-    // cross stores, so relative store order is preserved.
-    let mut i = order.len();
-    while i > 0 {
-        i -= 1;
-        let v = order[i];
-        if !matches!(k.inst(v).op, Op::Store(_)) {
-            continue;
-        }
-        // Find the next store after v, noting every blocker in between.
-        let mut target: Option<usize> = None;
-        for (jj, &u) in order.iter().enumerate().skip(i + 1) {
-            if jj - i - 1 > MAX_STORE_SINK {
-                break;
-            }
-            let iu = k.inst(u);
-            match iu.op {
-                Op::Store(_) => {
-                    if iu.scale == k.inst(v).scale {
-                        target = Some(jj);
-                    }
-                    break; // stores never cross stores
-                }
-                Op::Loop(_) | Op::Result(_) => break, // opaque / loop-final reads
-                Op::Load(_) if may_alias(k, v, u) => break,
-                _ => {}
-            }
-        }
-        if let Some(j) = target {
-            if j > i + 1 {
-                let store = order.remove(i);
-                order.insert(j - 1, store);
-                *changed = true;
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1469,85 +1311,6 @@ mod tests {
                 .any(|&v| matches!(k.inst(v).op, Op::Bin(BinOp::Add))),
             "scaled instruction must stay:\n{k}"
         );
-    }
-
-    #[test]
-    fn scheduler_separates_loads_from_their_uses() {
-        // Two independent ALU ops sit between the load's operand and
-        // the load; the load must climb above both.
-        let mut b = IrBuilder::new("t");
-        let tid = b.tid();
-        let a = b.add(tid, tid);
-        let m = b.mul(tid, tid);
-        let x = b.load(tid, 0);
-        let s1 = b.add(x, a);
-        let s2 = b.add(s1, m);
-        b.store(tid, 64, s2);
-        let mut k = b.finish();
-        schedule_mem(&mut k);
-        assert!(k.validate().is_ok(), "\n{k}");
-        let pos = |needle: &Op| {
-            k.body()
-                .iter()
-                .position(|&v| k.inst(v).op == *needle)
-                .unwrap()
-        };
-        assert!(
-            pos(&Op::Load(0)) < pos(&Op::Bin(BinOp::Add)),
-            "load must hoist above the independent ALU ops:\n{k}"
-        );
-    }
-
-    #[test]
-    fn scheduler_clusters_equal_scale_stores() {
-        // store / pure op / store (disjoint constant addresses): the
-        // first store sinks to join the second.
-        let mut b = IrBuilder::new("t");
-        let tid = b.tid();
-        let x = b.load(tid, 0);
-        let zero = b.iconst(0);
-        b.store(zero, 100, x);
-        let y = b.mul(x, x);
-        b.store(zero, 200, y);
-        b.store(tid, 4096, y);
-        let mut k = b.finish();
-        schedule_mem(&mut k);
-        assert!(k.validate().is_ok(), "\n{k}");
-        let stores: Vec<usize> = k
-            .body()
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| matches!(k.inst(v).op, Op::Store(_)))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(
-            stores[1] - stores[0],
-            1,
-            "first two stores must be adjacent:\n{k}"
-        );
-    }
-
-    #[test]
-    fn scheduler_respects_store_load_aliasing() {
-        // Store then aliasing load: the load must NOT climb above it.
-        let mut b = IrBuilder::new("t");
-        let tid = b.tid();
-        let x = b.load(tid, 0);
-        b.store(tid, 64, x);
-        let y = b.load(tid, 64); // reads what the store wrote
-        b.store(tid, 128, y);
-        let mut k = b.finish();
-        schedule_mem(&mut k);
-        let body = k.body().to_vec();
-        let store_pos = body
-            .iter()
-            .position(|&v| k.inst(v).op == Op::Store(64))
-            .unwrap();
-        let load_pos = body
-            .iter()
-            .position(|&v| k.inst(v).op == Op::Load(64))
-            .unwrap();
-        assert!(store_pos < load_pos, "aliasing order must hold:\n{k}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! One row per seed: FNV-1a over everything `compile` returns for both
 //! stages at both opt levels, under the fuzz configuration and a tight
 //! one (8 registers, so `OutOfRegisters`/`OutOfPredicates` payloads are
-//! pinned as well). The committed `tests/golden/compile_pins.txt` was
-//! generated before the compiler's side tables were re-laid-out;
+//! pinned as well). A refactor leaves every row of the committed
+//! `tests/golden/compile_pins.txt` as it is;
 //! `BLESS=1 cargo test -p simt-fuzzgen --test compile_pins` regenerates
 //! it after a *deliberate* change to what the compiler emits.
 

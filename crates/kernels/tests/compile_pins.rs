@@ -6,17 +6,18 @@
 //! configurations, plus the kernel's content hash under each. After the
 //! four digests, each configuration gets O2's readable outcome:
 //! `len/regs/cycles` (program length, `regs_used`, and the cycles a
-//! `Processor` built for that configuration takes to run it) or the
+//! core built for that configuration takes to run it) or the
 //! typed error. A digest moves whenever the pass report does; the
 //! readable columns say whether the code the machine runs moved too.
-//! The committed `tests/golden/compile_pins.txt` was generated before
-//! the compiler's side tables were re-laid-out, so a row that moves is a
-//! changed program, register choice or report, not a refactor.
+//! A refactor leaves every row of the committed
+//! `tests/golden/compile_pins.txt` as it is; a row that moves is a
+//! changed program, register choice or report.
 //! `BLESS=1 cargo test -p simt-kernels --test compile_pins` regenerates
 //! it after a *deliberate* change to what the compiler emits.
 
 use simt_compiler::{compile, fuse_kernels, Kernel, OptLevel};
-use simt_core::{Processor, ProcessorConfig, RunOptions};
+use simt_core::{ProcessorConfig, RunOptions};
+use simt_kernels::harness::run_program;
 use simt_kernels::pipeline::Pipeline;
 use simt_kernels::workload::{int_vector, lowpass_taps, q15_signal};
 use simt_kernels::{fir, iir, matmul, reduce, vector, KernelSource};
@@ -87,9 +88,10 @@ fn digest(k: &Kernel, cfg: &ProcessorConfig, opt: OptLevel) -> u64 {
 /// counts depend on the instruction stream and the configuration, not
 /// on the data.
 fn run_cycles(program: &simt_isa::Program, cfg: &ProcessorConfig) -> u64 {
-    let mut cpu = Processor::new(cfg.clone()).expect("config validates");
-    cpu.load_program(program).expect("program loads");
-    cpu.run(RunOptions::default()).expect("program runs").cycles
+    run_program(cfg.clone(), program, &[], 0, 0, RunOptions::default())
+        .expect("program runs")
+        .stats
+        .cycles
 }
 
 /// O2's readable outcome: `len/regs/cycles`, or the typed error.
@@ -225,5 +227,35 @@ fn every_frontend_compiles_to_its_pinned_output() {
         moved.len(),
         want.lines().count(),
         moved.join("\n")
+    );
+}
+
+/// The optimizer never makes a pinned frontend worse on the machine: at
+/// both configurations, wherever O0 compiles, O2 compiles too and runs
+/// in no more cycles.
+#[test]
+fn o2_never_costs_more_than_o0_on_a_pinned_frontend() {
+    let mut worse = Vec::new();
+    for (name, k) in kernels() {
+        for (c, cfg) in configs().iter().enumerate() {
+            let Ok(o0) = compile(&k, cfg, OptLevel::None) else {
+                continue;
+            };
+            match compile(&k, cfg, OptLevel::Full) {
+                Ok(o2) => {
+                    let (c0, c2) = (run_cycles(&o0.program, cfg), run_cycles(&o2.program, cfg));
+                    if c2 > c0 {
+                        worse.push(format!("  {name}@cfg{c}: O2 {c2} cycles, O0 {c0}"));
+                    }
+                }
+                Err(e) => worse.push(format!("  {name}@cfg{c}: O0 compiles, O2 fails: {e:?}")),
+            }
+        }
+    }
+    assert!(
+        worse.is_empty(),
+        "{} pinned compiles are worse at O2 than at O0:\n{}",
+        worse.len(),
+        worse.join("\n")
     );
 }

@@ -1,7 +1,7 @@
 //! Property tests: every kernel is bit-exact against its host reference
 //! on random inputs and shapes — including the IR frontends compiled
 //! through the full `simt-compiler` pipeline (loop-carried SSA, LICM,
-//! load/store scheduling), which must never change a result.
+//! store forwarding), which must never change a result.
 
 use proptest::prelude::*;
 use simt_compiler::{compile, OptLevel};
