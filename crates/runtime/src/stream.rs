@@ -14,7 +14,7 @@ use crate::stats::CommandKind;
 use crate::RuntimeError;
 use simt_core::ExecStats;
 use simt_kernels::LaunchSpec;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// A write-once completion cell shared between a handle (or an
 /// [`Event`]'s clones) and the worker that resolves it. The first `set`
@@ -27,6 +27,12 @@ use std::sync::{Arc, Condvar, Mutex};
 /// non-zero. No wake-up is lost: a waiter raises the count under the
 /// mutex before `Condvar::wait` releases it, so a `set` that read zero
 /// stored its value before that waiter looked.
+///
+/// A handle's `wait` consumes it through [`Slot::take`], which moves the
+/// result out when the handle held the last reference — an output
+/// `Vec` then reaches the caller without a copy, and the cell is freed
+/// inside the library call rather than by the caller afterwards.
+/// [`Event`]s and the `try_*` polls read through `&self` and clone.
 #[derive(Debug)]
 pub(crate) struct Slot<T> {
     state: Mutex<SlotState<T>>,
@@ -63,6 +69,14 @@ impl<T: Clone> Slot<T> {
     }
 
     pub(crate) fn wait(&self) -> T {
+        self.block()
+            .value
+            .clone()
+            .expect("block returned once the value was set")
+    }
+
+    /// Sleep until the value is set; returns the cell's lock.
+    fn block(&self) -> MutexGuard<'_, SlotState<T>> {
         let mut g = self.state.lock().unwrap();
         if g.value.is_none() {
             g.waiters += 1;
@@ -71,7 +85,20 @@ impl<T: Clone> Slot<T> {
             }
             g.waiters -= 1;
         }
-        g.value.clone().expect("the loop above saw a value")
+        g
+    }
+
+    /// [`Slot::wait`] that moves the value out when `this` is the last
+    /// reference to the cell, and clones it only while another holder
+    /// (a cloned handle, or the worker before it drops its command)
+    /// remains.
+    pub(crate) fn take(this: Arc<Self>) -> T {
+        drop(this.block());
+        match Arc::try_unwrap(this) {
+            Ok(cell) => cell.state.into_inner().unwrap().value,
+            Err(shared) => shared.state.lock().unwrap().value.clone(),
+        }
+        .expect("block returned once the value was set")
     }
 
     pub(crate) fn try_get(&self) -> Option<T> {
@@ -87,8 +114,10 @@ pub struct LaunchHandle {
 
 impl LaunchHandle {
     /// Block until the launch completes; returns its execution stats.
-    pub fn wait(&self) -> Result<ExecStats, RuntimeError> {
-        self.slot.wait()
+    /// Consumes the handle, so the result moves out of its cell unless a
+    /// clone of the handle is still alive.
+    pub fn wait(self) -> Result<ExecStats, RuntimeError> {
+        Slot::take(self.slot)
     }
 
     /// Non-blocking poll.
@@ -105,8 +134,10 @@ pub struct CopyHandle {
 
 impl CopyHandle {
     /// Block until the copy completes; returns the words read.
-    pub fn wait(&self) -> Result<Vec<u32>, RuntimeError> {
-        self.slot.wait()
+    /// Consumes the handle, so the words move out of their cell (no copy
+    /// of the `Vec`) unless a clone of the handle is still alive.
+    pub fn wait(self) -> Result<Vec<u32>, RuntimeError> {
+        Slot::take(self.slot)
     }
 
     /// Non-blocking poll.
@@ -302,6 +333,25 @@ mod tests {
         assert_eq!(slot.try_get(), Some(7));
         assert_eq!(slot.wait(), 7);
         assert_eq!(slot.wait(), 7, "a cell can be read any number of times");
+    }
+
+    #[test]
+    fn take_moves_the_value_out_of_the_last_holder_and_clones_otherwise() {
+        let slot = Arc::new(Slot::new());
+        slot.set(vec![1u32, 2, 3]);
+        let kept = Arc::clone(&slot);
+        assert_eq!(Slot::take(Arc::clone(&slot)), [1, 2, 3]);
+        assert_eq!(kept.try_get().as_deref(), Some(&[1, 2, 3][..]));
+        drop(kept);
+        let words = slot.try_get().unwrap();
+        let ptr = slot.state.lock().unwrap().value.as_ref().unwrap().as_ptr();
+        let taken = Slot::take(slot);
+        assert_eq!(taken, words);
+        assert_eq!(
+            taken.as_ptr(),
+            ptr,
+            "the last holder's take moves, not copies"
+        );
     }
 
     #[test]

@@ -384,15 +384,18 @@ fn mixed_traffic(devices: usize, seed: u64, shutdown_mid_flight: bool) {
         rt.shutdown();
         shutdown.wait();
     }
-    let enqueued: Vec<Enqueued> = generators.into_iter().map(|g| g.join().unwrap()).collect();
+    let mut enqueued: Vec<Enqueued> = generators.into_iter().map(|g| g.join().unwrap()).collect();
     let sync = rt.synchronize();
 
     let (mut ok, mut refused) = (0u64, 0u64);
-    for (name, expected, h, c) in enqueued.iter().flat_map(|e| &e.jobs) {
+    for (name, expected, h, c) in enqueued
+        .iter_mut()
+        .flat_map(|e| std::mem::take(&mut e.jobs))
+    {
         // Every handle resolves (a lost completion would hang here).
         match (h.wait(), c.wait()) {
             (Ok(_), Ok(words)) => {
-                assert_eq!(&words, expected, "{name}: output differs");
+                assert_eq!(words, expected, "{name}: output differs");
                 ok += 1;
             }
             (launch, copy) => {
