@@ -24,8 +24,7 @@ pub enum OptLevel {
     None,
     /// The full pipeline, [`crate::passes::optimize`]: constant
     /// folding, strength reduction, LICM, CSE, store-to-load forwarding,
-    /// `mad` fusion and DCE iterated to a fixpoint, then the load/store
-    /// schedule.
+    /// `mad` fusion and DCE iterated to a fixpoint.
     Full,
 }
 

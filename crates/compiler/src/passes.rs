@@ -441,12 +441,16 @@ pub fn cse(k: &mut Kernel) -> bool {
 /// Forwarding state: `(base value, offset)` → last value stored there.
 type AvailMap = FnvMap<(ValueId, u32), ValueId>;
 
-/// Invalidate every entry a store to `(base, off)` may clobber. Two
-/// accesses with the same base alias exactly when their offsets match;
-/// accesses with *different* base values may still hit the same address
-/// (e.g. `tid` vs `tid + k`), so they are conservatively killed.
+/// Invalidate every entry a store to `(base, off)` may clobber. Entries
+/// are only made for lane-unique `tid + d` bases, so an access through
+/// one at offset `o` covers the words `[d + o, d + o + T)` for `T`
+/// threads: two accesses with the same base are disjoint only when
+/// their offsets are at least `T` apart — [`MAX_THREADS`], since the
+/// pass has no configuration. Accesses with *different* base values may
+/// still hit the same address (e.g. `tid` vs `tid + k`), so they are
+/// conservatively killed.
 fn clobber(avail: &mut AvailMap, base: ValueId, off: u32) {
-    avail.retain(|&(b, o), _| b == base && o != off);
+    avail.retain(|&(b, o), _| b == base && o.abs_diff(off) >= MAX_THREADS as u32);
 }
 
 /// Collect every `(base, off)` a region (and its nested loops) stores
@@ -1106,6 +1110,34 @@ mod tests {
             }
         });
         assert_eq!(after, before, "no load may be forwarded here:\n{k}");
+    }
+
+    #[test]
+    fn a_store_overlapping_other_lanes_kills_the_forwarded_value() {
+        // At 16 threads the store at offset 0 writes words [0, 16),
+        // which covers words [1, 16) that the store at offset 1 wrote:
+        // lane t's 7 lands on lane t-1's word. Only the last lane
+        // reads back its own tid, so forwarding `tid` is wrong.
+        let mut b = IrBuilder::new("overlap");
+        let tid = b.tid();
+        let seven = b.iconst(7);
+        b.store(tid, 1, tid);
+        b.store(tid, 0, seven);
+        let x = b.load(tid, 1);
+        b.store(tid, 200, x);
+        let k = b.finish();
+        let cfg = simt_core::ProcessorConfig::small().with_threads(16);
+        let run = |opt| {
+            let compiled = crate::compile(&k, &cfg, opt).unwrap();
+            let mut cpu = simt_core::Processor::new(cfg.clone()).unwrap();
+            cpu.load_program(&compiled.program).unwrap();
+            cpu.run(simt_core::RunOptions::default()).unwrap();
+            cpu.shared().read_words(200, 16).unwrap()
+        };
+        let mut expected = vec![7; 16];
+        expected[15] = 15;
+        assert_eq!(run(crate::OptLevel::None), expected);
+        assert_eq!(run(crate::OptLevel::Full), expected);
     }
 
     #[test]
