@@ -29,10 +29,16 @@
 //! [`Processor::load_decoded`](crate::Processor::load_decoded) — every
 //! launch of a cached artifact — returns it without walking the program
 //! again.
+//!
+//! The decode also folds the program's timing: without branches, the
+//! §3.1 closed form makes a run's clocks a pure function of the µops and
+//! their loop nest, so [`DecodedProgram::static_stats`] holds them
+//! before anything runs.
 
 use crate::config::ProcessorConfig;
 use crate::error::LoadError;
-use crate::sequencer::InstructionTiming;
+use crate::sequencer::{InstructionTiming, FETCH_PIPELINE_DEPTH};
+use crate::stats::ExecStats;
 use simt_isa::{CycleClass, Guard, Instruction, Opcode, Program};
 use std::sync::Arc;
 
@@ -174,6 +180,8 @@ pub struct DecodedProgram {
     validity: Result<(), LoadError>,
     /// See [`DecodedProgram::footprint`].
     footprint: (usize, bool),
+    /// See [`DecodedProgram::static_stats`].
+    static_stats: Option<ExecStats>,
 }
 
 impl DecodedProgram {
@@ -195,6 +203,7 @@ impl DecodedProgram {
             (regs.max(named), preds | sets_pred)
         });
         DecodedProgram {
+            static_stats: static_stats(&uops, config.loop_stack_depth),
             uops,
             footprint,
             validity: validate_program(&program, config),
@@ -216,6 +225,17 @@ impl DecodedProgram {
     /// component bounds a *prefix* of the file.
     pub(crate) fn footprint(&self) -> (usize, bool) {
         self.footprint
+    }
+
+    /// The statistics a run of this program returns, folded from the
+    /// µops at decode time (the static walk): every [`ExecStats`] field
+    /// but `mem`, which depends on the data and stays zero. `None`
+    /// ("dynamic") when the program holds a `bra`, `brp`, `call` or
+    /// `ret`, whose path depends on predicates and the call stack, or
+    /// when its run cannot reach `exit` (a loop nest deeper than the
+    /// loop stack, or — in an invalid program — a PC past the end).
+    pub fn static_stats(&self) -> Option<ExecStats> {
+        self.static_stats
     }
 
     /// The source program.
@@ -243,6 +263,70 @@ impl DecodedProgram {
     pub(crate) fn uops(&self) -> &[Uop] {
         &self.uops
     }
+}
+
+/// The static walk behind [`DecodedProgram::static_stats`]. It follows
+/// the run loop's PC and loop stack, but walks each loop body once:
+/// every trip of a branch-free body issues the same µops, so the body's
+/// one-trip tally, times its trip count, is what the trips charge. A
+/// body the run leaves early (an `exit` inside it, or a skip or a
+/// nested loop that carries the PC past its end) never closes, and its
+/// tally counts once. Charges its own clocks rather than sharing the
+/// run loop's accounting, so the two are independent derivations.
+fn static_stats(uops: &[Uop], loop_stack_depth: usize) -> Option<ExecStats> {
+    // Each open loop: its end address, trip count, and one trip's tally.
+    let mut open: Vec<(usize, u64, ExecStats)> = Vec::new();
+    let mut run = ExecStats {
+        cycles: FETCH_PIPELINE_DEPTH,
+        fill_cycles: FETCH_PIPELINE_DEPTH,
+        ..Default::default()
+    };
+    let mut pc = 0;
+    loop {
+        let u = uops.get(pc)?;
+        let tally = open.last_mut().map_or(&mut run, |(_, _, body)| body);
+        let clocks = u64::from(u.clocks);
+        tally.instructions += 1;
+        tally.cycles += clocks;
+        *match u.class {
+            CycleClass::Operation => &mut tally.op_cycles,
+            CycleClass::Load => &mut tally.load_cycles,
+            CycleClass::Store => &mut tally.store_cycles,
+            CycleClass::SingleCycle => &mut tally.single_cycles,
+        } += clocks;
+        if u.class != CycleClass::SingleCycle {
+            tally.thread_ops += u64::from(u.active);
+        }
+        match u.opcode {
+            Opcode::Bra | Opcode::Brp | Opcode::Call | Opcode::Ret => return None,
+            Opcode::Exit => break,
+            Opcode::Loop if u.imm == 0 || u.target as usize <= pc => {
+                // A skipped body is a taken branch: a pipeline flush.
+                tally.branches_taken += 1;
+                tally.branch_flush_cycles += FETCH_PIPELINE_DEPTH;
+                tally.cycles += FETCH_PIPELINE_DEPTH;
+                pc = (u.target as usize).max(pc) + 1;
+                continue;
+            }
+            Opcode::Loop if open.len() == loop_stack_depth => return None,
+            Opcode::Loop => open.push((u.target as usize, u64::from(u.imm), ExecStats::default())),
+            _ => {}
+        }
+        // The end of a body: all its trips at once, then the enclosing
+        // loop's check on the same µop, as in the run loop.
+        while open.last().is_some_and(|&(end, ..)| end == pc) {
+            let (_, trips, body) = open.pop().expect("checked above");
+            let parent = open.last_mut().map_or(&mut run, |(_, _, body)| body);
+            parent.merge_times(&body, trips);
+            parent.loop_backedges = parent.loop_backedges.saturating_add(trips - 1);
+        }
+        pc += 1;
+    }
+    // `exit` ends the run inside the first trip of every loop still open.
+    for (_, _, body) in &open {
+        run.merge_times(body, 1);
+    }
+    Some(run)
 }
 
 /// The host-side checks performed before writing the externally
@@ -428,6 +512,121 @@ mod tests {
         assert!(!d.is_empty());
         assert!(Arc::ptr_eq(d.program(), &p));
         assert_eq!(d.config(), &cfg());
+    }
+
+    /// The walk's answer and a run's, memory counters aside.
+    fn walked_and_run(
+        program: Program,
+    ) -> (Option<ExecStats>, Result<ExecStats, crate::ExecError>) {
+        let decoded = Arc::new(DecodedProgram::decode(Arc::new(program), &cfg()));
+        let mut cpu = crate::Processor::new(cfg()).unwrap();
+        cpu.load_decoded(Arc::clone(&decoded)).unwrap();
+        let run = cpu.run(crate::RunOptions::default());
+        let run = run.map(|s| ExecStats {
+            mem: Default::default(),
+            ..s
+        });
+        (decoded.static_stats(), run)
+    }
+
+    /// The walk of a branch-free program, checked against its run.
+    fn walk(program: Program) -> ExecStats {
+        let (walked, run) = walked_and_run(program.clone());
+        assert_eq!(walked, Some(run.unwrap()), "{program:?}");
+        walked.unwrap()
+    }
+
+    fn asm(src: &str) -> Program {
+        simt_isa::assemble(src).unwrap()
+    }
+
+    /// `loop count` over the `body` µops that follow it, then `exit`
+    /// (the assembler refuses a zero count).
+    fn looped(count: u32, body: &[Opcode]) -> Program {
+        let end = body.len() as u32;
+        let mut v = vec![Instruction::new(Opcode::Loop).imm(end << 16 | count)];
+        v.extend(body.iter().map(|&op| Instruction::new(op).rd(1)));
+        v.push(Instruction::new(Opcode::Exit));
+        Program::from_instructions(v)
+    }
+
+    #[test]
+    fn the_walk_folds_straight_line_code() {
+        let s = walk(asm(
+            "  stid r1\n  add r2, r1, r1\n  lds r3, [r1+0]\n  sts [r1+0], r2\n  exit",
+        ));
+        assert_eq!(s.fill_cycles, FETCH_PIPELINE_DEPTH);
+        assert_eq!((s.instructions, s.branch_flush_cycles), (5, 0));
+        assert!(s.buckets_consistent());
+    }
+
+    #[test]
+    fn the_walk_multiplies_loop_bodies_by_their_trips() {
+        let s = walk(asm(
+            "  loop 8, done\n  addi r1, r1, 1\n  addi r2, r2, 1\ndone:\n  exit",
+        ));
+        assert_eq!(s.instructions, 1 + 8 * 2 + 1);
+        assert_eq!((s.loop_backedges, s.branch_flush_cycles), (7, 0));
+        // Nested loops sharing an end address.
+        let s = walk(asm(
+            "  loop 3, done\n  stid r1\n  loop 4, done\n  addi r1, r1, 1\ndone:\n  exit",
+        ));
+        assert_eq!(s.instructions, 1 + 3 * (2 + 4) + 1);
+        assert_eq!(s.loop_backedges, 3 * 3 + 2);
+        assert_eq!(walk(looped(5, &[Opcode::Stid])).loop_backedges, 4);
+    }
+
+    #[test]
+    fn a_skipped_body_is_a_taken_branch_on_every_trip() {
+        let s = walk(looped(0, &[Opcode::Stid, Opcode::Sts]));
+        assert_eq!((s.branches_taken, s.instructions), (1, 2));
+        assert_eq!(s.branch_flush_cycles, FETCH_PIPELINE_DEPTH);
+        // An empty body is skipped too, here once per outer trip.
+        let s = walk(asm(
+            "  loop 3, done\n  loop 5, empty\nempty:\n  addi r1, r1, 1\ndone:\n  exit",
+        ));
+        assert_eq!((s.branches_taken, s.instructions), (3, 1 + 3 * 2 + 1));
+    }
+
+    #[test]
+    fn a_body_the_run_leaves_early_counts_once() {
+        // `exit` inside a body.
+        let s = walk(asm("  loop 4, done\n  stid r1\n  exit\ndone:\n  exit"));
+        assert_eq!((s.instructions, s.loop_backedges), (3, 0));
+        // A skip that ends an outer body passes over its back-edge.
+        let s = walk(asm(
+            "  loop 3, outer\n  stid r1\n  loop 2, outer\nouter:\n  exit",
+        ));
+        assert_eq!((s.instructions, s.branches_taken), (4, 1));
+        // An inner body that ends past the outer one's end.
+        let s = walk(asm(
+            "  loop 3, outer\n  loop 2, inner\n  stid r1\nouter:\n  addi r1, r1, 1\ninner:\n  exit",
+        ));
+        assert_eq!((s.instructions, s.loop_backedges), (7, 1));
+    }
+
+    #[test]
+    fn branches_and_too_deep_nests_are_dynamic() {
+        for src in [
+            "  bra skip\n  nop\nskip:\n  exit",
+            "  call f\n  exit\nf:\n  addi r1, r1, 1\n  ret",
+            "  movi r1, 1\n  setp.gt p0, r1, r1\n  @p0 brp out\nout:\n  exit",
+        ] {
+            let (walked, run) = walked_and_run(asm(src));
+            assert_eq!(walked, None, "{src}");
+            assert!(run.is_ok(), "{src}");
+        }
+        let depth = cfg().loop_stack_depth;
+        let mut src: String = (0..=depth).map(|i| format!("  loop 2, e{i}\n")).collect();
+        src.push_str("  stid r1\n");
+        src.extend((0..=depth).map(|i| format!("e{i}:\n")));
+        src.push_str("  exit");
+        let (walked, run) = walked_and_run(asm(&src));
+        assert_eq!(walked, None);
+        assert!(matches!(
+            run,
+            Err(crate::ExecError::LoopStackOverflow { .. })
+        ));
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!   and the host arithmetic they compute, which the fast path runs and
 //!   the tests prove equal;
 //! * uniform control flow with the Fig. 2 call stack, zero-overhead
-//!   loops, and taken-branch pipeline zeroing ([`sm`]).
+//!   loops, and taken-branch pipeline zeroing ([`sm`]);
+//! * the same clocks without a run: a branch-free program's statistics
+//!   folded from its µops at decode time
+//!   ([`DecodedProgram::static_stats`]).
 //!
 //! ## Quick example
 //!
@@ -49,7 +52,6 @@ pub mod alu;
 pub mod config;
 pub mod decode;
 pub mod error;
-pub mod fetch;
 pub mod profile;
 pub mod regfile;
 pub mod sequencer;
@@ -61,7 +63,6 @@ pub use alu::{Datapath, Operands};
 pub use config::{DspMode, ProcessorConfig};
 pub use decode::{validate_program, DecodedProgram};
 pub use error::{ConfigError, ExecError, LoadError};
-pub use fetch::{replay, run_and_replay, ClockEvent, ClockLog};
 pub use profile::{PcCounter, PcProfile};
 pub use regfile::RegisterFile;
 pub use sequencer::{InstructionTiming, PipelineControl, FETCH_PIPELINE_DEPTH};

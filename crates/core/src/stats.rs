@@ -69,6 +69,42 @@ impl ExecStats {
         self.thread_ops += thread_ops;
     }
 
+    /// [`ExecStats::merge`] of `other` taken `times` times over, every
+    /// counter saturating at `u64::MAX`: how the static walk folds one
+    /// trip of a loop body into what encloses it. `mem` is left alone —
+    /// memory traffic depends on the data, and the walk tallies none.
+    pub(crate) fn merge_times(&mut self, other: &Self, times: u64) {
+        let ExecStats {
+            cycles,
+            instructions,
+            fill_cycles,
+            branch_flush_cycles,
+            branches_taken,
+            loop_backedges,
+            op_cycles,
+            load_cycles,
+            store_cycles,
+            single_cycles,
+            mem: _,
+            thread_ops,
+        } = other;
+        for (into, n) in [
+            (&mut self.cycles, cycles),
+            (&mut self.instructions, instructions),
+            (&mut self.fill_cycles, fill_cycles),
+            (&mut self.branch_flush_cycles, branch_flush_cycles),
+            (&mut self.branches_taken, branches_taken),
+            (&mut self.loop_backedges, loop_backedges),
+            (&mut self.op_cycles, op_cycles),
+            (&mut self.load_cycles, load_cycles),
+            (&mut self.store_cycles, store_cycles),
+            (&mut self.single_cycles, single_cycles),
+            (&mut self.thread_ops, thread_ops),
+        ] {
+            *into = into.saturating_add(n.saturating_mul(times));
+        }
+    }
+
     /// Instructions per clock.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

@@ -1,11 +1,15 @@
 //! Property tests over random programs: the functional and
 //! cycle-accurate modes are observationally identical (on narrow and
-//! wide thread blocks), and the clock roll-up always matches the §3.1
-//! counter formulas.
+//! wide thread blocks), the clock roll-up always matches the §3.1
+//! counter formulas, and the decode's static walk derives a run's
+//! statistics without running it.
 
 use proptest::prelude::*;
-use simt_core::{InstructionTiming, Processor, ProcessorConfig, RunOptions};
+use simt_core::{
+    DecodedProgram, ExecStats, InstructionTiming, Processor, ProcessorConfig, RunOptions,
+};
 use simt_isa::{CycleClass, Instruction, Opcode, Program};
+use std::sync::Arc;
 
 /// Opcodes safe for random straight-line programs (no control flow, no
 /// predicates — those are exercised deterministically elsewhere).
@@ -125,21 +129,19 @@ proptest! {
     }
 
     #[test]
-    fn stage_replay_agrees_with_accounting(program in arb_program(64), threads in 1usize..=64) {
-        // The clock-granular stage-register model and the closed-form
-        // accounting must derive the same total on any program.
+    fn static_walk_agrees_with_the_run(program in arb_program(64), threads in 1usize..=64) {
+        // The decode-time walk and the run loop's accounting must
+        // derive the same statistics on any branch-free program.
         let cfg = ProcessorConfig::default()
             .with_threads(threads)
             .with_regs_per_thread(REGS as usize)
             .with_shared_words(MEM_WORDS);
+        let decoded = DecodedProgram::decode(Arc::new(program), &cfg);
+        let walked = decoded.static_stats();
         let mut cpu = Processor::new(cfg).unwrap();
-        cpu.load_program(&program).unwrap();
-        let (stats, log) = simt_core::run_and_replay(&mut cpu, RunOptions::default()).unwrap();
-        prop_assert_eq!(log.cycles(), stats.cycles);
-        prop_assert_eq!(log.fill_cycles(), stats.fill_cycles);
-        prop_assert_eq!(log.flush_cycles(), stats.branch_flush_cycles);
-        prop_assert_eq!(log.issued, stats.instructions);
-        prop_assert_eq!(log.loop_backedges, stats.loop_backedges);
+        cpu.load_decoded(Arc::new(decoded)).unwrap();
+        let stats = cpu.run(RunOptions::default()).unwrap();
+        prop_assert_eq!(walked, Some(ExecStats { mem: Default::default(), ..stats }));
     }
 
     /// `modes_agree` on a wide block (512 threads, 32 rows).

@@ -5,19 +5,23 @@
 //! ## The path-pair matrix
 //!
 //! Per optimization level (`O0`, `O2`), the two-stage program runs
-//! through three interpreter paths, chained stage to stage exactly the
-//! way the runtime chains launches (full shared memory carries over):
+//! through two interpreter paths, chained stage to stage exactly the
+//! way the runtime chains launches (full shared memory carries over),
+//! and each stage's timing is also derived without running it:
 //!
-//! | path | interpreter | mode |
-//! |------|-------------|------|
-//! | `ref-fn` | reference | functional (baseline) |
-//! | `pre-fn` | predecoded | functional |
-//! | `pre-ca` | predecoded | cycle-accurate |
+//! | leg | derivation |
+//! |-----|------------|
+//! | `ref-fn` | the reference interpreter (baseline) |
+//! | `pre-fn` | the predecoded run loop |
+//! | `static` | the decode's static walk ([`DecodedProgram::static_stats`]) |
 //!
-//! Every non-baseline path must match the baseline in **full observable
-//! state**: [`ExecStats`], the instruction trace, every register of
-//! every lane, all four predicate registers, and all of shared memory —
-//! per stage, not just at the end.
+//! `pre-fn` must match the baseline in **full observable state**:
+//! [`ExecStats`], the instruction trace, every register of every lane,
+//! all four predicate registers, and all of shared memory — per stage,
+//! not just at the end. `static` must equal the baseline's
+//! [`ExecStats`] but for the memory counters, which depend on the data;
+//! a generated program never branches, so the walk must not call a
+//! stage dynamic either.
 //!
 //! Across levels, `O0` and `O2` must agree on **final shared memory**
 //! (registers and stats legitimately differ under optimization; the
@@ -31,10 +35,11 @@
 
 use crate::gen::{materialize, FuzzProgram, Materialized, IN_OFF, MEM_WORDS};
 use simt_compiler::{compile, CompileError, OptLevel};
-use simt_core::{ExecStats, Processor, RunOptions, TraceEntry};
+use simt_core::{DecodedProgram, ExecStats, Processor, RunOptions, TraceEntry};
 use simt_isa::Program;
 use simt_kernels::{KernelSource, LaunchSpec};
 use simt_runtime::{fuse, ChaosConfig, RecoveryConfig, Runtime, RuntimeConfig};
+use std::sync::Arc;
 
 /// Outcome of one fuzz case.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +73,7 @@ pub struct PassReport {
 /// A reproducible disagreement between two execution paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DivergenceReport {
-    /// Which pair of paths disagreed (e.g. `"O2/pre-ca vs O2/ref-fn"`).
+    /// Which pair of paths disagreed (e.g. `"O2/static vs O2/ref-fn"`).
     pub pair: String,
     /// Pipeline stage the disagreement surfaced on (0-based; stages.len()
     /// for whole-chain comparisons).
@@ -126,38 +131,16 @@ fn diff_observed(a: &Observed, b: &Observed) -> Option<String> {
     None
 }
 
-/// One execution path through the interpreters.
-#[derive(Debug, Clone, Copy)]
-struct Path {
-    label: &'static str,
-    reference: bool,
-    cycle_accurate: bool,
-}
+/// The interpreter paths, baseline first: `(label, reference)`.
+const PATHS: [(&str, bool); 2] = [("ref-fn", true), ("pre-fn", false)];
 
-const PATHS: &[Path] = &[
-    Path {
-        label: "ref-fn",
-        reference: true,
-        cycle_accurate: false,
-    },
-    Path {
-        label: "pre-fn",
-        reference: false,
-        cycle_accurate: false,
-    },
-    Path {
-        label: "pre-ca",
-        reference: false,
-        cycle_accurate: true,
-    },
-];
-
-/// Run one compiled stage on one path, starting from `mem`.
+/// Run one decoded stage through the reference interpreter or the
+/// predecoded run loop, starting from `mem`.
 fn run_stage(
-    program: &Program,
+    decoded: &Arc<DecodedProgram>,
     m: &Materialized,
     mem: &[u32],
-    path: Path,
+    reference: bool,
 ) -> Result<Observed, String> {
     let threads = m.config.threads;
     let regs = m.config.regs_per_thread;
@@ -165,14 +148,10 @@ fn run_stage(
     cpu.shared_mut()
         .load_words(0, mem)
         .map_err(|e| format!("seed memory: {e}"))?;
-    cpu.load_program(program)
+    cpu.load_decoded(Arc::clone(decoded))
         .map_err(|e| format!("load: {e}"))?;
-    let opts = if path.cycle_accurate {
-        RunOptions::cycle_accurate()
-    } else {
-        RunOptions::default()
-    };
-    let (stats, trace) = if path.reference {
+    let opts = RunOptions::default();
+    let (stats, trace) = if reference {
         cpu.run_reference_traced(opts)
             .map_err(|e| format!("exec: {e}"))?
     } else {
@@ -221,37 +200,47 @@ fn compile_stages(m: &Materialized, opt: OptLevel, label: &str) -> Result<Vec<Pr
         .collect()
 }
 
-/// Run the interpreter matrix for one opt level; returns the baseline's
-/// final memory.
+/// Run the interpreter matrix and the static leg for one opt level;
+/// returns the baseline's final memory.
 fn check_interpreters(
     m: &Materialized,
     programs: &[Program],
     level: &str,
 ) -> Result<Vec<u32>, Verdict> {
+    let diverge = |pair: String, stage, detail| {
+        Verdict::Divergence(DivergenceReport {
+            pair,
+            stage,
+            detail,
+        })
+    };
     let mut mems: Vec<Vec<u32>> = PATHS.iter().map(|_| initial_memory(m)).collect();
     for (stage, program) in programs.iter().enumerate() {
+        let decoded = Arc::new(DecodedProgram::decode(Arc::new(program.clone()), &m.config));
         let mut baseline: Option<Observed> = None;
-        for (pi, path) in PATHS.iter().enumerate() {
-            let obs = run_stage(program, m, &mems[pi], *path).map_err(|detail| {
-                Verdict::Divergence(DivergenceReport {
-                    pair: format!("{level}/{}", path.label),
-                    stage,
-                    detail,
-                })
-            })?;
+        for (pi, &(label, reference)) in PATHS.iter().enumerate() {
+            let obs = run_stage(&decoded, m, &mems[pi], reference)
+                .map_err(|detail| diverge(format!("{level}/{label}"), stage, detail))?;
             mems[pi] = obs.shared.clone();
             match &baseline {
                 None => baseline = Some(obs),
                 Some(base) => {
                     if let Some(detail) = diff_observed(base, &obs) {
-                        return Err(Verdict::Divergence(DivergenceReport {
-                            pair: format!("{level}/{} vs {level}/{}", path.label, PATHS[0].label),
-                            stage,
-                            detail,
-                        }));
+                        let pair = format!("{level}/{label} vs {level}/{}", PATHS[0].0);
+                        return Err(diverge(pair, stage, detail));
                     }
                 }
             }
+        }
+        let simulated = ExecStats {
+            mem: Default::default(),
+            ..baseline.expect("PATHS is not empty").stats
+        };
+        let walked = decoded.static_stats();
+        if walked != Some(simulated) {
+            let pair = format!("{level}/static vs {level}/{}", PATHS[0].0);
+            let detail = format!("stats: {walked:?} vs {simulated:?}");
+            return Err(diverge(pair, stage, detail));
         }
     }
     Ok(mems.swap_remove(0))

@@ -16,13 +16,14 @@
 //! it after a *deliberate* change to what the compiler emits.
 
 use simt_compiler::{compile, fuse_kernels, Kernel, OptLevel};
-use simt_core::{ProcessorConfig, RunOptions};
+use simt_core::{DecodedProgram, ExecStats, ProcessorConfig, RunOptions};
 use simt_kernels::harness::run_program;
 use simt_kernels::pipeline::Pipeline;
 use simt_kernels::workload::{int_vector, lowpass_taps, q15_signal};
 use simt_kernels::{fir, iir, matmul, reduce, vector, KernelSource};
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 /// FNV-1a, 64-bit.
 struct Fnv(u64);
@@ -86,12 +87,19 @@ fn digest(k: &Kernel, cfg: &ProcessorConfig, opt: OptLevel) -> u64 {
 
 /// Modeled cycles of a program on a fresh core built for `cfg`: cycle
 /// counts depend on the instruction stream and the configuration, not
-/// on the data.
+/// on the data — so the decode's static walk must derive the run's
+/// statistics exactly, and this checks that it does.
 fn run_cycles(program: &simt_isa::Program, cfg: &ProcessorConfig) -> u64 {
-    run_program(cfg.clone(), program, &[], 0, 0, RunOptions::default())
+    let stats = run_program(cfg.clone(), program, &[], 0, 0, RunOptions::default())
         .expect("program runs")
-        .stats
-        .cycles
+        .stats;
+    let walked = DecodedProgram::decode(Arc::new(program.clone()), cfg).static_stats();
+    let simulated = ExecStats {
+        mem: Default::default(),
+        ..stats
+    };
+    assert_eq!(walked, Some(simulated), "static walk vs run");
+    stats.cycles
 }
 
 /// O2's readable outcome: `len/regs/cycles`, or the typed error.
