@@ -274,59 +274,71 @@ impl DecodedProgram {
 /// tally counts once. Charges its own clocks rather than sharing the
 /// run loop's accounting, so the two are independent derivations.
 fn static_stats(uops: &[Uop], loop_stack_depth: usize) -> Option<ExecStats> {
-    // Each open loop: its end address, trip count, and one trip's tally.
-    let mut open: Vec<(usize, u64, ExecStats)> = Vec::new();
-    let mut run = ExecStats {
+    // The innermost open body's one-trip tally (the run's own outside
+    // any loop), and per open loop its end address, trip count and the
+    // enclosing tally it interrupted.
+    let mut tally = ExecStats {
         cycles: FETCH_PIPELINE_DEPTH,
         fill_cycles: FETCH_PIPELINE_DEPTH,
         ..Default::default()
     };
+    let mut open: Vec<(usize, u64, ExecStats)> = Vec::new();
+    // Saturating, like `merge_times`: a folded body may have saturated
+    // the tally already.
+    let charge = |into: &mut u64, n: u64| *into = into.saturating_add(n);
     let mut pc = 0;
     loop {
         let u = uops.get(pc)?;
-        let tally = open.last_mut().map_or(&mut run, |(_, _, body)| body);
         let clocks = u64::from(u.clocks);
-        tally.instructions += 1;
-        tally.cycles += clocks;
-        *match u.class {
-            CycleClass::Operation => &mut tally.op_cycles,
-            CycleClass::Load => &mut tally.load_cycles,
-            CycleClass::Store => &mut tally.store_cycles,
-            CycleClass::SingleCycle => &mut tally.single_cycles,
-        } += clocks;
+        charge(&mut tally.instructions, 1);
+        charge(&mut tally.cycles, clocks);
+        charge(
+            match u.class {
+                CycleClass::Operation => &mut tally.op_cycles,
+                CycleClass::Load => &mut tally.load_cycles,
+                CycleClass::Store => &mut tally.store_cycles,
+                CycleClass::SingleCycle => &mut tally.single_cycles,
+            },
+            clocks,
+        );
         if u.class != CycleClass::SingleCycle {
-            tally.thread_ops += u64::from(u.active);
+            charge(&mut tally.thread_ops, u64::from(u.active));
         }
         match u.opcode {
             Opcode::Bra | Opcode::Brp | Opcode::Call | Opcode::Ret => return None,
             Opcode::Exit => break,
             Opcode::Loop if u.imm == 0 || u.target as usize <= pc => {
                 // A skipped body is a taken branch: a pipeline flush.
-                tally.branches_taken += 1;
-                tally.branch_flush_cycles += FETCH_PIPELINE_DEPTH;
-                tally.cycles += FETCH_PIPELINE_DEPTH;
+                charge(&mut tally.branches_taken, 1);
+                charge(&mut tally.branch_flush_cycles, FETCH_PIPELINE_DEPTH);
+                charge(&mut tally.cycles, FETCH_PIPELINE_DEPTH);
                 pc = (u.target as usize).max(pc) + 1;
                 continue;
             }
             Opcode::Loop if open.len() == loop_stack_depth => return None,
-            Opcode::Loop => open.push((u.target as usize, u64::from(u.imm), ExecStats::default())),
+            Opcode::Loop => open.push((
+                u.target as usize,
+                u64::from(u.imm),
+                std::mem::take(&mut tally),
+            )),
             _ => {}
         }
         // The end of a body: all its trips at once, then the enclosing
         // loop's check on the same µop, as in the run loop.
         while open.last().is_some_and(|&(end, ..)| end == pc) {
-            let (_, trips, body) = open.pop().expect("checked above");
-            let parent = open.last_mut().map_or(&mut run, |(_, _, body)| body);
-            parent.merge_times(&body, trips);
-            parent.loop_backedges = parent.loop_backedges.saturating_add(trips - 1);
+            let (_, trips, outer) = open.pop().expect("checked above");
+            let body = std::mem::replace(&mut tally, outer);
+            tally.merge_times(&body, trips);
+            charge(&mut tally.loop_backedges, trips - 1);
         }
         pc += 1;
     }
     // `exit` ends the run inside the first trip of every loop still open.
-    for (_, _, body) in &open {
-        run.merge_times(body, 1);
+    for (_, _, outer) in open.into_iter().rev() {
+        let body = std::mem::replace(&mut tally, outer);
+        tally.merge_times(&body, 1);
     }
-    Some(run)
+    Some(tally)
 }
 
 /// The host-side checks performed before writing the externally
@@ -603,6 +615,21 @@ mod tests {
             "  loop 3, outer\n  loop 2, inner\n  stid r1\nouter:\n  addi r1, r1, 1\ninner:\n  exit",
         ));
         assert_eq!((s.instructions, s.loop_backedges), (7, 1));
+    }
+
+    #[test]
+    fn counts_past_u64_saturate() {
+        // 65 535^4 trips of a 64-clock store: no run gets this far.
+        let depth = cfg().loop_stack_depth;
+        let mut src: String = (0..depth)
+            .map(|i| format!("  loop 65535, e{i}\n"))
+            .collect();
+        src.push_str("  sts [r1+0], r1\n");
+        src.extend((0..depth).map(|i| format!("e{i}:\n")));
+        src.push_str("  exit");
+        let decoded = DecodedProgram::decode(Arc::new(asm(&src)), &cfg());
+        let s = decoded.static_stats().unwrap();
+        assert_eq!((s.cycles, s.store_cycles), (u64::MAX, u64::MAX));
     }
 
     #[test]
