@@ -23,6 +23,13 @@
 //! the kernel itself and shared by its clones (`Kernel::cache_identity`),
 //! so a warm lookup hashes the ~30 configuration bytes, compares
 //! material by pointer and allocates nothing.
+//!
+//! A bounded cache evicts the exact least-recently-used entry in
+//! O(log n): a hit stores its recency stamp in the entry and nothing
+//! else, and a `BTreeMap` from stamp to key, one item per entry, is
+//! brought up to date only when an eviction reads it. Evicted entries
+//! (and the program they may be the last holder of) are dropped after
+//! the map lock is released.
 
 use crate::error::CompileError;
 use crate::ir::{hash_config, Fnv, Kernel};
@@ -30,8 +37,9 @@ use crate::lower::{compile, OptLevel};
 use crate::passes::PassStats;
 use simt_core::{DecodedProgram, ProcessorConfig};
 use simt_isa::{IsaError, Program};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::Hasher;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -119,7 +127,27 @@ struct Inner {
     /// Maximum resident artifacts (`None` = unbounded). A long-running
     /// pool serving many distinct programs must not grow without limit;
     /// past the bound the least-recently-used artifact is evicted.
-    capacity: Option<usize>,
+    capacity: Option<NonZeroUsize>,
+    /// Bounded caches only: one `stamp → key` item per entry, whose
+    /// stamp is the entry's `last_used` or older (a hit updates only the
+    /// entry). Stamps are unique ticks, so the oldest item whose stamp
+    /// is still current names the least-recently-used entry.
+    recency: BTreeMap<u64, u64>,
+}
+
+impl Inner {
+    /// Remove and return the least-recently-used entry, refreshing the
+    /// stale index items it passes on the way.
+    fn evict_lru(&mut self) -> Entry {
+        loop {
+            let (stamp, key) = self.recency.pop_first().expect("every entry is indexed");
+            let last_used = self.map[&key].last_used;
+            if last_used == stamp {
+                return self.map.remove(&key).expect("indexed key is resident");
+            }
+            self.recency.insert(last_used, key);
+        }
+    }
 }
 
 /// A shared, content-addressed map from compiled-artifact keys to
@@ -154,11 +182,7 @@ impl CompileCache {
 
     /// An empty cache holding at most `capacity` artifacts, evicting
     /// the least-recently-used past the bound.
-    ///
-    /// # Panics
-    /// If `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "a compile cache needs room for one entry");
+    pub fn with_capacity(capacity: NonZeroUsize) -> Self {
         let cache = Self::default();
         cache.inner.lock().unwrap().capacity = Some(capacity);
         cache
@@ -188,28 +212,29 @@ impl CompileCache {
     }
 
     /// Publish (or on failure abandon) an owned compile, evict past the
-    /// LRU bound, and wake waiters.
+    /// LRU bound, and wake waiters. The evicted entry is dropped after
+    /// the lock is released.
     fn settle(&self, key: u64, entry: Option<Entry>) {
         let mut inner = self.inner.lock().unwrap();
         inner.pending.remove(&key);
+        let mut evicted = None;
         if let Some(mut e) = entry {
             inner.tick += 1;
-            e.last_used = inner.tick;
+            let stamp = inner.tick;
+            e.last_used = stamp;
             inner.map.insert(key, e);
             if let Some(cap) = inner.capacity {
-                while inner.map.len() > cap {
-                    let lru = inner
-                        .map
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(&k, _)| k)
-                        .expect("over-capacity map is non-empty");
-                    inner.map.remove(&lru);
+                inner.recency.insert(stamp, key);
+                // The map held at most `cap` before this one insert.
+                if inner.map.len() > cap.get() {
+                    evicted = Some(inner.evict_lru());
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
+        drop(inner);
         self.ready.notify_all();
+        drop(evicted);
     }
 
     /// Compile an IR kernel (or return the cached artifact, reported a
@@ -344,7 +369,7 @@ impl CompileCache {
     }
 
     /// The configured LRU bound (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
+    pub fn capacity(&self) -> Option<NonZeroUsize> {
         self.inner.lock().unwrap().capacity
     }
 
@@ -510,8 +535,8 @@ mod tests {
 
     #[test]
     fn lru_bound_evicts_the_coldest_artifact() {
-        let cache = CompileCache::with_capacity(2);
-        assert_eq!(cache.capacity(), Some(2));
+        let cache = CompileCache::with_capacity(NonZeroUsize::new(2).unwrap());
+        assert_eq!(cache.capacity(), NonZeroUsize::new(2));
         let cfg = ProcessorConfig::small();
         cache
             .get_or_compile_decoded(&kernel(1), &cfg, OptLevel::Full)
@@ -536,6 +561,39 @@ mod tests {
         assert!(!hit2, "evicted artifact must recompile");
         assert_eq!(cache.evictions(), 2);
         assert_eq!(cache.len(), 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Random lookups of up to 8 kernels against a capacity of 1–4:
+        /// every hit/miss and the eviction count follow a plain LRU list.
+        /// Hits between misses leave stale items in the recency index,
+        /// which eviction has to skip and re-file.
+        #[test]
+        fn the_bounded_cache_is_exactly_lru(
+            cap in 1usize..=4,
+            seq in proptest::collection::vec(0usize..8, 1..48),
+        ) {
+            let kernels: Vec<Kernel> = (1..=8).map(kernel).collect();
+            let cfg = ProcessorConfig::small();
+            let cache = CompileCache::with_capacity(NonZeroUsize::new(cap).unwrap());
+            // The model: resident kernels, least recently used first.
+            let mut lru: Vec<usize> = Vec::new();
+            let mut evictions = 0;
+            for &i in &seq {
+                let resident = lru.iter().position(|&r| r == i).map(|at| lru.remove(at));
+                if resident.is_none() && lru.len() == cap {
+                    lru.remove(0);
+                    evictions += 1;
+                }
+                lru.push(i);
+                let (_, hit) = get(&cache, &kernels[i], &cfg, OptLevel::Full);
+                proptest::prop_assert_eq!(hit, resident.is_some(), "{:?} cap {}", seq, cap);
+                proptest::prop_assert_eq!(cache.evictions(), evictions);
+            }
+            proptest::prop_assert_eq!(cache.len(), lru.len());
+        }
     }
 
     #[test]
@@ -910,6 +968,8 @@ mod tests {
                     .unwrap_err(),
                 want
             );
+            // The memo is filled now; compile answers from it.
+            assert_eq!(compile(k, &cfg, OptLevel::Full).unwrap_err(), want);
             assert_eq!(
                 cache
                     .get_or_compile_decoded(k, &cfg, OptLevel::None)

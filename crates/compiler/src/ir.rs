@@ -855,6 +855,16 @@ impl Kernel {
         Ok((canon, Fnv(state)))
     }
 
+    /// [`Kernel::validate`]'s verdict, answered from the identity memo
+    /// when a cache lookup has filled it (every `&mut` path detaches the
+    /// memo, so a filled one describes this exact IR), walked otherwise.
+    pub(crate) fn validated(&self) -> Result<(), CompileError> {
+        match self.identity.canon.get() {
+            Some(verdict) => verdict.as_ref().map(|_| ()).map_err(Clone::clone),
+            None => self.validate(),
+        }
+    }
+
     /// Content hash of the kernel + configuration — the
     /// [`crate::CompileCache`] key. Deterministic across processes
     /// (FNV-1a over [`Kernel::canonical_bytes`]).

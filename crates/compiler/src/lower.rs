@@ -55,7 +55,7 @@ pub fn compile(
     opt: OptLevel,
 ) -> Result<CompiledKernel, CompileError> {
     config.validate()?;
-    kernel.validate()?;
+    kernel.validated()?;
     let depth = kernel.loop_depth();
     if depth > config.loop_stack_depth {
         return Err(CompileError::LoopTooDeep {

@@ -72,8 +72,75 @@ impl PipelineReport {
 /// A pass: rewrites the kernel in place, reports whether it changed it.
 type Pass = fn(&mut Kernel) -> bool;
 
-/// Run the full pipeline to a fixpoint (bounded) and report per-pass
-/// statistics.
+/// The pipeline in run order; a pass's index is its bit in [`ENABLES`].
+const PASSES: [(&str, Pass); 7] = [
+    ("const-fold", const_fold),
+    ("strength-reduce", strength_reduce),
+    ("licm", licm),
+    ("cse", cse),
+    ("store-forward", forward_stores),
+    ("mad-fuse", mad_fuse),
+    ("dce", dce),
+];
+const CF: usize = 0;
+const SR: usize = 1;
+const LICM: usize = 2;
+const CSE: usize = 3;
+const SF: usize = 4;
+const MF: usize = 5;
+const DCE: usize = 6;
+/// Every pass's bit.
+const ALL: u8 = (1 << PASSES.len()) - 1;
+
+/// `ENABLES[p]` has bit `q` set when a change by pass `p` may give pass
+/// `q` something to do. It starts all-ones; each cleared bit says why
+/// `q` cannot find new work in what `p` changed (or, for `p == q`, why
+/// `p` finds nothing left after its own run by the time it runs again).
+/// A wrongly cleared bit trips the cross-check in [`optimize`]; the set
+/// bits sr → sr and dce → mf each have a test that needs its second run.
+const ENABLES: [u8; 7] = {
+    let mut t = [ALL; 7];
+    // cf → cf: one walk in dominance order sees its own folds; this round's dce drops its aliases.
+    t[CF] &= !(1 << CF);
+    // sr → cf: a shift by k ≥ 1 of a non-constant is no identity and no fold.
+    t[SR] &= !(1 << CF);
+    // licm → cf, sr: hoisting changes no op, operand or mask.
+    t[LICM] &= !(1 << CF | 1 << SR);
+    // cse → cf, sr: an alias has its value's op, operands and scale.
+    t[CSE] &= !(1 << CF | 1 << SR);
+    // sf → sf: one walk sees its own forwards; this round's dce drops the loads it replaced.
+    t[SF] &= !(1 << SF);
+    // mf → cf, sr: a mad has no constant operand.
+    t[MF] &= !(1 << CF | 1 << SR);
+    // mf → sf: the fused add had a multiply operand, so it was no `tid + d` base.
+    t[MF] &= !(1 << SF);
+    // mf → mf: fusing only raises use counts, so no multiply becomes single-use.
+    t[MF] &= !(1 << MF);
+    // dce → cf, sr: survivors keep their ops, operands and masks.
+    t[DCE] &= !(1 << CF | 1 << SR);
+    // dce → licm: every store, which bounds a hoisted load, survives.
+    t[DCE] &= !(1 << LICM);
+    // dce → cse: removing values makes no two survivors equal.
+    t[DCE] &= !(1 << CSE);
+    // dce → sf: stores survive, and a removed loop held none.
+    t[DCE] &= !(1 << SF);
+    // dce → dce: liveness is marked from the stores, which all survive.
+    t[DCE] &= !(1 << DCE);
+    t
+};
+
+/// Run the full pipeline to a fixpoint (at most 8 rounds) and report
+/// per-pass statistics.
+///
+/// A round visits the seven passes in order, but runs only the *dirty*
+/// ones: every pass starts dirty, running one cleans it, and a change by
+/// pass `p` dirties `ENABLES[p]` — the invalidation rule of LLVM's new
+/// pass manager. A clean pass is recorded as the no-op run it would be
+/// (`live → live`, unchanged), so the report, and with it every event
+/// and pin derived from it, lists 7 runs per round exactly as if each
+/// had run. The pipeline stops after a round in which nothing changed.
+/// Debug builds run every skipped pass on a clone and assert it would
+/// have changed nothing.
 pub fn optimize(k: &mut Kernel) -> PipelineReport {
     // One count, carried from pass to pass: a pass that reports no
     // change left every region as it found it.
@@ -82,31 +149,35 @@ pub fn optimize(k: &mut Kernel) -> PipelineReport {
         insts_before: live,
         ..Default::default()
     };
-    let mut run = |k: &mut Kernel, name: &'static str, pass: Pass| {
-        let changed = pass(k);
-        let stats = PassStats {
-            pass: name,
-            insts_before: live,
-            insts_after: if changed { k.live_insts() } else { live },
-            changed,
-        };
-        live = stats.insts_after;
-        stats
-    };
-    let passes: &[(&'static str, Pass)] = &[
-        ("const-fold", const_fold),
-        ("strength-reduce", strength_reduce),
-        ("licm", licm),
-        ("cse", cse),
-        ("store-forward", forward_stores),
-        ("mad-fuse", mad_fuse),
-        ("dce", dce),
-    ];
+    let mut dirty = ALL;
     for _round in 0..8 {
         let mut any = false;
-        for &(name, pass) in passes {
-            let stats = run(k, name, pass);
-            any |= stats.changed;
+        for (p, &(name, pass)) in PASSES.iter().enumerate() {
+            let changed = if dirty & 1 << p != 0 {
+                dirty &= !(1 << p);
+                pass(k)
+            } else {
+                #[cfg(debug_assertions)]
+                {
+                    let mut probe = k.clone();
+                    assert!(
+                        !pass(&mut probe) && probe == *k,
+                        "{name} was skipped as clean but would rewrite:\n{k}"
+                    );
+                }
+                false
+            };
+            if changed {
+                dirty |= ENABLES[p];
+            }
+            let stats = PassStats {
+                pass: name,
+                insts_before: live,
+                insts_after: if changed { k.live_insts() } else { live },
+                changed,
+            };
+            live = stats.insts_after;
+            any |= changed;
             report.passes.push(stats);
         }
         if !any {
@@ -1343,6 +1414,64 @@ mod tests {
                 .any(|&v| matches!(k.inst(v).op, Op::Bin(BinOp::Add))),
             "scaled instruction must stay:\n{k}"
         );
+    }
+
+    /// The live instructions' ops, in order, and the pass report's
+    /// round count.
+    fn shape(k: &Kernel, r: &PipelineReport) -> (Vec<Op>, usize) {
+        let mut ops = Vec::new();
+        k.for_each_inst(|_, i| ops.push(i.op));
+        (ops, r.passes.len() / PASSES.len())
+    }
+
+    #[test]
+    fn a_nested_address_add_folds_on_strength_reduces_second_run() {
+        // One run folds the add right under the load's base; the inner
+        // add is exposed only to strength-reduce's next run, which the
+        // SR → SR bit in `ENABLES` schedules (nothing else dirties it).
+        let mut b = IrBuilder::new("t");
+        let tid = b.tid();
+        let one = b.iconst(1);
+        let a1 = b.add(tid, one);
+        let two = b.iconst(2);
+        let a2 = b.add(a1, two);
+        let x = b.load(a2, 10);
+        b.store(tid, 64, x);
+        let mut k = b.finish();
+        let r = optimize(&mut k);
+        let (ops, rounds) = shape(&k, &r);
+        assert_eq!(ops, [Op::Tid, Op::Load(13), Op::Store(64)], "\n{k}");
+        assert_eq!(k.inst(k.body()[1]).args, [tid], "\n{k}");
+        assert_eq!(rounds, 3);
+    }
+
+    #[test]
+    fn a_multiply_freed_by_dce_fuses_on_the_next_round() {
+        // `m` has two uses until dce drops the dead `sub`; only then is
+        // it single-use, so mad-fuse needs the DCE → MF bit to run again.
+        let mut b = IrBuilder::new("t");
+        let tid = b.tid();
+        let x = b.load(tid, 0);
+        let y = b.load(tid, 64);
+        let z = b.load(tid, 128);
+        let m = b.mul(x, y);
+        let s = b.add(m, z);
+        let one = b.iconst(1);
+        let _dead = b.sub(m, one);
+        b.store(tid, 192, s);
+        let mut k = b.finish();
+        let r = optimize(&mut k);
+        let (ops, rounds) = shape(&k, &r);
+        let want = [
+            Op::Tid,
+            Op::Load(0),
+            Op::Load(64),
+            Op::Load(128),
+            Op::Mad,
+            Op::Store(192),
+        ];
+        assert_eq!(ops, want, "\n{k}");
+        assert_eq!(rounds, 3);
     }
 
     #[test]

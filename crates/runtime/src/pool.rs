@@ -43,6 +43,7 @@ use simt_kernels::{KernelSource, LaunchSpec};
 use simt_metrics::HealthConfig;
 use simt_profile::ProfileConfig;
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 
 /// Everything the pool retains per profiled kernel: the merged per-PC
@@ -100,7 +101,7 @@ pub struct RuntimeConfig {
     /// (`None` = unbounded). A long-running pool serving many distinct
     /// programs must not grow the cache without limit; evictions are
     /// counted in [`crate::RuntimeStats::compile_evictions`].
-    pub compile_cache_capacity: Option<usize>,
+    pub compile_cache_capacity: Option<NonZeroUsize>,
     /// Opt-in tracing/profiling (`None` = disabled, the default: the
     /// event ring then keeps only the black-box window and records no
     /// allocation-carrying detail). See [`simt_profile::ProfileConfig`].
@@ -141,7 +142,7 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             devices: 2,
-            compile_cache_capacity: Some(256),
+            compile_cache_capacity: NonZeroUsize::new(256),
             profile: None,
             metrics: true,
             flight_capacity: 1024,

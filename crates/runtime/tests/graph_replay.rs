@@ -289,7 +289,7 @@ fn replay_places_independent_branches_across_the_pool() {
 #[test]
 fn bounded_compile_cache_evicts_and_recounts() {
     let mut cfg = RuntimeConfig::with_devices(1);
-    cfg.compile_cache_capacity = Some(2);
+    cfg.compile_cache_capacity = std::num::NonZeroUsize::new(2);
     let rt = Runtime::new(cfg);
     let s = rt.stream();
     let x = int_vector(64, 1);
